@@ -15,9 +15,9 @@ from itertools import product
 
 from .braided import braid_word_blocks
 from .cyclo import one
-from .linalg import nullspace, row_axpy, sparse_rank
+from .linalg import Echelon, add_term, row_axpy, sparse_rank
 from .rewriting import rewrite_dims
-from .tensoralg import TensorElement, braided_coproduct
+from .tensoralg import TensorElement, braided_coproduct, ideal_component
 
 
 class CategoryStructure:
@@ -90,7 +90,8 @@ class GradedBialgebraData:
         out = {}
         for w, c in self.rs.reduce(dict(word_support)).items():
             idx = self.index.get(w)
-            assert idx is not None, f"normal word {w} missing from the basis"
+            if idx is None:
+                raise RuntimeError(f"normal word {w} missing from the basis")
             out[idx] = c
         return out
 
@@ -117,7 +118,7 @@ class GradedBialgebraData:
             for (u, v), c in full.items():
                 for iu, cu in self.vec_of({u: one()}).items():
                     for iv, cv in self.vec_of({v: one()}).items():
-                        _acc(out, (iu, iv), c * cu * cv)
+                        add_term(out, (iu, iv), c * cu * cv)
             self._coprod[i] = hit = out
         return hit
 
@@ -130,7 +131,7 @@ class GradedBialgebraData:
             out = {}
             for ir, cr in self.vec_of({right: one()}).items():
                 for il, cl in self.vec_of({left: one()}).items():
-                    _acc(out, (ir, il), coeff * cr * cl)
+                    add_term(out, (ir, il), coeff * cr * cl)
             self._braid[key] = hit = out
         return hit
 
@@ -151,23 +152,24 @@ class GradedBialgebraData:
                 nxt = {}
                 for (pv, x), c in states.items():
                     for (k, l), co in self.braid(x, vj).items():
-                        _acc(nxt, (pv + (k,), l), c * co)
+                        add_term(nxt, (pv + (k,), l), c * co)
                 states = nxt
             hit = {}
             for (pv, x), c in states.items():
-                _acc(hit, (pv, (x,)), c)
+                add_term(hit, (pv, (x,)), c)
         else:
             head, rest = left[:1], left[1:]
             hit = {}
             for (r1, rest1), c1 in self.braid_tensor(rest, right).items():
                 for (r2, head1), c2 in self.braid_tensor(head, r1).items():
-                    _acc(hit, (r2, head1 + rest1), c1 * c2)
+                    add_term(hit, (r2, head1 + rest1), c1 * c2)
         self._braid_tensor[key] = hit
         return hit
 
     def mult_tensor(self, t1, t2):
         """Product in the braided tensor-power algebra B^(x)q."""
-        assert len(t1) == len(t2)
+        if len(t1) != len(t2):
+            raise ValueError(f"tensor factors of different lengths {len(t1)} and {len(t2)}")
         if not t1:
             return {(): one()}
         out = {}
@@ -176,7 +178,7 @@ class GradedBialgebraData:
         for (v1p, urestp), cb in self.braid_tensor(urest, (v1,)).items():
             for k0, c0 in self.mult(u1, v1p[0]).items():
                 for trest, cr in self.mult_tensor(urestp, vrest).items():
-                    _acc(out, (k0,) + trest, cb * c0 * cr)
+                    add_term(out, (k0,) + trest, cb * c0 * cr)
         return out
 
     def coprod_tensor(self, t):
@@ -192,7 +194,7 @@ class GradedBialgebraData:
             for (a, b), c0 in self.coprod(head).items():
                 for (t1, t2), c1 in self.coprod_tensor(rest).items():
                     for (t1p, bp), cb in self.braid_tensor((b,), t1).items():
-                        _acc(hit, ((a,) + t1p, bp + t2), c0 * c1 * cb)
+                        add_term(hit, ((a,) + t1p, bp + t2), c0 * c1 * cb)
         self._coprod_tensor[t] = hit
         return hit
 
@@ -210,7 +212,7 @@ class GradedBialgebraData:
             hit = {}
             for t, c in self.iter_coprod(i, q - 1).items():
                 for (a, b), c0 in self.coprod(t[0]).items():
-                    _acc(hit, (a, b) + t[1:], c * c0)
+                    add_term(hit, (a, b) + t[1:], c * c0)
         self._iter_coprod[key] = hit
         return hit
 
@@ -221,7 +223,7 @@ class GradedBialgebraData:
             nxt = {}
             for j, c in cur.items():
                 for k, cm in self.mult(j, i).items():
-                    _acc(nxt, k, c * cm)
+                    add_term(nxt, k, c * cm)
             cur = nxt
         return cur
 
@@ -230,14 +232,14 @@ class GradedBialgebraData:
         out = {}
         for u, cu in self.iter_coprod(i, len(t)).items():
             for t2, c in self.mult_tensor(u, t).items():
-                _acc(out, t2, cu * c)
+                add_term(out, t2, cu * c)
         return out
 
     def act_right(self, t, i):
         out = {}
         for u, cu in self.iter_coprod(i, len(t)).items():
             for t2, c in self.mult_tensor(t, u).items():
-                _acc(out, t2, cu * c)
+                add_term(out, t2, cu * c)
         return out
 
     def coact_left(self, t):
@@ -245,14 +247,14 @@ class GradedBialgebraData:
         out = {}
         for (t1, t2), c in self.coprod_tensor(t).items():
             for j, cm in self.mprod(t1).items():
-                _acc(out, (j, t2), c * cm)
+                add_term(out, (j, t2), c * cm)
         return out
 
     def coact_right(self, t):
         out = {}
         for (t1, t2), c in self.coprod_tensor(t).items():
             for j, cm in self.mprod(t2).items():
-                _acc(out, (t1, j), c * cm)
+                add_term(out, (t1, j), c * cm)
         return out
 
     # -- axiom checks ------------------------------------------------------
@@ -276,9 +278,9 @@ class GradedBialgebraData:
             right = {}
             for (a, b), c in self.coprod(i).items():
                 for (a1, a2), ca in self.coprod(a).items():
-                    _acc(left, (a1, a2, b), c * ca)
+                    add_term(left, (a1, a2, b), c * ca)
                 for (b1, b2), cb in self.coprod(b).items():
-                    _acc(right, (a, b1, b2), c * cb)
+                    add_term(right, (a, b1, b2), c * cb)
             row_axpy(left, -one(), right)
             if left:
                 return False, i
@@ -294,9 +296,9 @@ class GradedBialgebraData:
             right = {}
             for (a, b), c in self.coprod(i).items():
                 if a == self.unit:
-                    _acc(left, b, c)
+                    add_term(left, b, c)
                 if b == self.unit:
-                    _acc(right, a, c)
+                    add_term(right, a, c)
             if left != {i: one()} or right != {i: one()}:
                 return False, ("counit", i)
         return True, None
@@ -313,7 +315,7 @@ class GradedBialgebraData:
                     for (sp, bp), cb in self.braid(b, s).items():
                         for u, cu in self.mult(a, sp).items():
                             for v, cv in self.mult(bp, t).items():
-                                _acc(right, (u, v), c1 * c2 * cb * cu * cv)
+                                add_term(right, (u, v), c1 * c2 * cb * cu * cv)
             row_axpy(left, -one(), right)
             if left:
                 return False, (i, j)
@@ -344,25 +346,6 @@ class GradedBialgebraData:
             out[d] = len(cols) - sparse_rank(rows.values())
         return out
 
-    def primitive_basis(self, d):
-        cols = [self.index[w] for w in self.basis[d]]
-        rows = {}
-        for i in cols:
-            for (a, b), c in self.coprod(i).items():
-                if a == self.unit or b == self.unit:
-                    continue
-                rows.setdefault((a, b), {})[i] = c
-        return nullspace(rows.values(), cols)
-
-
-def _acc(out, key, val):
-    cur = out.get(key)
-    nv = val if cur is None else cur + val
-    if nv.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = nv
-
 
 def biideal_witness(V, rs, relations):
     """First relation whose pushed coproduct fails to vanish, or None.
@@ -378,7 +361,7 @@ def biideal_witness(V, rs, relations):
         for (u, v), c in braided_coproduct(V, elem).items():
             for wu, cu in rs.reduce({u: one()}).items():
                 for wv, cv in rs.reduce({v: one()}).items():
-                    _acc(leftover, (wu, wv), c * cu * cv)
+                    add_term(leftover, (wu, wv), c * cu * cv)
         if leftover:
             return rel, leftover
     return None
@@ -400,7 +383,8 @@ def from_nichols(V, relations, max_degree):
     if max_degree < 2 * top:
         # re-complete far enough that any product of two basis words reduces
         dims, rs = rewrite_dims(V.rank, relations, 2 * top)
-        assert all(n == 0 for n in dims[top + 1 :])
+        if any(dims[top + 1 :]):
+            raise RuntimeError(f"quotient grew past degree {top} on re-completion: {dims}")
     basis = [[()]]
     for d in range(1, top + 1):
         level = []
@@ -409,7 +393,8 @@ def from_nichols(V, relations, max_degree):
                 cand = w + (a,)
                 if rs._find_redex(cand) is None:
                     level.append(cand)
-        assert len(level) == dims[d], f"basis count mismatch at degree {d}"
+        if len(level) != dims[d]:
+            raise RuntimeError(f"basis count mismatch at degree {d}")
         basis.append(level)
     bad = biideal_witness(V, rs, relations)
     if bad is not None:
@@ -500,11 +485,6 @@ def nichols_ideal_biideal_check(V, max_degree=4):
     that every middle component of the braided coproduct of r lies in
     I (x) T + T (x) I. Returns (True, None) or (False, witness).
     """
-    from itertools import product as iproduct
-
-    from .linalg import Echelon
-    from .tensoralg import braided_coproduct, ideal_component
-
     ideal = {d: ideal_component(V, d) for d in range(2, max_degree + 1)}
     for d in range(2, max_degree + 1):
         for r in ideal[d]:
@@ -516,9 +496,9 @@ def nichols_ideal_biideal_check(V, max_degree=4):
             for (a, b), comp in by_split.items():
                 ech = Echelon()
                 for ie in ideal.get(a, []):
-                    for v in iproduct(range(V.rank), repeat=b):
+                    for v in product(range(V.rank), repeat=b):
                         ech.add({(u, v): c for u, c in ie.support.items()})
-                for u in iproduct(range(V.rank), repeat=a):
+                for u in product(range(V.rank), repeat=a):
                     for je in ideal.get(b, []):
                         ech.add({(u, v): c for v, c in je.support.items()})
                 if not ech.contains(comp):

@@ -89,19 +89,6 @@ def apply_braiding_word(V, word, pos):
     return coeff, word[:pos] + (k, i) + word[pos + 2 :]
 
 
-def apply_inverse_braiding_word(V, word, pos):
-    """Inverse of apply_braiding_word at the same slot."""
-    if not 0 <= pos < len(word) - 1:
-        raise ValueError(f"braiding position {pos} out of range for |word|={len(word)}")
-    k, i = word[pos], word[pos + 1]
-    # find j with act[i][j] = k; group-type actions are bijective per row
-    row = V.act[i]
-    for j, kk in enumerate(row):
-        if kk == k:
-            return V.scal[i][j].inverse(), word[:pos] + (i, j) + word[pos + 2 :]
-    raise ValueError("braiding action row is not surjective")
-
-
 def braid_word_blocks(V, left, right):
     """Braiding c_{V^a, V^b} on a pair of basis words: returns (coeff, new_left, new_right).
 

@@ -89,10 +89,33 @@ def _diag_config(args):
     return cfg
 
 
-def _max_degree(args, cfg):
-    if getattr(args, "max_degree", None) is not None:
-        return args.max_degree
-    return cfg.budgets["max_degree"]
+def _max_degree(args, default):
+    """--max-degree if given, else default; a negative degree is bad input."""
+    d = getattr(args, "max_degree", None)
+    if d is None:
+        return default
+    if d < 0:
+        raise ConfigError(f"--max-degree: need a degree >= 0, got {d}")
+    return d
+
+
+def _catalog_elements(cfg, V):
+    """Explicit relation elements of the catalog, plus one warning per
+    relation that has none; elements are None if the root system is not
+    shown finite within the caps."""
+    rs = enumerate_roots(
+        V, cap=cfg.budgets["cartan_cap"], object_cap=cfg.budgets["object_cap"]
+    )
+    if not rs.finite:
+        return None, ["root system not finite"]
+    elems = []
+    warnings = []
+    for inst in generate_relations(V, rs, cap=cfg.budgets["cartan_cap"]):
+        if inst.element is None:
+            warnings.append(f"no explicit element for {inst.family} {inst.participants}")
+        else:
+            elems.append(inst.element)
+    return elems, warnings
 
 
 def cmd_diagram(args):
@@ -180,51 +203,39 @@ def cmd_rigidity(args):
 def cmd_nichols(args):
     cfg = _diag_config(args)
     V = cfg.space()
-    dims = nichols_dims(V, _max_degree(args, cfg))
+    dims = nichols_dims(V, _max_degree(args, cfg.budgets["max_degree"]))
     return 0, cfg, {"dims": dims, "total": sum(dims)}, []
 
 
 def cmd_rewrite(args):
     cfg = _diag_config(args)
+    max_degree = _max_degree(args, cfg.budgets["max_degree"])
     V = cfg.space()
-    rs = enumerate_roots(
-        V, cap=cfg.budgets["cartan_cap"], object_cap=cfg.budgets["object_cap"]
-    )
-    if not rs.finite:
-        return 2, cfg, {"finite": False}, ["root system not finite"]
-    instances = generate_relations(V, rs, cap=cfg.budgets["cartan_cap"])
-    warnings = []
-    elems = []
-    for inst in instances:
-        if inst.element is None:
-            warnings.append(f"no explicit element for {inst.family} {inst.participants}")
-        else:
-            elems.append(inst.element)
-    dims, _ = rewrite_dims(V.rank, elems, _max_degree(args, cfg))
+    elems, warnings = _catalog_elements(cfg, V)
+    if elems is None:
+        return 2, cfg, {"finite": False}, warnings
+    dims, _ = rewrite_dims(V.rank, elems, max_degree)
     return 0, cfg, {"dims": dims, "total": sum(dims)}, warnings
 
 
 def _finite_bialgebra(cfg, args):
     """Build the finite quotient with its category; None if budget hit."""
+    max_degree = _max_degree(args, cfg.budgets["max_degree"])
     if cfg.kind == "fk":
         if cfg.n != 3:
             return None, None, [f"bialgebra construction limited to n = 3, got {cfg.n}"]
         B, rels = fk_bialgebra(3)
         return B, rels, []
     V = cfg.space()
-    rs = enumerate_roots(
-        V, cap=cfg.budgets["cartan_cap"], object_cap=cfg.budgets["object_cap"]
-    )
-    if not rs.finite:
-        return None, None, ["root system not finite"]
-    instances = generate_relations(V, rs, cap=cfg.budgets["cartan_cap"])
-    elems = [inst.element for inst in instances if inst.element is not None]
+    elems, warnings = _catalog_elements(cfg, V)
+    if elems is None:
+        return None, None, warnings
     try:
-        B = from_nichols(V, elems, _max_degree(args, cfg))
+        B = from_nichols(V, elems, max_degree)
     except ValueError as e:
-        return None, None, [f"budget: {e}"]
+        return None, None, warnings + [f"budget: {e}"]
     attach_diagonal_category(B, cfg.realization(V))
-    return B, elems, []
+    return B, elems, warnings
 
 
 def cmd_cohomology(args):
@@ -310,7 +321,7 @@ def cmd_lie_check(args):
 
 def cmd_pbw(args):
     L = LIE_EXAMPLES[args.example]()
-    r = enveloping_dims(L, args.max_degree if args.max_degree is not None else 4)
+    r = enveloping_dims(L, _max_degree(args, 4))
     match = r["gr"] == r["nichols"]
     results = {
         "filtered": r["filtered"],
@@ -324,7 +335,7 @@ def cmd_pbw(args):
 def cmd_fk(args):
     if args.n < 3:
         raise ConfigError(f"n: need n >= 3, got {args.n}")
-    max_degree = args.max_degree if args.max_degree is not None else (4 if args.n == 3 else 12)
+    max_degree = _max_degree(args, 4 if args.n == 3 else 12)
     dims = fk_dims_rewriting(args.n, max_degree)
     results = {"n": args.n, "dims": dims, "total": sum(dims)}
     if args.symmetrizer:
@@ -359,11 +370,7 @@ def cmd_selfcheck(args):
     square = {}
     for name in ("rank1_m1", "rank1_zeta3", "rank1_zeta4"):
         cfg = load_shipped(name)
-
-        class _A:
-            max_degree = None
-
-        B, _, warn = _finite_bialgebra(cfg, _A)
+        B, _, warn = _finite_bialgebra(cfg, args)
         if B is None:
             square[name] = False
             warnings += warn
@@ -426,12 +433,6 @@ def build_parser():
             p.add_argument("--config", required=True, help="shipped config name or JSON path")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="reserved; computations currently run single-threaded",
-        )
         return p
 
     add("diagram", config=True, help="vertex/edge labels and Cartan data")

@@ -17,31 +17,16 @@ from fractions import Fraction
 from itertools import product
 
 from .cyclo import CycNumber, one, rational
-from .linalg import Echelon, row_axpy, sparse_rank
+from .linalg import Echelon, add_term, nullspace, row_axpy, sparse_rank
 
 
 # -- generic values: scalars or formal linear combinations ------------------
 
 
-def _is_scalar(v):
-    return isinstance(v, CycNumber)
-
-
-def _scaled(v, c):
-    if _is_scalar(v):
-        return v * c
-    return {k: x * c for k, x in v.items()}
-
-
 def _vadd(target, key, v, c):
     """target[key] += c*v for scalar or linear-combination values."""
-    if _is_scalar(v):
-        cur = target.get(key)
-        nv = v * c if cur is None else cur + v * c
-        if _is_scalar(nv) and nv.is_zero():
-            target.pop(key, None)
-        else:
-            target[key] = nv
+    if isinstance(v, CycNumber):
+        add_term(target, key, v * c)
     else:
         cur = target.setdefault(key, {})
         row_axpy(cur, c, v)
@@ -137,7 +122,7 @@ def _tensor_action(B, mat, tup):
         nxt = {}
         for partial, c in states.items():
             for j, cm in mat[i].items():
-                _vadd(nxt, partial + (j,), c, cm)
+                add_term(nxt, partial + (j,), c * cm)
         states = nxt
     return states
 
@@ -156,10 +141,10 @@ def equivariance_rows(B, unknowns, p):
             per_t = {}
             for s2, c in _tensor_action(B, mat, s).items():
                 for t, lab in by_src.get(s2, []):
-                    _vadd(per_t.setdefault(t, {}), lab, c, one())
+                    add_term(per_t.setdefault(t, {}), lab, c)
             for t, lab in by_src.get(s, []):
                 for t2, c in _tensor_action(B, mat, t).items():
-                    _vadd(per_t.setdefault(t2, {}), lab, -c, one())
+                    add_term(per_t.setdefault(t2, {}), lab, -c)
             rows.extend(r for r in per_t.values() if r)
     return rows
 
@@ -170,23 +155,7 @@ def _symbolic(unknowns):
 
 def _morphism_basis(B, unknowns, p):
     """Basis of the equivariant maps inside the label-filtered unknowns."""
-    eq = equivariance_rows(B, unknowns, p)
-    if not eq:
-        return [{lab: one()} for lab in unknowns]
-    ech = Echelon()
-    for row in eq:
-        ech.add(row)
-    basis = []
-    for lab in unknowns:
-        if lab in ech.pivots:
-            continue
-        vec = {lab: one()}
-        for pcol, prow in ech.pivots.items():
-            c = prow.get(lab)
-            if c is not None and not c.is_zero():
-                vec[pcol] = -c
-        basis.append(vec)
-    return basis
+    return [vec for _, vec in nullspace(equivariance_rows(B, unknowns, p), unknowns)]
 
 
 # -- truncated second cohomology --------------------------------------------
@@ -201,22 +170,8 @@ def truncated_H2(B, ell, verify=True):
     """
     fU = map_unknowns(B, 2, 1, ell, "f")
     gU = map_unknowns(B, 1, 2, ell, "g")
-    f_sym = _symbolic(fU)
-    g_sym = _symbolic(gU)
-
-    rows = []
-    rows += equivariance_rows(B, fU, 2)
-    rows += equivariance_rows(B, gU, 1)
-    rows += list(dh_apply(B, f_sym, 2, 1).values())
-    rows += list(dc_apply(B, g_sym, 1, 2).values())
-    compat = dc_apply(B, f_sym, 2, 1)
-    for key, lc in dh_apply(B, g_sym, 1, 2).items():
-        _vadd(compat, key, lc, one())
-    compat = {k: v for k, v in compat.items() if v}
-    rows += list(compat.values())
-
-    cocycle_rows = rows
-    dim_z = len(fU) + len(gU) - sparse_rank(rows)
+    cocycle_rows = _cocycle_rows(B, fU, gU)
+    dim_z = len(fU) + len(gU) - sparse_rank(cocycle_rows)
 
     hU = map_unknowns(B, 1, 1, ell, "h")
     h_basis = _morphism_basis(B, hU, 1)
@@ -239,12 +194,28 @@ def truncated_H2(B, ell, verify=True):
     if verify:
         allowed = set(fU) | set(gU)
         for img in images:
-            assert set(img) <= allowed, "coboundary leaves the morphism space"
+            if not set(img) <= allowed:
+                raise RuntimeError("coboundary leaves the morphism space")
             for row in cocycle_rows:
-                val = _contract(row, img)
-                assert val.is_zero(), "coboundary fails a cocycle condition"
+                if not _contract(row, img).is_zero():
+                    raise RuntimeError("coboundary fails a cocycle condition")
 
     return {"Z": dim_z, "B": dim_b, "H": dim_z - dim_b}
+
+
+def _cocycle_rows(B, fU, gU):
+    """Equations on the f/g unknowns: equivariance, associativity (dh f),
+    coassociativity (dc g) and compatibility (dc f + dh g)."""
+    f_sym = _symbolic(fU)
+    g_sym = _symbolic(gU)
+    rows = equivariance_rows(B, fU, 2) + equivariance_rows(B, gU, 1)
+    rows += dh_apply(B, f_sym, 2, 1).values()
+    rows += dc_apply(B, g_sym, 1, 2).values()
+    compat = dc_apply(B, f_sym, 2, 1)
+    for key, lc in dh_apply(B, g_sym, 1, 2).items():
+        _vadd(compat, key, lc, one())
+    rows += compat.values()
+    return rows
 
 
 def _contract(lc, vec):
@@ -260,31 +231,7 @@ def solve_cocycles(B, ell):
     """Basis of the degree-l cocycle pairs as dicts over f/g entry labels."""
     fU = map_unknowns(B, 2, 1, ell, "f")
     gU = map_unknowns(B, 1, 2, ell, "g")
-    f_sym = _symbolic(fU)
-    g_sym = _symbolic(gU)
-    rows = []
-    rows += equivariance_rows(B, fU, 2)
-    rows += equivariance_rows(B, gU, 1)
-    rows += list(dh_apply(B, f_sym, 2, 1).values())
-    rows += list(dc_apply(B, g_sym, 1, 2).values())
-    compat = dc_apply(B, f_sym, 2, 1)
-    for key, lc in dh_apply(B, g_sym, 1, 2).items():
-        _vadd(compat, key, lc, one())
-    rows += list(v for v in compat.values() if v)
-    ech = Echelon()
-    for row in rows:
-        ech.add(row)
-    basis = []
-    for lab in fU + gU:
-        if lab in ech.pivots:
-            continue
-        vec = {lab: one()}
-        for pcol, prow in ech.pivots.items():
-            c = prow.get(lab)
-            if c is not None and not c.is_zero():
-                vec[pcol] = -c
-        basis.append(vec)
-    return basis
+    return [vec for _, vec in nullspace(_cocycle_rows(B, fU, gU), fU + gU)]
 
 
 def check_filtration_vanishing(B, pair_vec, ell, r):
@@ -321,14 +268,14 @@ def tot_differential(B, comps):
     for (p, q), F in comps.items():
         if not F:
             continue
-        dh = dh_apply(B, F, p, q)
-        for key, v in dh.items():
-            _vadd(out.setdefault((p + 1, q), {}), key, v, one())
+        dh = out.setdefault((p + 1, q), {})
+        for key, v in dh_apply(B, F, p, q).items():
+            add_term(dh, key, v)
         sign = rational(-1 if p % 2 else 1)
-        dc = dc_apply(B, F, p, q)
-        for key, v in dc.items():
-            _vadd(out.setdefault((p, q + 1), {}), key, v, sign)
-    return {k: {kk: vv for kk, vv in v.items() if not vv.is_zero()} for k, v in out.items()}
+        dc = out.setdefault((p, q + 1), {})
+        for key, v in dc_apply(B, F, p, q).items():
+            add_term(dc, key, v * sign)
+    return out
 
 
 def random_cochain(B, p, q, rng, entries=12):
@@ -352,8 +299,8 @@ def random_cochain(B, p, q, rng, entries=12):
         for vec in basis[:entries]:
             c = rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
             for (_, s, t), v in vec.items():
-                _vadd(out, (s, t), v, c)
-        return {k: v for k, v in out.items() if not v.is_zero()}
+                add_term(out, (s, t), v * c)
+        return out
     rng.shuffle(keys)
     return {
         (s, t): rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
@@ -413,9 +360,9 @@ def epsilon_H2(B, u_labels=None):
                 per_u = {}
                 for s2, c in _tensor_action(B, mat, s).items():
                     for u, lab in by_src.get(s2, []):
-                        _vadd(per_u.setdefault(u, {}), lab, c, one())
+                        add_term(per_u.setdefault(u, {}), lab, c)
                 for u, lab in by_src.get(s, []):
-                    _vadd(per_u.setdefault(u, {}), lab, -one(), one())
+                    add_term(per_u.setdefault(u, {}), lab, -one())
                 rows.extend(r for r in per_u.values() if r)
     uset = set(unknowns)
     for x, y, z in B.positive_tuples(3):
@@ -423,10 +370,10 @@ def epsilon_H2(B, u_labels=None):
             row = {}
             for j, c in B.mult(x, y).items():
                 if ("f", (j, z), u) in uset:
-                    _vadd(row, ("f", (j, z), u), c, one())
+                    add_term(row, ("f", (j, z), u), c)
             for j, c in B.mult(y, z).items():
                 if ("f", (x, j), u) in uset:
-                    _vadd(row, ("f", (x, j), u), -c, one())
+                    add_term(row, ("f", (x, j), u), -c)
             if row:
                 rows.append(row)
     dim_z = len(unknowns) - sparse_rank(rows)
@@ -458,52 +405,21 @@ def epsilon_H2(B, u_labels=None):
 
 def _morphism_basis_eps(B, tU):
     cat = B.category
-    if cat is None or not cat.action_gens:
-        return [{lab: one()} for lab in tU]
-    by_src = {}
-    for kind, i, u in tU:
-        by_src.setdefault(i, []).append((u, (kind, i, u)))
     rows = []
-    for mat in cat.action_gens:
-        for i in B.positive():
-            per_u = {}
-            for j, c in mat[i].items():
-                for u, lab in by_src.get(j, []):
-                    _vadd(per_u.setdefault(u, {}), lab, c, one())
-            for u, lab in by_src.get(i, []):
-                _vadd(per_u.setdefault(u, {}), lab, -one(), one())
-            rows.extend(r for r in per_u.values() if r)
-    ech = Echelon()
-    for row in rows:
-        ech.add(row)
-    basis = []
-    for lab in tU:
-        if lab in ech.pivots:
-            continue
-        vec = {lab: one()}
-        for pcol, prow in ech.pivots.items():
-            c = prow.get(lab)
-            if c is not None and not c.is_zero():
-                vec[pcol] = -c
-        basis.append(vec)
-    return basis
-
-
-def _nullspace_with_free(rows, columns):
-    ech = Echelon()
-    for row in rows:
-        ech.add(row)
-    basis = []
-    for free in columns:
-        if free in ech.pivots:
-            continue
-        vec = {free: one()}
-        for pcol, prow in ech.pivots.items():
-            c = prow.get(free)
-            if c is not None and not c.is_zero():
-                vec[pcol] = -c
-        basis.append((vec, free))
-    return basis
+    if cat is not None and cat.action_gens:
+        by_src = {}
+        for kind, i, u in tU:
+            by_src.setdefault(i, []).append((u, (kind, i, u)))
+        for mat in cat.action_gens:
+            for i in B.positive():
+                per_u = {}
+                for j, c in mat[i].items():
+                    for u, lab in by_src.get(j, []):
+                        add_term(per_u.setdefault(u, {}), lab, c)
+                for u, lab in by_src.get(i, []):
+                    add_term(per_u.setdefault(u, {}), lab, -one())
+                rows.extend(r for r in per_u.values() if r)
+    return [vec for _, vec in nullspace(rows, tU)]
 
 
 def kernel_M(B, relations=None, word_check_degree=6, max_degree=None):
@@ -541,7 +457,7 @@ def kernel_M(B, relations=None, word_check_degree=6, max_degree=None):
             for (i, j) in plist:
                 for k, c in B.mult(i, j).items():
                     rows.setdefault(k, {})[(i, j)] = c
-            for vec, free in _nullspace_with_free(rows.values(), plist):
+            for free, vec in nullspace(rows.values(), plist):
                 kvecs.append((vec, free, lab))
         wrows = []
         for x in pos:
@@ -551,9 +467,9 @@ def kernel_M(B, relations=None, word_check_degree=6, max_degree=None):
                         continue
                     row = {}
                     for j, c in B.mult(x, a).items():
-                        _vadd(row, (j, y), c, one())
+                        add_term(row, (j, y), c)
                     for j, c in B.mult(a, y).items():
-                        _vadd(row, (x, j), -c, one())
+                        add_term(row, (x, j), -c)
                     if row:
                         wrows.append(row)
         dims[d] = len(kvecs) - sparse_rank(wrows)
@@ -572,7 +488,8 @@ def _kernel_m_from_words(V, relations, max_degree):
     for rel in relations:
         sup = rel.support if hasattr(rel, "support") else dict(rel)
         deg = {len(w) for w in sup}
-        assert len(deg) == 1
+        if len(deg) != 1:
+            raise ValueError(f"relation {rel!r} is not homogeneous")
         rels.append((deg.pop(), sup))
     dims = {}
     for d in range(2, max_degree + 1):
@@ -621,9 +538,9 @@ def hom_M_dim(B, mdata, u_labels=None):
                     for (i, j), c in vec.items():
                         for (i2,), ci in _tensor_action(B, mat, (i,)).items():
                             for (j2,), cj in _tensor_action(B, mat, (j,)).items():
-                                _vadd(img, (i2, j2), c, ci * cj)
+                                add_term(img, (i2, j2), c * (ci * cj))
                     row = coords(img)
-                    _vadd(row, a, -one(), one())
+                    add_term(row, a, -one())
                     if row:
                         action_rows.append(row)
         for ulab in u_labels:
@@ -731,10 +648,10 @@ def first_order_deformation(B, pair_vec, r):
         left = {}
         for a, c in mult_t(i, j).items():
             for b, c2 in mult_t(a, k).items():
-                _tp_acc(left, b, c * c2)
+                add_term(left, b, c * c2)
         for a, c in mult_t(j, k).items():
             for b, c2 in mult_t(i, a).items():
-                _tp_acc(left, b, -(c * c2))
+                add_term(left, b, -(c * c2))
         if left:
             witness = (i, j, k)
             break
@@ -745,9 +662,9 @@ def first_order_deformation(B, pair_vec, r):
         acc = {}
         for (a, b), c in coprod_t(i).items():
             for (a1, a2), ca in coprod_t(a).items():
-                _tp_acc(acc, (a1, a2, b), c * ca)
+                add_term(acc, (a1, a2, b), c * ca)
             for (b1, b2), cb in coprod_t(b).items():
-                _tp_acc(acc, (a, b1, b2), -(c * cb))
+                add_term(acc, (a, b1, b2), -(c * cb))
         if acc:
             witness = i
             break
@@ -758,13 +675,13 @@ def first_order_deformation(B, pair_vec, r):
         acc = {}
         for k, c in mult_t(i, j).items():
             for p, c2 in coprod_t(k).items():
-                _tp_acc(acc, p, c * c2)
+                add_term(acc, p, c * c2)
         for (a, b), c1 in coprod_t(i).items():
             for (s, t), c2 in coprod_t(j).items():
                 for (sp, bp), cb in B.braid(b, s).items():
                     for u, cu in mult_t(a, sp).items():
                         for v, cv in mult_t(bp, t).items():
-                            _tp_acc(acc, (u, v), -(c1 * c2 * (cu * cv) * cb))
+                            add_term(acc, (u, v), -(c1 * c2 * (cu * cv) * cb))
         if acc:
             witness = (i, j)
             break
@@ -779,9 +696,9 @@ def first_order_deformation(B, pair_vec, r):
         eps_r = {}
         for (a, b), c in coprod_t(i).items():
             if a == B.unit:
-                _tp_acc(eps_l, b, c)
+                add_term(eps_l, b, c)
             if b == B.unit:
-                _tp_acc(eps_r, a, c)
+                add_term(eps_r, a, c)
         expected = {i: TruncPoly.tpow(one(), 0, r)}
         if eps_l != expected or eps_r != expected:
             witness = ("counit", i)
@@ -790,12 +707,3 @@ def first_order_deformation(B, pair_vec, r):
 
     tables = {"mult": mult_t, "coprod": coprod_t}
     return tables, report
-
-
-def _tp_acc(out, key, val):
-    cur = out.get(key)
-    nv = val if cur is None else cur + val
-    if nv.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = nv

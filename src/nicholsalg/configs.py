@@ -38,11 +38,13 @@ class RunConfig:
     n: int = None
 
     def space(self):
-        assert self.kind == "diagonal"
+        if self.kind != "diagonal":
+            raise ConfigError(f"{self.name}: needs a diagonal config, got kind {self.kind!r}")
         return build_diagonal([list(row) for row in self.qmatrix])
 
     def realization(self, V=None):
-        assert self.kind == "diagonal"
+        if self.kind != "diagonal":
+            raise ConfigError(f"{self.name}: needs a diagonal config, got kind {self.kind!r}")
         if V is None:
             V = self.space()
         spec = self.realization_spec or {"kind": "canonical"}

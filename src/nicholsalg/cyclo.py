@@ -41,7 +41,8 @@ def cyclotomic_poly(n):
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _poly_divmod(poly, cyclotomic_poly(d))
-            assert rem == [0], "cyclotomic division must be exact"
+            if rem != [0]:
+                raise RuntimeError("cyclotomic division must be exact")
     return tuple(poly)
 
 

@@ -65,7 +65,8 @@ def build_fk_space(n):
     basis = tuple(f"x{i}{j}" for i, j in pairs)
     V = build_group_type(basis, act, scal, group_degrees=tuple(perms))
     ok, bad = check_braid_equation(V)
-    assert ok, f"braid equation fails at {bad}"
+    if not ok:
+        raise RuntimeError(f"braid equation fails at {bad}")
     return V
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .braided import build_diagonal, check_braid_equation
 from .cyclo import CycNumber, one, rational
-from .linalg import Echelon, row_axpy
+from .linalg import Echelon, add_term, row_axpy
 from .tensoralg import nichols_dims
 
 
@@ -39,7 +39,8 @@ class AbelianBicharacter:
         self.values = [list(row) for row in values]
         self.n = len(values)
         self.orders = tuple(orders) if orders else (0,) * self.n
-        assert len(self.orders) == self.n
+        if len(self.orders) != self.n:
+            raise ValueError(f"need {self.n} generator orders, got {len(self.orders)}")
         for i, ni in enumerate(self.orders):
             if ni == 0:
                 continue
@@ -111,9 +112,11 @@ def scheunert_cocycle(beta):
         for i in range(n)
     ]
     beta_sigma = AbelianBicharacter(bs, beta.orders)
-    assert beta_sigma.is_sign()
+    if not beta_sigma.is_sign():
+        raise RuntimeError("twisted bicharacter is not a sign bicharacter")
     for i in range(n):
-        assert beta_sigma.values[i][i] == diag[i]
+        if beta_sigma.values[i][i] != diag[i]:
+            raise RuntimeError(f"twist changed the diagonal value at a{i}")
     return sigma, beta_sigma
 
 
@@ -241,12 +244,7 @@ def check_braided_lie(L):
                     a, b, c3 = triple
                     for m, cm in L.bra(a, b).items():
                         for p, cp in L.bra(m, c3).items():
-                            cur = acc.get(p, rational(0))
-                            nv = cur + coeff * cm * cp
-                            if nv.is_zero():
-                                acc.pop(p, None)
-                            else:
-                                acc[p] = nv
+                            add_term(acc, p, coeff * cm * cp)
                     triple, c2 = rho(*triple)
                     coeff = coeff * c2
                 if acc:
@@ -309,15 +307,16 @@ def enveloping_dims(L, max_degree, slack=2):
     dim(I cap T_{<= d}) exactly once the span has saturated.
     """
     rep = check_braided_lie(L)
-    assert all(ok for ok, _ in rep.values()), f"braided Lie axioms fail: {rep}"
+    if not all(ok for ok, _ in rep.values()):
+        raise ValueError(f"braided Lie axioms fail: {rep}")
     n = L.dim
     rels = []
     for i in range(n):
         for j in range(n):
             row = {(i, j): one()}
-            _nz_acc(row, (j, i), -L.q(i, j))
+            add_term(row, (j, i), -L.q(i, j))
             for k, c in L.bra(i, j).items():
-                _nz_acc(row, (k,), -c)
+                add_term(row, (k,), -c)
             if row:
                 rels.append(row)
     ech = Echelon(key=_desc_len_key)
@@ -356,15 +355,6 @@ def enveloping_dims(L, max_degree, slack=2):
     V = build_diagonal(qmatrix)
     nich = nichols_dims(V, max_degree)
     return {"filtered": filtered, "gr": gr, "nichols": nich}
-
-
-def _nz_acc(row, key, val):
-    cur = row.get(key)
-    nv = val if cur is None else cur + val
-    if nv.is_zero():
-        row.pop(key, None)
-    else:
-        row[key] = nv
 
 
 def sign_twist_report(L):

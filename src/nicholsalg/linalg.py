@@ -1,13 +1,23 @@
 """Sparse exact linear algebra over cyclotomic fields.
 
-Rows are dicts {column_key: CycNumber}. Column keys can be arbitrary
-hashable objects (basis words, tensor indices); an explicit key order is
-only needed where nullspaces are extracted.
+A sparse vector is a dict {key: CycNumber} with no zero entries. Keys can
+be arbitrary hashable objects (basis words, tensor indices); an explicit
+key order is only needed where nullspaces are extracted. This module is
+the one place that updates and solves such vectors.
 """
 
+from .cyclo import one
 
-def row_is_zero(row):
-    return all(v.is_zero() for v in row.values())
+
+def add_term(target, key, val):
+    """target[key] += val, dropping the key when the sum is zero."""
+    cur = target.get(key)
+    if cur is not None:
+        val = cur + val
+    if val.is_zero():
+        target.pop(key, None)
+    else:
+        target[key] = val
 
 
 def row_scale(row, c):
@@ -65,45 +75,32 @@ class Echelon:
         return not self.reduce(row)
 
 
-def sparse_rank(rows, key=None):
-    ech = Echelon(key=key)
+def sparse_rank(rows):
+    ech = Echelon()
     for row in rows:
         ech.add(row)
     return ech.rank
 
 
-def nullspace(rows, columns, key=None):
+def nullspace(rows, columns):
     """Basis of the right kernel of the matrix whose rows are equations.
 
-    columns is the full ordered list of column keys; returns a list of
-    dicts {column: CycNumber} spanning {v : row . v = 0 for all rows}.
+    columns is the full ordered list of column keys. Returns one pair
+    (free column, vector) per non-pivot column, in column order; the vector
+    has coefficient 1 at its free column and spans, with the others,
+    {v : row . v = 0 for all rows}.
     """
-    ech = Echelon(key=key)
-    for row in rows:
-        ech.add(row)
-    from .cyclo import rational
-
-    basis = []
-    pivot_cols = set(ech.pivots)
-    for free in columns:
-        if free in pivot_cols:
-            continue
-        vec = {free: rational(1)}
-        for pcol, prow in ech.pivots.items():
-            c = prow.get(free)
-            if c is not None and not c.is_zero():
-                vec[pcol] = -c
-        basis.append(vec)
-    return basis
-
-
-def span_dims_by(rows, grading):
-    """Echelonize rows and count pivots grouped by grading(pivot column)."""
     ech = Echelon()
     for row in rows:
         ech.add(row)
-    out = {}
-    for col in ech.pivots:
-        g = grading(col)
-        out[g] = out.get(g, 0) + 1
-    return out
+    basis = []
+    for free in columns:
+        if free in ech.pivots:
+            continue
+        vec = {free: one()}
+        for pcol, prow in ech.pivots.items():
+            c = prow.get(free)
+            if c is not None:
+                vec[pcol] = -c
+        basis.append((free, vec))
+    return basis

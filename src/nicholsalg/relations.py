@@ -740,15 +740,16 @@ def generate_relations(V, rs=None, cap=DEFAULT_CARTAN_CAP):
                 ) - _power(_tower_root_vector(V, i, j, 2), 2).scale(num / den)
                 add("high_power_square", (i, j), _vec(theta, [(i, 6), (j, 4)]), el)
 
-    _assert_no_duplicates(out)
+    _reject_duplicates(out)
     return out
 
 
-def _assert_no_duplicates(instances):
+def _reject_duplicates(instances):
     seen = set()
     for r in instances:
         key = (r.family, r.participants)
-        assert key not in seen, f"duplicate relation instance {key}"
+        if key in seen:
+            raise RuntimeError(f"duplicate relation instance {key}")
         seen.add(key)
 
 

@@ -9,7 +9,7 @@ from itertools import permutations, product
 
 from .braided import apply_braiding_word, braid_word_blocks
 from .cyclo import one, rational
-from .linalg import Echelon, nullspace, row_axpy
+from .linalg import Echelon, add_term, nullspace, row_axpy
 
 DENSE_WORD_BUDGET = 2 * 10**7
 
@@ -84,14 +84,7 @@ class TensorElement:
         out = {}
         for u, a in self.support.items():
             for v, b in other.support.items():
-                w = u + v
-                c = a * b
-                cur = out.get(w)
-                nc = c if cur is None else cur + c
-                if nc.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = nc
+                add_term(out, u + v, a * b)
         return TensorElement(out)
 
     def __eq__(self, other):
@@ -109,12 +102,7 @@ def braiding_operator(V, element, pos):
     out = {}
     for w, c in element.support.items():
         coeff, nw = apply_braiding_word(V, w, pos)
-        cur = out.get(nw)
-        nc = coeff * c if cur is None else cur + coeff * c
-        if nc.is_zero():
-            out.pop(nw, None)
-        else:
-            out[nw] = nc
+        add_term(out, nw, coeff * c)
     return TensorElement(out)
 
 
@@ -128,14 +116,7 @@ def braid_blocks(V, a, b):
     for u, cu in a.support.items():
         for v, cv in b.support.items():
             coeff, nv, nu = braid_word_blocks(V, u, v)
-            key = (nv, nu)
-            c = coeff * cu * cv
-            cur = out.get(key)
-            nc = c if cur is None else cur + c
-            if not nc.is_zero():
-                out[key] = nc
-            else:
-                out.pop(key, None)
+            add_term(out, (nv, nu), coeff * cu * cv)
     return out
 
 
@@ -144,13 +125,7 @@ def braided_commutator(V, a, b):
     first = a.concat(b)
     out = dict(first.support)
     for (nv, nu), coeff in braid_blocks(V, a, b).items():
-        w = nv + nu
-        cur = out.get(w)
-        nc = -coeff if cur is None else cur - coeff
-        if nc.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = nc
+        add_term(out, nv + nu, -coeff)
     return TensorElement(out)
 
 
@@ -192,14 +167,7 @@ def _symmetrize(V, word, cache):
             coeff = coeff * c
         prefix, last = w[:-1], w[-1]
         for pw, pc in _symmetrize(V, prefix, cache).items():
-            key = pw + (last,)
-            val = pc * coeff
-            cur = out.get(key)
-            nv = val if cur is None else cur + val
-            if nv.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = nv
+            add_term(out, pw + (last,), pc * coeff)
     cache[word] = out
     return out
 
@@ -278,7 +246,7 @@ def ideal_component(V, degree):
             for out_word, c in symmetrizer_image_word(V, w, _cache=cache).items():
                 mat.setdefault(out_word, {})[w] = c
         rows = list(mat.values())
-        for vec in nullspace(rows, block):
+        for _, vec in nullspace(rows, block):
             basis.append(TensorElement(vec))
     return basis
 
@@ -305,23 +273,12 @@ def braided_coproduct(V, element):
             for (u, v), coeff in terms.items():
                 # times (x_letter (x) 1): crosses v over the letter
                 cb, nl, nv = braid_word_blocks(V, v, (letter,))
-                key = (u + nl, nv)
-                cur = nxt.get(key)
-                val = coeff * cb
-                nxt[key] = val if cur is None else cur + val
+                add_term(nxt, (u + nl, nv), coeff * cb)
                 # times (1 (x) x_letter): no crossing
-                key = (u, v + (letter,))
-                cur = nxt.get(key)
-                nxt[key] = coeff if cur is None else cur + coeff
-            terms = {k: v2 for k, v2 in nxt.items() if not v2.is_zero()}
+                add_term(nxt, (u, v + (letter,)), coeff)
+            terms = nxt
         for key, coeff in terms.items():
-            val = coeff * c
-            cur = out.get(key)
-            nv2 = val if cur is None else cur + val
-            if nv2.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = nv2
+            add_term(out, key, coeff * c)
     return out
 
 
@@ -354,11 +311,10 @@ def _is_lyndon(w):
 
 
 def _smallest_lyndon(sorted_letters):
-    best = None
     for perm in sorted(set(permutations(sorted_letters))):
         if _is_lyndon(perm):
             return perm
-    return best
+    return None
 
 
 def _bracket_lyndon(V, w):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from nicholsalg.cli import main
 from nicholsalg.configs import shipped_config_names
 
@@ -127,3 +129,30 @@ def test_cohomology_single_degree(capsys):
     )
     assert code == 0
     assert rep["results"]["H2_by_degree"]["-1"]["H"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nichols", "--config", "rank1_zeta3"],
+        ["rewrite", "--config", "rank1_zeta3"],
+        ["cohomology", "--config", "rank1_zeta3"],
+        ["epsilon", "--config", "rank1_zeta3"],
+        ["pbw", "--example", "heisenberg"],
+        ["fk", "--n", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_max_degree_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv, "--max-degree", "-1")
+    assert code == 1
+    assert not out
+    assert err.startswith("error: --max-degree")
+
+
+def test_cohomology_warns_on_dropped_relation(capsys):
+    code, rep, _ = run_json(
+        capsys, "cohomology", "--config", "rank3_square", "--max-degree", "2"
+    )
+    assert code == 2
+    assert "no explicit element for cartan_root_power ((1, 2, 1),)" in rep["warnings"]

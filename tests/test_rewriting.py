@@ -1,12 +1,16 @@
 """Degree-truncated rewriting and normal-word counting."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nicholsalg.braided import build_diagonal
+from nicholsalg.configs import load_shipped, shipped_config_names
 from nicholsalg.cyclo import one, rational, zeta
 from nicholsalg.tensoralg import TensorElement, nichols_dims
+from nicholsalg.relations import generate_relations
 from nicholsalg.rewriting import RewriteSystem, rewrite_dims
+from nicholsalg.weyl import enumerate_roots
 
 
 def test_power_relation_truncates():
@@ -71,3 +75,24 @@ def test_rule_interreduction():
     # a shorter lead subsumes the longer rule
     rs.add_relation({(0, 0): one()})
     assert set(rs.rules) == {(0, 0)}
+
+
+DIAGONAL_CONFIGS = [n for n in shipped_config_names() if load_shipped(n).kind == "diagonal"]
+
+
+@pytest.mark.parametrize("name", DIAGONAL_CONFIGS)
+def test_routes_agree_on_shipped_config(name):
+    """Symmetrizer ranks and the rewritten relation catalog give the same
+    dims through degree 6."""
+    cfg = load_shipped(name)
+    V = cfg.space()
+    cap = cfg.budgets["cartan_cap"]
+    roots = enumerate_roots(V, cap=cap, object_cap=cfg.budgets["object_cap"])
+    assert roots.finite
+    elems = [
+        inst.element
+        for inst in generate_relations(V, roots, cap=cap)
+        if inst.element is not None
+    ]
+    dims, _ = rewrite_dims(V.rank, elems, 6)
+    assert nichols_dims(V, 6) == dims
