@@ -257,78 +257,10 @@ class GradedBialgebraData:
                 add_term(out, (t1, j), c * cm)
         return out
 
-    # -- axiom checks ------------------------------------------------------
-
-    def check_associativity(self):
-        for i, j, k in product(range(self.dim), repeat=3):
-            left = {}
-            for a, c in self.mult(i, j).items():
-                row_axpy(left, c, self.mult(a, k))
-            right = {}
-            for a, c in self.mult(j, k).items():
-                row_axpy(right, c, self.mult(i, a))
-            row_axpy(left, -one(), right)
-            if left:
-                return False, (i, j, k)
-        return True, None
-
-    def check_coassociativity(self):
-        for i in range(self.dim):
-            left = {}
-            right = {}
-            for (a, b), c in self.coprod(i).items():
-                for (a1, a2), ca in self.coprod(a).items():
-                    add_term(left, (a1, a2, b), c * ca)
-                for (b1, b2), cb in self.coprod(b).items():
-                    add_term(right, (a, b1, b2), c * cb)
-            row_axpy(left, -one(), right)
-            if left:
-                return False, i
-        return True, None
-
-    def check_unit_counit(self):
-        for i in range(self.dim):
-            if self.mult(self.unit, i) != {i: one()}:
-                return False, ("unit-left", i)
-            if self.mult(i, self.unit) != {i: one()}:
-                return False, ("unit-right", i)
-            left = {}
-            right = {}
-            for (a, b), c in self.coprod(i).items():
-                if a == self.unit:
-                    add_term(left, b, c)
-                if b == self.unit:
-                    add_term(right, a, c)
-            if left != {i: one()} or right != {i: one()}:
-                return False, ("counit", i)
-        return True, None
-
-    def check_compatibility(self):
-        """Delta m = (m (x) m)(id (x) c (x) id)(Delta (x) Delta) on basis pairs."""
-        for i, j in product(range(self.dim), repeat=2):
-            left = {}
-            for k, c in self.mult(i, j).items():
-                row_axpy(left, c, self.coprod(k))
-            right = {}
-            for (a, b), c1 in self.coprod(i).items():
-                for (s, t), c2 in self.coprod(j).items():
-                    for (sp, bp), cb in self.braid(b, s).items():
-                        for u, cu in self.mult(a, sp).items():
-                            for v, cv in self.mult(bp, t).items():
-                                add_term(right, (u, v), c1 * c2 * cb * cu * cv)
-            row_axpy(left, -one(), right)
-            if left:
-                return False, (i, j)
-        return True, None
-
     def check_all(self):
-        report = {
-            "associativity": self.check_associativity(),
-            "coassociativity": self.check_coassociativity(),
-            "unit_counit": self.check_unit_counit(),
-            "compatibility": self.check_compatibility(),
-        }
-        return report
+        return check_bialgebra_axioms(
+            self.dim, self.unit, self.mult, self.coprod, self.braid, one()
+        )
 
     # -- derived data ------------------------------------------------------
 
@@ -345,6 +277,83 @@ class GradedBialgebraData:
                     rows.setdefault((a, b), {})[i] = c
             out[d] = len(cols) - sparse_rank(rows.values())
         return out
+
+
+# -- axiom checks ------------------------------------------------------------
+# The structure constants come in as callables returning sparse dicts, so the
+# same checks verify a quotient bialgebra (values in Q(zeta_n)) and its
+# first-order deformations (values in k[t]/(t^(r+1))).
+
+
+def check_associativity(dim, mult):
+    for i, j, k in product(range(dim), repeat=3):
+        acc = {}
+        for a, c in mult(i, j).items():
+            row_axpy(acc, c, mult(a, k))
+        for a, c in mult(j, k).items():
+            row_axpy(acc, -c, mult(i, a))
+        if acc:
+            return False, (i, j, k)
+    return True, None
+
+
+def check_coassociativity(dim, coprod):
+    for i in range(dim):
+        acc = {}
+        for (a, b), c in coprod(i).items():
+            for (a1, a2), ca in coprod(a).items():
+                add_term(acc, (a1, a2, b), c * ca)
+            for (b1, b2), cb in coprod(b).items():
+                add_term(acc, (a, b1, b2), -(c * cb))
+        if acc:
+            return False, i
+    return True, None
+
+
+def check_unit_counit(dim, unit, mult, coprod, unit_value):
+    for i in range(dim):
+        expected = {i: unit_value}
+        if mult(unit, i) != expected:
+            return False, ("unit-left", i)
+        if mult(i, unit) != expected:
+            return False, ("unit-right", i)
+        left = {}
+        right = {}
+        for (a, b), c in coprod(i).items():
+            if a == unit:
+                add_term(left, b, c)
+            if b == unit:
+                add_term(right, a, c)
+        if left != expected or right != expected:
+            return False, ("counit", i)
+    return True, None
+
+
+def check_compatibility(dim, mult, coprod, braid):
+    """Delta m = (m (x) m)(id (x) c (x) id)(Delta (x) Delta) on basis pairs."""
+    for i, j in product(range(dim), repeat=2):
+        acc = {}
+        for k, c in mult(i, j).items():
+            row_axpy(acc, c, coprod(k))
+        for (a, b), c1 in coprod(i).items():
+            for (s, t), c2 in coprod(j).items():
+                for (sp, bp), cb in braid(b, s).items():
+                    for u, cu in mult(a, sp).items():
+                        for v, cv in mult(bp, t).items():
+                            add_term(acc, (u, v), -(c1 * c2 * cb * cu * cv))
+        if acc:
+            return False, (i, j)
+    return True, None
+
+
+def check_bialgebra_axioms(dim, unit, mult, coprod, braid, unit_value):
+    """{axiom: (ok, witness)}; the witness is the first failing basis instance."""
+    return {
+        "associativity": check_associativity(dim, mult),
+        "coassociativity": check_coassociativity(dim, coprod),
+        "unit_counit": check_unit_counit(dim, unit, mult, coprod, unit_value),
+        "compatibility": check_compatibility(dim, mult, coprod, braid),
+    }
 
 
 def biideal_witness(V, rs, relations):
@@ -440,19 +449,14 @@ def attach_group_category(B, group_elements, letter_action):
     reduced to normal form.
     """
     degs = B.V.group_degrees
+    unit = tuple(range(len(degs[0])))
 
     def word_label(w):
-        lab = None
+        lab = unit
         for t in w:
-            lab = degs[t] if lab is None else _compose_perm(lab, degs[t])
-        if lab is None:
-            lab = tuple(range(len(degs[0])))
+            lab = compose_perm(lab, degs[t])
         return lab
 
-    def label_mul(l1, l2):
-        return _compose_perm(l1, l2)
-
-    unit = tuple(range(len(degs[0])))
     labels = [word_label(w) for w in B.flat]
 
     action_gens = []
@@ -470,11 +474,12 @@ def attach_group_category(B, group_elements, letter_action):
             }
             mat.append(vec)
         action_gens.append(mat)
-    B.category = CategoryStructure(labels, label_mul, unit, action_gens)
+    B.category = CategoryStructure(labels, compose_perm, unit, action_gens)
     return B.category
 
 
-def _compose_perm(p, q):
+def compose_perm(p, q):
+    """(p . q)[i] = p[q[i]]."""
     return tuple(p[q[i]] for i in range(len(p)))
 
 

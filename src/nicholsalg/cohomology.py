@@ -16,6 +16,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from .bialgebra import check_bialgebra_axioms
 from .cyclo import CycNumber, one, rational
 from .linalg import Echelon, add_term, nullspace, row_axpy, sparse_rank
 
@@ -44,6 +45,11 @@ def _lookup_of(cochain):
     return lambda s: by_src.get(s, {})
 
 
+def _signs(n):
+    """(-1)^i for i = 0..n, as field elements."""
+    return [rational(-1 if i % 2 else 1) for i in range(n + 1)]
+
+
 def dh_apply(B, cochain, p, q):
     """Hochschild differential of a (p, q)-cochain, as a (p+1, q)-cochain.
 
@@ -51,21 +57,20 @@ def dh_apply(B, cochain, p, q):
     scalars or formal linear combinations and pass through linearly.
     """
     look = _lookup_of(cochain)
+    signs = _signs(p + 1)
     out = {}
     for s in B.positive_tuples(p + 1):
         for t, v in look(s[1:]).items():
             for t2, c in B.act_left(s[0], t).items():
                 _vadd(out, (s, t2), v, c)
         for i in range(1, p + 1):
-            sign = rational(-1 if i % 2 else 1)
             for j, cm in B.mult(s[i - 1], s[i]).items():
                 s2 = s[: i - 1] + (j,) + s[i + 1 :]
                 for t, v in look(s2).items():
-                    _vadd(out, (s, t), v, cm * sign)
-        sign = rational(-1 if (p + 1) % 2 else 1)
+                    _vadd(out, (s, t), v, cm * signs[i])
         for t, v in look(s[:p]).items():
             for t2, c in B.act_right(t, s[p]).items():
-                _vadd(out, (s, t2), v, c * sign)
+                _vadd(out, (s, t2), v, c * signs[p + 1])
     return out
 
 
@@ -73,6 +78,7 @@ def dc_apply(B, cochain, p, q):
     """Coalgebra-type differential of a (p, q)-cochain, as a (p, q+1)-cochain."""
     look = _lookup_of(cochain)
     pos = set(B.positive())
+    signs = _signs(q + 1)
     out = {}
     for s in B.positive_tuples(p):
         entries = look(s)
@@ -82,16 +88,14 @@ def dc_apply(B, cochain, p, q):
             for t, v in look(s2).items():
                 _vadd(out, (s, (j0,) + t), v, c)
         for j in range(1, q + 1):
-            sign = rational(-1 if j % 2 else 1)
             for t, v in entries.items():
                 for (a, b), c in B.coprod(t[j - 1]).items():
-                    _vadd(out, (s, t[: j - 1] + (a, b) + t[j:]), v, c * sign)
-        sign = rational(-1 if (q + 1) % 2 else 1)
+                    _vadd(out, (s, t[: j - 1] + (a, b) + t[j:]), v, c * signs[j])
         for (s2, j0), c in B.coact_right(s).items():
             if any(i not in pos for i in s2):
                 continue
             for t, v in look(s2).items():
-                _vadd(out, (s, t + (j0,)), v, c * sign)
+                _vadd(out, (s, t + (j0,)), v, c * signs[q + 1])
     return out
 
 
@@ -174,21 +178,12 @@ def truncated_H2(B, ell, verify=True):
     dim_z = len(fU) + len(gU) - sparse_rank(cocycle_rows)
 
     hU = map_unknowns(B, 1, 1, ell, "h")
-    h_basis = _morphism_basis(B, hU, 1)
-    fh = dh_apply(B, _symbolic(hU), 1, 1)  # entries over ('h', s, t)
-    gh = dc_apply(B, _symbolic(hU), 1, 1)
-    images = []
-    for hvec in h_basis:
-        img = {}
-        for (s, t), lc in fh.items():
-            val = _contract(lc, hvec)
-            if not val.is_zero():
-                img[("f", s, t)] = val
-        for (s, t), lc in gh.items():
-            val = -_contract(lc, hvec)
-            if not val.is_zero():
-                img[("g", s, t)] = val
-        images.append(img)
+    h_sym = _symbolic(hU)
+    faces = [  # entries over ('h', s, t); the coboundary of h is (dh h, -dc h)
+        ("f", dh_apply(B, h_sym, 1, 1), False),
+        ("g", dc_apply(B, h_sym, 1, 1), True),
+    ]
+    images = _coboundary_images(_morphism_basis(B, hU, 1), faces)
     dim_b = sparse_rank(images)
 
     if verify:
@@ -225,6 +220,22 @@ def _contract(lc, vec):
         if v is not None:
             total = total + c * v
     return total
+
+
+def _coboundary_images(basis, faces):
+    """Evaluate symbolic faces [(kind, face, negate)] at each basis vector.
+
+    Returns one sparse vector over (kind, s, t) entry labels per vector.
+    """
+    images = []
+    for vec in basis:
+        img = {}
+        for kind, face, negate in faces:
+            for (s, t), lc in face.items():
+                val = _contract(lc, vec)
+                add_term(img, (kind, s, t), -val if negate else val)
+        images.append(img)
+    return images
 
 
 def solve_cocycles(B, ell):
@@ -330,96 +341,31 @@ def total_square_check(B, seed=0, entries=12):
 # -- epsilon cohomology and Hom(M, U) ---------------------------------------
 
 
-def epsilon_H2(B, u_labels=None):
-    """dims of Z2_eps, B2_eps, H2_eps for a trivial module U.
+def epsilon_H2(B):
+    """dims of Z2_eps, B2_eps, H2_eps for the trivial module U of unit label.
 
-    U is given by the category labels of its basis (default: one basis
-    vector of unit label); the action on U is trivial (through the counit).
+    U is the 0-th tensor power (basis tuple ()), on which B acts through the
+    counit, so H2_eps is the q = 0 column of the Hochschild differential:
+    cocycles f: (B+)^2 -> U with dh f = 0, modulo dh t for t: B+ -> U.
     """
     cat = B.category
-    if u_labels is None:
-        u_labels = [cat.label_unit if cat else None]
-    if not u_labels:
-        return {"Z": 0, "B": 0, "H": 0}
-    pos = B.positive()
-    unknowns = []
-    for s in B.positive_tuples(2):
-        slab = cat.tuple_label(s) if cat else None
-        for u, ulab in enumerate(u_labels):
-            if cat and slab != ulab:
-                continue
-            unknowns.append(("f", s, u))
 
-    rows = []
-    if cat and cat.action_gens:
-        by_src = {}
-        for kind, s, u in unknowns:
-            by_src.setdefault(s, []).append((u, (kind, s, u)))
-        for mat in cat.action_gens:
-            for s in B.positive_tuples(2):
-                per_u = {}
-                for s2, c in _tensor_action(B, mat, s).items():
-                    for u, lab in by_src.get(s2, []):
-                        add_term(per_u.setdefault(u, {}), lab, c)
-                for u, lab in by_src.get(s, []):
-                    add_term(per_u.setdefault(u, {}), lab, -one())
-                rows.extend(r for r in per_u.values() if r)
-    uset = set(unknowns)
-    for x, y, z in B.positive_tuples(3):
-        for u in range(len(u_labels)):
-            row = {}
-            for j, c in B.mult(x, y).items():
-                if ("f", (j, z), u) in uset:
-                    add_term(row, ("f", (j, z), u), c)
-            for j, c in B.mult(y, z).items():
-                if ("f", (x, j), u) in uset:
-                    add_term(row, ("f", (x, j), u), -c)
-            if row:
-                rows.append(row)
-    dim_z = len(unknowns) - sparse_rank(rows)
+    def unknowns(p, kind):
+        return [
+            (kind, s, ())
+            for s in B.positive_tuples(p)
+            if cat is None or cat.tuple_label(s) == cat.label_unit
+        ]
 
-    tU = []
-    for i in pos:
-        ilab = cat.labels[i] if cat else None
-        for u, ulab in enumerate(u_labels):
-            if cat and ilab != ulab:
-                continue
-            tU.append(("t", i, u))
-    t_basis = _morphism_basis_eps(B, tU)
-    images = []
-    for tvec in t_basis:
-        img = {}
-        for s in B.positive_tuples(2):
-            for u in range(len(u_labels)):
-                total = rational(0)
-                for k, c in B.mult(*s).items():
-                    v = tvec.get(("t", k, u))
-                    if v is not None:
-                        total = total + c * v
-                if not total.is_zero():
-                    img[("f", s, u)] = total
-        images.append(img)
-    dim_b = sparse_rank(images)
+    fU = unknowns(2, "f")
+    rows = equivariance_rows(B, fU, 2)
+    rows += dh_apply(B, _symbolic(fU), 2, 0).values()
+    dim_z = len(fU) - sparse_rank(rows)
+
+    tU = unknowns(1, "t")
+    faces = [("f", dh_apply(B, _symbolic(tU), 1, 0), False)]
+    dim_b = sparse_rank(_coboundary_images(_morphism_basis(B, tU, 1), faces))
     return {"Z": dim_z, "B": dim_b, "H": dim_z - dim_b}
-
-
-def _morphism_basis_eps(B, tU):
-    cat = B.category
-    rows = []
-    if cat is not None and cat.action_gens:
-        by_src = {}
-        for kind, i, u in tU:
-            by_src.setdefault(i, []).append((u, (kind, i, u)))
-        for mat in cat.action_gens:
-            for i in B.positive():
-                per_u = {}
-                for j, c in mat[i].items():
-                    for u, lab in by_src.get(j, []):
-                        add_term(per_u.setdefault(u, {}), lab, c)
-                for u, lab in by_src.get(i, []):
-                    add_term(per_u.setdefault(u, {}), lab, -one())
-                rows.extend(r for r in per_u.values() if r)
-    return [vec for _, vec in nullspace(rows, tU)]
 
 
 def kernel_M(B, relations=None, word_check_degree=6, max_degree=None):
@@ -511,11 +457,9 @@ def _kernel_m_from_words(V, relations, max_degree):
     return dims
 
 
-def hom_M_dim(B, mdata, u_labels=None):
-    """dim Hom(M, U) in the category, U acting trivially with given labels."""
+def hom_M_dim(B, mdata):
+    """dim Hom(M, U) in the category, U the trivial module of unit label."""
     cat = B.category
-    if u_labels is None:
-        u_labels = [cat.label_unit if cat else None]
     total = 0
     for d, blk in mdata["blocks"].items():
         kvecs = blk["K"]
@@ -535,26 +479,24 @@ def hom_M_dim(B, mdata, u_labels=None):
             for mat in cat.action_gens:
                 for a, (vec, free, lab) in enumerate(kvecs):
                     img = {}
-                    for (i, j), c in vec.items():
-                        for (i2,), ci in _tensor_action(B, mat, (i,)).items():
-                            for (j2,), cj in _tensor_action(B, mat, (j,)).items():
-                                add_term(img, (i2, j2), c * (ci * cj))
+                    for pair, c in vec.items():
+                        for pair2, cp in _tensor_action(B, mat, pair).items():
+                            add_term(img, pair2, c * cp)
                     row = coords(img)
                     add_term(row, a, -one())
                     if row:
                         action_rows.append(row)
-        for ulab in u_labels:
-            rows = []
-            if cat:
-                for a, (vec, free, lab) in enumerate(kvecs):
-                    if lab != ulab:
-                        rows.append({a: one()})
-            for w in blk["W"]:
-                row = coords(w)
-                if row:
-                    rows.append(row)
-            rows.extend(action_rows)
-            total += len(kvecs) - sparse_rank(rows)
+        rows = []
+        if cat:
+            for a, (vec, free, lab) in enumerate(kvecs):
+                if lab != cat.label_unit:
+                    rows.append({a: one()})
+        for w in blk["W"]:
+            row = coords(w)
+            if row:
+                rows.append(row)
+        rows.extend(action_rows)
+        total += len(kvecs) - sparse_rank(rows)
     return total
 
 
@@ -642,68 +584,8 @@ def first_order_deformation(B, pair_vec, r):
             out[p] = cur + TruncPoly.tpow(c, r, r)
         return {k: v for k, v in out.items() if not v.is_zero()}
 
-    report = {}
-    witness = None
-    for i, j, k in product(range(B.dim), repeat=3):
-        left = {}
-        for a, c in mult_t(i, j).items():
-            for b, c2 in mult_t(a, k).items():
-                add_term(left, b, c * c2)
-        for a, c in mult_t(j, k).items():
-            for b, c2 in mult_t(i, a).items():
-                add_term(left, b, -(c * c2))
-        if left:
-            witness = (i, j, k)
-            break
-    report["associativity"] = (witness is None, witness)
-
-    witness = None
-    for i in range(B.dim):
-        acc = {}
-        for (a, b), c in coprod_t(i).items():
-            for (a1, a2), ca in coprod_t(a).items():
-                add_term(acc, (a1, a2, b), c * ca)
-            for (b1, b2), cb in coprod_t(b).items():
-                add_term(acc, (a, b1, b2), -(c * cb))
-        if acc:
-            witness = i
-            break
-    report["coassociativity"] = (witness is None, witness)
-
-    witness = None
-    for i, j in product(range(B.dim), repeat=2):
-        acc = {}
-        for k, c in mult_t(i, j).items():
-            for p, c2 in coprod_t(k).items():
-                add_term(acc, p, c * c2)
-        for (a, b), c1 in coprod_t(i).items():
-            for (s, t), c2 in coprod_t(j).items():
-                for (sp, bp), cb in B.braid(b, s).items():
-                    for u, cu in mult_t(a, sp).items():
-                        for v, cv in mult_t(bp, t).items():
-                            add_term(acc, (u, v), -(c1 * c2 * (cu * cv) * cb))
-        if acc:
-            witness = (i, j)
-            break
-    report["compatibility"] = (witness is None, witness)
-
-    witness = None
-    for i in range(B.dim):
-        if mult_t(B.unit, i) != {i: TruncPoly.tpow(one(), 0, r)}:
-            witness = ("unit", i)
-            break
-        eps_l = {}
-        eps_r = {}
-        for (a, b), c in coprod_t(i).items():
-            if a == B.unit:
-                add_term(eps_l, b, c)
-            if b == B.unit:
-                add_term(eps_r, a, c)
-        expected = {i: TruncPoly.tpow(one(), 0, r)}
-        if eps_l != expected or eps_r != expected:
-            witness = ("counit", i)
-            break
-    report["unit_counit"] = (witness is None, witness)
-
+    report = check_bialgebra_axioms(
+        B.dim, B.unit, mult_t, coprod_t, B.braid, TruncPoly.tpow(one(), 0, r)
+    )
     tables = {"mult": mult_t, "coprod": coprod_t}
     return tables, report

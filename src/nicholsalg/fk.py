@@ -8,8 +8,9 @@ with chi(s, (ij)) = 1 if s(i) < s(j) and -1 otherwise.
 
 from itertools import combinations
 
+from .bialgebra import attach_group_category, compose_perm, from_nichols
 from .braided import build_group_type, check_braid_equation
-from .cyclo import one, rational
+from .cyclo import rational
 from .rewriting import rewrite_dims
 from .tensoralg import TensorElement, nichols_dims
 
@@ -24,11 +25,6 @@ def _perm_of(pair, n):
     p = list(range(n))
     p[i - 1], p[j - 1] = p[j - 1], p[i - 1]
     return tuple(p)
-
-
-def _compose(p, q):
-    """(p . q)[i] = p[q[i]]."""
-    return tuple(p[q[i]] for i in range(len(p)))
 
 
 def _pair_of(perm):
@@ -57,7 +53,7 @@ def build_fk_space(n):
         arow = []
         srow = []
         for b in range(theta):
-            conj = _compose(_compose(sigma, perms[b]), sigma)  # sigma = sigma^-1
+            conj = compose_perm(compose_perm(sigma, perms[b]), sigma)  # sigma = sigma^-1
             arow.append(index[_pair_of(conj)])
             srow.append(rational(fk_chi(sigma, pairs[b])))
         act.append(arow)
@@ -115,7 +111,7 @@ def group_degree_of(V, element):
     for w in element.support:
         g = tuple(range(len(V.group_degrees[0])))
         for letter in w:
-            g = _compose(g, V.group_degrees[letter])
+            g = compose_perm(g, V.group_degrees[letter])
         degs.add(g)
     if len(degs) != 1:
         return None
@@ -128,9 +124,6 @@ def fk_bialgebra(n, max_degree=5):
     Only practical for n = 3 (the basis enumeration needs the completed
     rewriting system past twice the top degree).
     """
-    from .bialgebra import attach_group_category, from_nichols
-    from .cyclo import rational
-
     V = build_fk_space(n)
     rels = fk_relations(n)
     B = from_nichols(V, rels, max_degree)
@@ -140,7 +133,7 @@ def fk_bialgebra(n, max_degree=5):
 
     def letter_action(gamma, t):
         gp = _perm_of(gamma, n)
-        conj = _compose(_compose(gp, _perm_of(pairs[t], n)), gp)
+        conj = compose_perm(compose_perm(gp, _perm_of(pairs[t], n)), gp)
         return index[_pair_of(conj)], rational(fk_chi(gp, pairs[t]))
 
     attach_group_category(B, gens, letter_action)

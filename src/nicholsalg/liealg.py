@@ -9,22 +9,13 @@ underlying braided space.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .braided import build_diagonal, check_braid_equation
-from .cyclo import CycNumber, one, rational
+from .bialgebra import check_associativity
+from .braided import build_diagonal
+from .cyclo import one, rational
 from .linalg import Echelon, add_term, row_axpy
 from .tensoralg import nichols_dims
-
-
-def _cyc_pow(c, n):
-    if n == 0:
-        return one()
-    base = c if n > 0 else c.inverse()
-    out = one()
-    for _ in range(abs(n)):
-        out = out * base
-    return out
 
 
 class AbelianBicharacter:
@@ -45,9 +36,9 @@ class AbelianBicharacter:
             if ni == 0:
                 continue
             for j in range(self.n):
-                if not (_cyc_pow(self.values[i][j], ni) - one()).is_zero():
+                if not (self.values[i][j] ** ni - one()).is_zero():
                     raise ValueError(f"beta(a{i},a{j}) not well defined mod order {ni}")
-                if not (_cyc_pow(self.values[j][i], ni) - one()).is_zero():
+                if not (self.values[j][i] ** ni - one()).is_zero():
                     raise ValueError(f"beta(a{j},a{i}) not well defined mod order {ni}")
         if skew:
             for i in range(self.n):
@@ -63,7 +54,7 @@ class AbelianBicharacter:
                 continue
             for j, bj in enumerate(b):
                 if bj:
-                    out = out * _cyc_pow(self.values[i][j], ai * bj)
+                    out = out * self.values[i][j] ** (ai * bj)
         return out
 
     def is_sign(self):
@@ -266,16 +257,9 @@ def braided_commutator(A, beta):
         for j in range(n):
             if not (q(i, j) * q(j, i) - one()).is_zero():
                 raise ValueError(f"braiding not symmetric at ({i},{j})")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = {}
-                for a, c in A.mult.get((i, j), {}).items():
-                    row_axpy(acc, c, A.mult.get((a, k), {}))
-                for a, c in A.mult.get((j, k), {}).items():
-                    row_axpy(acc, -c, A.mult.get((i, a), {}))
-                if acc:
-                    raise ValueError(f"not associative at ({i},{j},{k})")
+    ok, bad = check_associativity(n, lambda i, j: A.mult.get((i, j), {}))
+    if not ok:
+        raise ValueError(f"not associative at {bad}")
     ok, bad = A.check_homogeneous()
     if not ok:
         raise ValueError(f"multiplication does not commute with braiding: {bad}")

@@ -1,11 +1,12 @@
 """Command-line surface: exit codes, JSON contract, config validation."""
 
 import json
+from argparse import Namespace
 
 import pytest
 
-from nicholsalg.cli import main
-from nicholsalg.configs import shipped_config_names
+from nicholsalg.cli import _finite_bialgebra, main
+from nicholsalg.configs import load_shipped, shipped_config_names
 
 
 def run(capsys, *argv):
@@ -156,3 +157,9 @@ def test_cohomology_warns_on_dropped_relation(capsys):
     )
     assert code == 2
     assert "no explicit element for cartan_root_power ((1, 2, 1),)" in rep["warnings"]
+
+
+def test_b2_finite_at_shipped_budget():
+    B, _, warnings = _finite_bialgebra(load_shipped("b2"), Namespace(max_degree=None))
+    assert B is not None, warnings
+    assert B.dims() == [1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1]

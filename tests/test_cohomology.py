@@ -69,6 +69,13 @@ def test_non_cocycle_fails_deformation():
     fake = {("f", (x, x), (x2,)): one()}
     _, report = first_order_deformation(B, fake, 1)
     assert not all(ok for ok, _ in report.values())
+    assert report["compatibility"] == (False, (1, 1))
+
+
+def test_deformation_report_matches_axiom_checks():
+    B, _ = line(3)
+    _, report = first_order_deformation(B, solve_cocycles(B, 0)[0], 1)
+    assert report.keys() == B.check_all().keys()
 
 
 def test_filtration_implications():

@@ -91,6 +91,15 @@ def test_commutator_rejects_bad_braiding():
         braided_commutator(A, beta)
 
 
+def test_commutator_rejects_non_associative_algebra():
+    # (x x) x = y x = x but x (x x) = x y = 0
+    beta = AbelianBicharacter([[one()]])
+    mult = {(0, 0): {1: one()}, (1, 0): {0: one()}}
+    A = GradedAlgebraData(((0,), (0,)), mult)
+    with pytest.raises(ValueError, match=r"not associative at \(0, 0, 0\)"):
+        braided_commutator(A, beta)
+
+
 def test_twist_round_trip():
     L = color_triple(zeta(5))
     out = sign_twist_report(L)
