@@ -31,8 +31,8 @@ def main():
         real = cfg.realization(V)
         rs = enumerate_roots(V)
         instances = generate_relations(V, rs)
-        v1, _ = rigidity_verdict(V, real)
-        v2, _ = rigidity_verdict(V, real, pre_nichols=True)
+        v1, _ = rigidity_verdict(V, rs, real)
+        v2, _ = rigidity_verdict(V, rs, real, pre_nichols=True)
         print(
             f"{name:<18} {len(rs.positive_roots):>5} {len(instances):>5}"
             f"  {v1:<12} {v2}"

@@ -99,13 +99,18 @@ def _max_degree(args, default):
     return d
 
 
+def _root_data(cfg, V):
+    """Root data of V within the config's Cartan and object caps."""
+    return enumerate_roots(
+        V, cap=cfg.budgets["cartan_cap"], object_cap=cfg.budgets["object_cap"]
+    )
+
+
 def _catalog_elements(cfg, V):
     """Explicit relation elements of the catalog, plus one warning per
     relation that has none; elements are None if the root system is not
     shown finite within the caps."""
-    rs = enumerate_roots(
-        V, cap=cfg.budgets["cartan_cap"], object_cap=cfg.budgets["object_cap"]
-    )
+    rs = _root_data(cfg, V)
     if not rs.finite:
         return None, ["root system not finite"]
     elems = []
@@ -121,7 +126,10 @@ def _catalog_elements(cfg, V):
 def cmd_diagram(args):
     cfg = _diag_config(args)
     V = cfg.space()
-    diag, cmat, kinds = diagram_summary(V, cap=cfg.budgets["cartan_cap"])
+    try:
+        diag, cmat, kinds = diagram_summary(V, cap=cfg.budgets["cartan_cap"])
+    except ValueError as e:  # a Cartan integer undefined within the cap
+        return 2, cfg, {}, [str(e)]
     results = {
         "vertices": [format_cyc(v) for v in diag.vertices],
         "edges": {f"{i}-{j}": format_cyc(v) for (i, j), v in diag.edges.items()},
@@ -134,9 +142,7 @@ def cmd_diagram(args):
 def cmd_roots(args):
     cfg = _diag_config(args)
     V = cfg.space()
-    rs = enumerate_roots(
-        V, cap=cfg.budgets["cartan_cap"], object_cap=cfg.budgets["object_cap"]
-    )
+    rs = _root_data(cfg, V)
     results = {
         "finite": rs.finite,
         "objects": rs.objects,
@@ -152,9 +158,7 @@ def cmd_relations(args):
     cfg = _diag_config(args)
     V = cfg.space()
     real = cfg.realization(V)
-    rs = enumerate_roots(
-        V, cap=cfg.budgets["cartan_cap"], object_cap=cfg.budgets["object_cap"]
-    )
+    rs = _root_data(cfg, V)
     if not rs.finite:
         return 2, cfg, {"finite": False}, ["root system not finite; no relation list"]
     instances = generate_relations(V, rs, cap=cfg.budgets["cartan_cap"])
@@ -176,9 +180,10 @@ def cmd_rigidity(args):
     cfg = _diag_config(args)
     V = cfg.space()
     real = cfg.realization(V)
+    rs = _root_data(cfg, V)
     try:
         verdict, reports = rigidity_verdict(
-            V, real, pre_nichols=args.pre_nichols, cap=cfg.budgets["cartan_cap"]
+            V, rs, real, pre_nichols=args.pre_nichols, cap=cfg.budgets["cartan_cap"]
         )
     except ValueError as e:
         return 2, cfg, {"verdict": "NotDecided"}, [str(e)]
@@ -203,7 +208,10 @@ def cmd_rigidity(args):
 def cmd_nichols(args):
     cfg = _diag_config(args)
     V = cfg.space()
-    dims = nichols_dims(V, _max_degree(args, cfg.budgets["max_degree"]))
+    try:
+        dims = nichols_dims(V, _max_degree(args, cfg.budgets["max_degree"]))
+    except MemoryError as e:
+        return 2, cfg, {}, [f"budget: {e}"]
     return 0, cfg, {"dims": dims, "total": sum(dims)}, []
 
 
@@ -339,7 +347,10 @@ def cmd_fk(args):
     dims = fk_dims_rewriting(args.n, max_degree)
     results = {"n": args.n, "dims": dims, "total": sum(dims)}
     if args.symmetrizer:
-        sdims = fk_dims_symmetrizer(args.n, max_degree)
+        try:
+            sdims = fk_dims_symmetrizer(args.n, max_degree)
+        except MemoryError as e:
+            return 2, None, results, [f"budget: {e}"]
         results["symmetrizer_dims"] = sdims
         results["routes_agree"] = sdims == dims
     if args.rigidity:

@@ -7,7 +7,7 @@ algebra, together with the realization choice and computation budgets.
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .braided import build_diagonal
 from .cyclo import parse_cyc, zeta

@@ -1,8 +1,11 @@
 """Minimal defining relations of finite-root-system diagonal Nichols algebras.
 
-Each catalog family carries an exact guard on the q-matrix (and sometimes on
-the root system), an index pattern, a Z^theta degree, and where practical an
-explicit tensor-element realization built from iterated braided commutators
+The catalog follows Angiono's presentation (arXiv:1008.4144). Four families
+whose degree depends on Cartan integers or root data are written out in
+`generate_relations`; every other family is one row of `_FAMILIES`: a name,
+how many copies of each participant index go into its Z^theta degree, an
+exact guard on the q-matrix (and sometimes on the root set), and a builder of
+its tensor element from iterated braided commutators
 x_{i1...ik} = [x_{i1}, x_{i2...ik}]_c.
 
 Realizations attach group/character data (g_R, chi_R) to each relation; the
@@ -11,12 +14,13 @@ generator.
 """
 
 from dataclasses import dataclass
+from itertools import combinations, groupby, permutations
 from typing import Optional
 
 from .braided import DEFAULT_CARTAN_CAP, cartan_integer, is_cartan_vertex
-from .cyclo import cyc_order, one, rational
+from .cyclo import cyc_order, one
 from .tensoralg import TensorElement, braided_adjoint_power, braided_commutator, root_vector_word
-from .weyl import bichar_eval, enumerate_roots
+from .weyl import enumerate_roots
 
 ELEMENT_DEGREE_CAP = 12  # skip explicit word realizations above this degree
 
@@ -110,15 +114,36 @@ class RelationInstance:
         return tuple(i for i, a in enumerate(self.degree) if a)
 
 
+# -- element builders ------------------------------------------------------
+
+
 def _gen(i):
     return TensorElement.generator(i)
 
 
 def _xw(V, letters):
-    """Left-nested iterated commutator x_{i1...ik}."""
+    """Iterated commutator x_{i1...ik} = [x_{i1}, x_{i2...ik}]_c."""
     if len(letters) == 1:
         return _gen(letters[0])
     return braided_commutator(V, _gen(letters[0]), _xw(V, letters[1:]))
+
+
+def _br(V, *parts):
+    """Left-nested commutator [[p_1, p_2]_c, ..., p_n]_c; a part is a letter i
+    (for x_i), a tuple of letters w (for x_w) or an element."""
+    out = None
+    for p in parts:
+        if isinstance(p, int):
+            p = _gen(p)
+        elif isinstance(p, tuple):
+            p = _xw(V, p)
+        out = p if out is None else braided_commutator(V, out, p)
+    return out
+
+
+def _tower(V, i, j, m):
+    """Root vector of degree (m+1) a_i + m a_j: [[x_iij, x_ij]_c, ..., x_ij]_c."""
+    return _br(V, (i, i, j), *[(i, j)] * (m - 1))
 
 
 def _power(elem, n):
@@ -128,618 +153,368 @@ def _power(elem, n):
     return out
 
 
-def _tower_root_vector(V, i, j, m):
-    """x of degree (m+1) a_i + m a_j: bracket tower over x_{2a_i+a_j}."""
-    if m == 1:
-        return _xw(V, (i, i, j))
-    prev = _tower_root_vector(V, i, j, m - 1)
-    return braided_commutator(V, prev, _xw(V, (i, j)))
+def _two_term(V, w, a, b, coef):
+    """[[x_w, x_a]_c, x_b]_c - coef [[x_w, x_b]_c, x_a]_c."""
+    return _br(V, w, a, b) - _br(V, w, b, a).scale(coef)
 
 
-def _vec(theta, pairs):
+def _degree(theta, indices, copies):
+    """Z^theta degree with copies[n] copies of the simple root a_{indices[n]}."""
     d = [0] * theta
-    for idx, a in pairs:
-        d[idx] += a
+    for i, a in zip(indices, copies):
+        d[i] += a
     return tuple(d)
 
 
-def _ord_is(q, n):
-    return cyc_order(q) == n
+# -- guards ----------------------------------------------------------------
 
 
-def _minus_one(q):
-    return (q + one()).is_zero()
+def _m1(z):
+    return (z + one()).is_zero()
+
+
+def _only(holds):
+    """Guard result of a family without variants: no note, or None."""
+    return "" if holds else None
+
+
+def _variant(*cases):
+    """Guard result naming the first (variant, holds) case that holds."""
+    return next((f"variant {name}" for name, holds in cases if holds), None)
+
+
+class _GuardData:
+    """What the family guards read, computed once per catalog: the q and
+    q-tilde matrices, the Cartan integers (None where undefined), the root set
+    and cached root-of-unity orders."""
+
+    def __init__(self, V, rs, cap):
+        n = range(V.rank)
+        self.theta = V.rank
+        self.q = V.qmatrix
+        self.t = [[V.qtilde(i, j) for j in n] for i in n]
+        self.c = [[None if i == j else cartan_integer(V, i, j, cap=cap) for j in n] for i in n]
+        self.roots = set(rs.positive_roots)
+        self._orders = {}
+
+    def order(self, z):
+        if z not in self._orders:
+            self._orders[z] = cyc_order(z)
+        return self._orders[z]
+
+    def is_root(self, indices, copies):
+        return _degree(self.theta, indices, copies) in self.roots
+
+
+def _nested_c3(d, i, j, k):
+    q, t = d.q, d.t
+    if not (_m1(q[j][j]) and t[i][k].is_one()):
+        return None
+    qii, tij, tjk = q[i][i], t[i][j], t[j][k]
+    return _variant(
+        ("i", _m1(qii) and tij ** 2 == tjk.inverse()),
+        ("ii", _m1(tij) and qii == -(tjk ** 2) and d.order(qii) == 3),
+        ("iii", _m1(q[k][k]) and _m1(tjk) and qii == -tij and d.order(qii) == 3),
+        ("iv", tij == qii ** -2 and tjk == -(qii ** 3)),
+        ("v", _m1(qii) and _m1(q[k][k]) and (tij == tjk or tij == -tjk) and d.order(tjk) == 3),
+    )
+
+
+def _distant(d, i, j, k, l):
+    """The four-index families need no edges i-k, i-l, j-l."""
+    return d.t[i][k].is_one() and d.t[i][l].is_one() and d.t[j][l].is_one()
+
+
+def _f4_nested_pair(d, i, j, k, l):
+    q, t = d.q, d.t
+    p = t[i][j] * t[j][k]
+    return _only(
+        _distant(d, i, j, k, l) and _m1(q[j][j])
+        and q[l][l] == p ** 2 and t[l][k] == (p ** 2).inverse() and q[k][k] == p ** 2
+        and t[j][k] == (p ** 2).inverse() and t[i][j] == p ** 3 and q[i][i] == (p ** 3).inverse()
+    )
+
+
+def _f4_two_term(d, i, j, k, l):
+    q, t = d.q, d.t
+    qii = q[i][i]
+    if not (_distant(d, i, j, k, l) and _m1(q[k][k]) and qii == t[i][j].inverse()):
+        return None
+    qjj = q[j][j]
+    return _variant(
+        ("i", qii == qjj ** 2 and t[k][l] == qjj ** 3
+         and q[l][l] == (qjj ** 3).inverse() and t[j][k] == qjj.inverse()),
+        ("ii", _m1(qjj) and _m1(t[j][k]) and qii == -q[l][l].inverse() and qii == -t[k][l]),
+    )
+
+
+def _tower43(d, i, j):
+    cij, cji, qjj = d.c[i][j], d.c[j][i], d.q[j][j]
+    holds = (
+        not d.is_root((i, j), (4, 3))
+        and (_m1(qjj) or (cji is not None and -cji >= 2))
+        and cij is not None
+        and (-cij >= 3 or (-cij == 2 and d.order(d.q[i][i]) == 3))
+    )
+    if not holds:
+        return None
+    return "" if _m1(qjj) else "m_ji guard"
+
+
+# -- builders with scalar coefficients ---------------------------------------
+
+
+def _triangle(V, d, i, j, k):
+    q, t = d.q, d.t
+    coef1 = (one() - t[j][k]) / (q[k][j] * (one() - t[i][k]))
+    coef2 = q[i][j] * (one() - t[j][k])
+    return (
+        _br(V, (i, j, k))
+        - _br(V, (i, k), j).scale(coef1)
+        - _gen(j).concat(_xw(V, (i, k))).scale(coef2)
+    )
+
+
+def _three_term_cube_edge(V, d, i, j, k):
+    q = d.q
+    c2 = (one() + q[j][j] ** 2) * q[k][j].inverse()
+    c3 = (one() + q[j][j] ** 2) * (one() + q[j][j]) * q[i][j]
+    return (
+        _br(V, i, (j, j, k))
+        - _br(V, (i, j, k), j).scale(c2)
+        - _gen(j).concat(_xw(V, (i, j, k))).scale(c3)
+    )
+
+
+def _double_edge_sum(V, d, i, j, k):
+    q = d.q
+    return (
+        _br(V, i, _br(V, (i, j), (i, k)))
+        + _br(V, (i, i, k), (i, j)).scale(q[j][k] * q[i][k] * q[j][i])
+        + _xw(V, (i, j)).concat(_xw(V, (i, i, k))).scale(q[i][j])
+    )
+
+
+def _two_vertex_mixed(V, d, i, j):
+    q, t = d.q, d.t
+    c1 = (one() - t[i][j]) * q[j][j] * q[j][i]
+    c2 = (one() + q[j][j]) * (one() - q[j][j] * t[i][j])
+    return _br(V, i, _br(V, (i, j), j)).scale(c1) - _power(_xw(V, (i, j)), 2).scale(c2)
+
+
+def _high_root_serre(V, d, i, j):
+    qii, tij = d.q[i][i], d.t[i][j]
+    num = one() - qii * tij - qii ** 2 * tij ** 2 * d.q[j][j]
+    den = (one() - qii * tij) * d.q[j][i]
+    return _br(V, i, _tower(V, i, j, 2)) - _power(_xw(V, (i, i, j)), 2).scale(num / den)
+
+
+def _high_power_square(V, d, i, j):
+    z, qii = d.t[i][j], d.q[i][i]
+    a = (one() - z) * (one() - qii ** 4 * z ** 3) - (one() - qii * z) * (one() + qii) * qii * z
+    b = (one() - z) * (one() - qii ** 6 * z ** 5) - a * qii * z
+    num = b - (one() + qii) * (one() - qii * z) * (one() + z + qii * z ** 2) * qii ** 6 * z ** 4
+    den = a * qii ** 3 * d.q[i][j] ** 2 * d.q[j][i] ** 3
+    return _br(V, (i, i, j), _tower(V, i, j, 3)) - _power(_tower(V, i, j, 2), 2).scale(num / den)
 
 
 # -- catalog ---------------------------------------------------------------
 
+# (family, copies of each participant index in the degree, guard, builder);
+# triples first, then quadruples, then pairs, as generate_relations walks them.
+_FAMILIES = [
+    # [x_ijk, x_j]_c with a -1 middle vertex
+    ("mid_vertex_bracket", (1, 2, 1), lambda d, i, j, k: _only(
+        _m1(d.q[j][j]) and d.t[i][k].is_one()
+        and (d.t[i][j] * d.t[k][j]).is_one() and not _m1(d.t[i][j])
+    ), lambda V, d, i, j, k: _br(V, (i, j, k), j)),
+    # [x_iijk, x_ij]_c
+    ("double_i_bracket", (3, 2, 1), lambda d, i, j, k: _only(
+        d.order(d.q[i][i]) == 3
+        and (d.q[i][i] == d.t[i][j] or d.q[i][i] == -d.t[i][j])
+        and d.t[i][k].is_one()
+        and (
+            (_m1(d.q[j][j]) and (d.t[i][j] * d.t[j][k]).is_one())
+            or (d.q[j][j].inverse() == d.t[i][j] and d.t[i][j] == d.t[j][k]
+                and not _m1(d.t[i][j]))
+        )
+    ), lambda V, d, i, j, k: _br(V, (i, i, j, k), (i, j))),
+    # triangle relation: all three edges present
+    ("triangle", (1, 1, 1), lambda d, i, j, k: _only(
+        not d.t[i][k].is_one() and not d.t[i][j].is_one() and not d.t[j][k].is_one()
+    ), _triangle),
+    # [[x_ij, x_ijk]_c, x_j]_c, five guard variants
+    ("nested_c3_bracket", (2, 3, 1), _nested_c3,
+     lambda V, d, i, j, k: _br(V, (i, j), (i, j, k), j)),
+    # [[x_ij, [x_ij, x_ijk]_c]_c, x_j]_c
+    ("nested_g3_bracket", (3, 4, 1), lambda d, i, j, k: _only(
+        _m1(d.q[i][i]) and _m1(d.q[j][j])
+        and d.t[i][j] ** 3 == d.t[j][k].inverse() and d.t[i][k].is_one()
+    ), lambda V, d, i, j, k: _br(V, (i, j), _br(V, (i, j), (i, j, k)), j)),
+    # [[x_ijk, x_j]_c, x_j]_c at a cube-root middle vertex
+    ("double_j_bracket", (1, 3, 1), lambda d, i, j, k: _only(
+        d.order(d.q[j][j]) == 3 and d.q[j][j] == d.t[i][j] ** 2
+        and d.q[j][j] == d.t[j][k] and d.t[i][k].is_one()
+    ), lambda V, d, i, j, k: _br(V, (i, j, k), j, j)),
+    # [[x_iij, x_iijk]_c, x_ij]_c, ninth-root chain
+    ("ninth_root_chain", (5, 3, 1), lambda d, i, j, k: _only(
+        d.order(d.q[j][j]) == 9 and d.q[k][k] == d.q[j][j]
+        and d.t[i][j] == d.q[j][j].inverse() and d.t[j][k] == d.q[j][j].inverse()
+        and d.t[i][k].is_one() and d.q[i][i] == d.q[k][k] ** 6
+    ), lambda V, d, i, j, k: _br(V, (i, i, j), (i, i, j, k), (i, j))),
+    # two-term ninth-root relation
+    ("ninth_root_two_term", (1, 2, 2), lambda d, i, j, k: _only(
+        d.order(d.q[i][i]) == 9 and d.t[i][j] == d.q[i][i].inverse()
+        and d.q[j][j] == d.q[i][i] ** 5 and d.t[j][k] == (d.q[i][i] ** 5).inverse()
+        and d.t[i][k].is_one() and d.q[k][k] == d.q[i][i] ** 6
+    ), lambda V, d, i, j, k: _two_term(
+        V, (i, j, k), j, k, (one() + d.t[j][k]).inverse() * d.q[j][k]
+    )),
+    # [[[x_ijk, x_j]_c, x_j]_c, x_j]_c at a fourth-root middle vertex
+    ("triple_j_bracket", (1, 4, 1), lambda d, i, j, k: _only(
+        d.order(d.q[j][j]) == 4 and d.q[j][j] == d.t[i][j] ** 3
+        and d.q[j][j] == d.t[j][k] and d.t[i][k].is_one()
+    ), lambda V, d, i, j, k: _br(V, (i, j, k), j, j, j)),
+    # [x_ij, x_ijk]_c
+    ("pair_chain_bracket", (2, 2, 1), lambda d, i, j, k: _only(
+        _m1(d.q[i][i]) and _m1(d.t[i][j]) and d.q[j][j] == d.t[j][k].inverse()
+        and not _m1(d.q[j][j]) and d.t[i][k].is_one()
+    ), lambda V, d, i, j, k: _br(V, (i, j), (i, j, k))),
+    # three-term relation with cube-root edge
+    ("three_term_cube_edge", (1, 2, 1), lambda d, i, j, k: _only(
+        _m1(d.q[i][i]) and _m1(d.q[k][k]) and d.t[i][k].is_one()
+        and d.order(d.t[i][j]) == 3 and d.q[j][j] == -d.t[j][k]
+        and (d.q[j][j] == d.t[i][j] or d.q[j][j] == -d.t[i][j])
+    ), _three_term_cube_edge),
+    # [x_i, [x_ij, x_ik]_c]_c + ... with two double edges at i
+    ("double_edge_sum", (3, 1, 1), lambda d, i, j, k: _only(
+        d.t[j][k].is_one() and d.order(d.q[i][i]) == 3
+        and d.q[i][i] == d.t[i][j] and d.q[i][i] == -d.t[i][k]
+    ), _double_edge_sum),
+    # [x_iijk, x_ijk]_c
+    ("rank3_tail_bracket", (3, 2, 2), lambda d, i, j, k: _only(
+        _m1(d.q[j][j]) and _m1(d.q[k][k]) and _m1(d.t[j][k])
+        and d.q[i][i] == -d.t[i][j] and d.order(d.q[i][i]) == 3 and d.t[i][k].is_one()
+    ), lambda V, d, i, j, k: _br(V, (i, i, j, k), (i, j, k))),
+    # [[[x_ijkl, x_k]_c, x_j]_c, x_k]_c
+    ("chain_c4_bracket", (1, 2, 3, 1), lambda d, i, j, k, l: _only(
+        _distant(d, i, j, k, l)
+        and (d.q[j][j] * d.t[i][j]).is_one() and (d.q[j][j] * d.t[j][k]).is_one()
+        and _m1(d.q[k][k])
+        and d.t[j][k] ** 2 == d.t[l][k].inverse() and d.t[j][k] ** 2 == d.q[l][l]
+    ), lambda V, d, i, j, k, l: _br(V, (i, j, k, l), k, j, k)),
+    # [[x_ijk, [x_ijkl, x_k]_c]_c, x_jk]_c
+    ("chain_c4_modified", (2, 3, 4, 1), lambda d, i, j, k, l: _only(
+        _distant(d, i, j, k, l)
+        and d.t[j][k] == d.t[i][j] and d.t[i][j] == d.q[j][j].inverse()
+        and d.order(d.q[j][j]) in (4, 6) and _m1(d.q[i][i]) and _m1(d.q[k][k])
+        and d.t[j][k] ** 3 == d.t[l][k]
+    ), lambda V, d, i, j, k, l: _br(V, (i, j, k), _br(V, (i, j, k, l), k), (j, k))),
+    # F4-type nested pair bracket, parameterized by q = qt_ij qt_jk
+    ("f4_nested_pair", (2, 5, 3, 1), _f4_nested_pair,
+     lambda V, d, i, j, k, l: _br(V, _br(V, (i, j, k), j), _br(V, (i, j, k, l), j), (j, k))),
+    # F4-type two-term relation, two guard variants
+    ("f4_two_term", (1, 2, 2, 1), _f4_two_term, lambda V, d, i, j, k, l: _two_term(
+        V, (i, j, k, l), j, k, d.q[j][k] * (d.t[i][j].inverse() - d.q[j][j])
+    )),
+    # [x_iij, x_ij]_c with a sixth-root weighted edge
+    ("sixth_root_bracket", (3, 2), lambda d, i, j: _only(
+        _m1(d.q[j][j]) and d.order(d.q[i][i] * d.t[i][j]) == 6 and not _m1(d.t[i][j])
+        and (d.order(d.q[i][i]) == 3 or (d.c[i][j] is not None and -d.c[i][j] >= 3))
+    ), lambda V, d, i, j: _br(V, (i, i, j), (i, j))),
+    # double Serre-type combination
+    ("two_vertex_mixed", (2, 2), lambda d, i, j: _only(
+        not _m1(d.q[i][i]) and not _m1(d.q[j][j])
+        and not (d.q[i][i] * d.t[i][j]).is_one() and not (d.q[j][j] * d.t[i][j]).is_one()
+    ), _two_vertex_mixed),
+    # [x_i, x_{3a_i+2a_j}]_c - coef x_iij^2
+    ("high_root_serre", (4, 2), lambda d, i, j: _only(d.c[i][j] is not None and (
+        -d.c[i][j] in (4, 5)
+        or (_m1(d.q[j][j]) and -d.c[i][j] == 3 and d.order(d.q[i][i]) == 4)
+    )), _high_root_serre),
+    # vanishing of the degree-(4,3) bracket tower
+    ("tower43_vanishes", (4, 3), _tower43, lambda V, d, i, j: _tower(V, i, j, 3)),
+    # [x_iij, x_{3a_i+2a_j}]_c
+    ("bracket_iij_tower32", (5, 3), lambda d, i, j: _only(
+        d.is_root((i, j), (3, 2)) and not d.is_root((i, j), (5, 3))
+        and not (d.q[i][i] ** 3 * d.t[i][j]).is_one()
+        and not (d.q[i][i] ** 4 * d.t[i][j]).is_one()
+    ), lambda V, d, i, j: _br(V, (i, i, j), _tower(V, i, j, 2))),
+    # vanishing of the degree-(5,4) bracket tower
+    ("tower54_vanishes", (5, 4), lambda d, i, j: _only(
+        d.is_root((i, j), (4, 3)) and not d.is_root((i, j), (5, 4))
+    ), lambda V, d, i, j: _tower(V, i, j, 4)),
+    # [[x_iiij, x_iij]_c, x_iij]_c
+    ("bracket_iiij_iij_iij", (7, 3), lambda d, i, j: _only(
+        d.is_root((i, j), (5, 2)) and not d.is_root((i, j), (7, 3))
+    ), lambda V, d, i, j: _br(V, (i, i, i, j), (i, i, j), (i, i, j))),
+    # [x_iij, x_{4a_i+3a_j}]_c - coef x_{3a_i+2a_j}^2
+    ("high_power_square", (6, 4), lambda d, i, j: _only(
+        _m1(d.q[j][j]) and d.is_root((i, j), (5, 4))
+    ), _high_power_square),
+]
+
 
 def generate_relations(V, rs=None, cap=DEFAULT_CARTAN_CAP):
-    """All relation instances whose guards hold on V.
+    """All relation instances whose guards hold on V, in catalog order.
 
     rs: RootSystemData (computed when omitted); needed both for Cartan root
     powers and for the membership guards of the high two-index families.
+    An instance gets an explicit element only up to ELEMENT_DEGREE_CAP.
     """
     theta = V.rank
     if rs is None:
         rs = enumerate_roots(V, cap=cap)
     if not rs.finite:
         raise ValueError("relation catalog requires a finite root system")
-    roots = set(rs.positive_roots)
+    d = _GuardData(V, rs, cap)
+    q, t = d.q, d.t
     out = []
 
-    def q(i, j):
-        return V.q(i, j)
-
-    def qt(i, j):
-        return V.qtilde(i, j)
-
-    def c(i, j):
-        return cartan_integer(V, i, j, cap=cap)
-
-    def add(family, participants, degree, element, note=""):
-        if element is not None and sum(degree) > ELEMENT_DEGREE_CAP:
-            element = None
+    def add(family, participants, degree, build, note=""):
+        element = build() if sum(degree) <= ELEMENT_DEGREE_CAP else None
         out.append(RelationInstance(family, participants, degree, element, note))
 
     # Cartan root vector powers x_alpha^{N_alpha}
     for alpha in rs.cartan_roots:
         N = rs.root_order(V, alpha)
-        if N is None or N < 2:
-            continue
-        degree = tuple(N * a for a in alpha)
-        element = None
-        if sum(degree) <= ELEMENT_DEGREE_CAP:
-            element = _power(root_vector_word(V, alpha), N)
-        add("cartan_root_power", (alpha,), degree, element)
-
+        if N is not None and N >= 2:
+            degree = tuple(N * a for a in alpha)
+            add("cartan_root_power", (alpha,), degree,
+                lambda: _power(root_vector_word(V, alpha), N))
     # quantum Serre relations (ad_c x_i)^{1-c_ij} x_j
-    for i in range(theta):
-        for j in range(theta):
-            if i == j:
-                continue
-            cij = c(i, j)
-            if cij is None:
-                continue
-            if (q(i, i) ** (1 - cij)).is_one():
-                continue
-            degree = _vec(theta, [(i, 1 - cij), (j, 1)])
-            add(
-                "quantum_serre",
-                (i, j),
-                degree,
-                braided_adjoint_power(V, i, 1 - cij, _gen(j)),
-            )
-
+    for i, j in permutations(range(theta), 2):
+        cij = d.c[i][j]
+        if cij is not None and not (q[i][i] ** (1 - cij)).is_one():
+            degree = _degree(theta, (i, j), (1 - cij, 1))
+            add("quantum_serre", (i, j), degree,
+                lambda: braided_adjoint_power(V, i, 1 - cij, _gen(j)))
     # simple root powers x_i^{N_i} at non-Cartan vertices
     for i in range(theta):
-        if is_cartan_vertex(V, i, cap=cap):
+        N = None if is_cartan_vertex(V, i, cap=cap) else d.order(q[i][i])
+        if N is not None and N >= 2:
+            add("simple_root_power", (i,), _degree(theta, (i,), (N,)), lambda: _power(_gen(i), N))
+    # x_ij^2 for a -1-triangle of q_ii, qt_ij, q_jj with an asymmetric witness k
+    for i, j in combinations(range(theta), 2):
+        if not (_m1(q[i][i]) and _m1(t[i][j]) and _m1(q[j][j])):
             continue
-        N = cyc_order(q(i, i))
-        if N is None or N < 2:
-            continue
-        add("simple_root_power", (i,), _vec(theta, [(i, N)]), _power(_gen(i), N))
-
-    # x_ij^2 for a -1-triangle of q_ii, qt_ij, q_jj with an asymmetric witness
-    for i in range(theta):
-        for j in range(i + 1, theta):
-            if not (_minus_one(q(i, i)) and _minus_one(qt(i, j)) and _minus_one(q(j, j))):
-                continue
-            witness = None
-            for k in range(theta):
-                if k in (i, j):
-                    continue
-                if not (qt(i, k) ** 2).is_one() or not (qt(j, k) ** 2).is_one():
-                    witness = k
-                    break
-            if witness is None:
-                continue
-            el = _xw(V, (i, j))
-            add(
-                "square_of_bracket",
-                (i, j, witness),
-                _vec(theta, [(i, 2), (j, 2)]),
-                el.concat(el),
-            )
-
-    for i in range(theta):
-        for j in range(theta):
-            for k in range(theta):
-                if len({i, j, k}) != 3:
-                    continue
-                # [x_ijk, x_j]_c with a -1 middle vertex
-                if (
-                    _minus_one(q(j, j))
-                    and qt(i, k).is_one()
-                    and (qt(i, j) * qt(k, j)).is_one()
-                    and not _minus_one(qt(i, j))
-                ):
-                    add(
-                        "mid_vertex_bracket",
-                        (i, j, k),
-                        _vec(theta, [(i, 1), (j, 2), (k, 1)]),
-                        braided_commutator(V, _xw(V, (i, j, k)), _gen(j)),
-                    )
-                # [x_iijk, x_ij]_c
-                if (
-                    _ord_is(q(i, i), 3)
-                    and (q(i, i) == qt(i, j) or q(i, i) == -qt(i, j))
-                    and qt(i, k).is_one()
-                    and (
-                        (_minus_one(q(j, j)) and (qt(i, j) * qt(j, k)).is_one())
-                        or (
-                            q(j, j).inverse() == qt(i, j)
-                            and qt(i, j) == qt(j, k)
-                            and not _minus_one(qt(i, j))
-                        )
-                    )
-                ):
-                    add(
-                        "double_i_bracket",
-                        (i, j, k),
-                        _vec(theta, [(i, 3), (j, 2), (k, 1)]),
-                        braided_commutator(V, _xw(V, (i, i, j, k)), _xw(V, (i, j))),
-                    )
-                # triangle relation: all three edges present
-                if (
-                    not qt(i, k).is_one()
-                    and not qt(i, j).is_one()
-                    and not qt(j, k).is_one()
-                ):
-                    coef1 = (one() - qt(j, k)) / (q(k, j) * (one() - qt(i, k)))
-                    coef2 = q(i, j) * (one() - qt(j, k))
-                    el = (
-                        _xw(V, (i, j, k))
-                        - braided_commutator(V, _xw(V, (i, k)), _gen(j)).scale(coef1)
-                        - _gen(j).concat(_xw(V, (i, k))).scale(coef2)
-                    )
-                    add("triangle", (i, j, k), _vec(theta, [(i, 1), (j, 1), (k, 1)]), el)
-                # [[x_ij, x_ijk]_c, x_j]_c, five guard variants
-                sc3 = None
-                if (
-                    _minus_one(q(i, i))
-                    and _minus_one(q(j, j))
-                    and qt(i, j) ** 2 == qt(j, k).inverse()
-                    and qt(i, k).is_one()
-                ):
-                    sc3 = "i"
-                elif (
-                    _minus_one(qt(i, j))
-                    and _minus_one(q(j, j))
-                    and q(i, i) == -(qt(j, k) ** 2)
-                    and _ord_is(q(i, i), 3)
-                    and qt(i, k).is_one()
-                ):
-                    sc3 = "ii"
-                elif (
-                    _minus_one(q(k, k))
-                    and _minus_one(qt(j, k))
-                    and _minus_one(q(j, j))
-                    and q(i, i) == -qt(i, j)
-                    and _ord_is(q(i, i), 3)
-                    and qt(i, k).is_one()
-                ):
-                    sc3 = "iii"
-                elif (
-                    _minus_one(q(j, j))
-                    and qt(i, j) == q(i, i) ** -2
-                    and qt(j, k) == -(q(i, i) ** 3)
-                    and qt(i, k).is_one()
-                ):
-                    sc3 = "iv"
-                elif (
-                    _minus_one(q(i, i))
-                    and _minus_one(q(j, j))
-                    and _minus_one(q(k, k))
-                    and (qt(i, j) == qt(j, k) or qt(i, j) == -qt(j, k))
-                    and _ord_is(qt(j, k), 3)
-                    and qt(i, k).is_one()
-                ):
-                    sc3 = "v"
-                if sc3 is not None:
-                    el = braided_commutator(
-                        V,
-                        braided_commutator(V, _xw(V, (i, j)), _xw(V, (i, j, k))),
-                        _gen(j),
-                    )
-                    add(
-                        "nested_c3_bracket",
-                        (i, j, k),
-                        _vec(theta, [(i, 2), (j, 3), (k, 1)]),
-                        el,
-                        note=f"variant {sc3}",
-                    )
-                # [[x_ij, [x_ij, x_ijk]_c]_c, x_j]_c
-                if (
-                    _minus_one(q(i, i))
-                    and _minus_one(q(j, j))
-                    and qt(i, j) ** 3 == qt(j, k).inverse()
-                    and qt(i, k).is_one()
-                ):
-                    inner = braided_commutator(V, _xw(V, (i, j)), _xw(V, (i, j, k)))
-                    el = braided_commutator(
-                        V, braided_commutator(V, _xw(V, (i, j)), inner), _gen(j)
-                    )
-                    add(
-                        "nested_g3_bracket",
-                        (i, j, k),
-                        _vec(theta, [(i, 3), (j, 4), (k, 1)]),
-                        el,
-                    )
-                # [[x_ijk, x_j]_c, x_j]_c at a cube-root middle vertex
-                if (
-                    _ord_is(q(j, j), 3)
-                    and q(j, j) == qt(i, j) ** 2
-                    and q(j, j) == qt(j, k)
-                    and qt(i, k).is_one()
-                ):
-                    el = braided_commutator(
-                        V, braided_commutator(V, _xw(V, (i, j, k)), _gen(j)), _gen(j)
-                    )
-                    add(
-                        "double_j_bracket",
-                        (i, j, k),
-                        _vec(theta, [(i, 1), (j, 3), (k, 1)]),
-                        el,
-                    )
-                # [[x_iij, x_iijk]_c, x_ij]_c, ninth-root chain
-                if (
-                    _ord_is(q(j, j), 9)
-                    and q(k, k) == q(j, j)
-                    and qt(i, j) == q(j, j).inverse()
-                    and qt(j, k) == q(j, j).inverse()
-                    and qt(i, k).is_one()
-                    and q(i, i) == q(k, k) ** 6
-                ):
-                    el = braided_commutator(
-                        V,
-                        braided_commutator(V, _xw(V, (i, i, j)), _xw(V, (i, i, j, k))),
-                        _xw(V, (i, j)),
-                    )
-                    add(
-                        "ninth_root_chain",
-                        (i, j, k),
-                        _vec(theta, [(i, 5), (j, 3), (k, 1)]),
-                        el,
-                    )
-                # two-term ninth-root relation
-                if (
-                    _ord_is(q(i, i), 9)
-                    and qt(i, j) == q(i, i).inverse()
-                    and q(j, j) == q(i, i) ** 5
-                    and qt(j, k) == (q(i, i) ** 5).inverse()
-                    and qt(i, k).is_one()
-                    and q(k, k) == q(i, i) ** 6
-                ):
-                    t1 = braided_commutator(
-                        V, braided_commutator(V, _xw(V, (i, j, k)), _gen(j)), _gen(k)
-                    )
-                    t2 = braided_commutator(
-                        V, braided_commutator(V, _xw(V, (i, j, k)), _gen(k)), _gen(j)
-                    )
-                    coef = (one() + qt(j, k)).inverse() * q(j, k)
-                    add(
-                        "ninth_root_two_term",
-                        (i, j, k),
-                        _vec(theta, [(i, 1), (j, 2), (k, 2)]),
-                        t1 - t2.scale(coef),
-                    )
-                # [[[x_ijk, x_j]_c, x_j]_c, x_j]_c at a fourth-root middle vertex
-                if (
-                    _ord_is(q(j, j), 4)
-                    and q(j, j) == qt(i, j) ** 3
-                    and q(j, j) == qt(j, k)
-                    and qt(i, k).is_one()
-                ):
-                    el = _xw(V, (i, j, k))
-                    for _ in range(3):
-                        el = braided_commutator(V, el, _gen(j))
-                    add(
-                        "triple_j_bracket",
-                        (i, j, k),
-                        _vec(theta, [(i, 1), (j, 4), (k, 1)]),
-                        el,
-                    )
-                # [x_ij, x_ijk]_c
-                if (
-                    _minus_one(q(i, i))
-                    and _minus_one(qt(i, j))
-                    and q(j, j) == qt(j, k).inverse()
-                    and not _minus_one(q(j, j))
-                    and qt(i, k).is_one()
-                ):
-                    add(
-                        "pair_chain_bracket",
-                        (i, j, k),
-                        _vec(theta, [(i, 2), (j, 2), (k, 1)]),
-                        braided_commutator(V, _xw(V, (i, j)), _xw(V, (i, j, k))),
-                    )
-                # three-term relation with cube-root edge
-                if (
-                    _minus_one(q(i, i))
-                    and _minus_one(q(k, k))
-                    and qt(i, k).is_one()
-                    and _ord_is(qt(i, j), 3)
-                    and q(j, j) == -qt(j, k)
-                    and (q(j, j) == qt(i, j) or q(j, j) == -qt(i, j))
-                ):
-                    t1 = braided_commutator(V, _gen(i), _xw(V, (j, j, k)))
-                    t2 = braided_commutator(V, _xw(V, (i, j, k)), _gen(j))
-                    c2 = (one() + q(j, j) ** 2) * q(k, j).inverse()
-                    c3 = (one() + q(j, j) ** 2) * (one() + q(j, j)) * q(i, j)
-                    el = t1 - t2.scale(c2) - _gen(j).concat(_xw(V, (i, j, k))).scale(c3)
-                    add(
-                        "three_term_cube_edge",
-                        (i, j, k),
-                        _vec(theta, [(i, 1), (j, 2), (k, 1)]),
-                        el,
-                    )
-                # [x_i, [x_ij, x_ik]_c]_c + ... with two double edges at i
-                if (
-                    qt(j, k).is_one()
-                    and _ord_is(q(i, i), 3)
-                    and q(i, i) == qt(i, j)
-                    and q(i, i) == -qt(i, k)
-                ):
-                    t1 = braided_commutator(
-                        V,
-                        _gen(i),
-                        braided_commutator(V, _xw(V, (i, j)), _xw(V, (i, k))),
-                    )
-                    t2 = braided_commutator(V, _xw(V, (i, i, k)), _xw(V, (i, j)))
-                    el = (
-                        t1
-                        + t2.scale(q(j, k) * q(i, k) * q(j, i))
-                        + _xw(V, (i, j)).concat(_xw(V, (i, i, k))).scale(q(i, j))
-                    )
-                    add(
-                        "double_edge_sum",
-                        (i, j, k),
-                        _vec(theta, [(i, 3), (j, 1), (k, 1)]),
-                        el,
-                    )
-                # [x_iijk, x_ijk]_c
-                if (
-                    _minus_one(q(j, j))
-                    and _minus_one(q(k, k))
-                    and _minus_one(qt(j, k))
-                    and q(i, i) == -qt(i, j)
-                    and _ord_is(q(i, i), 3)
-                    and qt(i, k).is_one()
-                ):
-                    add(
-                        "rank3_tail_bracket",
-                        (i, j, k),
-                        _vec(theta, [(i, 3), (j, 2), (k, 2)]),
-                        braided_commutator(V, _xw(V, (i, i, j, k)), _xw(V, (i, j, k))),
-                    )
-
-    # four-index families
-    for i in range(theta):
-        for j in range(theta):
-            for k in range(theta):
-                for l in range(theta):
-                    if len({i, j, k, l}) != 4:
-                        continue
-                    distant = (
-                        qt(i, k).is_one() and qt(i, l).is_one() and qt(j, l).is_one()
-                    )
-                    if not distant:
-                        continue
-                    # [[[x_ijkl, x_k]_c, x_j]_c, x_k]_c
-                    if (
-                        (q(j, j) * qt(i, j)).is_one()
-                        and (q(j, j) * qt(j, k)).is_one()
-                        and _minus_one(q(k, k))
-                        and qt(j, k) ** 2 == qt(l, k).inverse()
-                        and qt(j, k) ** 2 == q(l, l)
-                    ):
-                        el = _xw(V, (i, j, k, l))
-                        for t in (k, j, k):
-                            el = braided_commutator(V, el, _gen(t))
-                        add(
-                            "chain_c4_bracket",
-                            (i, j, k, l),
-                            _vec(theta, [(i, 1), (j, 2), (k, 3), (l, 1)]),
-                            el,
-                        )
-                    # [[x_ijk, [x_ijkl, x_k]_c]_c, x_jk]_c
-                    if (
-                        qt(j, k) == qt(i, j)
-                        and qt(i, j) == q(j, j).inverse()
-                        and cyc_order(q(j, j)) in (4, 6)
-                        and _minus_one(q(i, i))
-                        and _minus_one(q(k, k))
-                        and qt(j, k) ** 3 == qt(l, k)
-                    ):
-                        inner = braided_commutator(V, _xw(V, (i, j, k, l)), _gen(k))
-                        el = braided_commutator(
-                            V,
-                            braided_commutator(V, _xw(V, (i, j, k)), inner),
-                            _xw(V, (j, k)),
-                        )
-                        add(
-                            "chain_c4_modified",
-                            (i, j, k, l),
-                            _vec(theta, [(i, 2), (j, 3), (k, 4), (l, 1)]),
-                            el,
-                        )
-                    # F4-type nested pair bracket, parameterized by q
-                    qpar = qt(i, j) * qt(j, k)
-                    if (
-                        _minus_one(q(j, j))
-                        and q(l, l) == qpar ** 2
-                        and qt(l, k) == (qpar ** 2).inverse()
-                        and q(k, k) == qpar ** 2
-                        and qt(j, k) == (qpar ** 2).inverse()
-                        and qt(i, j) == qpar ** 3
-                        and q(i, i) == (qpar ** 3).inverse()
-                    ):
-                        left = braided_commutator(V, _xw(V, (i, j, k)), _gen(j))
-                        right = braided_commutator(V, _xw(V, (i, j, k, l)), _gen(j))
-                        el = braided_commutator(
-                            V, braided_commutator(V, left, right), _xw(V, (j, k))
-                        )
-                        add(
-                            "f4_nested_pair",
-                            (i, j, k, l),
-                            _vec(theta, [(i, 2), (j, 5), (k, 3), (l, 1)]),
-                            el,
-                        )
-                    # F4-type two-term relation, two guard variants
-                    f4b = None
-                    if (
-                        _minus_one(q(k, k))
-                        and q(i, i) == qt(i, j).inverse()
-                        and q(i, i) == q(j, j) ** 2
-                        and qt(k, l) == q(j, j) ** 3
-                        and q(l, l) == (q(j, j) ** 3).inverse()
-                        and qt(j, k) == q(j, j).inverse()
-                    ):
-                        f4b = "i"
-                    elif (
-                        _minus_one(q(j, j))
-                        and _minus_one(qt(j, k))
-                        and _minus_one(q(k, k))
-                        and q(i, i) == qt(i, j).inverse()
-                        and q(i, i) == -q(l, l).inverse()
-                        and q(i, i) == -qt(k, l)
-                    ):
-                        f4b = "ii"
-                    if f4b is not None:
-                        t1 = braided_commutator(
-                            V,
-                            braided_commutator(V, _xw(V, (i, j, k, l)), _gen(j)),
-                            _gen(k),
-                        )
-                        t2 = braided_commutator(
-                            V,
-                            braided_commutator(V, _xw(V, (i, j, k, l)), _gen(k)),
-                            _gen(j),
-                        )
-                        coef = q(j, k) * (qt(i, j).inverse() - q(j, j))
-                        add(
-                            "f4_two_term",
-                            (i, j, k, l),
-                            _vec(theta, [(i, 1), (j, 2), (k, 2), (l, 1)]),
-                            t1 - t2.scale(coef),
-                            note=f"variant {f4b}",
-                        )
-
-    # two-index families
-    for i in range(theta):
-        for j in range(theta):
-            if i == j:
-                continue
-            cij = c(i, j)
-            # [x_iij, x_ij]_c with a sixth-root weighted edge
-            if (
-                _minus_one(q(j, j))
-                and _ord_is(q(i, i) * qt(i, j), 6)
-                and not _minus_one(qt(i, j))
-                and (_ord_is(q(i, i), 3) or (cij is not None and -cij >= 3))
-            ):
-                add(
-                    "sixth_root_bracket",
-                    (i, j),
-                    _vec(theta, [(i, 3), (j, 2)]),
-                    braided_commutator(V, _xw(V, (i, i, j)), _xw(V, (i, j))),
-                )
-            # double Serre-type combination
-            if (
-                not _minus_one(q(i, i))
-                and not _minus_one(q(j, j))
-                and not (q(i, i) * qt(i, j)).is_one()
-                and not (q(j, j) * qt(i, j)).is_one()
-            ):
-                t1 = braided_commutator(
-                    V, _gen(i), braided_commutator(V, _xw(V, (i, j)), _gen(j))
-                )
-                c1 = (one() - qt(i, j)) * q(j, j) * q(j, i)
-                c2 = (one() + q(j, j)) * (one() - q(j, j) * qt(i, j))
-                el = t1.scale(c1) - _xw(V, (i, j)).concat(_xw(V, (i, j))).scale(c2)
-                add(
-                    "two_vertex_mixed",
-                    (i, j),
-                    _vec(theta, [(i, 2), (j, 2)]),
-                    el,
-                )
-            # [x_i, x_{3a_i+2a_j}]_c - coef x_iij^2
-            if cij is not None and (
-                -cij in (4, 5)
-                or (_minus_one(q(j, j)) and -cij == 3 and _ord_is(q(i, i), 4))
-            ):
-                num = one() - q(i, i) * qt(i, j) - q(i, i) ** 2 * qt(i, j) ** 2 * q(j, j)
-                den = (one() - q(i, i) * qt(i, j)) * q(j, i)
-                el = braided_commutator(
-                    V, _gen(i), _tower_root_vector(V, i, j, 2)
-                ) - _power(_xw(V, (i, i, j)), 2).scale(num / den)
-                add("high_root_serre", (i, j), _vec(theta, [(i, 4), (j, 2)]), el)
-            # vanishing of the degree-(4,3) bracket tower
-            mji = None if c(j, i) is None else -c(j, i)
-            if (
-                _vec(theta, [(i, 4), (j, 3)]) not in roots
-                and (_minus_one(q(j, j)) or (mji is not None and mji >= 2))
-                and cij is not None
-                and (-cij >= 3 or (-cij == 2 and _ord_is(q(i, i), 3)))
-            ):
-                add(
-                    "tower43_vanishes",
-                    (i, j),
-                    _vec(theta, [(i, 4), (j, 3)]),
-                    _tower_root_vector(V, i, j, 3),
-                    note="m_ji guard" if not _minus_one(q(j, j)) else "",
-                )
-            # [x_iij, x_{3a_i+2a_j}]_c
-            if (
-                _vec(theta, [(i, 3), (j, 2)]) in roots
-                and _vec(theta, [(i, 5), (j, 3)]) not in roots
-                and not (q(i, i) ** 3 * qt(i, j)).is_one()
-                and not (q(i, i) ** 4 * qt(i, j)).is_one()
-            ):
-                el = braided_commutator(
-                    V, _xw(V, (i, i, j)), _tower_root_vector(V, i, j, 2)
-                )
-                add("bracket_iij_tower32", (i, j), _vec(theta, [(i, 5), (j, 3)]), el)
-            # vanishing of the degree-(5,4) bracket tower
-            if (
-                _vec(theta, [(i, 4), (j, 3)]) in roots
-                and _vec(theta, [(i, 5), (j, 4)]) not in roots
-            ):
-                add(
-                    "tower54_vanishes",
-                    (i, j),
-                    _vec(theta, [(i, 5), (j, 4)]),
-                    _tower_root_vector(V, i, j, 4),
-                )
-            # [[x_iiij, x_iij]_c, x_iij]_c
-            if (
-                _vec(theta, [(i, 5), (j, 2)]) in roots
-                and _vec(theta, [(i, 7), (j, 3)]) not in roots
-            ):
-                el = braided_commutator(
-                    V,
-                    braided_commutator(V, _xw(V, (i, i, i, j)), _xw(V, (i, i, j))),
-                    _xw(V, (i, i, j)),
-                )
-                add("bracket_iiij_iij_iij", (i, j), _vec(theta, [(i, 7), (j, 3)]), el)
-            # [x_iij, x_{4a_i+3a_j}]_c - coef x_{3a_i+2a_j}^2
-            if _minus_one(q(j, j)) and _vec(theta, [(i, 5), (j, 4)]) in roots:
-                z = qt(i, j)
-                qii = q(i, i)
-                a = (one() - z) * (one() - qii ** 4 * z ** 3) - (one() - qii * z) * (
-                    one() + qii
-                ) * qii * z
-                b = (one() - z) * (one() - qii ** 6 * z ** 5) - a * qii * z
-                num = b - (one() + qii) * (one() - qii * z) * (
-                    one() + z + qii * z ** 2
-                ) * qii ** 6 * z ** 4
-                den = a * qii ** 3 * q(i, j) ** 2 * q(j, i) ** 3
-                el = braided_commutator(
-                    V, _xw(V, (i, i, j)), _tower_root_vector(V, i, j, 3)
-                ) - _power(_tower_root_vector(V, i, j, 2), 2).scale(num / den)
-                add("high_power_square", (i, j), _vec(theta, [(i, 6), (j, 4)]), el)
-
+        asymmetric = (
+            k for k in range(theta)
+            if k not in (i, j) and not ((t[i][k] ** 2).is_one() and (t[j][k] ** 2).is_one())
+        )
+        k = next(asymmetric, None)
+        if k is not None:
+            degree = _degree(theta, (i, j), (2, 2))
+            add("square_of_bracket", (i, j, k), degree, lambda: _power(_xw(V, (i, j)), 2))
+    # the table: for each index triple, then quadruple, then pair, its families
+    for arity, specs in groupby(_FAMILIES, key=lambda spec: len(spec[1])):
+        specs = list(specs)
+        for idx in permutations(range(theta), arity):
+            for family, copies, guard, build in specs:
+                note = guard(d, *idx)
+                if note is not None:
+                    degree = _degree(theta, idx, copies)
+                    add(family, idx, degree, lambda: build(V, d, *idx), note)
     _reject_duplicates(out)
     return out
 
@@ -790,15 +565,15 @@ def check_prop_gchi(V, real, instances):
     return reports
 
 
-def rigidity_verdict(V, real=None, pre_nichols=False, cap=DEFAULT_CARTAN_CAP):
+def rigidity_verdict(V, rs, real=None, pre_nichols=False, cap=DEFAULT_CARTAN_CAP):
     """Rigid | NotDecided per the sufficient (g_R, chi_R) criterion.
 
+    rs is the root data of V (weyl.enumerate_roots within the caller's caps).
     pre_nichols drops the Cartan root power relations (the quotient keeping
     root vectors alive) before testing.
     """
     if real is None:
         real = canonical_realization(V)
-    rs = enumerate_roots(V, cap=cap)
     if not rs.finite:
         raise ValueError("rigidity criterion requires a finite root system")
     instances = generate_relations(V, rs, cap=cap)

@@ -181,15 +181,21 @@ def matsumoto_symmetrizer(V, element, _cache=None):
     return TensorElement(out)
 
 
+def _check_dense_budget(V, degree):
+    """MemoryError, before any work, if V^(x)degree has more basis words than
+    the dense symmetrizer route may enumerate."""
+    if V.rank**degree > DENSE_WORD_BUDGET:
+        raise MemoryError(
+            f"{V.rank}^{degree} basis words exceed DENSE_WORD_BUDGET = {DENSE_WORD_BUDGET} "
+            "of the dense symmetrizer; use the rewriting engine instead"
+        )
+
+
 def _word_blocks(V, degree):
     """Partition basis words of the given degree into symmetrizer-invariant
     blocks (connected components of the braid-group action)."""
+    _check_dense_budget(V, degree)
     theta = V.rank
-    if theta**degree > DENSE_WORD_BUDGET:
-        raise MemoryError(
-            f"{theta}^{degree} basis words exceed the dense symmetrizer budget; "
-            "use the rewriting engine instead"
-        )
     seen = set()
     blocks = []
     for start in product(range(theta), repeat=degree):
@@ -226,6 +232,7 @@ def symmetrizer_rank(V, degree, _cache=None):
 
 def nichols_dims(V, max_degree):
     """Graded dimensions of the Nichols algebra through max_degree."""
+    _check_dense_budget(V, max_degree)
     cache = {}
     dims = [1]
     for d in range(1, max_degree + 1):

@@ -1,12 +1,13 @@
 """Root systems of diagonal braidings via reflections of the q-matrix.
 
-States are q-matrices; reflections act through the bicharacter
+Objects are q-matrices; reflections act through the bicharacter
 chi(alpha, beta) = prod q_ij^(a_i b_j) on Z^theta. A breadth-first walk
 over reflection-equivalent matrices collects positive roots as images of
 the simple roots under composed reflections.
 """
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Optional
 
 from .braided import (
@@ -87,34 +88,47 @@ class RootSystemData:
 def enumerate_roots(V, cap=DEFAULT_CARTAN_CAP, object_cap=DEFAULT_OBJECT_CAP):
     """Walk the reflection groupoid from V and collect the root data.
 
-    Each state carries the integer matrix M sending the current object's
-    simple roots back to degrees at the initial object. Roots of the
-    initial object are the columns of all visited M (both signs); the walk
-    is declared infinite past object_cap objects.
+    Objects are the q-matrices reached by reflections, numbered as found;
+    each object's Cartan matrix, Cartan-vertex flags and reflections are
+    computed once. A state is (object number, M), where the integer matrix M
+    sends the object's simple roots back to degrees at the initial object.
+    Roots of the initial object are the columns of all visited M (both
+    signs). The walk is declared infinite past object_cap objects, or at an
+    object with a Cartan integer undefined within cap.
     """
     theta = V.rank
     start = V.qmatrix
     ident = tuple(tuple(1 if r == c else 0 for c in range(theta)) for r in range(theta))
-    seen_objects = {}  # qmatrix -> index
-    queue = [(start, ident)]
-    seen_objects[start] = 0
-    seen_states = {(start, ident)}
+    numbers = {start: 0}  # q-matrix -> object number
+    qmatrices = [start]
+    reflected = {}  # object number -> (Cartan matrix, Cartan-vertex flags, reflected q-matrices)
+    queue = deque([(0, ident)])
+    seen_states = {(0, ident)}
     roots = set()
     cartan = set()
+
+    def not_finite():
+        return RootSystemData(False, [], [], len(numbers), start)
+
     while queue:
-        qm, M = queue.pop(0)
-        W = build_diagonal(qm)
+        obj, M = queue.popleft()
+        if obj not in reflected:
+            W = build_diagonal(qmatrices[obj])
+            try:
+                reflected[obj] = (
+                    [cartan_row(W, i, cap=cap) for i in range(theta)],
+                    [is_cartan_vertex(W, j, cap=cap) for j in range(theta)],
+                    [reflect_qmatrix(W, i, cap=cap) for i in range(theta)],
+                )
+            except ValueError:
+                return not_finite()
+        cmat, flags, images = reflected[obj]
         for j in range(theta):
             col = tuple(M[r][j] for r in range(theta))
             roots.add(col)
-            if is_cartan_vertex(W, j, cap=cap):
+            if flags[j]:
                 cartan.add(col)
-        for i in range(theta):
-            try:
-                qm2 = reflect_qmatrix(W, i, cap=cap)
-            except ValueError:
-                return RootSystemData(False, [], [], len(seen_objects), start)
-            crow = cartan_row(W, i, cap=cap)
+        for i, (crow, qm2) in enumerate(zip(cmat, images)):
             # columns of M compose: new simple a_j at qm2 maps to M(s_i a_j)
             M2 = tuple(
                 tuple(
@@ -123,26 +137,27 @@ def enumerate_roots(V, cap=DEFAULT_CARTAN_CAP, object_cap=DEFAULT_OBJECT_CAP):
                 )
                 for r in range(theta)
             )
-            if qm2 not in seen_objects:
-                if len(seen_objects) >= object_cap:
-                    return RootSystemData(False, [], [], len(seen_objects), start)
-                seen_objects[qm2] = len(seen_objects)
-            state = (qm2, M2)
+            if qm2 not in numbers:
+                if len(numbers) >= object_cap:
+                    return not_finite()
+                numbers[qm2] = len(qmatrices)
+                qmatrices.append(qm2)
+            state = (numbers[qm2], M2)
             if state not in seen_states:
                 # morphism count of a finite groupoid is bounded; bail out
                 # instead of walking an infinite Weyl groupoid forever
                 if len(seen_states) >= 1000 * object_cap:
-                    return RootSystemData(False, [], [], len(seen_objects), start)
+                    return not_finite()
                 seen_states.add(state)
                 queue.append(state)
     positive = sorted(r for r in roots if all(x >= 0 for x in r) and any(r))
     negatives = {tuple(-x for x in r) for r in positive}
     if not set(r for r in roots if any(r)) <= set(positive) | negatives:
-        return RootSystemData(False, [], [], len(seen_objects), start)
+        return not_finite()
     cartan_pos = sorted(
         {r if all(x >= 0 for x in r) else tuple(-x for x in r) for r in cartan}
     )
-    return RootSystemData(True, positive, cartan_pos, len(seen_objects), start)
+    return RootSystemData(True, positive, cartan_pos, len(numbers), start)
 
 
 def cartan_roots(V, cap=DEFAULT_CARTAN_CAP, object_cap=DEFAULT_OBJECT_CAP):

@@ -127,7 +127,7 @@ def test_criterion_6_rigidity_verdicts():
         V = cfg.space()
         real = cfg.realization(V)
         for pre in (False, True):
-            verdict, _ = rigidity_verdict(V, real, pre_nichols=pre)
+            verdict, _ = rigidity_verdict(V, enumerate_roots(V), real, pre_nichols=pre)
             ok = ok and verdict == "Rigid"
     report(6, ok, "Rigid on all shipped configs, with and without --pre-nichols")
 

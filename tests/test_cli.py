@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, JSON contract, config validation."""
 
 import json
+import time
 from argparse import Namespace
 
 import pytest
@@ -163,3 +164,44 @@ def test_b2_finite_at_shipped_budget():
     B, _, warnings = _finite_bialgebra(load_shipped("b2"), Namespace(max_degree=None))
     assert B is not None, warnings
     assert B.dims() == [1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1]
+
+
+# q_11 = 2 is no root of unity, so c[0][1] is undefined at any cap
+UNDEFINED_CARTAN = {"rank": 2, "q_values": [["2", "3"], ["1", "-1"]]}
+
+
+@pytest.mark.parametrize(
+    "command", ["diagram", "roots", "relations", "rigidity", "rewrite", "cohomology", "epsilon"]
+)
+def test_undefined_cartan_integer_is_not_finite(tmp_path, capsys, command):
+    path = tmp_path / "undefined.json"
+    path.write_text(json.dumps(UNDEFINED_CARTAN))
+    code, rep, err = run_json(capsys, command, "--config", str(path))
+    assert code == 2 and not err
+    assert rep["warnings"]
+    if command == "diagram":
+        assert "c[0][1] undefined" in rep["warnings"][0]
+
+
+def test_rigidity_honours_object_cap(tmp_path, capsys):
+    cfg = json.loads(open_config("rank3_triangle"))
+    cfg["budgets"]["object_cap"] = 4  # the walk needs 16 objects
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("roots", "relations", "rigidity"):
+        code, rep, _ = run_json(capsys, command, "--config", str(path))
+        assert code == 2, command
+    assert rep["results"]["verdict"] == "NotDecided"
+
+
+def test_dense_budget_checked_before_work(capsys):
+    start = time.perf_counter()
+    code, rep, _ = run_json(
+        capsys, "nichols", "--config", "rank3_triangle", "--max-degree", "16"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "DENSE_WORD_BUDGET" in rep["warnings"][0]
+    code, rep, _ = run_json(capsys, "fk", "--n", "4", "--symmetrizer")
+    assert code == 2
+    assert "DENSE_WORD_BUDGET" in rep["warnings"][0]

@@ -3,7 +3,7 @@
 import random
 
 from nicholsalg.braided import build_diagonal
-from nicholsalg.cyclo import one, rational, zeta
+from nicholsalg.cyclo import one, zeta
 from nicholsalg.tensoralg import TensorElement
 from nicholsalg.bialgebra import attach_diagonal_category, from_nichols
 from nicholsalg.relations import quotient_realization

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nicholsalg.cyclo import (
-    CycNumber,
     cyc_order,
     format_cyc,
     is_primitive_root,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from nicholsalg import weyl
 from nicholsalg.braided import build_diagonal
 from nicholsalg.cyclo import one, rational, zeta
 from nicholsalg.weyl import (
@@ -69,3 +70,23 @@ def test_cartan_roots_raises_when_not_finite():
     V = build_diagonal([[zeta(3), zeta(3)], [one(), zeta(3)]])
     with pytest.raises(ValueError):
         cartan_roots(V, object_cap=1)
+
+
+def test_each_object_reflected_once(monkeypatch):
+    calls = []
+
+    def counting(V, i, cap=weyl.DEFAULT_CARTAN_CAP):
+        calls.append((V.qmatrix, i))
+        return reflect_qmatrix(V, i, cap=cap)
+
+    monkeypatch.setattr(weyl, "reflect_qmatrix", counting)
+    rs = enumerate_roots(a2_cartan())
+    assert rs.finite
+    assert len(calls) == len(set(calls))
+    assert len(calls) <= 2 * rs.objects
+
+
+def test_undefined_cartan_integer_is_not_finite():
+    # q_11 = 2 is no root of unity: c[0][1] is undefined at any cap
+    V = build_diagonal([[rational(2), rational(3)], [one(), rational(-1)]])
+    assert not enumerate_roots(V).finite
