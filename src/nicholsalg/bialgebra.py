@@ -60,6 +60,7 @@ class GradedBialgebraData:
         self._braid = {}
         self._braid_tensor = {}
         self._coprod_tensor = {}
+        self._mprod = {}
         self._iter_coprod = {}
 
     # -- bookkeeping -------------------------------------------------------
@@ -218,14 +219,18 @@ class GradedBialgebraData:
 
     def mprod(self, t):
         """Iterated product of a basis tuple: {index: coeff}."""
-        cur = {self.unit: one()}
+        hit = self._mprod.get(t)
+        if hit is not None:
+            return hit
+        hit = {self.unit: one()}
         for i in t:
             nxt = {}
-            for j, c in cur.items():
+            for j, c in hit.items():
                 for k, cm in self.mult(j, i).items():
                     add_term(nxt, k, c * cm)
-            cur = nxt
-        return cur
+            hit = nxt
+        self._mprod[t] = hit
+        return hit
 
     def act_left(self, i, t):
         """Regular left action of e_i on B^(x)q via the iterated coproduct."""
@@ -243,16 +248,31 @@ class GradedBialgebraData:
         return out
 
     def coact_left(self, t):
-        """Left coaction B^(x)p -> B (x) B^(x)p: {(j, t'): coeff}."""
+        """Left coaction B^(x)p -> B (x) (B+)^(x)p: {(j, t'): coeff}.
+
+        Only the terms whose tensor side t' has every leg positive are kept:
+        the cochain faces act on (B+)^(x)p, and the unit is the one basis
+        element of degree 0.
+        """
+        unit = self.unit
         out = {}
         for (t1, t2), c in self.coprod_tensor(t).items():
+            if unit in t2:
+                continue
             for j, cm in self.mprod(t1).items():
                 add_term(out, (j, t2), c * cm)
         return out
 
     def coact_right(self, t):
+        """Right coaction B^(x)p -> (B+)^(x)p (x) B: {(t', j): coeff}.
+
+        As coact_left, only terms with every leg of t' positive are kept.
+        """
+        unit = self.unit
         out = {}
         for (t1, t2), c in self.coprod_tensor(t).items():
+            if unit in t1:
+                continue
             for j, cm in self.mprod(t2).items():
                 add_term(out, (t1, j), c * cm)
         return out

@@ -77,14 +77,11 @@ def dh_apply(B, cochain, p, q):
 def dc_apply(B, cochain, p, q):
     """Coalgebra-type differential of a (p, q)-cochain, as a (p, q+1)-cochain."""
     look = _lookup_of(cochain)
-    pos = set(B.positive())
     signs = _signs(q + 1)
     out = {}
     for s in B.positive_tuples(p):
         entries = look(s)
         for (j0, s2), c in B.coact_left(s).items():
-            if any(i not in pos for i in s2):
-                continue
             for t, v in look(s2).items():
                 _vadd(out, (s, (j0,) + t), v, c)
         for j in range(1, q + 1):
@@ -92,8 +89,6 @@ def dc_apply(B, cochain, p, q):
                 for (a, b), c in B.coprod(t[j - 1]).items():
                     _vadd(out, (s, t[: j - 1] + (a, b) + t[j:]), v, c * signs[j])
         for (s2, j0), c in B.coact_right(s).items():
-            if any(i not in pos for i in s2):
-                continue
             for t, v in look(s2).items():
                 _vadd(out, (s, t + (j0,)), v, c * signs[q + 1])
     return out

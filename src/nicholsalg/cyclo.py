@@ -153,18 +153,26 @@ class CycNumber:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, r):
+        """self * r for a rational r; a factor of exactly 1 returns self."""
+        if r == 1:
+            return self
+        return CycNumber(self.n, tuple([x * r for x in self.coeffs]))
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return CycNumber.zero(self.n)
-            f = Fraction(other)
-            return CycNumber(self.n, tuple(x * f for x in self.coeffs))
+            return self._scaled(Fraction(other))
+        if isinstance(other, CycNumber):
+            # a factor from Q(zeta_1) scales the other one in its own field;
+            # when both are rational, a left factor of 1 still returns other
+            if self.n == 1 and (other.n != 1 or self.coeffs[0] == 1):
+                return other._scaled(self.coeffs[0])
+            if other.n == 1:
+                return self._scaled(other.coeffs[0])
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
         n = a.n
-        if n == 1:
-            return CycNumber(1, (a.coeffs[0] * b.coeffs[0],))
         d = len(a.coeffs)
         # convolution with exponents folded mod n (zeta^n = 1), then mod Phi_n
         prod = [Fraction(0)] * n

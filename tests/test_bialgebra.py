@@ -1,13 +1,18 @@
 """Finite graded bialgebras presented by rewriting."""
 
+from argparse import Namespace
+from itertools import chain
+
 import pytest
 
 from nicholsalg.braided import build_diagonal
+from nicholsalg.cli import _finite_bialgebra
 from nicholsalg.configs import load_shipped
 from nicholsalg.cyclo import one, rational, zeta
 from nicholsalg.fk import fk_bialgebra
 from nicholsalg.tensoralg import TensorElement, ideal_component
 from nicholsalg.bialgebra import (
+    GradedBialgebraData,
     attach_diagonal_category,
     biideal_witness,
     from_nichols,
@@ -15,6 +20,7 @@ from nicholsalg.bialgebra import (
 )
 from nicholsalg.relations import canonical_realization
 from nicholsalg.rewriting import rewrite_dims
+from nicholsalg.linalg import add_term
 
 
 def rank1_algebra(N):
@@ -100,3 +106,51 @@ def test_braid_tensor_matches_category():
     x = B.index[(0,)]
     out = B.braid(x, x)
     assert out == {(x, x): zeta(3)}
+
+
+def _built(name):
+    """fk3 (a nonabelian category) or a2_super (super signs), built afresh."""
+    if name == "fk3":
+        return fk_bialgebra(3)[0]
+    return _finite_bialgebra(load_shipped(name), Namespace(max_degree=None))[0]
+
+
+def _reference_coactions(B, t):
+    """Both coactions from coprod_tensor and mprod, filtered to positive legs."""
+    left, right = {}, {}
+    for (t1, t2), c in B.coprod_tensor(t).items():
+        if all(B.degree(i) > 0 for i in t2):
+            for j, cm in B.mprod(t1).items():
+                add_term(left, (j, t2), c * cm)
+        if all(B.degree(i) > 0 for i in t1):
+            for j, cm in B.mprod(t2).items():
+                add_term(right, (t1, j), c * cm)
+    return left, right
+
+
+@pytest.mark.parametrize("name", ["fk3", "a2_super"])
+def test_coactions_keep_positive_legs(name):
+    B = _built(name)
+    for t in chain(B.positive_tuples(1), B.positive_tuples(2)):
+        left, right = _reference_coactions(B, t)
+        assert B.coact_left(t) == left, (name, t)
+        assert B.coact_right(t) == right, (name, t)
+
+
+@pytest.mark.parametrize("name", ["fk3", "a2_super"])
+def test_mprod_computed_once(name, monkeypatch):
+    B = _built(name)
+    calls = []
+    mult = GradedBialgebraData.mult
+
+    def counting_mult(self, i, j):
+        calls.append((i, j))
+        return mult(self, i, j)
+
+    monkeypatch.setattr(GradedBialgebraData, "mult", counting_mult)
+    tuples = list(chain(B.positive_tuples(2), B.positive_tuples(3)))
+    first = [B.mprod(t) for t in tuples]
+    assert calls
+    calls.clear()
+    assert [B.mprod(t) for t in tuples] == first
+    assert calls == []

@@ -1,8 +1,13 @@
 """Bicomplex cohomology of finite graded braided bialgebras."""
 
 import random
+from argparse import Namespace
+
+import pytest
 
 from nicholsalg.braided import build_diagonal
+from nicholsalg.cli import _finite_bialgebra
+from nicholsalg.configs import load_shipped
 from nicholsalg.cyclo import one, zeta
 from nicholsalg.tensoralg import TensorElement
 from nicholsalg.bialgebra import attach_diagonal_category, from_nichols
@@ -38,6 +43,27 @@ def test_negative_degree_H2_vanishes():
         for ell in range(-1, -2 * B.top_degree - 1, -1):
             out = truncated_H2(B, ell)
             assert out["H"] == 0, (N, ell, out)
+
+
+@pytest.mark.parametrize(
+    "name, ell, expected",
+    [
+        ("fk3", 0, (4, 4, 0)),
+        ("fk3", -2, (1, 1, 0)),
+        ("line3", 0, (1, 1, 0)),
+        ("a2_super", 0, (13, 13, 0)),
+    ],
+)
+def test_nonzero_cocycle_spaces_pinned(name, ell, expected):
+    # H = 0 alone would survive a face that drops coboundaries; Z and B pin both
+    if name == "fk3":
+        B, _ = fk_bialgebra(3)
+    elif name == "line3":
+        B, _ = line(3)
+    else:
+        B, _, _ = _finite_bialgebra(load_shipped(name), Namespace(max_degree=None))
+    out = truncated_H2(B, ell)
+    assert (out["Z"], out["B"], out["H"]) == expected
 
 
 def test_total_differential_squares_to_zero():

@@ -75,6 +75,25 @@ def test_root_multiplication(n, a, b):
     assert zeta(n, a) * zeta(n, b) == zeta(n, a + b)
 
 
+def test_unit_factor_returns_the_other_operand():
+    for x in (zeta(3) + rational(Fraction(2, 5)), rational(Fraction(-3, 4))):
+        assert x * one() is x
+        assert one() * x is x
+
+
+cyc_orders = st.sampled_from([3, 4, 5, 6, 8, 12])
+rationals = st.one_of(st.sampled_from([0, 1, -1]), coeff)
+
+
+@given(cyc_orders, st.lists(coeff, min_size=1, max_size=12), rationals)
+@settings(max_examples=60, deadline=None)
+def test_rational_factor_matches_lifted_product(n, cs, r):
+    a = sum((rational(c) * zeta(n, k) for k, c in enumerate(cs)), rational(0, n))
+    lifted = a * rational(r).lift(n)
+    for prod in (a * rational(r), rational(r) * a):
+        assert (prod.n, prod.coeffs) == (lifted.n, lifted.coeffs)
+
+
 def test_zero_inverse_raises():
     with pytest.raises(ZeroDivisionError):
         rational(0).inverse()
