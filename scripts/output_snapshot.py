@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Snapshot the JSON output of a fixed list of CLI commands.
+
+Each command runs as ``python -m nicholsalg <args> --json`` against the
+``src/`` of the checkout this script lives in. Its stdout is written to
+``<out>/<name>.json`` and every exit code to ``<out>/exit_codes.txt``. Two
+checkouts print identical outputs when their snapshots do not differ:
+
+    python3 scripts/output_snapshot.py --out before/
+    python3 scripts/output_snapshot.py --out after/    # in the other checkout
+    diff -r before/ after/
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+DIAGONAL = [
+    "a2_cartan_zeta3", "a2_super", "b2",
+    "rank1_m1", "rank1_zeta3", "rank1_zeta4", "rank1_zeta6",
+    "rank3_square", "rank3_super_a3", "rank3_triangle",
+]
+COHOMOLOGY = ["fk3", "a2_super", "rank1_m1", "rank1_zeta3", "rank1_zeta4", "rank1_zeta6"]
+LIE_EXAMPLES = ["color_pair", "color_triple", "heisenberg", "sl2", "superline"]
+BICHARACTER = {
+    "cyclotomic_order": 5,
+    "values": [["-1", "zeta5"], ["zeta5^4", "-1"]],
+    "skew": True,
+}
+
+
+def commands(bicharacter_path):
+    """(file name, CLI arguments) for every command in the snapshot."""
+    out = []
+    for cfg in DIAGONAL:
+        for cmd in ("diagram", "roots", "relations", "rigidity", "rewrite"):
+            out.append((f"{cmd}-{cfg}", [cmd, "--config", cfg]))
+        out.append((f"nichols-{cfg}", ["nichols", "--config", cfg, "--max-degree", "6"]))
+    for cfg in COHOMOLOGY:
+        out.append((f"cohomology-{cfg}", ["cohomology", "--config", cfg]))
+    for cfg in COHOMOLOGY + ["a2_cartan_zeta3", "b2"]:
+        out.append((f"epsilon-{cfg}", ["epsilon", "--config", cfg]))
+    out.append(("cohomology-a2_cartan_zeta3-ell-1",
+                ["cohomology", "--config", "a2_cartan_zeta3", "--ell", "-1"]))
+    out.append(("twist", ["twist", "--bicharacter", bicharacter_path]))
+    for ex in LIE_EXAMPLES:
+        out.append((f"lie-check-{ex}", ["lie-check", "--example", ex]))
+        out.append((f"pbw-{ex}", ["pbw", "--example", ex]))
+    out.append(("fk-n4-symmetrizer", ["fk", "--n", "4", "--max-degree", "5", "--symmetrizer"]))
+    out.append(("fk-n3-rigidity", ["fk", "--n", "3", "--rigidity"]))
+    out.append(("selfcheck", ["selfcheck"]))
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="directory for the snapshot files")
+    args = parser.parse_args(argv)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    codes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        beta = Path(tmp) / "bicharacter.json"
+        beta.write_text(json.dumps(BICHARACTER))
+        for name, cmd in commands(str(beta)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "nicholsalg", *cmd, "--json"],
+                env=env, capture_output=True, text=True,
+            )
+            (out / f"{name}.json").write_text(proc.stdout)
+            codes.append(f"{name} {proc.returncode}\n")
+            print(f"{name}: exit {proc.returncode}", file=sys.stderr)
+    (out / "exit_codes.txt").write_text("".join(codes))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

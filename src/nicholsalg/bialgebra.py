@@ -61,6 +61,7 @@ class GradedBialgebraData:
         self._braid_tensor = {}
         self._coprod_tensor = {}
         self._mprod = {}
+        self._mult_tensor = {}
         self._iter_coprod = {}
 
     # -- bookkeeping -------------------------------------------------------
@@ -169,18 +170,24 @@ class GradedBialgebraData:
 
     def mult_tensor(self, t1, t2):
         """Product in the braided tensor-power algebra B^(x)q."""
+        key = (t1, t2)
+        hit = self._mult_tensor.get(key)
+        if hit is not None:
+            return hit
         if len(t1) != len(t2):
             raise ValueError(f"tensor factors of different lengths {len(t1)} and {len(t2)}")
         if not t1:
-            return {(): one()}
-        out = {}
-        u1, urest = t1[0], t1[1:]
-        v1, vrest = t2[0], t2[1:]
-        for (v1p, urestp), cb in self.braid_tensor(urest, (v1,)).items():
-            for k0, c0 in self.mult(u1, v1p[0]).items():
-                for trest, cr in self.mult_tensor(urestp, vrest).items():
-                    add_term(out, (k0,) + trest, cb * c0 * cr)
-        return out
+            hit = {(): one()}
+        else:
+            hit = {}
+            u1, urest = t1[0], t1[1:]
+            v1, vrest = t2[0], t2[1:]
+            for (v1p, urestp), cb in self.braid_tensor(urest, (v1,)).items():
+                for k0, c0 in self.mult(u1, v1p[0]).items():
+                    for trest, cr in self.mult_tensor(urestp, vrest).items():
+                        add_term(hit, (k0,) + trest, cb * c0 * cr)
+        self._mult_tensor[key] = hit
+        return hit
 
     def coprod_tensor(self, t):
         """Coproduct of the braided tensor-power coalgebra B^(x)q."""

@@ -1,112 +1,121 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Elements are represented by their canonical form: a rational-coefficient
-polynomial in zeta_n reduced modulo the n-th cyclotomic polynomial, so
-equality is coefficient equality and values are safe to hash.
+Elements are represented by their canonical form: a polynomial in zeta_n
+reduced modulo the n-th cyclotomic polynomial, stored as integer numerators
+over one positive common denominator in lowest terms (the layout of FLINT's
+fmpq_poly). Equality within one field is equality of that form; the hash is
+shared by equal values of different fields.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-
-
-def _poly_divmod(num, den):
-    """Quotient/remainder of integer-coefficient polynomials (lists, low first).
-
-    Assumes the division is exact enough for cyclotomic use: den is monic.
-    """
-    num = list(num)
-    deg_d = len(den) - 1
-    quot = [0] * max(len(num) - deg_d, 0)
-    for i in range(len(num) - deg_d - 1, -1, -1):
-        c = num[i + deg_d]
-        if c == 0:
-            continue
-        quot[i] = c
-        for j, d in enumerate(den):
-            num[i + j] -= c * d
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
+from math import gcd, lcm
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n):
     """Coefficients of Phi_n, lowest degree first, as a tuple of ints."""
-    if n == 1:
-        return (-1, 1)
     # x^n - 1 divided by the product of Phi_d over proper divisors d of n
-    poly = [0] * (n + 1)
-    poly[0], poly[n] = -1, 1
+    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_poly(d))
-            if rem != [0]:
+            poly, rem = _frac_poly_divmod(poly, cyclotomic_poly(d))
+            if any(rem):
                 raise RuntimeError("cyclotomic division must be exact")
-    return tuple(poly)
+    return tuple(int(c) for c in poly)
 
 
 @lru_cache(maxsize=None)
 def _reduction_table(n):
-    """Rows k = deg Phi_n .. n-1: zeta^k expressed in the canonical basis."""
+    """(d, rows) with d = deg Phi_n and rows[k - d] the sparse integer form
+    ((i, c), ...) of zeta^k in the canonical basis, for d <= k < max(n, 2d - 1).
+
+    That range covers every exponent below n and every exponent of a product
+    of two canonical forms.
+    """
     phi = cyclotomic_poly(n)
     d = len(phi) - 1
-    rows = {}
-    # zeta^d = -(phi_0 + phi_1 zeta + ... + phi_{d-1} zeta^{d-1})
-    cur = [Fraction(-c) for c in phi[:d]]
-    for k in range(d, n):
-        rows[k] = tuple(cur)
+    rows = []
+    # zeta^d = -(phi_0 + phi_1 zeta + ... + phi_{d-1} zeta^{d-1}); Phi_n is monic
+    cur = [-c for c in phi[:d]]
+    for _ in range(d, max(n, 2 * d - 1)):
+        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
         # multiply by zeta: shift, then fold the overflow back in
         top = cur[-1]
-        cur = [Fraction(0)] + cur[:-1]
+        cur = [0] + cur[:-1]
         if top:
             for i in range(d):
                 cur[i] -= top * phi[i]
-    return rows
+    return d, tuple(rows)
+
+
+def _reduce(n, poly):
+    """Canonical integer coefficients of sum poly[k] zeta_n^k (list, low first)."""
+    d, rows = _reduction_table(n)
+    out = poly[:d]
+    for k in range(d, len(poly)):
+        c = poly[k]
+        if c:
+            for i, r in rows[k - d]:
+                out[i] += c * r
+    return out
+
+
+def _canonical(n, num, den):
+    """The CycNumber num/den of Q(zeta_n) for integer num and den > 0."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return CycNumber(n, tuple(num), den)
 
 
 class CycNumber:
-    """An element of Q(zeta_n) in canonical (reduced) form."""
+    """An element of Q(zeta_n) in canonical (reduced) form.
 
-    __slots__ = ("n", "coeffs", "_hash")
+    The value is sum_k num[k] zeta_n^k / den over the basis 1, zeta_n, ...,
+    zeta_n^(d-1), d = deg Phi_n: integer numerators over one positive common
+    denominator, in lowest terms (gcd(den, *num) == 1, so zero has den 1).
+    Instances are never mutated.
+    """
 
-    def __init__(self, n, coeffs):
+    __slots__ = ("n", "num", "den", "_hash")
+
+    def __init__(self, n, num, den=1):
         self.n = n
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
         self._hash = None
+
+    @property
+    def coeffs(self):
+        """The canonical coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def zero(n=1):
-        d = len(cyclotomic_poly(n)) - 1
-        return CycNumber(n, (Fraction(0),) * d)
+        return CycNumber(n, (0,) * (len(cyclotomic_poly(n)) - 1))
 
     @staticmethod
     def from_rational(r, n=1):
-        d = len(cyclotomic_poly(n)) - 1
-        coeffs = [Fraction(0)] * d
-        coeffs[0] = Fraction(r)
-        return CycNumber(n, tuple(coeffs))
+        if not isinstance(r, int):
+            r = Fraction(r)
+        num = [0] * (len(cyclotomic_poly(n)) - 1)
+        num[0] = r.numerator
+        return CycNumber(n, tuple(num), r.denominator)
 
     @staticmethod
     def from_powers(n, powers):
         """Build sum of coeff * zeta_n^k from {k: coeff}, reducing mod Phi_n."""
-        d = len(cyclotomic_poly(n)) - 1
-        table = _reduction_table(n)
-        out = [Fraction(0)] * d
-        for k, coeff in powers.items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            k %= n
-            if k < d:
-                out[k] += coeff
-            else:
-                row = table[k]
-                for i in range(d):
-                    out[i] += coeff * row[i]
-        return CycNumber(n, tuple(out))
+        terms = [(k % n, Fraction(c)) for k, c in powers.items() if c]
+        den = lcm(*(c.denominator for _, c in terms))
+        poly = [0] * n
+        for k, c in terms:
+            poly[k] += c.numerator * (den // c.denominator)
+        return _canonical(n, _reduce(n, poly), den)
 
     def lift(self, m):
         """Embed into Q(zeta_m); requires n | m (zeta_n maps to zeta_m^(m/n))."""
@@ -114,14 +123,15 @@ class CycNumber:
             return self
         if m % self.n != 0:
             raise ValueError(f"cannot embed Q(zeta_{self.n}) into Q(zeta_{m})")
-        step = m // self.n
-        return CycNumber.from_powers(
-            m, {k * step: c for k, c in enumerate(self.coeffs) if c}
-        )
+        poly = [0] * m
+        poly[:: m // self.n] = self.num + (0,) * (self.n - len(self.num))
+        return _canonical(m, _reduce(m, poly), self.den)
 
     # -- coercion ---------------------------------------------------------
 
     def _pair(self, other):
+        if other.__class__ is CycNumber and other.n == self.n:
+            return self, other
         if isinstance(other, (int, Fraction)):
             other = CycNumber.from_rational(other, self.n)
         elif not isinstance(other, CycNumber):
@@ -137,60 +147,57 @@ class CycNumber:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return CycNumber(a.n, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.den == b.den:
+            return _canonical(a.n, [x + y for x, y in zip(a.num, b.num)], a.den)
+        da, db = a.den, b.den
+        return _canonical(a.n, [x * db + y * da for x, y in zip(a.num, b.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNumber(self.n, tuple(-x for x in self.coeffs))
+        return CycNumber(self.n, tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other):
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return CycNumber(a.n, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.den == b.den:
+            return _canonical(a.n, [x - y for x, y in zip(a.num, b.num)], a.den)
+        da, db = a.den, b.den
+        return _canonical(a.n, [x * db - y * da for x, y in zip(a.num, b.num)], da * db)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _scaled(self, r):
-        """self * r for a rational r; a factor of exactly 1 returns self."""
-        if r == 1:
+    def _scaled(self, p, q):
+        """self * p/q for p/q in lowest terms, q > 0; a factor of exactly 1 returns self."""
+        if p == q:
             return self
-        return CycNumber(self.n, tuple([x * r for x in self.coeffs]))
+        return _canonical(self.n, [x * p for x in self.num], self.den * q)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(other))
-        if isinstance(other, CycNumber):
-            # a factor from Q(zeta_1) scales the other one in its own field;
-            # when both are rational, a left factor of 1 still returns other
-            if self.n == 1 and (other.n != 1 or self.coeffs[0] == 1):
-                return other._scaled(self.coeffs[0])
-            if other.n == 1:
-                return self._scaled(other.coeffs[0])
-        a, b = self._pair(other)
-        if a is None:
+        if not isinstance(other, CycNumber):
+            if isinstance(other, int):
+                return self._scaled(other, 1)
+            if isinstance(other, Fraction):
+                return self._scaled(other.numerator, other.denominator)
             return NotImplemented
-        n = a.n
-        d = len(a.coeffs)
-        # convolution with exponents folded mod n (zeta^n = 1), then mod Phi_n
-        prod = [Fraction(0)] * n
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    prod[(i + j) % n] += x * y
-        table = _reduction_table(n)
-        out = prod[:d]
-        for k in range(d, n):
-            c = prod[k]
-            if c:
-                row = table[k]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return CycNumber(n, tuple(out))
+        # a factor from Q(zeta_1) scales the other one in its own field;
+        # when both are rational, a left factor of 1 still returns other
+        if self.n == 1 and (other.n != 1 or self.num[0] == self.den):
+            return other._scaled(self.num[0], self.den)
+        if other.n == 1:
+            return self._scaled(other.num[0], other.den)
+        a, b = self._pair(other)
+        # integer convolution, then reduction mod Phi_n
+        y = b.num
+        prod = [0] * (2 * len(y) - 1)
+        for i, x in enumerate(a.num):
+            if x:
+                for k, c in enumerate(y, i):
+                    if c:
+                        prod[k] += x * c
+        return _canonical(a.n, _reduce(a.n, prod), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -198,25 +205,27 @@ class CycNumber:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
         if self.n == 1:
-            return CycNumber(1, (1 / self.coeffs[0],))
-        # extended Euclid in Q[x] against Phi_n
+            p = self.num[0]
+            return CycNumber(1, (self.den if p > 0 else -self.den,), abs(p))
+        # extended Euclid in Q[x] against Phi_n, on the numerator polynomial
         phi = [Fraction(c) for c in cyclotomic_poly(self.n)]
-        a = list(self.coeffs)
+        a = [Fraction(c) for c in self.num]
         while len(a) > 1 and a[-1] == 0:
             a.pop()
-        # invariants: s * self = r (mod Phi_n)
+        # invariants: s * num = r (mod Phi_n)
         r0, s0 = phi, [Fraction(0)]
         r1, s1 = a, [Fraction(1)]
         while True:
             if len(r1) == 1:
-                inv = [c / r1[0] for c in s1]
+                scale = self.den / r1[0]
+                inv = [c * scale for c in s1]
                 break
             q, rem = _frac_poly_divmod(r0, r1)
             while len(rem) > 1 and rem[-1] == 0:
                 rem.pop()
             s2 = _frac_poly_sub(s0, _frac_poly_mul(q, s1))
             r0, s0, r1, s1 = r1, s1, rem, s2
-        return CycNumber.from_powers(self.n, {k: c for k, c in enumerate(inv) if c})
+        return CycNumber.from_powers(self.n, dict(enumerate(inv)))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -246,33 +255,40 @@ class CycNumber:
     # -- predicates -------------------------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_one(self):
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and self.is_rational()
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (
+                self.num[0] == other.numerator and self.den == other.denominator
+                and self.is_rational()
+            )
         if not isinstance(other, CycNumber):
             return NotImplemented
-        if self.n == other.n:
-            return self.coeffs == other.coeffs
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
+        # The normalised trace Tr(x) / [Q(zeta_n):Q] does not change under
+        # lift, and equals x itself on a rational x. zeta_n^k has order
+        # m = n / gcd(n, k); its conjugates are the roots of Phi_m, whose sum
+        # mu(m) is minus the coefficient below the leading one.
         if self._hash is None:
-            if self.is_rational():
-                self._hash = hash(self.coeffs[0])
-            else:
-                self._hash = hash((self.n, self.coeffs))
+            trace = Fraction(0)
+            for k, c in enumerate(self.num):
+                if c:
+                    phi = cyclotomic_poly(self.n // gcd(self.n, k))
+                    trace += Fraction(-phi[-2] * c, len(phi) - 1)
+            self._hash = hash(trace / self.den)
         return self._hash
 
     def __repr__(self):

@@ -137,9 +137,8 @@ def test_coactions_keep_positive_legs(name):
         assert B.coact_right(t) == right, (name, t)
 
 
-@pytest.mark.parametrize("name", ["fk3", "a2_super"])
-def test_mprod_computed_once(name, monkeypatch):
-    B = _built(name)
+def _count_mult(monkeypatch):
+    """The list that records every later GradedBialgebraData.mult call."""
     calls = []
     mult = GradedBialgebraData.mult
 
@@ -148,9 +147,32 @@ def test_mprod_computed_once(name, monkeypatch):
         return mult(self, i, j)
 
     monkeypatch.setattr(GradedBialgebraData, "mult", counting_mult)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["fk3", "a2_super"])
+def test_mprod_computed_once(name, monkeypatch):
+    B = _built(name)
+    calls = _count_mult(monkeypatch)
     tuples = list(chain(B.positive_tuples(2), B.positive_tuples(3)))
     first = [B.mprod(t) for t in tuples]
     assert calls
     calls.clear()
     assert [B.mprod(t) for t in tuples] == first
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["fk3", "a2_super"])
+def test_mult_tensor_computed_once(name, monkeypatch):
+    B = _built(name)
+    calls = _count_mult(monkeypatch)
+    pairs = [(i, t) for i in B.positive() for t in B.positive_tuples(2)]
+
+    def actions():
+        return [(B.act_left(i, t), B.act_right(t, i)) for i, t in pairs]
+
+    first = actions()
+    assert calls
+    calls.clear()
+    assert actions() == first
     assert calls == []

@@ -1,13 +1,16 @@
 """Exact cyclotomic arithmetic."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nicholsalg.cyclo import (
+    CycNumber,
     cyc_order,
+    cyclotomic_poly,
     format_cyc,
     is_primitive_root,
     one,
@@ -97,3 +100,95 @@ def test_rational_factor_matches_lifted_product(n, cs, r):
 def test_zero_inverse_raises():
     with pytest.raises(ZeroDivisionError):
         rational(0).inverse()
+
+
+def test_equal_values_hash_equal_across_conductors():
+    same = [zeta(3), zeta(6) ** 2, parse_cyc("zeta12^4"), zeta(3).lift(12)]
+    assert all(v == same[0] for v in same)
+    assert len({hash(v) for v in same}) == 1
+    assert len(set(same)) == 1
+    assert hash(rational(Fraction(-3, 4)).lift(12)) == hash(Fraction(-3, 4))
+    assert hash(rational(5).lift(9)) == hash(5)
+
+
+# -- the integer kernel against a naive Fraction reference ------------------
+
+def ref_reduce(n, poly):
+    """Fraction polynomial (low first) mod Phi_n, as deg Phi_n coefficients."""
+    phi = cyclotomic_poly(n)
+    d = len(phi) - 1
+    poly = [Fraction(c) for c in poly] + [Fraction(0)] * d
+    for k in range(len(poly) - 1, d - 1, -1):
+        c = poly[k]
+        if c:
+            for j, p in enumerate(phi):
+                poly[k - d + j] -= c * p
+    return poly[:d]
+
+
+def ref_lift(n, poly, m):
+    """sum poly[k] zeta_n^k, written in Q(zeta_m)."""
+    out = [Fraction(0)] * (m * len(poly))
+    for k, c in enumerate(poly):
+        out[k * (m // n)] += c
+    return ref_reduce(m, out)
+
+
+def ref_mul(n, a, b):
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_reduce(n, out)
+
+
+def assert_canonical(x, n, ref):
+    assert x.n == n
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den >= 1 and gcd(x.den, *x.num) == 1
+    if not any(ref):
+        assert x.den == 1 and x.is_zero()
+    assert list(x.coeffs) == ref
+
+
+kernel_orders = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12])
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+
+
+@st.composite
+def elements(draw):
+    """(n, polynomial in zeta_n) with exponents up to n - 1, unreduced."""
+    n = draw(kernel_orders)
+    return n, draw(st.lists(small_fractions, min_size=1, max_size=n))
+
+
+@given(elements(), elements())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_fraction_reference(xa, xb):
+    (na, pa), (nb, pb) = xa, xb
+    a = CycNumber.from_powers(na, dict(enumerate(pa)))
+    b = CycNumber.from_powers(nb, dict(enumerate(pb)))
+    assert_canonical(a, na, ref_reduce(na, pa))
+    m = lcm(na, nb)
+    ra, rb = ref_lift(na, pa, m), ref_lift(nb, pb, m)
+    assert_canonical(a.lift(m), m, ra)
+    assert hash(a.lift(m)) == hash(a)
+    assert_canonical(a + b, m, [x + y for x, y in zip(ra, rb)])
+    assert_canonical(a - b, m, [x - y for x, y in zip(ra, rb)])
+    assert_canonical(a * b, m, ref_mul(m, ra, rb))
+    if not b.is_zero():
+        inv = b.inverse()
+        assert_canonical(inv, nb, list(inv.coeffs))
+        one_ref = [Fraction(1)] + [Fraction(0)] * (len(inv.num) - 1)
+        assert ref_mul(nb, ref_reduce(nb, pb), list(inv.coeffs)) == one_ref
+
+
+@given(elements())
+@settings(max_examples=60, deadline=None)
+def test_rational_round_trip_keeps_value_and_hash(xa):
+    n, p = xa
+    x = CycNumber.from_powers(n, dict(enumerate(p)))
+    y = (x / 3) * 3
+    assert y == x and (y.num, y.den) == (x.num, x.den)
+    assert hash(y) == hash(x)
+    assert_canonical(x / 3, n, [c / 3 for c in ref_reduce(n, p)])
