@@ -42,7 +42,7 @@ def commands(bicharacter_path):
         for cmd in ("diagram", "roots", "relations", "rigidity", "rewrite"):
             out.append((f"{cmd}-{cfg}", [cmd, "--config", cfg]))
         out.append((f"nichols-{cfg}", ["nichols", "--config", cfg, "--max-degree", "6"]))
-    for cfg in COHOMOLOGY:
+    for cfg in COHOMOLOGY + ["a2_cartan_zeta3", "b2"]:
         out.append((f"cohomology-{cfg}", ["cohomology", "--config", cfg]))
     for cfg in COHOMOLOGY + ["a2_cartan_zeta3", "b2"]:
         out.append((f"epsilon-{cfg}", ["epsilon", "--config", cfg]))

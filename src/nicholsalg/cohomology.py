@@ -21,84 +21,86 @@ from .cyclo import CycNumber, one, rational
 from .linalg import Echelon, add_term, nullspace, row_axpy, sparse_rank
 
 
-# -- generic values: scalars or formal linear combinations ------------------
-
-
-def _vadd(target, key, v, c):
-    """target[key] += c*v for scalar or linear-combination values."""
-    if isinstance(v, CycNumber):
-        add_term(target, key, v * c)
-    else:
-        cur = target.setdefault(key, {})
-        row_axpy(cur, c, v)
-        if not cur:
-            target.pop(key, None)
-
-
 # -- cochain faces ----------------------------------------------------------
+#
+# A cochain (B+)^p -> (B+)^q is stored on its entries (s, t): s a p-tuple and t
+# a q-tuple of basis indices. Each face is a sparse matrix over entries, given
+# as a stream of (output entry, input entry, coeff) over the input entries it
+# is handed; with none it yields nothing and touches no structure table.
 
 
-def _lookup_of(cochain):
+def _by_source(keys):
+    """Entry keys grouped by source; rows reuse these key objects rather
+    than building a new tuple per matrix entry."""
     by_src = {}
-    for (s, t), v in cochain.items():
-        by_src.setdefault(s, {})[t] = v
-    return lambda s: by_src.get(s, {})
+    for key in keys:
+        by_src.setdefault(key[0], []).append(key)
+    return by_src
 
 
-def _signs(n):
-    """(-1)^i for i = 0..n, as field elements."""
-    return [rational(-1 if i % 2 else 1) for i in range(n + 1)]
-
-
-def dh_apply(B, cochain, p, q):
-    """Hochschild differential of a (p, q)-cochain, as a (p+1, q)-cochain.
-
-    The cochain is a dict {(source tuple, target tuple): value}; values are
-    scalars or formal linear combinations and pass through linearly.
-    """
-    look = _lookup_of(cochain)
-    signs = _signs(p + 1)
-    out = {}
+def _dh_entries(B, keys, p):
+    """Matrix entries of the Hochschild face on (p, q)-cochain entries."""
+    look = _by_source(keys)
+    if not look:
+        return
     for s in B.positive_tuples(p + 1):
-        for t, v in look(s[1:]).items():
-            for t2, c in B.act_left(s[0], t).items():
-                _vadd(out, (s, t2), v, c)
+        for inp in look.get(s[1:], ()):
+            for t2, c in B.act_left(s[0], inp[1]).items():
+                yield (s, t2), inp, c
         for i in range(1, p + 1):
             for j, cm in B.mult(s[i - 1], s[i]).items():
-                s2 = s[: i - 1] + (j,) + s[i + 1 :]
-                for t, v in look(s2).items():
-                    _vadd(out, (s, t), v, cm * signs[i])
-        for t, v in look(s[:p]).items():
-            for t2, c in B.act_right(t, s[p]).items():
-                _vadd(out, (s, t2), v, c * signs[p + 1])
-    return out
+                for inp in look.get(s[: i - 1] + (j,) + s[i + 1 :], ()):
+                    yield (s, inp[1]), inp, -cm if i % 2 else cm
+        for inp in look.get(s[:p], ()):
+            for t2, c in B.act_right(inp[1], s[p]).items():
+                yield (s, t2), inp, c if p % 2 else -c
 
 
-def dc_apply(B, cochain, p, q):
-    """Coalgebra-type differential of a (p, q)-cochain, as a (p, q+1)-cochain."""
-    look = _lookup_of(cochain)
-    signs = _signs(q + 1)
-    out = {}
+def _dc_entries(B, keys, p):
+    """Matrix entries of the coalgebra face on (p, q)-cochain entries."""
+    look = _by_source(keys)
+    if not look:
+        return
     for s in B.positive_tuples(p):
-        entries = look(s)
         for (j0, s2), c in B.coact_left(s).items():
-            for t, v in look(s2).items():
-                _vadd(out, (s, (j0,) + t), v, c)
-        for j in range(1, q + 1):
-            for t, v in entries.items():
+            for inp in look.get(s2, ()):
+                yield (s, (j0,) + inp[1]), inp, c
+        for inp in look.get(s, ()):
+            t = inp[1]
+            for j in range(1, len(t) + 1):
                 for (a, b), c in B.coprod(t[j - 1]).items():
-                    _vadd(out, (s, t[: j - 1] + (a, b) + t[j:]), v, c * signs[j])
+                    yield (s, t[: j - 1] + (a, b) + t[j:]), inp, -c if j % 2 else c
         for (s2, j0), c in B.coact_right(s).items():
-            for t, v in look(s2).items():
-                _vadd(out, (s, t + (j0,)), v, c * signs[q + 1])
-    return out
+            for inp in look.get(s2, ()):
+                t = inp[1]
+                yield (s, t + (j0,)), inp, -c if len(t) % 2 == 0 else c
+
+
+def _rows(entries):
+    """Collect a face stream into rows {output entry: {input entry: coeff}}."""
+    rows = {}
+    for out, inp, c in entries:
+        add_term(rows.setdefault(out, {}), inp, c)
+    for key in [key for key, row in rows.items() if not row]:
+        del rows[key]
+    return rows
+
+
+def dh_apply(B, keys, p, q):
+    """Hochschild face on (p, q)-cochain entries, as rows over those entries."""
+    return _rows(_dh_entries(B, keys, p))
+
+
+def dc_apply(B, keys, p, q):
+    """Coalgebra-type face on (p, q)-cochain entries, as rows over them."""
+    return _rows(_dc_entries(B, keys, p))
 
 
 # -- morphism constraints ----------------------------------------------------
 
 
-def map_unknowns(B, p, q, ell, kind):
-    """Labels for the entries of a degree-l morphism (B+)^p -> (B+)^q."""
+def map_unknowns(B, p, q, ell):
+    """Entries (s, t) of a degree-l morphism (B+)^p -> (B+)^q."""
     out = []
     cat = B.category
     for s in B.positive_tuples(p):
@@ -111,7 +113,7 @@ def map_unknowns(B, p, q, ell, kind):
                 continue
             if cat and cat.tuple_label(t) != slab:
                 continue
-            out.append((kind, s, t))
+            out.append((s, t))
     return out
 
 
@@ -127,116 +129,92 @@ def _tensor_action(B, mat, tup):
 
 
 def equivariance_rows(B, unknowns, p):
-    """Rows forcing a symbolic map to commute with the group action."""
+    """Rows forcing a map on the given entries to commute with the group action."""
     cat = B.category
-    if cat is None or not cat.action_gens:
+    if cat is None or not cat.action_gens or not unknowns:
         return []
-    by_src = {}
-    for kind, s, t in unknowns:
-        by_src.setdefault(s, []).append((t, (kind, s, t)))
+    by_src = _by_source(unknowns)
     rows = []
     for mat in cat.action_gens:
         for s in B.positive_tuples(p):
             per_t = {}
             for s2, c in _tensor_action(B, mat, s).items():
-                for t, lab in by_src.get(s2, []):
-                    add_term(per_t.setdefault(t, {}), lab, c)
-            for t, lab in by_src.get(s, []):
-                for t2, c in _tensor_action(B, mat, t).items():
-                    add_term(per_t.setdefault(t2, {}), lab, -c)
+                for key in by_src.get(s2, ()):
+                    add_term(per_t.setdefault(key[1], {}), key, c)
+            for key in by_src.get(s, ()):
+                for t2, c in _tensor_action(B, mat, key[1]).items():
+                    add_term(per_t.setdefault(t2, {}), key, -c)
             rows.extend(r for r in per_t.values() if r)
     return rows
 
 
-def _symbolic(unknowns):
-    return {(s, t): {lab: one()} for lab in unknowns for (_, s, t) in [lab]}
+def _coboundary_rank(B, hU, faces, allowed, cocycle_rows):
+    """dim of the image of the equivariant maps on the entries hU under the
+    face rows D: rank[E; D] - rank E, with E the equivariance rows on hU.
 
-
-def _morphism_basis(B, unknowns, p):
-    """Basis of the equivariant maps inside the label-filtered unknowns."""
-    return [vec for _, vec in nullspace(equivariance_rows(B, unknowns, p), unknowns)]
+    The image must consist of cocycle morphisms: every face row at an entry
+    outside allowed, and the pullback r.D of every cocycle row r, must vanish
+    on ker E, that is, lie in the row space of E.
+    """
+    ech = Echelon()
+    for row in equivariance_rows(B, hU, 1):
+        ech.add(row)
+    rank_e = ech.rank
+    if any(key not in allowed and not ech.contains(row) for key, row in faces.items()):
+        raise RuntimeError("coboundary leaves the morphism space")
+    for r in cocycle_rows:
+        pulled = {}
+        for key, c in r.items():
+            if key in faces:
+                row_axpy(pulled, c, faces[key])
+        if not ech.contains(pulled):
+            raise RuntimeError("coboundary fails a cocycle condition")
+    for row in faces.values():
+        ech.add(row)
+    return ech.rank - rank_e
 
 
 # -- truncated second cohomology --------------------------------------------
 
 
-def truncated_H2(B, ell, verify=True):
+def truncated_H2(B, ell):
     """dims of the degree-l cocycle pair space, coboundaries and quotient.
 
     Pairs (f, g) with f: (B+)^2 -> B+ and g: B+ -> (B+)^2, both morphisms
     of degree l, subject to the associativity, coassociativity and
     compatibility conditions; coboundaries come from morphisms h: B+ -> B+.
     """
-    fU = map_unknowns(B, 2, 1, ell, "f")
-    gU = map_unknowns(B, 1, 2, ell, "g")
+    fU = map_unknowns(B, 2, 1, ell)
+    gU = map_unknowns(B, 1, 2, ell)
     cocycle_rows = _cocycle_rows(B, fU, gU)
     dim_z = len(fU) + len(gU) - sparse_rank(cocycle_rows)
 
-    hU = map_unknowns(B, 1, 1, ell, "h")
-    h_sym = _symbolic(hU)
-    faces = [  # entries over ('h', s, t); the coboundary of h is (dh h, -dc h)
-        ("f", dh_apply(B, h_sym, 1, 1), False),
-        ("g", dc_apply(B, h_sym, 1, 1), True),
-    ]
-    images = _coboundary_images(_morphism_basis(B, hU, 1), faces)
-    dim_b = sparse_rank(images)
-
-    if verify:
-        allowed = set(fU) | set(gU)
-        for img in images:
-            if not set(img) <= allowed:
-                raise RuntimeError("coboundary leaves the morphism space")
-            for row in cocycle_rows:
-                if not _contract(row, img).is_zero():
-                    raise RuntimeError("coboundary fails a cocycle condition")
-
+    hU = map_unknowns(B, 1, 1, ell)
+    # the coboundary of h is (dh h, -dc h); f and g entries differ in shape
+    faces = dh_apply(B, hU, 1, 1)
+    for key, row in dc_apply(B, hU, 1, 1).items():
+        faces[key] = {k: -c for k, c in row.items()}
+    dim_b = _coboundary_rank(B, hU, faces, set(fU) | set(gU), cocycle_rows)
     return {"Z": dim_z, "B": dim_b, "H": dim_z - dim_b}
 
 
 def _cocycle_rows(B, fU, gU):
-    """Equations on the f/g unknowns: equivariance, associativity (dh f),
+    """Equations on the f/g entries: equivariance, associativity (dh f),
     coassociativity (dc g) and compatibility (dc f + dh g)."""
-    f_sym = _symbolic(fU)
-    g_sym = _symbolic(gU)
     rows = equivariance_rows(B, fU, 2) + equivariance_rows(B, gU, 1)
-    rows += dh_apply(B, f_sym, 2, 1).values()
-    rows += dc_apply(B, g_sym, 1, 2).values()
-    compat = dc_apply(B, f_sym, 2, 1)
-    for key, lc in dh_apply(B, g_sym, 1, 2).items():
-        _vadd(compat, key, lc, one())
-    rows += compat.values()
+    rows += dh_apply(B, fU, 2, 1).values()
+    rows += dc_apply(B, gU, 1, 2).values()
+    compat = dc_apply(B, fU, 2, 1)
+    for key, row in dh_apply(B, gU, 1, 2).items():
+        row_axpy(compat.setdefault(key, {}), one(), row)
+    rows += (row for row in compat.values() if row)
     return rows
 
 
-def _contract(lc, vec):
-    total = rational(0)
-    for lab, c in lc.items():
-        v = vec.get(lab)
-        if v is not None:
-            total = total + c * v
-    return total
-
-
-def _coboundary_images(basis, faces):
-    """Evaluate symbolic faces [(kind, face, negate)] at each basis vector.
-
-    Returns one sparse vector over (kind, s, t) entry labels per vector.
-    """
-    images = []
-    for vec in basis:
-        img = {}
-        for kind, face, negate in faces:
-            for (s, t), lc in face.items():
-                val = _contract(lc, vec)
-                add_term(img, (kind, s, t), -val if negate else val)
-        images.append(img)
-    return images
-
-
 def solve_cocycles(B, ell):
-    """Basis of the degree-l cocycle pairs as dicts over f/g entry labels."""
-    fU = map_unknowns(B, 2, 1, ell, "f")
-    gU = map_unknowns(B, 1, 2, ell, "g")
+    """Basis of the degree-l cocycle pairs as dicts over f/g entries (s, t)."""
+    fU = map_unknowns(B, 2, 1, ell)
+    gU = map_unknowns(B, 1, 2, ell)
     return [vec for _, vec in nullspace(_cocycle_rows(B, fU, gU), fU + gU)]
 
 
@@ -246,15 +224,11 @@ def check_filtration_vanishing(B, pair_vec, ell, r):
     With f_s the restriction of f to sources of total degree s: if r > 1,
     f_{<=r} = 0 and g_{<r} = 0 then g_r = 0; if l < 0 and f_{<=r} = 0 then
     g_{<=r} = 0; and if f = 0 with l < 0 then g = 0. Returns True when all
-    applicable implications hold for the given pair.
+    applicable implications hold for the given pair (f entries have 2-tuple
+    sources, g entries 1-tuple ones).
     """
-
-    def src_deg(lab):
-        _, s, _ = lab
-        return sum(B.degree(i) for i in s)
-
-    f_degs = {src_deg(lab) for lab in pair_vec if lab[0] == "f"}
-    g_degs = {src_deg(lab) for lab in pair_vec if lab[0] == "g"}
+    f_degs = {sum(B.degree(i) for i in s) for s, _ in pair_vec if len(s) == 2}
+    g_degs = {sum(B.degree(i) for i in s) for s, _ in pair_vec if len(s) == 1}
     ok = True
     if r > 1 and not any(d <= r for d in f_degs) and not any(d < r for d in g_degs):
         ok = ok and r not in g_degs
@@ -275,12 +249,12 @@ def tot_differential(B, comps):
         if not F:
             continue
         dh = out.setdefault((p + 1, q), {})
-        for key, v in dh_apply(B, F, p, q).items():
-            add_term(dh, key, v)
-        sign = rational(-1 if p % 2 else 1)
+        for key, inp, c in _dh_entries(B, F, p):
+            add_term(dh, key, F[inp] * c)
+        signed = {k: -v for k, v in F.items()} if p % 2 else F
         dc = out.setdefault((p, q + 1), {})
-        for key, v in dc_apply(B, F, p, q).items():
-            add_term(dc, key, v * sign)
+        for key, inp, c in _dc_entries(B, signed, p):
+            add_term(dc, key, signed[inp] * c)
     return out
 
 
@@ -293,24 +267,24 @@ def random_cochain(B, p, q, rng, entries=12):
     """
     cat = B.category
     keys = [
-        ("x", s, t)
+        (s, t)
         for s in B.positive_tuples(p)
         for t in B.positive_tuples(q)
         if cat is None or cat.tuple_label(s) == cat.tuple_label(t)
     ]
     if cat is not None and cat.action_gens:
-        basis = _morphism_basis(B, keys, p)
+        basis = [vec for _, vec in nullspace(equivariance_rows(B, keys, p), keys)]
         rng.shuffle(basis)
         out = {}
         for vec in basis[:entries]:
             c = rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-            for (_, s, t), v in vec.items():
-                add_term(out, (s, t), v * c)
+            for key, v in vec.items():
+                add_term(out, key, v * c)
         return out
     rng.shuffle(keys)
     return {
-        (s, t): rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-        for (_, s, t) in keys[:entries]
+        key: rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        for key in keys[:entries]
     }
 
 
@@ -345,21 +319,20 @@ def epsilon_H2(B):
     """
     cat = B.category
 
-    def unknowns(p, kind):
+    def unknowns(p):
         return [
-            (kind, s, ())
+            (s, ())
             for s in B.positive_tuples(p)
             if cat is None or cat.tuple_label(s) == cat.label_unit
         ]
 
-    fU = unknowns(2, "f")
+    fU = unknowns(2)
     rows = equivariance_rows(B, fU, 2)
-    rows += dh_apply(B, _symbolic(fU), 2, 0).values()
+    rows += dh_apply(B, fU, 2, 0).values()
     dim_z = len(fU) - sparse_rank(rows)
 
-    tU = unknowns(1, "t")
-    faces = [("f", dh_apply(B, _symbolic(tU), 1, 0), False)]
-    dim_b = sparse_rank(_coboundary_images(_morphism_basis(B, tU, 1), faces))
+    tU = unknowns(1)
+    dim_b = _coboundary_rank(B, tU, dh_apply(B, tU, 1, 0), set(fU), rows)
     return {"Z": dim_z, "B": dim_b, "H": dim_z - dim_b}
 
 
@@ -558,9 +531,8 @@ def first_order_deformation(B, pair_vec, r):
     """
     fpart = {}
     gpart = {}
-    for lab, c in pair_vec.items():
-        kind, s, t = lab
-        if kind == "f":
+    for (s, t), c in pair_vec.items():
+        if len(s) == 2:
             fpart.setdefault(s, {})[t[0]] = c
         else:
             gpart.setdefault(s[0], {})[t] = c

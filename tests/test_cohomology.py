@@ -13,6 +13,7 @@ from nicholsalg.tensoralg import TensorElement
 from nicholsalg.bialgebra import attach_diagonal_category, from_nichols
 from nicholsalg.relations import quotient_realization
 from nicholsalg.fk import fk_bialgebra
+from nicholsalg import cohomology
 from nicholsalg.cohomology import (
     TruncPoly,
     check_filtration_vanishing,
@@ -66,6 +67,55 @@ def test_nonzero_cocycle_spaces_pinned(name, ell, expected):
     assert (out["Z"], out["B"], out["H"]) == expected
 
 
+def test_coboundary_checks_catch_a_broken_face(monkeypatch):
+    # line(3) has no equivariance rows; fk3 checks against the S_3 action
+    for B in (line(3)[0], fk_bialgebra(3)[0]):
+        act_right = B.act_right
+        # the first non-zero product x_a x_b enters dh h at ell 0 through act_right
+        t0, i0 = next(((a,), b) for a in B.positive() for b in B.positive() if B.mult(a, b))
+
+        def broken(t, i):
+            out = act_right(t, i)
+            if (t, i) == (t0, i0):
+                out = {k: c * 2 for k, c in out.items()}
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(B, "act_right", broken)
+            with pytest.raises(RuntimeError, match="fails a cocycle condition"):
+                truncated_H2(B, 0)
+
+    map_unknowns = cohomology.map_unknowns
+
+    def without_f(B, p, q, ell):
+        return [] if (p, q) == (2, 1) else map_unknowns(B, p, q, ell)
+
+    monkeypatch.setattr(cohomology, "map_unknowns", without_f)
+    for B in (line(3)[0], fk_bialgebra(3)[0]):
+        with pytest.raises(RuntimeError, match="leaves the morphism space"):
+            truncated_H2(B, 0)
+
+
+def test_no_face_work_without_unknowns(monkeypatch):
+    B, _, _ = _finite_bialgebra(load_shipped("a2_super"), Namespace(max_degree=None))
+    assert not any(cohomology.map_unknowns(B, p, q, -1) for p, q in [(2, 1), (1, 2), (1, 1)])
+    calls = []
+
+    def counting(name):
+        method = getattr(B, name)
+
+        def wrapped(*args):
+            calls.append(name)
+            return method(*args)
+
+        return wrapped
+
+    for name in ("coact_left", "coact_right", "act_left", "act_right"):
+        monkeypatch.setattr(B, name, counting(name))
+    assert truncated_H2(B, -1) == {"Z": 0, "B": 0, "H": 0}
+    assert calls == []
+
+
 def test_total_differential_squares_to_zero():
     B3, _ = line(3)
     assert total_square_check(B3, seed=1, entries=8)
@@ -92,7 +142,7 @@ def test_non_cocycle_fails_deformation():
     B, _ = line(3)
     x = B.index[(0,)]
     x2 = B.index[(0, 0)]
-    fake = {("f", (x, x), (x2,)): one()}
+    fake = {((x, x), (x2,)): one()}
     _, report = first_order_deformation(B, fake, 1)
     assert not all(ok for ok, _ in report.values())
     assert report["compatibility"] == (False, (1, 1))
