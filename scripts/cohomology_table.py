@@ -14,12 +14,12 @@ from nicholsalg.cohomology import epsilon_H2, hom_M_dim, kernel_M, truncated_H2
 from nicholsalg.cyclo import zeta
 from nicholsalg.fk import fk_bialgebra
 from nicholsalg.relations import quotient_realization
-from nicholsalg.tensoralg import TensorElement
+from nicholsalg.tensoralg import monomial
 
 
 def line(N):
     V = build_diagonal([[zeta(N)]])
-    rel = TensorElement.monomial((0,) * N)
+    rel = monomial((0,) * N)
     B = from_nichols(V, [rel], N + 1)
     attach_diagonal_category(B, quotient_realization(V, N))
     return B, [rel]

@@ -17,7 +17,7 @@ from .braided import braid_word_blocks
 from .cyclo import one
 from .linalg import Echelon, add_term, row_axpy, sparse_rank
 from .rewriting import rewrite_dims
-from .tensoralg import TensorElement, braided_coproduct, ideal_component
+from .tensoralg import braided_coproduct, ideal_component
 
 
 class CategoryStructure:
@@ -116,7 +116,7 @@ class GradedBialgebraData:
         hit = self._coprod.get(i)
         if hit is None:
             out = {}
-            full = braided_coproduct(self.V, TensorElement.monomial(self.flat[i]))
+            full = braided_coproduct(self.V, {self.flat[i]: one()})
             for (u, v), c in full.items():
                 for iu, cu in self.vec_of({u: one()}).items():
                     for iv, cv in self.vec_of({v: one()}).items():
@@ -390,11 +390,10 @@ def biideal_witness(V, rs, relations):
     generator; rs must already reduce each generator to zero.
     """
     for rel in relations:
-        elem = rel if isinstance(rel, TensorElement) else TensorElement(dict(rel))
-        if rs.reduce(dict(elem.support)):
+        if rs.reduce(rel):
             return rel, "relation does not reduce to zero"
         leftover = {}
-        for (u, v), c in braided_coproduct(V, elem).items():
+        for (u, v), c in braided_coproduct(V, rel).items():
             for wu, cu in rs.reduce({u: one()}).items():
                 for wv, cv in rs.reduce({v: one()}).items():
                     add_term(leftover, (wu, wv), c * cu * cv)
@@ -529,10 +528,10 @@ def nichols_ideal_biideal_check(V, max_degree=4):
                 ech = Echelon()
                 for ie in ideal.get(a, []):
                     for v in product(range(V.rank), repeat=b):
-                        ech.add({(u, v): c for u, c in ie.support.items()})
+                        ech.add({(u, v): c for u, c in ie.items()})
                 for u in product(range(V.rank), repeat=a):
                     for je in ideal.get(b, []):
-                        ech.add({(u, v): c for v, c in je.support.items()})
+                        ech.add({(u, v): c for v, c in je.items()})
                 if not ech.contains(comp):
                     return False, (d, (a, b))
     return True, None

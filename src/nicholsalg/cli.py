@@ -46,7 +46,7 @@ from .liealg import (
 )
 from .relations import generate_relations, g_chi, rigidity_verdict
 from .rewriting import rewrite_dims
-from .tensoralg import nichols_dims
+from .tensoralg import DenseBudgetExceeded, nichols_dims
 from .weyl import diagram_summary, enumerate_roots
 
 LIE_EXAMPLES = {
@@ -210,7 +210,7 @@ def cmd_nichols(args):
     V = cfg.space()
     try:
         dims = nichols_dims(V, _max_degree(args, cfg.budgets["max_degree"]))
-    except MemoryError as e:
+    except DenseBudgetExceeded as e:
         return 2, cfg, {}, [f"budget: {e}"]
     return 0, cfg, {"dims": dims, "total": sum(dims)}, []
 
@@ -349,7 +349,7 @@ def cmd_fk(args):
     if args.symmetrizer:
         try:
             sdims = fk_dims_symmetrizer(args.n, max_degree)
-        except MemoryError as e:
+        except DenseBudgetExceeded as e:
             return 2, None, results, [f"budget: {e}"]
         results["symmetrizer_dims"] = sdims
         results["routes_agree"] = sdims == dims
@@ -431,19 +431,28 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input (exit 1); exit 2 means "not decided"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nicholsalg",
         description="Diagonal and symmetric-group braided algebra toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, config=False, help=""):
+    def add(name, config=False, seed=False, help=""):
         p = sub.add_parser(name, help=help)
         if config:
             p.add_argument("--config", required=True, help="shipped config name or JSON path")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         return p
 
     add("diagram", config=True, help="vertex/edge labels and Cartan data")
@@ -460,7 +469,7 @@ def build_parser():
     p.add_argument("--ell", type=int, help="single homogeneity degree")
     p = add("epsilon", config=True, help="H2_eps versus Hom(M, U)")
     p.add_argument("--max-degree", type=int)
-    p = add("twist", help="Scheunert cocycle and sign twist of a bicharacter")
+    p = add("twist", seed=True, help="Scheunert cocycle and sign twist of a bicharacter")
     p.add_argument("--bicharacter", required=True, help="bicharacter JSON path")
     p = add("lie-check", help="braided Lie axioms on a shipped example")
     p.add_argument("--example", choices=sorted(LIE_EXAMPLES), required=True)
@@ -472,7 +481,7 @@ def build_parser():
     p.add_argument("--max-degree", type=int)
     p.add_argument("--rigidity", action="store_true")
     p.add_argument("--symmetrizer", action="store_true", help="cross-check via symmetrizer ranks")
-    add("selfcheck", help="invariant suite over the shipped configs")
+    add("selfcheck", seed=True, help="invariant suite over the shipped configs")
     return parser
 
 

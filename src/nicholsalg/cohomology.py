@@ -19,6 +19,7 @@ from itertools import product
 from .bialgebra import check_bialgebra_axioms
 from .cyclo import CycNumber, one, rational
 from .linalg import Echelon, add_term, nullspace, row_axpy, sparse_rank
+from .tensoralg import degree
 
 
 # -- cochain faces ----------------------------------------------------------
@@ -101,19 +102,22 @@ def dc_apply(B, keys, p, q):
 
 def map_unknowns(B, p, q, ell):
     """Entries (s, t) of a degree-l morphism (B+)^p -> (B+)^q."""
-    out = []
+    targets = {}
+    for t in B.positive_tuples(q):
+        targets.setdefault(sum(B.degree(i) for i in t), []).append(t)
     cat = B.category
+    labels = {}
+
+    def label(tup):
+        if tup not in labels:
+            labels[tup] = cat.tuple_label(tup)
+        return labels[tup]
+
+    out = []
     for s in B.positive_tuples(p):
-        d = sum(B.degree(i) for i in s) + ell
-        if d < q:  # q positive legs need total degree >= q
-            continue
-        slab = cat.tuple_label(s) if cat else None
-        for t in B.positive_tuples(q):
-            if sum(B.degree(i) for i in t) != d:
-                continue
-            if cat and cat.tuple_label(t) != slab:
-                continue
-            out.append((s, t))
+        for t in targets.get(sum(B.degree(i) for i in s) + ell, ()):
+            if cat is None or label(t) == label(s):
+                out.append((s, t))
     return out
 
 
@@ -398,13 +402,7 @@ def kernel_M(B, relations=None, word_check_degree=6, max_degree=None):
 
 def _kernel_m_from_words(V, relations, max_degree):
     """dim I_d - dim (T+ I + I T+)_d per degree, inside the tensor algebra."""
-    rels = []
-    for rel in relations:
-        sup = rel.support if hasattr(rel, "support") else dict(rel)
-        deg = {len(w) for w in sup}
-        if len(deg) != 1:
-            raise ValueError(f"relation {rel!r} is not homogeneous")
-        rels.append((deg.pop(), sup))
+    rels = [(degree(rel), rel) for rel in relations if rel]
     dims = {}
     for d in range(2, max_degree + 1):
         full = Echelon()

@@ -12,7 +12,7 @@ from .bialgebra import attach_group_category, compose_perm, from_nichols
 from .braided import build_group_type, check_braid_equation
 from .cyclo import rational
 from .rewriting import rewrite_dims
-from .tensoralg import TensorElement, nichols_dims
+from .tensoralg import nichols_dims
 
 
 def transpositions(n):
@@ -75,20 +75,19 @@ def fk_relations(n):
     pairs = transpositions(n)
     index = {p: k for k, p in enumerate(pairs)}
 
-    def mon(a, b):
-        return TensorElement.monomial((index[a], index[b]))
+    def rel(*terms):
+        """sum of sign * x_a x_b over the (sign, a, b); no word repeats."""
+        return {(index[a], index[b]): rational(sign) for sign, a, b in terms}
 
-    rels = []
-    for p in pairs:
-        rels.append(TensorElement.monomial((index[p], index[p])))
+    rels = [rel((1, p, p)) for p in pairs]
     for i, j, k in combinations(range(1, n + 1), 3):
         ij, jk, ik = (i, j), (j, k), (i, k)
-        rels.append(mon(ij, jk) - mon(jk, ik) - mon(ik, ij))
-        rels.append(mon(jk, ij) - mon(ik, jk) - mon(ij, ik))
+        rels.append(rel((1, ij, jk), (-1, jk, ik), (-1, ik, ij)))
+        rels.append(rel((1, jk, ij), (-1, ik, jk), (-1, ij, ik)))
     for p, q in combinations(pairs, 2):
         if set(p) & set(q):
             continue
-        rels.append(mon(p, q) - mon(q, p))
+        rels.append(rel((1, p, q), (-1, q, p)))
     return rels
 
 
@@ -108,7 +107,7 @@ def fk_dims_symmetrizer(n, max_degree):
 def group_degree_of(V, element):
     """Group degree of a homogeneous tensor element; None if mixed."""
     degs = set()
-    for w in element.support:
+    for w in element:
         g = tuple(range(len(V.group_degrees[0])))
         for letter in w:
             g = compose_perm(g, V.group_degrees[letter])

@@ -58,8 +58,8 @@ class Echelon:
         if not row:
             return row
         col = min(row, key=self.key)
-        inv = row[col].inverse()
-        row = row_scale(row, inv)
+        if not row[col].is_one():
+            row = row_scale(row, row[col].inverse())
         # back-substitute into existing pivot rows to keep the form reduced
         for pcol, prow in self.pivots.items():
             if col in prow:

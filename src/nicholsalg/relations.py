@@ -19,7 +19,8 @@ from typing import Optional
 
 from .braided import DEFAULT_CARTAN_CAP, cartan_integer, is_cartan_vertex
 from .cyclo import cyc_order, one
-from .tensoralg import TensorElement, braided_adjoint_power, braided_commutator, root_vector_word
+from .linalg import row_axpy
+from .tensoralg import braided_adjoint_power, braided_commutator, concat, monomial, root_vector_word
 from .weyl import enumerate_roots
 
 ELEMENT_DEGREE_CAP = 12  # skip explicit word realizations above this degree
@@ -106,19 +107,15 @@ class RelationInstance:
     family: str
     participants: tuple  # index tuple, or a root vector degree
     degree: tuple  # Z^theta degree
-    element: Optional[TensorElement] = None
+    element: Optional[dict] = None  # {word: coeff} in T(V)
     note: str = ""
-
-    @property
-    def support(self):
-        return tuple(i for i, a in enumerate(self.degree) if a)
 
 
 # -- element builders ------------------------------------------------------
 
 
 def _gen(i):
-    return TensorElement.generator(i)
+    return monomial((i,))
 
 
 def _xw(V, letters):
@@ -149,13 +146,21 @@ def _tower(V, i, j, m):
 def _power(elem, n):
     out = elem
     for _ in range(n - 1):
-        out = out.concat(elem)
+        out = concat(out, elem)
+    return out
+
+
+def _combo(*terms):
+    """The linear combination sum of c * e over the (c, e) pairs."""
+    out = {}
+    for c, e in terms:
+        row_axpy(out, c, e)
     return out
 
 
 def _two_term(V, w, a, b, coef):
     """[[x_w, x_a]_c, x_b]_c - coef [[x_w, x_b]_c, x_a]_c."""
-    return _br(V, w, a, b) - _br(V, w, b, a).scale(coef)
+    return _combo((one(), _br(V, w, a, b)), (-coef, _br(V, w, b, a)))
 
 
 def _degree(theta, indices, copies):
@@ -268,10 +273,10 @@ def _triangle(V, d, i, j, k):
     q, t = d.q, d.t
     coef1 = (one() - t[j][k]) / (q[k][j] * (one() - t[i][k]))
     coef2 = q[i][j] * (one() - t[j][k])
-    return (
-        _br(V, (i, j, k))
-        - _br(V, (i, k), j).scale(coef1)
-        - _gen(j).concat(_xw(V, (i, k))).scale(coef2)
+    return _combo(
+        (one(), _br(V, (i, j, k))),
+        (-coef1, _br(V, (i, k), j)),
+        (-coef2, concat(_gen(j), _xw(V, (i, k)))),
     )
 
 
@@ -279,19 +284,19 @@ def _three_term_cube_edge(V, d, i, j, k):
     q = d.q
     c2 = (one() + q[j][j] ** 2) * q[k][j].inverse()
     c3 = (one() + q[j][j] ** 2) * (one() + q[j][j]) * q[i][j]
-    return (
-        _br(V, i, (j, j, k))
-        - _br(V, (i, j, k), j).scale(c2)
-        - _gen(j).concat(_xw(V, (i, j, k))).scale(c3)
+    return _combo(
+        (one(), _br(V, i, (j, j, k))),
+        (-c2, _br(V, (i, j, k), j)),
+        (-c3, concat(_gen(j), _xw(V, (i, j, k)))),
     )
 
 
 def _double_edge_sum(V, d, i, j, k):
     q = d.q
-    return (
-        _br(V, i, _br(V, (i, j), (i, k)))
-        + _br(V, (i, i, k), (i, j)).scale(q[j][k] * q[i][k] * q[j][i])
-        + _xw(V, (i, j)).concat(_xw(V, (i, i, k))).scale(q[i][j])
+    return _combo(
+        (one(), _br(V, i, _br(V, (i, j), (i, k)))),
+        (q[j][k] * q[i][k] * q[j][i], _br(V, (i, i, k), (i, j))),
+        (q[i][j], concat(_xw(V, (i, j)), _xw(V, (i, i, k)))),
     )
 
 
@@ -299,14 +304,16 @@ def _two_vertex_mixed(V, d, i, j):
     q, t = d.q, d.t
     c1 = (one() - t[i][j]) * q[j][j] * q[j][i]
     c2 = (one() + q[j][j]) * (one() - q[j][j] * t[i][j])
-    return _br(V, i, _br(V, (i, j), j)).scale(c1) - _power(_xw(V, (i, j)), 2).scale(c2)
+    return _combo((c1, _br(V, i, _br(V, (i, j), j))), (-c2, _power(_xw(V, (i, j)), 2)))
 
 
 def _high_root_serre(V, d, i, j):
     qii, tij = d.q[i][i], d.t[i][j]
     num = one() - qii * tij - qii ** 2 * tij ** 2 * d.q[j][j]
     den = (one() - qii * tij) * d.q[j][i]
-    return _br(V, i, _tower(V, i, j, 2)) - _power(_xw(V, (i, i, j)), 2).scale(num / den)
+    return _combo(
+        (one(), _br(V, i, _tower(V, i, j, 2))), (-(num / den), _power(_xw(V, (i, i, j)), 2))
+    )
 
 
 def _high_power_square(V, d, i, j):
@@ -315,7 +322,9 @@ def _high_power_square(V, d, i, j):
     b = (one() - z) * (one() - qii ** 6 * z ** 5) - a * qii * z
     num = b - (one() + qii) * (one() - qii * z) * (one() + z + qii * z ** 2) * qii ** 6 * z ** 4
     den = a * qii ** 3 * d.q[i][j] ** 2 * d.q[j][i] ** 3
-    return _br(V, (i, i, j), _tower(V, i, j, 3)) - _power(_tower(V, i, j, 2), 2).scale(num / den)
+    return _combo(
+        (one(), _br(V, (i, i, j), _tower(V, i, j, 3))), (-(num / den), _power(_tower(V, i, j, 2), 2))
+    )
 
 
 # -- catalog ---------------------------------------------------------------

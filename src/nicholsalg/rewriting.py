@@ -10,7 +10,7 @@ past the bound leaves all normal-word counts below it exact.
 from collections import deque
 
 from .cyclo import one
-from .linalg import row_axpy
+from .linalg import row_axpy, row_scale
 
 
 def deglex_key(word):
@@ -99,8 +99,9 @@ class RewriteSystem:
         if not red:
             return None
         lead = max(red, key=deglex_key)
-        inv = red[lead].inverse()
-        tail = {w: -(c * inv) for w, c in red.items() if w != lead}
+        if not red[lead].is_one():
+            red = row_scale(red, red[lead].inverse())
+        tail = {w: -c for w, c in red.items() if w != lead}
         # keep leads interreduced: rules whose lead contains the new lead
         # get re-added after the insertion
         stale = [
@@ -203,14 +204,11 @@ class RewriteSystem:
 def rewrite_dims(rank, relations, max_degree):
     """Graded dimensions of T(V)/(relations) up to max_degree by rewriting.
 
-    relations: iterable of TensorElements (or raw {word: coeff} dicts).
+    relations: iterable of elements {word: coeff} of T(V).
     """
     rs = RewriteSystem(rank, max_degree)
-    elems = []
-    for rel in relations:
-        elems.append(rel.support if hasattr(rel, "support") else dict(rel))
     # feed in ascending degree so truncation stays sound
-    for elem in sorted(elems, key=lambda e: max(len(w) for w in e)):
+    for elem in sorted(relations, key=lambda e: max(len(w) for w in e)):
         rs.add_relation(elem)
     rs.complete()
     return rs.normal_word_counts(max_degree), rs

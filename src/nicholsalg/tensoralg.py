@@ -1,137 +1,70 @@
 """Tensor algebra elements, quantum symmetrizers and Nichols-ideal data.
 
-Elements of T(V) are finitely supported maps from basis words (tuples of
-basis indices) to cyclotomic scalars. All braidings in scope are monomial,
-so braid-group lifts act on words one at a time.
+An element of T(V) is a linalg sparse vector {word: coeff}: basis words
+(tuples of basis indices) mapped to non-zero cyclotomic scalars. Sums and
+scalings are linalg.row_axpy and row_scale. All braidings in scope are
+monomial, so braid-group lifts act on words one at a time.
 """
 
 from itertools import permutations, product
 
 from .braided import apply_braiding_word, braid_word_blocks
-from .cyclo import one, rational
+from .cyclo import one
 from .linalg import Echelon, add_term, nullspace, row_axpy
 
 DENSE_WORD_BUDGET = 2 * 10**7
 
 
-class TensorElement:
-    """Homogeneous element of T(V): {word: coeff} with zero coeffs absent."""
+class DenseBudgetExceeded(Exception):
+    """V^(x)degree has more basis words than the dense symmetrizer route may
+    enumerate (DENSE_WORD_BUDGET)."""
 
-    __slots__ = ("support",)
 
-    def __init__(self, support=None):
-        self.support = {}
-        if support:
-            for w, c in support.items():
-                if not c.is_zero():
-                    self.support[w] = c
+def monomial(word, coeff=None):
+    """coeff * x_word in T(V); coeff defaults to 1."""
+    coeff = one() if coeff is None else coeff
+    return {} if coeff.is_zero() else {tuple(word): coeff}
 
-    @staticmethod
-    def monomial(word, coeff=None):
-        t = TensorElement()
-        coeff = one() if coeff is None else coeff
-        if not coeff.is_zero():
-            t.support[tuple(word)] = coeff
-        return t
 
-    @staticmethod
-    def generator(i):
-        return TensorElement.monomial((i,))
+def concat(a, b):
+    """Product in T(V) (word concatenation)."""
+    out = {}
+    for u, x in a.items():
+        for v, y in b.items():
+            add_term(out, u + v, x * y)
+    return out
 
-    def is_zero(self):
-        return not self.support
 
-    def degree(self):
-        if not self.support:
-            return None
-        degs = {len(w) for w in self.support}
-        if len(degs) != 1:
-            raise ValueError("element is not homogeneous in word length")
-        return degs.pop()
-
-    def multidegree(self, rank):
-        """N_0^theta degree (letter counts); requires homogeneity."""
-        degs = set()
-        for w in self.support:
-            d = [0] * rank
-            for i in w:
-                d[i] += 1
-            degs.add(tuple(d))
-        if len(degs) != 1:
-            raise ValueError("element is not multidegree-homogeneous")
-        return degs.pop()
-
-    def __add__(self, other):
-        out = dict(self.support)
-        row_axpy(out, one(), other.support)
-        return TensorElement(out)
-
-    def __sub__(self, other):
-        out = dict(self.support)
-        row_axpy(out, rational(-1), other.support)
-        return TensorElement(out)
-
-    def __neg__(self):
-        return TensorElement({w: -c for w, c in self.support.items()})
-
-    def scale(self, coeff):
-        if coeff.is_zero():
-            return TensorElement()
-        return TensorElement({w: c * coeff for w, c in self.support.items()})
-
-    def concat(self, other):
-        """Product in T(V) (word concatenation)."""
-        out = {}
-        for u, a in self.support.items():
-            for v, b in other.support.items():
-                add_term(out, u + v, a * b)
-        return TensorElement(out)
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.support == other.support
-
-    def __repr__(self):
-        if not self.support:
-            return "TensorElement(0)"
-        parts = [f"{c!r}*{w}" for w, c in sorted(self.support.items())]
-        return "TensorElement(" + " + ".join(parts) + ")"
+def degree(element):
+    """Word length of a homogeneous element (None for zero)."""
+    degs = {len(w) for w in element}
+    if len(degs) > 1:
+        raise ValueError("element is not homogeneous in word length")
+    return degs.pop() if degs else None
 
 
 def braiding_operator(V, element, pos):
     """Apply the braiding at tensor slots (pos, pos+1); pure, monomial."""
     out = {}
-    for w, c in element.support.items():
+    for w, c in element.items():
         coeff, nw = apply_braiding_word(V, w, pos)
         add_term(out, nw, coeff * c)
-    return TensorElement(out)
-
-
-def braid_blocks(V, a, b):
-    """Braiding of a pair of tensor elements as word blocks.
-
-    Returns TensorElement-valued pairs as dict {(right', left'): coeff}
-    via braid_word_blocks on each support pair.
-    """
-    out = {}
-    for u, cu in a.support.items():
-        for v, cv in b.support.items():
-            coeff, nv, nu = braid_word_blocks(V, u, v)
-            add_term(out, (nv, nu), coeff * cu * cv)
     return out
 
 
 def braided_commutator(V, a, b):
     """[a, b]_c = a b - m(c(a (x) b)) in T(V)."""
-    first = a.concat(b)
-    out = dict(first.support)
-    for (nv, nu), coeff in braid_blocks(V, a, b).items():
-        add_term(out, nv + nu, -coeff)
-    return TensorElement(out)
+    out = concat(a, b)
+    for u, cu in a.items():
+        for v, cv in b.items():
+            coeff, nv, nu = braid_word_blocks(V, u, v)
+            add_term(out, nv + nu, -(coeff * cu * cv))
+    return out
 
 
 def braided_adjoint_power(V, i, power, target):
     """(ad_c x_i)^power applied to target."""
-    xi = TensorElement.generator(i)
+    xi = monomial((i,))
     out = target
     for _ in range(power):
         out = braided_commutator(V, xi, out)
@@ -176,16 +109,16 @@ def matsumoto_symmetrizer(V, element, _cache=None):
     """Quantum symmetrizer S_n applied to a homogeneous tensor element."""
     cache = {} if _cache is None else _cache
     out = {}
-    for w, c in element.support.items():
+    for w, c in element.items():
         row_axpy(out, c, symmetrizer_image_word(V, w, _cache=cache))
-    return TensorElement(out)
+    return out
 
 
 def _check_dense_budget(V, degree):
-    """MemoryError, before any work, if V^(x)degree has more basis words than
-    the dense symmetrizer route may enumerate."""
+    """DenseBudgetExceeded, before any work, if V^(x)degree has more basis
+    words than the dense symmetrizer route may enumerate."""
     if V.rank**degree > DENSE_WORD_BUDGET:
-        raise MemoryError(
+        raise DenseBudgetExceeded(
             f"{V.rank}^{degree} basis words exceed DENSE_WORD_BUDGET = {DENSE_WORD_BUDGET} "
             "of the dense symmetrizer; use the rewriting engine instead"
         )
@@ -241,7 +174,7 @@ def nichols_dims(V, max_degree):
 
 
 def ideal_component(V, degree):
-    """Basis of ker S_degree as TensorElements."""
+    """Basis of ker S_degree as elements of T(V)."""
     if degree <= 1:
         return []
     basis = []
@@ -254,16 +187,14 @@ def ideal_component(V, degree):
                 mat.setdefault(out_word, {})[w] = c
         rows = list(mat.values())
         for _, vec in nullspace(rows, block):
-            basis.append(TensorElement(vec))
+            basis.append(vec)
     return basis
 
 
 def is_in_nichols_ideal(V, element):
     """True iff the quantum symmetrizer kills the (homogeneous) element."""
-    if element.is_zero():
-        return True
-    element.degree()  # raises if inhomogeneous
-    return matsumoto_symmetrizer(V, element).is_zero()
+    degree(element)  # raises if inhomogeneous
+    return not matsumoto_symmetrizer(V, element)
 
 
 def braided_coproduct(V, element):
@@ -273,7 +204,7 @@ def braided_coproduct(V, element):
     Delta(ab) = Delta(a) Delta(b) with (a (x) b)(s (x) t) = a c(b (x) s) t.
     """
     out = {}
-    for w, c in element.support.items():
+    for w, c in element.items():
         terms = {((), ()): one()}
         for letter in w:
             nxt = {}
@@ -306,7 +237,7 @@ def root_vector_word(V, alpha):
     for i, a in enumerate(alpha):
         letters.extend([i] * a)
     if len(letters) == 1:
-        return TensorElement.generator(letters[0])
+        return monomial(letters)
     word = _smallest_lyndon(tuple(sorted(letters)))
     if word is None:
         raise ValueError(f"no Lyndon word of multidegree {alpha}")
@@ -326,7 +257,7 @@ def _smallest_lyndon(sorted_letters):
 
 def _bracket_lyndon(V, w):
     if len(w) == 1:
-        return TensorElement.generator(w[0])
+        return monomial(w)
     # standard factorization: w = uv with v the longest proper Lyndon suffix
     for split in range(1, len(w)):
         v = w[split:]

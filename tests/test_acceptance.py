@@ -5,7 +5,7 @@ import time
 
 from nicholsalg.braided import build_diagonal
 from nicholsalg.cyclo import one, zeta
-from nicholsalg.tensoralg import TensorElement, nichols_dims
+from nicholsalg.tensoralg import monomial, nichols_dims
 from nicholsalg.weyl import enumerate_roots
 from nicholsalg.relations import (
     check_prop_gchi,
@@ -43,7 +43,7 @@ def report(num, ok, detail):
 
 def line_algebra(N):
     V = build_diagonal([[zeta(N)]])
-    rel = TensorElement.monomial((0,) * N)
+    rel = monomial((0,) * N)
     B = from_nichols(V, [rel], N + 1)
     attach_diagonal_category(B, quotient_realization(V, N))
     return B, [rel]

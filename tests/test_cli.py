@@ -6,7 +6,8 @@ from argparse import Namespace
 
 import pytest
 
-from nicholsalg.cli import _finite_bialgebra, main
+from nicholsalg import tensoralg
+from nicholsalg.cli import _finite_bialgebra, build_parser, main
 from nicholsalg.configs import load_shipped, shipped_config_names
 
 
@@ -95,6 +96,35 @@ def test_fk_small_n_rejected(capsys):
 def test_missing_config_file(capsys):
     code, _, err = run(capsys, "nichols", "--config", "/no/such/file.json")
     assert code == 1 and err
+
+
+def test_usage_errors_exit_1(capsys):
+    # exit 2 means "not decided / budget exceeded"; a typo is bad input
+    for argv in (
+        ["nichols"],
+        ["nichols", "--config", "b2", "--max-degree", "x"],
+        ["nichols", "--config", "b2", "--no-such-flag"],
+        ["nichols", "--config", "b2", "--seed", "1"],
+        ["no-such-command"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        assert "error:" in capsys.readouterr().err
+    for argv in (["--help"], ["nichols", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0, argv
+        assert "usage:" in capsys.readouterr().out
+
+
+def test_seed_only_where_read():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    with_seed = {
+        name for name, p in sub.choices.items()
+        if any("--seed" in a.option_strings for a in p._actions)
+    }
+    assert with_seed == {"twist", "selfcheck"}
 
 
 def test_twist_command(tmp_path, capsys):
@@ -205,3 +235,13 @@ def test_dense_budget_checked_before_work(capsys):
     code, rep, _ = run_json(capsys, "fk", "--n", "4", "--symmetrizer")
     assert code == 2
     assert "DENSE_WORD_BUDGET" in rep["warnings"][0]
+
+
+def test_real_memory_error_propagates(monkeypatch):
+    # only the dense-budget refusal is a budget outcome (exit 2)
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(tensoralg, "symmetrizer_rank", out_of_memory)
+    with pytest.raises(MemoryError):
+        main(["nichols", "--config", "rank1_zeta3"])

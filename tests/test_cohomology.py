@@ -9,7 +9,7 @@ from nicholsalg.braided import build_diagonal
 from nicholsalg.cli import _finite_bialgebra
 from nicholsalg.configs import load_shipped
 from nicholsalg.cyclo import one, zeta
-from nicholsalg.tensoralg import TensorElement
+from nicholsalg.tensoralg import monomial
 from nicholsalg.bialgebra import attach_diagonal_category, from_nichols
 from nicholsalg.relations import quotient_realization
 from nicholsalg.fk import fk_bialgebra
@@ -31,7 +31,7 @@ from nicholsalg.cohomology import (
 
 def line(N):
     V = build_diagonal([[zeta(N)]])
-    rel = TensorElement.monomial((0,) * N)
+    rel = monomial((0,) * N)
     B = from_nichols(V, [rel], N + 1)
     # the Z/N quotient makes the power relation live on a trivial group label
     attach_diagonal_category(B, quotient_realization(V, N))
@@ -94,6 +94,44 @@ def test_coboundary_checks_catch_a_broken_face(monkeypatch):
     for B in (line(3)[0], fk_bialgebra(3)[0]):
         with pytest.raises(RuntimeError, match="leaves the morphism space"):
             truncated_H2(B, 0)
+
+
+def _map_unknowns_reference(B, p, q, ell):
+    """map_unknowns as a plain double loop over source and target tuples."""
+    cat = B.category
+    out = []
+    for s in B.positive_tuples(p):
+        d = sum(B.degree(i) for i in s) + ell
+        for t in B.positive_tuples(q):
+            if sum(B.degree(i) for i in t) != d:
+                continue
+            if cat and cat.tuple_label(t) != cat.tuple_label(s):
+                continue
+            out.append((s, t))
+    return out
+
+
+@pytest.mark.parametrize("name", ["a2_super", "fk3"])
+def test_map_unknowns_labels_each_tuple_once(monkeypatch, name):
+    if name == "fk3":
+        B, _ = fk_bialgebra(3)
+    else:
+        B, _, _ = _finite_bialgebra(load_shipped(name), Namespace(max_degree=None))
+    cat = B.category
+    tuple_label = cat.tuple_label
+    for ell in (0, -1, -2, -3):
+        for p, q in [(2, 1), (1, 2), (1, 1), (2, 2)]:
+            expected = _map_unknowns_reference(B, p, q, ell)
+            labelled = []
+
+            def counting(tup):
+                labelled.append(tup)
+                return tuple_label(tup)
+
+            with monkeypatch.context() as m:
+                m.setattr(cat, "tuple_label", counting)
+                assert cohomology.map_unknowns(B, p, q, ell) == expected, (ell, p, q)
+            assert len(labelled) == len(set(labelled)), (ell, p, q)
 
 
 def test_no_face_work_without_unknowns(monkeypatch):

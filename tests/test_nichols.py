@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 
 from nicholsalg.braided import build_diagonal
 from nicholsalg.cyclo import one, rational, zeta
+from nicholsalg.linalg import row_axpy
 from nicholsalg.tensoralg import (
-    TensorElement,
     braided_adjoint_power,
     braided_commutator,
     braided_coproduct,
     ideal_component,
     is_in_nichols_ideal,
     matsumoto_symmetrizer,
+    monomial,
     nichols_dims,
     reduced_coproduct,
     symmetrizer_rank,
@@ -41,8 +42,8 @@ def test_rank1_generic_polynomial():
 def test_symmetrizer_degree2():
     # S_2 = id + c; on the superline it kills x (x) x
     V = rank1(rational(-1))
-    el = TensorElement.monomial((0, 0))
-    assert matsumoto_symmetrizer(V, el).is_zero()
+    el = monomial((0, 0))
+    assert matsumoto_symmetrizer(V, el) == {}
     assert is_in_nichols_ideal(V, el)
 
 
@@ -71,7 +72,7 @@ def test_ideal_component_dimensions():
 def test_braided_commutator_serre_element():
     # super A2: (ad x1)^2 x2 lies in the ideal, (ad x1) x2 does not
     V = build_diagonal([[rational(-1), one()], [zeta(3, 2), zeta(3)]])
-    x2 = TensorElement.generator(1)
+    x2 = monomial((1,))
     ad2 = braided_adjoint_power(V, 0, 2, x2)
     assert is_in_nichols_ideal(V, ad2)
     assert not is_in_nichols_ideal(V, braided_adjoint_power(V, 0, 1, x2))
@@ -79,9 +80,9 @@ def test_braided_commutator_serre_element():
 
 def test_coproduct_generators_primitive():
     V = build_diagonal([[zeta(3)]])
-    x = TensorElement.monomial((0,))
+    x = monomial((0,))
     assert not reduced_coproduct(V, x)
-    cop = braided_coproduct(V, TensorElement.monomial((0, 0)))
+    cop = braided_coproduct(V, monomial((0, 0)))
     assert cop[((0,), (0,))] == one() + zeta(3)
 
 
@@ -102,8 +103,8 @@ def test_ideal_kernel_matches_dims(q11, q12, q22):
 def test_commutator_antisymmetry_under_braiding(q11, q12):
     # c-symmetric inputs: [x, y] + q [y, x] has symmetrizer image 0 in deg 2
     V = build_diagonal([[q11, q12], [q12.inverse(), q11]])
-    x, y = TensorElement.generator(0), TensorElement.generator(1)
+    x, y = monomial((0,)), monomial((1,))
     el = braided_commutator(V, x, y)
     back = braided_commutator(V, y, x)
-    comb = el + back.scale(V.q(0, 1))
-    assert matsumoto_symmetrizer(V, comb).is_zero()
+    comb = row_axpy(dict(el), V.q(0, 1), back)
+    assert matsumoto_symmetrizer(V, comb) == {}

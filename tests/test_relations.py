@@ -3,8 +3,9 @@
 import pytest
 
 from nicholsalg.braided import build_diagonal
-from nicholsalg.configs import load_shipped
+from nicholsalg.configs import load_shipped, shipped_config_names
 from nicholsalg.cyclo import one, zeta
+from nicholsalg.fk import fk_relations
 from nicholsalg.relations import (
     _FAMILIES,
     canonical_realization,
@@ -51,13 +52,40 @@ def test_a2_relation_families():
             assert is_in_nichols_ideal(V, r.element), (r.family, r.participants)
 
 
+def _relation_elements():
+    for name in shipped_config_names():
+        cfg = load_shipped(name)
+        if cfg.kind != "diagonal":
+            continue
+        V = cfg.space()
+        rs = enumerate_roots(
+            V, cap=cfg.budgets["cartan_cap"], object_cap=cfg.budgets["object_cap"]
+        )
+        for r in generate_relations(V, rs, cap=cfg.budgets["cartan_cap"]):
+            if r.element is not None:
+                yield (name, r.family, r.participants), r.element
+    for n in (3, 4):
+        for k, rel in enumerate(fk_relations(n)):
+            yield (f"fk{n}", k), rel
+
+
+def test_relation_elements_are_homogeneous_sparse_vectors():
+    sources = set()
+    for where, el in _relation_elements():
+        assert type(el) is dict and el, where
+        assert len({len(w) for w in el}) == 1, where
+        assert all(not c.is_zero() for c in el.values()), where
+        sources.add(where[0])
+    assert sources == set(shipped_config_names())
+
+
 def test_relation_degrees_match_elements():
     cfg = load_shipped("a2_super")
     V = cfg.space()
     for r in generate_relations(V):
         if r.element is None:
             continue
-        for word in r.element.support:
+        for word in r.element:
             deg = [0] * V.rank
             for letter in word:
                 deg[letter] += 1

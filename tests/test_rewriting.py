@@ -6,21 +6,21 @@ from hypothesis import strategies as st
 
 from nicholsalg.braided import build_diagonal
 from nicholsalg.configs import load_shipped, shipped_config_names
-from nicholsalg.cyclo import one, rational, zeta
-from nicholsalg.tensoralg import TensorElement, nichols_dims
+from nicholsalg.cyclo import CycNumber, one, rational, zeta
+from nicholsalg.tensoralg import monomial, nichols_dims
 from nicholsalg.relations import generate_relations
 from nicholsalg.rewriting import RewriteSystem, rewrite_dims
 from nicholsalg.weyl import enumerate_roots
 
 
 def test_power_relation_truncates():
-    dims, _ = rewrite_dims(1, [TensorElement.monomial((0, 0, 0))], 6)
+    dims, _ = rewrite_dims(1, [monomial((0, 0, 0))], 6)
     assert dims == [1, 1, 1, 0, 0, 0, 0]
 
 
 def test_commutative_pair():
     # yx = xy: dims of the polynomial ring in 2 variables
-    rel = TensorElement.monomial((1, 0)) - TensorElement.monomial((0, 1))
+    rel = {(1, 0): one(), (0, 1): -one()}
     dims, _ = rewrite_dims(2, [rel], 5)
     assert dims == [1, 2, 3, 4, 5, 6]
 
@@ -29,16 +29,16 @@ def test_overlap_completion_needed():
     # quantum plane with both square relations: overlaps produce new rules
     q = zeta(3)
     rels = [
-        TensorElement.monomial((0, 0)),
-        TensorElement.monomial((1, 1)),
-        TensorElement.monomial((1, 0)) - TensorElement.monomial((0, 1)).scale(q),
+        monomial((0, 0)),
+        monomial((1, 1)),
+        {(1, 0): one(), (0, 1): -q},
     ]
     dims, rs = rewrite_dims(2, rels, 8)
     assert dims[:5] == [1, 2, 1, 0, 0]
 
 
 def test_normal_form_idempotent():
-    rel = TensorElement.monomial((1, 0)) - TensorElement.monomial((0, 1))
+    rel = {(1, 0): one(), (0, 1): -one()}
     _, rs = rewrite_dims(2, [rel], 6)
     nf = rs.normal_form_word((1, 0, 1, 0))
     again = {}
@@ -96,3 +96,19 @@ def test_routes_agree_on_shipped_config(name):
     ]
     dims, _ = rewrite_dims(V.rank, elems, 6)
     assert nichols_dims(V, 6) == dims
+
+
+def test_unit_lead_needs_no_inverse(monkeypatch):
+    calls = []
+    inverse = CycNumber.inverse
+
+    def counting(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CycNumber, "inverse", counting)
+    rs = RewriteSystem(2, 6)
+    assert rs.add_relation({(1, 0): one(), (0, 1): -zeta(3)}) == (1, 0)
+    assert rs.add_relation({(1, 1): one()}) == (1, 1)
+    assert calls == []
+    assert rs.rules[(1, 0)] == {(0, 1): zeta(3)}
