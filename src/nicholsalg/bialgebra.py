@@ -58,11 +58,10 @@ class GradedBialgebraData:
         self._mult = {}
         self._coprod = {}
         self._braid = {}
-        self._braid_tensor = {}
-        self._coprod_tensor = {}
-        self._mprod = {}
-        self._mult_tensor = {}
-        self._iter_coprod = {}
+        self._act_left = {}
+        self._act_right = {}
+        self._coact_left = {}
+        self._coact_right = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -138,151 +137,102 @@ class GradedBialgebraData:
         return hit
 
     # -- tensor power structure --------------------------------------------
-
-    def braid_tensor(self, left, right):
-        """c_{B^a, B^b} on basis tuples: {(right', left'): coeff}."""
-        key = (left, right)
-        hit = self._braid_tensor.get(key)
-        if hit is not None:
-            return hit
-        if not left or not right:
-            hit = {(right, left): one()}
-        elif len(left) == 1:
-            # cross the single letter over the right block, left to right
-            states = {((), left[0]): one()}
-            for vj in right:
-                nxt = {}
-                for (pv, x), c in states.items():
-                    for (k, l), co in self.braid(x, vj).items():
-                        add_term(nxt, (pv + (k,), l), c * co)
-                states = nxt
-            hit = {}
-            for (pv, x), c in states.items():
-                add_term(hit, (pv, (x,)), c)
-        else:
-            head, rest = left[:1], left[1:]
-            hit = {}
-            for (r1, rest1), c1 in self.braid_tensor(rest, right).items():
-                for (r2, head1), c2 in self.braid_tensor(head, r1).items():
-                    add_term(hit, (r2, head1 + rest1), c1 * c2)
-        self._braid_tensor[key] = hit
-        return hit
-
-    def mult_tensor(self, t1, t2):
-        """Product in the braided tensor-power algebra B^(x)q."""
-        key = (t1, t2)
-        hit = self._mult_tensor.get(key)
-        if hit is not None:
-            return hit
-        if len(t1) != len(t2):
-            raise ValueError(f"tensor factors of different lengths {len(t1)} and {len(t2)}")
-        if not t1:
-            hit = {(): one()}
-        else:
-            hit = {}
-            u1, urest = t1[0], t1[1:]
-            v1, vrest = t2[0], t2[1:]
-            for (v1p, urestp), cb in self.braid_tensor(urest, (v1,)).items():
-                for k0, c0 in self.mult(u1, v1p[0]).items():
-                    for trest, cr in self.mult_tensor(urestp, vrest).items():
-                        add_term(hit, (k0,) + trest, cb * c0 * cr)
-        self._mult_tensor[key] = hit
-        return hit
-
-    def coprod_tensor(self, t):
-        """Coproduct of the braided tensor-power coalgebra B^(x)q."""
-        hit = self._coprod_tensor.get(t)
-        if hit is not None:
-            return hit
-        if not t:
-            hit = {((), ()): one()}
-        else:
-            hit = {}
-            head, rest = t[0], t[1:]
-            for (a, b), c0 in self.coprod(head).items():
-                for (t1, t2), c1 in self.coprod_tensor(rest).items():
-                    for (t1p, bp), cb in self.braid_tensor((b,), t1).items():
-                        add_term(hit, ((a,) + t1p, bp + t2), c0 * c1 * cb)
-        self._coprod_tensor[t] = hit
-        return hit
-
-    def iter_coprod(self, i, q):
-        """Iterated coproduct Delta^(q): B -> B^(x)q on a basis element."""
-        key = (i, q)
-        hit = self._iter_coprod.get(key)
-        if hit is not None:
-            return hit
-        if q == 0:
-            hit = {(): one()} if i == self.unit else {}
-        elif q == 1:
-            hit = {(i,): one()}
-        else:
-            hit = {}
-            for t, c in self.iter_coprod(i, q - 1).items():
-                for (a, b), c0 in self.coprod(t[0]).items():
-                    add_term(hit, (a, b) + t[1:], c * c0)
-        self._iter_coprod[key] = hit
-        return hit
-
-    def mprod(self, t):
-        """Iterated product of a basis tuple: {index: coeff}."""
-        hit = self._mprod.get(t)
-        if hit is not None:
-            return hit
-        hit = {self.unit: one()}
-        for i in t:
-            nxt = {}
-            for j, c in hit.items():
-                for k, cm in self.mult(j, i).items():
-                    add_term(nxt, k, c * cm)
-            hit = nxt
-        self._mprod[t] = hit
-        return hit
+    # Each operation peels one tensor leg and recurses on the shorter tuple,
+    # using only coprod, braid and mult. This is valid because the braiding
+    # is natural for the product and the coproduct, and it keeps degrees, so
+    # a braided leg is positive exactly when the leg it came from was.
 
     def act_left(self, i, t):
-        """Regular left action of e_i on B^(x)q via the iterated coproduct."""
-        out = {}
-        for u, cu in self.iter_coprod(i, len(t)).items():
-            for t2, c in self.mult_tensor(u, t).items():
-                add_term(out, t2, cu * c)
-        return out
+        """Regular left action Delta^(q)(e_i) . t on B^(x)q: {t': coeff}."""
+        key = (i, t)
+        hit = self._act_left.get(key)
+        if hit is None:
+            if not t:
+                hit = {(): one()} if i == self.unit else {}
+            else:
+                hit = {}
+                head, rest = t[0], t[1:]
+                for (a1, a2), c0 in self.coprod(i).items():
+                    for (h, a2p), cb in self.braid(a2, head).items():
+                        tail = self.act_left(a2p, rest)
+                        if not tail:
+                            continue
+                        for k, cm in self.mult(a1, h).items():
+                            c = c0 * cb * cm
+                            for r, cr in tail.items():
+                                add_term(hit, (k,) + r, c * cr)
+            self._act_left[key] = hit
+        return hit
 
     def act_right(self, t, i):
-        out = {}
-        for u, cu in self.iter_coprod(i, len(t)).items():
-            for t2, c in self.mult_tensor(t, u).items():
-                add_term(out, t2, cu * c)
-        return out
+        """Regular right action t . Delta^(q)(e_i) on B^(x)q: {t': coeff}."""
+        key = (t, i)
+        hit = self._act_right.get(key)
+        if hit is None:
+            if not t:
+                hit = {(): one()} if i == self.unit else {}
+            else:
+                hit = {}
+                front, last = t[:-1], t[-1]
+                for (b1, b2), c0 in self.coprod(i).items():
+                    for (b1p, h), cb in self.braid(last, b1).items():
+                        front_acted = self.act_right(front, b1p)
+                        if not front_acted:
+                            continue
+                        for k, cm in self.mult(h, b2).items():
+                            c = c0 * cb * cm
+                            for f, cf in front_acted.items():
+                                add_term(hit, f + (k,), c * cf)
+            self._act_right[key] = hit
+        return hit
 
     def coact_left(self, t):
         """Left coaction B^(x)p -> B (x) (B+)^(x)p: {(j, t'): coeff}.
 
         Only the terms whose tensor side t' has every leg positive are kept:
         the cochain faces act on (B+)^(x)p, and the unit is the one basis
-        element of degree 0.
+        element of degree 0. A unit leg is skipped as soon as it is split off.
         """
-        unit = self.unit
-        out = {}
-        for (t1, t2), c in self.coprod_tensor(t).items():
-            if unit in t2:
-                continue
-            for j, cm in self.mprod(t1).items():
-                add_term(out, (j, t2), c * cm)
-        return out
+        hit = self._coact_left.get(t)
+        if hit is None:
+            if not t:
+                hit = {(self.unit, ()): one()}
+            else:
+                hit = {}
+                head, rest = t[0], t[1:]
+                for (j, r), c1 in self.coact_left(rest).items():
+                    for (a1, a2), c0 in self.coprod(head).items():
+                        if a2 == self.unit:
+                            continue
+                        for (h, a2p), cb in self.braid(a2, j).items():
+                            c = c1 * c0 * cb
+                            for k, cm in self.mult(a1, h).items():
+                                add_term(hit, (k, (a2p,) + r), c * cm)
+            self._coact_left[t] = hit
+        return hit
 
     def coact_right(self, t):
         """Right coaction B^(x)p -> (B+)^(x)p (x) B: {(t', j): coeff}.
 
         As coact_left, only terms with every leg of t' positive are kept.
         """
-        unit = self.unit
-        out = {}
-        for (t1, t2), c in self.coprod_tensor(t).items():
-            if unit in t1:
-                continue
-            for j, cm in self.mprod(t2).items():
-                add_term(out, (t1, j), c * cm)
-        return out
+        hit = self._coact_right.get(t)
+        if hit is None:
+            if not t:
+                hit = {((), self.unit): one()}
+            else:
+                hit = {}
+                front, last = t[:-1], t[-1]
+                for (f, j), c1 in self.coact_right(front).items():
+                    for (b1, b2), c0 in self.coprod(last).items():
+                        if b1 == self.unit:
+                            continue
+                        for (b1p, h), cb in self.braid(j, b1).items():
+                            c = c1 * c0 * cb
+                            for k, cm in self.mult(h, b2).items():
+                                add_term(hit, (f + (b1p,), k), c * cm)
+            self._coact_right[t] = hit
+        return hit
 
     def check_all(self):
         return check_bialgebra_axioms(
@@ -517,21 +467,29 @@ def nichols_ideal_biideal_check(V, max_degree=4):
     I (x) T + T (x) I. Returns (True, None) or (False, witness).
     """
     ideal = {d: ideal_component(V, d) for d in range(2, max_degree + 1)}
+    echelons = {}
+
+    def split_echelon(a, b):
+        """Echelon form of I_a (x) T_b + T_a (x) I_b, built once per split."""
+        ech = echelons.get((a, b))
+        if ech is None:
+            ech = echelons[(a, b)] = Echelon()
+            for ie in ideal.get(a, []):
+                for v in product(range(V.rank), repeat=b):
+                    ech.add({(u, v): c for u, c in ie.items()})
+            for u in product(range(V.rank), repeat=a):
+                for je in ideal.get(b, []):
+                    ech.add({(u, v): c for v, c in je.items()})
+        return ech
+
     for d in range(2, max_degree + 1):
         for r in ideal[d]:
-            cop = braided_coproduct(V, r)
             by_split = {}
+            cop = braided_coproduct(V, r)
             for (u, v), c in cop.items():
                 if u and v:
                     by_split.setdefault((len(u), len(v)), {})[(u, v)] = c
             for (a, b), comp in by_split.items():
-                ech = Echelon()
-                for ie in ideal.get(a, []):
-                    for v in product(range(V.rank), repeat=b):
-                        ech.add({(u, v): c for u, c in ie.items()})
-                for u in product(range(V.rank), repeat=a):
-                    for je in ideal.get(b, []):
-                        ech.add({(u, v): c for v, c in je.items()})
-                if not ech.contains(comp):
+                if not split_echelon(a, b).contains(comp):
                     return False, (d, (a, b))
     return True, None

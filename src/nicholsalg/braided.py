@@ -106,7 +106,7 @@ def braid_word_blocks(V, left, right):
     return coeff, word[:b], word[b:]
 
 
-def check_braid_equation(V, degree=3):
+def check_braid_equation(V):
     """Exhaustively verify the braid equation on basis words of V^(x)3.
 
     Returns (True, None) or (False, offending_word).

@@ -276,10 +276,6 @@ def braided_commutator(A, beta):
 # -- universal envelope ------------------------------------------------------
 
 
-def _desc_len_key(word):
-    return (-len(word), word)
-
-
 def enveloping_dims(L, max_degree, slack=2):
     """Filtered dims of U_c(L) and graded dims of gr, vs Nichols dims.
 
@@ -303,7 +299,8 @@ def enveloping_dims(L, max_degree, slack=2):
                 add_term(row, (k,), -c)
             if row:
                 rels.append(row)
-    ech = Echelon(key=_desc_len_key)
+    # columns are keyed (-len(word), word), so a row's pivot is its longest word
+    ech = Echelon()
     bound = max_degree + slack
 
     def words(length):
@@ -320,11 +317,11 @@ def enveloping_dims(L, max_degree, slack=2):
             for u in words(la):
                 for v in words(lb):
                     for r in rels:
-                        row = {u + w + v: c for w, c in r.items()}
+                        row = {(-len(w) - la - lb, u + w + v): c for w, c in r.items()}
                         ech.add(row)
     ideal_counts = [0] * (bound + 1)
     for lead in ech.pivots:
-        ideal_counts[len(lead)] += 1
+        ideal_counts[-lead[0]] += 1
     filtered = []
     cum_words = 0
     cum_ideal = 0

@@ -37,16 +37,15 @@ def row_axpy(target, coeff, source):
 
 
 class Echelon:
-    """Incremental reduced echelon form with pluggable pivot order."""
+    """Incremental reduced echelon form; a row's pivot is its smallest column key."""
 
-    def __init__(self, key=None):
+    def __init__(self):
         self.pivots = {}  # pivot column -> row (pivot coeff 1)
-        self.key = key or (lambda c: c)
 
     def reduce(self, row):
         """Fully reduce a row against the current basis; returns a new dict."""
         row = {k: v for k, v in row.items() if not v.is_zero()}
-        for col in sorted(row, key=self.key):
+        for col in sorted(row):
             piv = self.pivots.get(col)
             if piv is not None:
                 row_axpy(row, -row[col], piv)
@@ -57,7 +56,7 @@ class Echelon:
         row = self.reduce(row)
         if not row:
             return row
-        col = min(row, key=self.key)
+        col = min(row)
         if not row[col].is_one():
             row = row_scale(row, row[col].inverse())
         # back-substitute into existing pivot rows to keep the form reduced

@@ -57,10 +57,8 @@ class RewriteSystem:
             start, lead = red
             tail = self.rules[lead]
             pending = []
-            children = []
             for tw in tail:
                 nw = w[:start] + tw + w[start + len(lead) :]
-                children.append(nw)
                 if nw not in self._nf_cache:
                     pending.append(nw)
             if pending:
@@ -207,8 +205,8 @@ def rewrite_dims(rank, relations, max_degree):
     relations: iterable of elements {word: coeff} of T(V).
     """
     rs = RewriteSystem(rank, max_degree)
-    # feed in ascending degree so truncation stays sound
-    for elem in sorted(relations, key=lambda e: max(len(w) for w in e)):
+    # feed in ascending degree so truncation stays sound; a zero relation says nothing
+    for elem in sorted(filter(None, relations), key=lambda e: max(len(w) for w in e)):
         rs.add_relation(elem)
     rs.complete()
     return rs.normal_word_counts(max_degree), rs

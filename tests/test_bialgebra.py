@@ -9,8 +9,9 @@ from nicholsalg.braided import build_diagonal
 from nicholsalg.cli import _finite_bialgebra
 from nicholsalg.configs import load_shipped
 from nicholsalg.cyclo import one, rational, zeta
-from nicholsalg.fk import fk_bialgebra
+from nicholsalg.fk import build_fk_space, fk_bialgebra
 from nicholsalg.tensoralg import ideal_component, monomial
+from nicholsalg import bialgebra
 from nicholsalg.bialgebra import (
     GradedBialgebraData,
     attach_diagonal_category,
@@ -20,7 +21,7 @@ from nicholsalg.bialgebra import (
 )
 from nicholsalg.relations import canonical_realization
 from nicholsalg.rewriting import rewrite_dims
-from nicholsalg.linalg import add_term
+from nicholsalg.linalg import Echelon, add_term, row_axpy
 
 
 def rank1_algebra(N):
@@ -100,6 +101,21 @@ def test_nichols_ideal_is_biideal():
         assert ok, (name, witness)
 
 
+def test_biideal_check_builds_one_echelon_per_split(monkeypatch):
+    built = []
+
+    class CountingEchelon(Echelon):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(bialgebra, "Echelon", CountingEchelon)
+    ok, witness = nichols_ideal_biideal_check(build_fk_space(3), max_degree=4)
+    assert ok, witness
+    # degree <= 4 has the splits (a, b) with a + b <= 4 and a, b >= 1
+    assert 0 < len(built) <= 6
+
+
 def test_braid_tensor_matches_category():
     V, B = rank1_algebra(3)
     attach_diagonal_category(B, canonical_realization(V))
@@ -109,29 +125,133 @@ def test_braid_tensor_matches_category():
 
 
 def _built(name):
-    """fk3 (a nonabelian category) or a2_super (super signs), built afresh."""
+    """fk3 (a nonabelian category), a2_super (super signs) or line<N>, built afresh."""
     if name == "fk3":
         return fk_bialgebra(3)[0]
+    if name.startswith("line"):
+        return rank1_algebra(int(name[4:]))[1]
     return _finite_bialgebra(load_shipped(name), Namespace(max_degree=None))[0]
+
+
+# -- reference tensor-power structure ------------------------------------------
+# Whole-tuple definitions of the tensor-power operations: the braiding of two
+# tuples, the braided tensor-power product, the iterated coproduct Delta^(q),
+# the tensor-power coproduct and the product of legs. GradedBialgebraData
+# computes the actions and coactions one leg at a time instead; these are the
+# independent check of those recursions.
+
+
+def braid_tensor(B, left, right):
+    """c_{B^a, B^b} on basis tuples: {(right', left'): coeff}."""
+    if not left or not right:
+        return {(right, left): one()}
+    out = {}
+    if len(left) == 1:
+        # cross the single letter over the right block, left to right
+        states = {((), left[0]): one()}
+        for vj in right:
+            nxt = {}
+            for (pv, x), c in states.items():
+                for (k, l), co in B.braid(x, vj).items():
+                    add_term(nxt, (pv + (k,), l), c * co)
+            states = nxt
+        for (pv, x), c in states.items():
+            add_term(out, (pv, (x,)), c)
+        return out
+    for (r1, rest1), c1 in braid_tensor(B, left[1:], right).items():
+        for (r2, head1), c2 in braid_tensor(B, left[:1], r1).items():
+            add_term(out, (r2, head1 + rest1), c1 * c2)
+    return out
+
+
+def mult_tensor(B, t1, t2):
+    """Product in the braided tensor-power algebra B^(x)q."""
+    if not t1:
+        return {(): one()}
+    out = {}
+    for (v1p, urestp), cb in braid_tensor(B, t1[1:], t2[:1]).items():
+        for k0, c0 in B.mult(t1[0], v1p[0]).items():
+            for trest, cr in mult_tensor(B, urestp, t2[1:]).items():
+                add_term(out, (k0,) + trest, cb * c0 * cr)
+    return out
+
+
+def iter_coprod(B, i, q):
+    """Iterated coproduct Delta^(q): B -> B^(x)q on a basis element."""
+    if q == 0:
+        return {(): one()} if i == B.unit else {}
+    out = {(i,): one()}
+    for _ in range(q - 1):
+        nxt = {}
+        for t, c in out.items():
+            for (a, b), c0 in B.coprod(t[0]).items():
+                add_term(nxt, (a, b) + t[1:], c * c0)
+        out = nxt
+    return out
+
+
+def coprod_tensor(B, t):
+    """Coproduct of the braided tensor-power coalgebra B^(x)q."""
+    if not t:
+        return {((), ()): one()}
+    out = {}
+    for (a, b), c0 in B.coprod(t[0]).items():
+        for (t1, t2), c1 in coprod_tensor(B, t[1:]).items():
+            for (t1p, bp), cb in braid_tensor(B, (b,), t1).items():
+                add_term(out, ((a,) + t1p, bp + t2), c0 * c1 * cb)
+    return out
+
+
+def mprod(B, t):
+    """Iterated product of a basis tuple: {index: coeff}."""
+    out = {B.unit: one()}
+    for i in t:
+        nxt = {}
+        for j, c in out.items():
+            for k, cm in B.mult(j, i).items():
+                add_term(nxt, k, c * cm)
+        out = nxt
+    return out
+
+
+def _reference_actions(B, i, t):
+    """Delta^(q)(e_i) . t and t . Delta^(q)(e_i) in the braided tensor power."""
+    left, right = {}, {}
+    for u, cu in iter_coprod(B, i, len(t)).items():
+        row_axpy(left, cu, mult_tensor(B, u, t))
+        row_axpy(right, cu, mult_tensor(B, t, u))
+    return left, right
 
 
 def _reference_coactions(B, t):
     """Both coactions from coprod_tensor and mprod, filtered to positive legs."""
     left, right = {}, {}
-    for (t1, t2), c in B.coprod_tensor(t).items():
+    for (t1, t2), c in coprod_tensor(B, t).items():
         if all(B.degree(i) > 0 for i in t2):
-            for j, cm in B.mprod(t1).items():
-                add_term(left, (j, t2), c * cm)
+            row_axpy(left, c, {(j, t2): cm for j, cm in mprod(B, t1).items()})
         if all(B.degree(i) > 0 for i in t1):
-            for j, cm in B.mprod(t2).items():
-                add_term(right, (t1, j), c * cm)
+            row_axpy(right, c, {(t1, j): cm for j, cm in mprod(B, t2).items()})
     return left, right
 
 
-@pytest.mark.parametrize("name", ["fk3", "a2_super"])
+def _short_tuples(B):
+    return list(chain([()], B.positive_tuples(1), B.positive_tuples(2)))
+
+
+@pytest.mark.parametrize("name", ["fk3", "a2_super", "line4"])
+def test_actions_match_reference(name):
+    B = _built(name)
+    for t in _short_tuples(B):
+        for i in B.positive():
+            left, right = _reference_actions(B, i, t)
+            assert B.act_left(i, t) == left, (name, i, t)
+            assert B.act_right(t, i) == right, (name, t, i)
+
+
+@pytest.mark.parametrize("name", ["fk3", "a2_super", "line4"])
 def test_coactions_keep_positive_legs(name):
     B = _built(name)
-    for t in chain(B.positive_tuples(1), B.positive_tuples(2)):
+    for t in _short_tuples(B):
         left, right = _reference_coactions(B, t)
         assert B.coact_left(t) == left, (name, t)
         assert B.coact_right(t) == right, (name, t)
@@ -151,19 +271,23 @@ def _count_mult(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["fk3", "a2_super"])
-def test_mprod_computed_once(name, monkeypatch):
+def test_coactions_computed_once(name, monkeypatch):
     B = _built(name)
     calls = _count_mult(monkeypatch)
     tuples = list(chain(B.positive_tuples(2), B.positive_tuples(3)))
-    first = [B.mprod(t) for t in tuples]
+
+    def coactions():
+        return [(B.coact_left(t), B.coact_right(t)) for t in tuples]
+
+    first = coactions()
     assert calls
     calls.clear()
-    assert [B.mprod(t) for t in tuples] == first
+    assert coactions() == first
     assert calls == []
 
 
 @pytest.mark.parametrize("name", ["fk3", "a2_super"])
-def test_mult_tensor_computed_once(name, monkeypatch):
+def test_actions_computed_once(name, monkeypatch):
     B = _built(name)
     calls = _count_mult(monkeypatch)
     pairs = [(i, t) for i in B.positive() for t in B.positive_tuples(2)]

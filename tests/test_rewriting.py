@@ -112,3 +112,10 @@ def test_unit_lead_needs_no_inverse(monkeypatch):
     assert rs.add_relation({(1, 1): one()}) == (1, 1)
     assert calls == []
     assert rs.rules[(1, 0)] == {(0, 1): zeta(3)}
+
+
+def test_zero_relation_is_skipped():
+    dims, _ = rewrite_dims(1, [{}], 3)
+    assert dims == [1, 1, 1, 1]
+    dims, _ = rewrite_dims(1, [{}, {(0, 0): one()}], 3)
+    assert dims == [1, 1, 0, 0]
