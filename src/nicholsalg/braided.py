@@ -23,7 +23,6 @@ class BraidedSpace:
     scal: tuple  # scal[i][j] -> CycNumber
     qmatrix: Optional[tuple] = None  # diagonal only
     group_degrees: Optional[tuple] = None  # group only; hashable elements
-    group: object = None  # group only; object with mul/inv/act hooks
 
     @property
     def rank(self):
@@ -66,14 +65,13 @@ def build_diagonal(qmatrix, basis=None):
     )
 
 
-def build_group_type(basis, act, scal, group_degrees, group=None):
+def build_group_type(basis, act, scal, group_degrees):
     return BraidedSpace(
         kind="group",
         basis=tuple(basis),
         act=tuple(tuple(r) for r in act),
         scal=tuple(tuple(r) for r in scal),
         group_degrees=tuple(group_degrees),
-        group=group,
     )
 
 

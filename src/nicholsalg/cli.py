@@ -232,7 +232,10 @@ def _finite_bialgebra(cfg, args):
     if cfg.kind == "fk":
         if cfg.n != 3:
             return None, None, [f"bialgebra construction limited to n = 3, got {cfg.n}"]
-        B, rels = fk_bialgebra(3)
+        try:
+            B, rels = fk_bialgebra(3, max_degree)
+        except ValueError as e:
+            return None, None, [f"budget: {e}"]
         return B, rels, []
     V = cfg.space()
     elems, warnings = _catalog_elements(cfg, V)

@@ -87,12 +87,12 @@ def _rows(entries):
     return rows
 
 
-def dh_apply(B, keys, p, q):
+def dh_apply(B, keys, p):
     """Hochschild face on (p, q)-cochain entries, as rows over those entries."""
     return _rows(_dh_entries(B, keys, p))
 
 
-def dc_apply(B, keys, p, q):
+def dc_apply(B, keys, p):
     """Coalgebra-type face on (p, q)-cochain entries, as rows over them."""
     return _rows(_dc_entries(B, keys, p))
 
@@ -100,11 +100,15 @@ def dc_apply(B, keys, p, q):
 # -- morphism constraints ----------------------------------------------------
 
 
-def map_unknowns(B, p, q, ell):
-    """Entries (s, t) of a degree-l morphism (B+)^p -> (B+)^q."""
+def map_unknowns(B, p, q, ell=None):
+    """Entries (s, t) of a morphism (B+)^p -> (B+)^q, of degree ell if given."""
+
+    def degree(tup, shift=0):
+        return None if ell is None else sum(B.degree(i) for i in tup) + shift
+
     targets = {}
     for t in B.positive_tuples(q):
-        targets.setdefault(sum(B.degree(i) for i in t), []).append(t)
+        targets.setdefault(degree(t), []).append(t)
     cat = B.category
     labels = {}
 
@@ -115,7 +119,7 @@ def map_unknowns(B, p, q, ell):
 
     out = []
     for s in B.positive_tuples(p):
-        for t in targets.get(sum(B.degree(i) for i in s) + ell, ()):
+        for t in targets.get(degree(s, ell), ()):
             if cat is None or label(t) == label(s):
                 out.append((s, t))
     return out
@@ -195,8 +199,8 @@ def truncated_H2(B, ell):
 
     hU = map_unknowns(B, 1, 1, ell)
     # the coboundary of h is (dh h, -dc h); f and g entries differ in shape
-    faces = dh_apply(B, hU, 1, 1)
-    for key, row in dc_apply(B, hU, 1, 1).items():
+    faces = dh_apply(B, hU, 1)
+    for key, row in dc_apply(B, hU, 1).items():
         faces[key] = {k: -c for k, c in row.items()}
     dim_b = _coboundary_rank(B, hU, faces, set(fU) | set(gU), cocycle_rows)
     return {"Z": dim_z, "B": dim_b, "H": dim_z - dim_b}
@@ -206,10 +210,10 @@ def _cocycle_rows(B, fU, gU):
     """Equations on the f/g entries: equivariance, associativity (dh f),
     coassociativity (dc g) and compatibility (dc f + dh g)."""
     rows = equivariance_rows(B, fU, 2) + equivariance_rows(B, gU, 1)
-    rows += dh_apply(B, fU, 2, 1).values()
-    rows += dc_apply(B, gU, 1, 2).values()
-    compat = dc_apply(B, fU, 2, 1)
-    for key, row in dh_apply(B, gU, 1, 2).items():
+    rows += dh_apply(B, fU, 2).values()
+    rows += dc_apply(B, gU, 1).values()
+    compat = dc_apply(B, fU, 2)
+    for key, row in dh_apply(B, gU, 1).items():
         row_axpy(compat.setdefault(key, {}), one(), row)
     rows += (row for row in compat.values() if row)
     return rows
@@ -270,12 +274,7 @@ def random_cochain(B, p, q, rng, entries=12):
     so random tests must sample from the morphism space.
     """
     cat = B.category
-    keys = [
-        (s, t)
-        for s in B.positive_tuples(p)
-        for t in B.positive_tuples(q)
-        if cat is None or cat.tuple_label(s) == cat.tuple_label(t)
-    ]
+    keys = map_unknowns(B, p, q)
     if cat is not None and cat.action_gens:
         basis = [vec for _, vec in nullspace(equivariance_rows(B, keys, p), keys)]
         rng.shuffle(basis)
@@ -321,22 +320,13 @@ def epsilon_H2(B):
     counit, so H2_eps is the q = 0 column of the Hochschild differential:
     cocycles f: (B+)^2 -> U with dh f = 0, modulo dh t for t: B+ -> U.
     """
-    cat = B.category
-
-    def unknowns(p):
-        return [
-            (s, ())
-            for s in B.positive_tuples(p)
-            if cat is None or cat.tuple_label(s) == cat.label_unit
-        ]
-
-    fU = unknowns(2)
+    fU = map_unknowns(B, 2, 0)
     rows = equivariance_rows(B, fU, 2)
-    rows += dh_apply(B, fU, 2, 0).values()
+    rows += dh_apply(B, fU, 2).values()
     dim_z = len(fU) - sparse_rank(rows)
 
-    tU = unknowns(1)
-    dim_b = _coboundary_rank(B, tU, dh_apply(B, tU, 1, 0), set(fU), rows)
+    tU = map_unknowns(B, 1, 0)
+    dim_b = _coboundary_rank(B, tU, dh_apply(B, tU, 1), set(fU), rows)
     return {"Z": dim_z, "B": dim_b, "H": dim_z - dim_b}
 
 

@@ -28,9 +28,7 @@ class RunConfig:
     kind: str  # "diagonal" | "fk"
     raw: dict
     budgets: dict
-    output: str = "text"
     # diagonal
-    cyclotomic_order: int = None
     rank: int = None
     qmatrix: tuple = None
     realization_spec: dict = None
@@ -75,16 +73,21 @@ def parse_config(data, name=None):
     kind = data.get("kind", "diagonal")
     cname = data.get("name", name or "<unnamed>")
     budgets = dict(DEFAULT_BUDGETS)
-    budgets.update(data.get("budgets", {}))
-    output = data.get("output", "text")
-    if output not in ("text", "json"):
-        raise ConfigError(f"output: must be 'text' or 'json', got {output!r}")
+    given = data.get("budgets", {})
+    if not isinstance(given, dict):
+        raise ConfigError(f"budgets: need an object, got {given!r}")
+    for key, value in given.items():
+        if key not in DEFAULT_BUDGETS:
+            raise ConfigError(f"budgets.{key}: not one of {', '.join(DEFAULT_BUDGETS)}")
+        if not _is_int(value) or value < 0:
+            raise ConfigError(f"budgets.{key}: need an integer >= 0, got {value!r}")
+        budgets[key] = value
 
     if kind == "fk":
         n = data.get("n")
         if not isinstance(n, int) or n < 3:
             raise ConfigError(f"n: need an integer >= 3, got {n!r}")
-        return RunConfig(cname, "fk", data, budgets, output, n=n)
+        return RunConfig(cname, "fk", data, budgets, n=n)
 
     if kind != "diagonal":
         raise ConfigError(f"kind: unknown value {kind!r}")
@@ -98,6 +101,10 @@ def parse_config(data, name=None):
     if "q_exponents" in data:
         exps = data["q_exponents"]
         _check_square(exps, rank, "q_exponents")
+        for i, row in enumerate(exps):
+            for j, e in enumerate(row):
+                if not _is_int(e):
+                    raise ConfigError(f"q_exponents[{i}][{j}]: need an integer, got {e!r}")
         q = tuple(
             tuple(zeta(order, e) for e in row) for row in exps
         )
@@ -131,14 +138,16 @@ def parse_config(data, name=None):
         "diagonal",
         data,
         budgets,
-        output,
-        cyclotomic_order=order,
         rank=rank,
         qmatrix=q,
         realization_spec=real,
     )
     cfg.realization()  # validates chi_j(g_i) = q_ij
     return cfg
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_square(mat, rank, field_name):

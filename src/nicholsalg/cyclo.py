@@ -15,14 +15,23 @@ from math import gcd, lcm
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n):
     """Coefficients of Phi_n, lowest degree first, as a tuple of ints."""
-    # x^n - 1 divided by the product of Phi_d over proper divisors d of n
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    # x^n - 1 divided by the monic Phi_d of every proper divisor d of n, in
+    # place: after dividing by Phi_d of degree k, poly[k:] is the quotient
+    # and poly[:k] the remainder
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _frac_poly_divmod(poly, cyclotomic_poly(d))
-            if any(rem):
+            phi = cyclotomic_poly(d)
+            k = len(phi) - 1
+            for i in range(len(poly) - 1, k - 1, -1):
+                c = poly[i]
+                if c:
+                    for j in range(k):
+                        poly[i - k + j] -= c * phi[j]
+            if any(poly[:k]):
                 raise RuntimeError("cyclotomic division must be exact")
-    return tuple(int(c) for c in poly)
+            poly = poly[k:]
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
@@ -94,10 +103,6 @@ class CycNumber:
         return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- construction -----------------------------------------------------
-
-    @staticmethod
-    def zero(n=1):
-        return CycNumber(n, (0,) * (len(cyclotomic_poly(n)) - 1))
 
     @staticmethod
     def from_rational(r, n=1):
@@ -204,28 +209,24 @@ class CycNumber:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        if self.n == 1:
-            p = self.num[0]
-            return CycNumber(1, (self.den if p > 0 else -self.den,), abs(p))
-        # extended Euclid in Q[x] against Phi_n, on the numerator polynomial
-        phi = [Fraction(c) for c in cyclotomic_poly(self.n)]
-        a = [Fraction(c) for c in self.num]
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        # invariants: s * num = r (mod Phi_n)
-        r0, s0 = phi, [Fraction(0)]
-        r1, s1 = a, [Fraction(1)]
-        while True:
-            if len(r1) == 1:
-                scale = self.den / r1[0]
-                inv = [c * scale for c in s1]
-                break
-            q, rem = _frac_poly_divmod(r0, r1)
-            while len(rem) > 1 and rem[-1] == 0:
-                rem.pop()
-            s2 = _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-            r0, s0, r1, s1 = r1, s1, rem, s2
-        return CycNumber.from_powers(self.n, dict(enumerate(inv)))
+        n, p = self.n, self.num[0]
+        if self.is_rational():
+            return CycNumber(n, (self.den if p > 0 else -self.den,) + self.num[1:], abs(p))
+        # x^-1 = N(x)^-1 * prod_{k != 1} sigma_k(x) over Gal(Q(zeta_n)/Q),
+        # where sigma_k sends zeta_n to zeta_n^k for k coprime to n
+        rest = None
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                poly = [0] * n
+                for j, c in enumerate(self.num):
+                    poly[j * k % n] += c
+                conj = _canonical(n, _reduce(n, poly), self.den)
+                rest = conj if rest is None else rest * conj
+        norm = self * rest
+        if not norm.is_rational() or norm.is_zero():
+            raise RuntimeError("Galois norm must be a nonzero rational")
+        p = norm.num[0]
+        return rest._scaled(norm.den if p > 0 else -norm.den, abs(p))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -295,58 +296,17 @@ class CycNumber:
         return f"CycNumber({format_cyc(self)!r})"
 
 
-def _frac_poly_divmod(num, den):
-    num = list(num)
-    deg_d = len(den) - 1
-    quot = [Fraction(0)] * max(len(num) - deg_d, 1)
-    lead = den[-1]
-    for i in range(len(num) - deg_d - 1, -1, -1):
-        c = num[i + deg_d] / lead
-        if c == 0:
-            continue
-        quot[i] = c
-        for j, d in enumerate(den):
-            num[i + j] -= c * d
-    return quot, num[:deg_d] if deg_d else [Fraction(0)]
-
-
-def _frac_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _frac_poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
-
-
 # -- public helpers -------------------------------------------------------
 
-def cyc_make(n, exponent=1):
+def zeta(n, exponent=1):
     """zeta_n^exponent in canonical form."""
     if n < 1:
         raise ValueError("cyclotomic order must be >= 1")
     return CycNumber.from_powers(n, {exponent % n: 1})
 
 
-def zeta(n, exponent=1):
-    return cyc_make(n, exponent)
-
-
 def one(n=1):
     return CycNumber.from_rational(1, n)
-
-
-def zero(n=1):
-    return CycNumber.zero(n)
 
 
 def rational(r, n=1):

@@ -60,13 +60,22 @@ def open_config(name):
 
 
 def test_malformed_config_names_field(tmp_path, capsys):
-    bad = dict(json.loads(open_config("rank1_zeta3")))
-    bad["q_exponents"] = [[0, 1], [1, 0]]  # wrong shape for rank 1
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad))
-    code, out, err = run(capsys, "nichols", "--config", str(path))
-    assert code == 1
-    assert "q_exponents" in err
+    cases = [
+        ("q_exponents", [[0, 1], [1, 0]], "q_exponents"),  # wrong shape for rank 1
+        ("q_exponents", [["a"]], "q_exponents[0][0]"),
+        ("budgets", {"max_degree": "6"}, "budgets.max_degree"),
+        ("budgets", {"max_degree": -3}, "budgets.max_degree"),
+        ("budgets", {"max_degre": 6}, "budgets.max_degre"),
+    ]
+    for field, value, named in cases:
+        bad = dict(json.loads(open_config("rank1_zeta3")))
+        bad[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "nichols", "--config", str(path))
+        assert code == 1, named
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert named in err
 
 
 def test_config_echo_round_trip(tmp_path, capsys):
@@ -188,6 +197,16 @@ def test_cohomology_warns_on_dropped_relation(capsys):
     )
     assert code == 2
     assert "no explicit element for cartan_root_power ((1, 2, 1),)" in rep["warnings"]
+
+
+def test_fk3_bialgebra_honours_max_degree(capsys):
+    for command in (["cohomology", "--ell", "-1"], ["epsilon"]):
+        code, rep, _ = run_json(capsys, *command, "--config", "fk3", "--max-degree", "1")
+        assert code == 2, command
+        assert rep["warnings"][0].startswith("budget: "), command
+    code, rep, _ = run_json(capsys, "cohomology", "--config", "fk3", "--ell", "-1")
+    assert code == 0
+    assert rep["results"]["dims"] == [1, 3, 4, 3, 1]
 
 
 def test_b2_finite_at_shipped_budget():

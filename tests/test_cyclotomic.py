@@ -111,6 +111,18 @@ def test_equal_values_hash_equal_across_conductors():
     assert hash(rational(5).lift(9)) == hash(5)
 
 
+def test_cyclotomic_poly_degrees_and_phi_105():
+    for n in range(1, 121):
+        phi = cyclotomic_poly(n)
+        assert phi[-1] == 1
+        assert len(phi) - 1 == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1), n
+    phi = cyclotomic_poly(105)
+    assert len(phi) - 1 == 48
+    assert [k for k, c in enumerate(phi) if c not in (-1, 0, 1)] == [7, 41]
+    assert phi[7] == phi[41] == -2
+    assert all(set(cyclotomic_poly(n)) <= {-1, 0, 1} for n in range(1, 105))
+
+
 # -- the integer kernel against a naive Fraction reference ------------------
 
 def ref_reduce(n, poly):
@@ -151,7 +163,7 @@ def assert_canonical(x, n, ref):
     assert list(x.coeffs) == ref
 
 
-kernel_orders = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12])
+kernel_orders = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 24])
 small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
 
 
