@@ -376,7 +376,7 @@ def from_nichols(V, relations, max_degree):
         for w in basis[d - 1]:
             for a in range(V.rank):
                 cand = w + (a,)
-                if rs._find_redex(cand) is None:
+                if rs.suffix_lead(cand) is None:
                     level.append(cand)
         if len(level) != dims[d]:
             raise RuntimeError(f"basis count mismatch at degree {d}")

@@ -23,8 +23,15 @@ from .cohomology import (
     total_square_check,
     truncated_H2,
 )
-from .configs import ConfigError, resolve_config, shipped_config_names, load_shipped
-from .cyclo import CycNumber, format_cyc, parse_cyc, zeta
+from .configs import (
+    ConfigError,
+    load_shipped,
+    parse_bicharacter,
+    read_json,
+    resolve_config,
+    shipped_config_names,
+)
+from .cyclo import CycNumber, format_cyc, zeta
 from .fk import (
     build_fk_space,
     fk_bialgebra,
@@ -292,19 +299,11 @@ def cmd_epsilon(args):
 
 
 def _load_bicharacter(path):
-    with open(path) as f:
-        data = json.load(f)
-    order = data.get("cyclotomic_order", 1)
-    if "values_exponents" in data:
-        vals = [[zeta(order, e) for e in row] for row in data["values_exponents"]]
-    elif "values" in data:
-        vals = [
-            [parse_cyc(str(v), ambient_order=order) for v in row]
-            for row in data["values"]
-        ]
-    else:
-        raise ConfigError("bicharacter file needs values or values_exponents")
-    return AbelianBicharacter(vals, data.get("orders"), skew=data.get("skew", False))
+    values, orders, skew = parse_bicharacter(read_json(path))
+    try:
+        return AbelianBicharacter(values, orders, skew=skew)
+    except ValueError as e:
+        raise ConfigError(f"bicharacter: {e}") from e
 
 
 def cmd_twist(args):

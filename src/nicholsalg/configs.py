@@ -85,52 +85,27 @@ def parse_config(data, name=None):
 
     if kind == "fk":
         n = data.get("n")
-        if not isinstance(n, int) or n < 3:
+        if not _is_int(n) or n < 3:
             raise ConfigError(f"n: need an integer >= 3, got {n!r}")
         return RunConfig(cname, "fk", data, budgets, n=n)
 
     if kind != "diagonal":
         raise ConfigError(f"kind: unknown value {kind!r}")
     rank = data.get("rank")
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         raise ConfigError(f"rank: need a positive integer, got {rank!r}")
-    order = data.get("cyclotomic_order", 1)
-    if not isinstance(order, int) or order < 1:
-        raise ConfigError(f"cyclotomic_order: need a positive integer, got {order!r}")
-
+    order = _cyclotomic_order(data)
     if "q_exponents" in data:
-        exps = data["q_exponents"]
-        _check_square(exps, rank, "q_exponents")
-        for i, row in enumerate(exps):
-            for j, e in enumerate(row):
-                if not _is_int(e):
-                    raise ConfigError(f"q_exponents[{i}][{j}]: need an integer, got {e!r}")
-        q = tuple(
-            tuple(zeta(order, e) for e in row) for row in exps
-        )
+        q = scalar_matrix(data, "q_exponents", order, rank)
     elif "q_values" in data:
-        vals = data["q_values"]
-        _check_square(vals, rank, "q_values")
-        q = []
-        for i, row in enumerate(vals):
-            qrow = []
-            for j, text in enumerate(row):
-                try:
-                    v = parse_cyc(str(text), ambient_order=order)
-                except Exception as e:
-                    raise ConfigError(f"q_values[{i}][{j}]: {e}") from e
-                if v.is_zero():
-                    raise ConfigError(f"q_values[{i}][{j}] is zero")
-                qrow.append(v)
-            q.append(tuple(qrow))
-        q = tuple(q)
+        q = scalar_matrix(data, "q_values", order, rank)
     else:
         raise ConfigError("need q_exponents or q_values")
 
     real = data.get("realization", {"kind": "canonical"})
     if not isinstance(real, dict) or "kind" not in real:
         raise ConfigError("realization: need an object with a 'kind' field")
-    if real["kind"] == "quotient" and not isinstance(real.get("order"), int):
+    if real["kind"] == "quotient" and not _is_int(real.get("order")):
         raise ConfigError("realization.order: need an integer for quotient kind")
 
     cfg = RunConfig(
@@ -150,21 +125,81 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_square(mat, rank, field_name):
-    if len(mat) != rank or any(len(row) != rank for row in mat):
-        raise ConfigError(f"{field_name}: must be a {rank}x{rank} matrix")
+def _cyclotomic_order(data):
+    order = data.get("cyclotomic_order", 1)
+    if not _is_int(order) or order < 1:
+        raise ConfigError(f"cyclotomic_order: need a positive integer, got {order!r}")
+    return order
 
 
-def load_config(path):
+def scalar_matrix(data, field, order, rank=None):
+    """data[field] as a rank x rank tuple of tuples of nonzero scalars.
+
+    A field named *exponents holds integer exponents of zeta_order, any
+    other field scalar texts such as "-1" or "zeta5^4". rank None accepts
+    any square size. Raises ConfigError naming the first bad entry.
+    """
+    mat = data[field]
+    if rank is None and isinstance(mat, list):
+        rank = len(mat)
+    if (
+        not isinstance(mat, list)
+        or len(mat) != rank
+        or any(not isinstance(row, list) or len(row) != rank for row in mat)
+    ):
+        raise ConfigError(f"{field}: must be a {rank}x{rank} matrix, a list of rows")
+    out = []
+    for i, row in enumerate(mat):
+        out.append([])
+        for j, e in enumerate(row):
+            if field.endswith("exponents"):
+                if not _is_int(e):
+                    raise ConfigError(f"{field}[{i}][{j}]: need an integer, got {e!r}")
+                out[-1].append(zeta(order, e))
+                continue
+            try:
+                v = parse_cyc(str(e), ambient_order=order)
+            except Exception as err:
+                raise ConfigError(f"{field}[{i}][{j}]: {err}") from err
+            if v.is_zero():
+                raise ConfigError(f"{field}[{i}][{j}] is zero")
+            out[-1].append(v)
+    return tuple(map(tuple, out))
+
+
+def parse_bicharacter(data):
+    """(values, orders, skew) of a bicharacter dict, validated like parse_config."""
+    if not isinstance(data, dict):
+        raise ConfigError("bicharacter root must be a JSON object")
+    order = _cyclotomic_order(data)
+    field = next((f for f in ("values_exponents", "values") if f in data), None)
+    if field is None:
+        raise ConfigError("bicharacter file needs values or values_exponents")
+    values = scalar_matrix(data, field, order)
+    orders = data.get("orders")
+    if orders is not None and (
+        not isinstance(orders, list) or any(not _is_int(o) or o < 0 for o in orders)
+    ):
+        raise ConfigError(f"orders: need a list of integers >= 0, got {orders!r}")
+    skew = data.get("skew", False)
+    if not isinstance(skew, bool):
+        raise ConfigError(f"skew: need true or false, got {skew!r}")
+    return values, orders, skew
+
+
+def read_json(path):
     try:
         with open(path) as f:
-            data = json.load(f)
+            return json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
+
+
+def load_config(path):
     name = os.path.splitext(os.path.basename(path))[0]
-    return parse_config(data, name=name)
+    return parse_config(read_json(path), name=name)
 
 
 def shipped_config_names():

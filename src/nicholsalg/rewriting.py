@@ -1,20 +1,28 @@
 """Noncommutative rewriting for graded quotients of tensor algebras.
 
-Words are reduced against a rule set ordered by degree-lexicographic
-comparison. Since all defining relations in scope are homogeneous, overlap
-completion can be truncated at a degree bound: an S-polynomial of two
-homogeneous rules is strictly longer than either, so discarding the ones
-past the bound leaves all normal-word counts below it exact.
+A rule rewrites its lead, the degree-lexicographically largest word of a
+relation, to a tail of smaller normal words. Every relation must be
+homogeneous of positive degree (`rewrite_dims` raises ValueError
+otherwise), so a rule of degree d rewrites no shorter word, and the
+S-polynomial of two overlapping leads is homogeneous of the degree of their
+overlap word, which exceeds both. Completion therefore runs degree by
+degree, the homogeneous form of Bergman's diamond lemma (Adv. Math. 1978)
+as in Mora (Theor. Comput. Sci. 1994): degree d reduces its relations and
+its S-polynomials by the rules below d, and the fully reduced echelon form
+of the results gives the rules of degree d. Nothing later changes a rule
+below d, so each degree is final once done, and truncating the overlaps at
+a degree bound leaves every normal-word count up to it exact.
+
+Leads are interreduced, so a word whose prefix word[:-1] is normal can only
+have a lead as a suffix; normal forms are built prefix by prefix on that.
 """
 
-from collections import deque
+from itertools import chain
 
 from .cyclo import one
-from .linalg import row_axpy, row_scale
+from .linalg import add_term, row_axpy, row_scale
 
-
-def deglex_key(word):
-    return (len(word), word)
+ONE = one()
 
 
 class RewriteSystem:
@@ -24,177 +32,160 @@ class RewriteSystem:
         self.rank = rank
         self.max_degree = max_degree
         self.rules = {}  # lead word -> tail dict {word: coeff}, lead = tail
-        self._by_len = {}  # lead length -> set of leads
-        self._nf_cache = {}
+        self._lens = []  # distinct lead lengths, ascending
+        self._index = {}  # (proper prefix, lead length) -> leads
+        self._final = float("inf")  # words shorter than this reduce by final rules
+        self._nf = {}  # reducible final word -> normal form
+        self._normal = {()}  # irreducible final words
 
     # -- reduction ---------------------------------------------------------
 
-    def _find_redex(self, word):
+    def suffix_lead(self, word):
+        """The lead that ends word, or None; the only redex if word[:-1] is normal."""
         n = len(word)
-        for start in range(n):
-            for length, leads in self._by_len.items():
-                if start + length <= n and word[start : start + length] in leads:
-                    return start, word[start : start + length]
+        for k in self._lens:
+            if k > n:
+                break
+            if word[n - k :] in self.rules:
+                return word[n - k :]
         return None
 
-    def normal_form_word(self, word):
-        """Normal form of a basis word as {normal word: coeff}."""
-        cached = self._nf_cache.get(word)
-        if cached is not None:
-            return cached
+    def normal_form_word(self, word, scratch=None):
+        """Normal form of a word as {normal word: coeff}, as nf(nf(word[:-1]) a).
+
+        Words shorter than the degree being completed are memoized for good,
+        longer ones in scratch, a (memo, normal set) pair of the caller.
+        """
+        memo, final = (self._nf, self._normal), self._final
+        if scratch is None:
+            scratch = ({}, set())
         # iterative post-order evaluation; rewrite chains can be deep
-        stack = [word]
+        stack = [(word, None)]
         while stack:
-            w = stack[-1]
-            if w in self._nf_cache:
-                stack.pop()
-                continue
-            red = self._find_redex(w)
-            if red is None:
-                self._nf_cache[w] = {w: one()}
-                stack.pop()
-                continue
-            start, lead = red
-            tail = self.rules[lead]
-            pending = []
-            for tw in tail:
-                nw = w[:start] + tw + w[start + len(lead) :]
-                if nw not in self._nf_cache:
-                    pending.append(nw)
-            if pending:
-                stack.extend(pending)
-                continue
+            w, terms = stack[-1]
+            n = len(w)
+            nf, normal = memo if n < final else scratch
+            if terms is None:
+                if w in normal or w in nf:
+                    stack.pop()
+                    continue
+                head = w[:-1]
+                head_nf, head_normal = memo if n - 1 < final else scratch
+                if head in head_normal:
+                    lead = self.suffix_lead(w)
+                    if lead is None:
+                        normal.add(w)
+                        stack.pop()
+                        continue
+                    prefix = w[: n - len(lead)]
+                    terms = [(prefix + t, c) for t, c in self.rules[lead].items()]
+                elif head in head_nf:
+                    last = w[-1:]
+                    terms = [(u + last, c) for u, c in head_nf[head].items()]
+                else:
+                    stack.append((head, None))
+                    continue
+                pending = [(v, None) for v, _ in terms if v not in normal and v not in nf]
+                if pending:
+                    # all of pending is evaluated before w is on top again
+                    stack[-1] = (w, terms)
+                    stack.extend(pending)
+                    continue
             res = {}
-            for tw, tc in tail.items():
-                nw = w[:start] + tw + w[start + len(lead) :]
-                row_axpy(res, tc, self._nf_cache[nw])
-            self._nf_cache[w] = res
+            for v, c in terms:
+                if v in normal:
+                    add_term(res, v, c)
+                else:
+                    row_axpy(res, c, nf[v])
+            nf[w] = res
             stack.pop()
-        return self._nf_cache[word]
+        nf, normal = memo if len(word) < final else scratch
+        return {word: ONE} if word in normal else nf[word]
 
     def reduce(self, elem):
         """Fully reduce {word: coeff}; returns a new dict."""
         out = {}
+        scratch = ({}, set())
         for w, c in elem.items():
-            row_axpy(out, c, self.normal_form_word(w))
+            row_axpy(out, c, self.normal_form_word(w, scratch))
         return out
-
-    # -- rule management ---------------------------------------------------
-
-    def _insert(self, lead, tail):
-        self.rules[lead] = tail
-        self._by_len.setdefault(len(lead), set()).add(lead)
-        self._nf_cache.clear()
-
-    def _remove(self, lead):
-        del self.rules[lead]
-        self._by_len[len(lead)].discard(lead)
-        self._nf_cache.clear()
-
-    def add_relation(self, elem):
-        """Add a homogeneous relation (element = 0); returns the new lead or None."""
-        red = self.reduce(dict(elem))
-        if not red:
-            return None
-        lead = max(red, key=deglex_key)
-        if not red[lead].is_one():
-            red = row_scale(red, red[lead].inverse())
-        tail = {w: -c for w, c in red.items() if w != lead}
-        # keep leads interreduced: rules whose lead contains the new lead
-        # get re-added after the insertion
-        stale = [
-            l2
-            for l2 in self.rules
-            if len(l2) >= len(lead)
-            and any(l2[s : s + len(lead)] == lead for s in range(len(l2) - len(lead) + 1))
-        ]
-        self._insert(lead, tail)
-        for l2 in stale:
-            t2 = self.rules[l2]
-            self._remove(l2)
-            e = {l2: one()}
-            row_axpy(e, -one(), t2)
-            self.add_relation(e)
-        return lead
 
     # -- completion --------------------------------------------------------
 
-    def complete(self):
-        """Resolve all overlap ambiguities up to the degree bound."""
-        pending = deque()
-        for l1 in list(self.rules):
-            for l2 in list(self.rules):
-                pending.append((l1, l2))
-        while pending:
-            l1, l2 = pending.popleft()
-            if l1 not in self.rules or l2 not in self.rules:
-                continue
-            for k in range(1, min(len(l1), len(l2))):
-                if l1[len(l1) - k :] != l2[:k]:
+    def _s_polynomials(self, d):
+        """Differences of the two rewrites of every overlap word of length d."""
+        for l1, t1 in self.rules.items():
+            n1 = len(l1)
+            for k in range(1, n1):
+                for l2 in self._index.get((l1[n1 - k :], d - n1 + k), ()):
+                    rest, head = l2[k:], l1[: n1 - k]
+                    row = {t + rest: c for t, c in t1.items()}
+                    for t, c in self.rules[l2].items():
+                        add_term(row, head + t, -c)
+                    yield row
+
+    def complete(self, relations):
+        """Complete a new system from {degree: [relations]}, one degree at a time.
+
+        Overlaps are resolved up to the degree bound; relations above it
+        are still interreduced into rules, so none is dropped.
+        """
+        for d in range(1, max([self.max_degree, *relations]) + 1):
+            self._final = d
+            rows = relations.get(d, ())
+            if d <= self.max_degree:
+                rows = chain(rows, self._s_polynomials(d))
+            pivots = {}  # lead -> row with coefficient 1 there and no other lead
+            for row in rows:
+                row = self.reduce(row)
+                for w in [w for w in row if w in pivots]:
+                    row_axpy(row, -row[w], pivots[w])
+                if not row:
                     continue
-                word = l1 + l2[k:]
-                if len(word) > self.max_degree:
-                    continue
-                # expand via rule1 at position 0 and rule2 at position len(l1)-k
-                e1 = {}
-                for tw, tc in self.rules[l1].items():
-                    e1[tw + l2[k:]] = tc
-                e2 = {}
-                for tw, tc in self.rules[l2].items():
-                    e2[l1[: len(l1) - k] + tw] = tc
-                diff = dict(e1)
-                row_axpy(diff, -one(), e2)
-                red = self.reduce(diff)
-                if red:
-                    before = set(self.rules)
-                    self.add_relation(red)
-                    # interreduction can introduce several new leads at once
-                    for new_lead in set(self.rules) - before:
-                        for other in list(self.rules):
-                            pending.append((other, new_lead))
-                            pending.append((new_lead, other))
+                lead = max(row)
+                if not row[lead].is_one():
+                    row = row_scale(row, row[lead].inverse())
+                for other in pivots.values():
+                    if lead in other:
+                        row_axpy(other, -other[lead], row)
+                pivots[lead] = row
+            if pivots:
+                self._lens.append(d)
+            for lead, row in pivots.items():
+                self.rules[lead] = {w: -c for w, c in row.items() if w != lead}
+                for k in range(1, d):
+                    self._index.setdefault((lead[:k], d), []).append(lead)
+        self._final = float("inf")
 
     # -- counting ----------------------------------------------------------
 
-    def normal_word_counts(self, max_degree=None):
-        """Number of irreducible words per degree, via a suffix automaton."""
-        max_degree = self.max_degree if max_degree is None else max_degree
-        leads = set(self.rules)
-        prefixes = {()}
-        for lead in leads:
-            for i in range(1, len(lead)):
-                prefixes.add(lead[:i])
-        states = sorted(prefixes, key=deglex_key)
+    def normal_word_counts(self):
+        """Irreducible words per degree up to the bound, via a suffix automaton.
+
+        A state is the longest suffix of a normal word that is a proper
+        prefix of a lead; a letter that completes a lead leads nowhere.
+        """
+        prefixes = {()} | {lead[:i] for lead in self.rules for i in range(1, len(lead))}
+        states = sorted(prefixes)
         index = {s: i for i, s in enumerate(states)}
-        trans = []  # state -> letter -> state index or None (dead)
+        trans = []  # state -> next state per live letter
         for s in states:
-            row = []
+            trans.append([])
             for a in range(self.rank):
                 t = s + (a,)
-                dead = False
-                nxt = None
-                for start in range(len(t) + 1):
-                    suf = t[start:]
-                    if suf in leads:
-                        dead = True
-                        break
-                    if nxt is None and suf in prefixes:
-                        nxt = index[suf]
-                row.append(None if dead else nxt)
-            trans.append(row)
+                if self.suffix_lead(t) is None:
+                    longest = next(t[i:] for i in range(len(t) + 1) if t[i:] in prefixes)
+                    trans[-1].append(index[longest])
         counts = [0] * len(states)
         counts[index[()]] = 1
         out = [1]
-        for _ in range(max_degree):
-            nxt_counts = [0] * len(states)
+        for _ in range(self.max_degree):
+            nxt = [0] * len(states)
             for si, c in enumerate(counts):
-                if not c:
-                    continue
-                for a in range(self.rank):
-                    t = trans[si][a]
-                    if t is not None:
-                        nxt_counts[t] += c
-            counts = nxt_counts
+                if c:
+                    for t in trans[si]:
+                        nxt[t] += c
+            counts = nxt
             out.append(sum(counts))
         return out
 
@@ -202,11 +193,16 @@ class RewriteSystem:
 def rewrite_dims(rank, relations, max_degree):
     """Graded dimensions of T(V)/(relations) up to max_degree by rewriting.
 
-    relations: iterable of elements {word: coeff} of T(V).
+    relations: iterable of elements {word: coeff} of T(V), each homogeneous
+    of positive degree (ValueError otherwise); a zero relation is skipped.
     """
+    by_degree = {}
+    for elem in relations:
+        degrees = {len(w) for w in elem}
+        if len(degrees) > 1 or 0 in degrees:
+            raise ValueError(f"relation is not homogeneous of positive degree: {sorted(degrees)}")
+        if degrees:
+            by_degree.setdefault(degrees.pop(), []).append(elem)
     rs = RewriteSystem(rank, max_degree)
-    # feed in ascending degree so truncation stays sound; a zero relation says nothing
-    for elem in sorted(filter(None, relations), key=lambda e: max(len(w) for w in e)):
-        rs.add_relation(elem)
-    rs.complete()
-    return rs.normal_word_counts(max_degree), rs
+    rs.complete(by_degree)
+    return rs.normal_word_counts(), rs

@@ -66,9 +66,15 @@ def test_malformed_config_names_field(tmp_path, capsys):
         ("budgets", {"max_degree": "6"}, "budgets.max_degree"),
         ("budgets", {"max_degree": -3}, "budgets.max_degree"),
         ("budgets", {"max_degre": 6}, "budgets.max_degre"),
+        ("q_exponents", 5, "q_exponents"),
+        ("q_exponents", [5], "q_exponents"),
+        ("rank", True, "rank"),
+        ("cyclotomic_order", True, "cyclotomic_order"),
+        ("realization", {"kind": "quotient", "order": True}, "realization.order"),
+        ("kind", "fk", "n"),  # with "n": true below
     ]
     for field, value, named in cases:
-        bad = dict(json.loads(open_config("rank1_zeta3")))
+        bad = dict(json.loads(open_config("rank1_zeta3")), n=True)
         bad[field] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
@@ -148,6 +154,25 @@ def test_twist_command(tmp_path, capsys):
     assert code == 0
     assert rep["results"]["beta_sigma_is_sign"]
     assert rep["results"]["cocycle_identity_random"]
+
+
+def test_malformed_bicharacter_names_field(tmp_path, capsys):
+    cases = [
+        ({"cyclotomic_order": 3, "values_exponents": [["a"]]}, "values_exponents[0][0]"),
+        ({"cyclotomic_order": True, "values_exponents": [[1]]}, "cyclotomic_order"),
+        ({"values": "-1"}, "values"),
+        ({"values": [["-1"]], "orders": "2"}, "orders"),
+        ({"values": [["-1"]], "skew": "yes"}, "skew"),
+        ({"cyclotomic_order": 3, "values": [["-1", "zeta3"], ["zeta3", "-1"]], "skew": True},
+         "skew-symmetric"),
+    ]
+    for beta, named in cases:
+        path = tmp_path / "beta.json"
+        path.write_text(json.dumps(beta))
+        code, out, err = run(capsys, "twist", "--bicharacter", str(path))
+        assert code == 1, named
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert named in err
 
 
 def test_lie_and_pbw(capsys):

@@ -1,5 +1,7 @@
 """Degree-truncated rewriting and normal-word counting."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,8 @@ from nicholsalg.configs import load_shipped, shipped_config_names
 from nicholsalg.cyclo import CycNumber, one, rational, zeta
 from nicholsalg.tensoralg import monomial, nichols_dims
 from nicholsalg.relations import generate_relations
-from nicholsalg.rewriting import RewriteSystem, rewrite_dims
+from nicholsalg.linalg import sparse_rank
+from nicholsalg.rewriting import rewrite_dims
 from nicholsalg.weyl import enumerate_roots
 
 
@@ -70,11 +73,45 @@ def test_serre_presentation_matches_symmetrizer(q11, q12, q22):
 
 
 def test_rule_interreduction():
-    rs = RewriteSystem(1, 8)
-    rs.add_relation({(0, 0, 0, 0): one()})
     # a shorter lead subsumes the longer rule
-    rs.add_relation({(0, 0): one()})
+    _, rs = rewrite_dims(1, [{(0, 0, 0, 0): one()}, {(0, 0): one()}], 8)
     assert set(rs.rules) == {(0, 0)}
+
+
+def test_non_homogeneous_relation_is_rejected():
+    with pytest.raises(ValueError, match="homogeneous"):
+        rewrite_dims(2, [{(0,): one(), (0, 1): one()}], 3)
+
+
+@st.composite
+def homogeneous_relations(draw):
+    rank = draw(st.sampled_from([2, 3]))
+    rels = []
+    for _ in range(draw(st.integers(1, 3))):
+        letters = [st.integers(0, rank - 1)] * draw(st.integers(1, 3))
+        words = draw(st.lists(st.tuples(*letters), min_size=1, max_size=3, unique=True))
+        rels.append({w: rational(draw(st.sampled_from([-2, -1, 1, 2]))) for w in words})
+    return rank, rels
+
+
+@given(homogeneous_relations())
+@settings(max_examples=25, deadline=None)
+def test_completion_matches_ideal_ranks(case):
+    """dim_d = rank^d - rank of the span of all u r v of degree d."""
+    rank, rels = case
+    top = 6
+    dims, _ = rewrite_dims(rank, rels, top)
+    expected = []
+    for d in range(top + 1):
+        rows = []
+        for r in rels:
+            n = len(next(iter(r)))
+            for left in range(d - n + 1):
+                for u in product(range(rank), repeat=left):
+                    for v in product(range(rank), repeat=d - n - left):
+                        rows.append({u + w + v: c for w, c in r.items()})
+        expected.append(rank**d - sparse_rank(rows))
+    assert dims == expected
 
 
 DIAGONAL_CONFIGS = [n for n in shipped_config_names() if load_shipped(n).kind == "diagonal"]
@@ -107,9 +144,8 @@ def test_unit_lead_needs_no_inverse(monkeypatch):
         return inverse(self)
 
     monkeypatch.setattr(CycNumber, "inverse", counting)
-    rs = RewriteSystem(2, 6)
-    assert rs.add_relation({(1, 0): one(), (0, 1): -zeta(3)}) == (1, 0)
-    assert rs.add_relation({(1, 1): one()}) == (1, 1)
+    _, rs = rewrite_dims(2, [{(1, 0): one(), (0, 1): -zeta(3)}, {(1, 1): one()}], 6)
+    assert set(rs.rules) == {(1, 0), (1, 1)}
     assert calls == []
     assert rs.rules[(1, 0)] == {(0, 1): zeta(3)}
 
