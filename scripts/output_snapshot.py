@@ -26,6 +26,7 @@ DIAGONAL = [
     "rank1_m1", "rank1_zeta3", "rank1_zeta4", "rank1_zeta6",
     "rank3_square", "rank3_super_a3", "rank3_triangle",
 ]
+RANK3 = [cfg for cfg in DIAGONAL if cfg.startswith("rank3_")]
 COHOMOLOGY = ["fk3", "a2_super", "rank1_m1", "rank1_zeta3", "rank1_zeta4", "rank1_zeta6"]
 LIE_EXAMPLES = ["color_pair", "color_triple", "heisenberg", "sl2", "superline"]
 BICHARACTER = {
@@ -53,6 +54,15 @@ def commands(bicharacter_path):
         out.append((f"lie-check-{ex}", ["lie-check", "--example", ex]))
         out.append((f"pbw-{ex}", ["pbw", "--example", ex]))
     out.append(("fk-n4-symmetrizer", ["fk", "--n", "4", "--max-degree", "5", "--symmetrizer"]))
+    # past degree 6, where a change of the Nichols-dimension route shows first
+    out.append(("fk-n4-symmetrizer-6",
+                ["fk", "--n", "4", "--max-degree", "6", "--symmetrizer"]))
+    for cfg in RANK3:
+        out.append((f"nichols-{cfg}-9", ["nichols", "--config", cfg, "--max-degree", "9"]))
+    # refused by DENSE_WORD_BUDGET before any work (exit 2)
+    out.append(("fk-n4-symmetrizer-default", ["fk", "--n", "4", "--symmetrizer"]))
+    out.append(("nichols-rank3_triangle-16",
+                ["nichols", "--config", "rank3_triangle", "--max-degree", "16"]))
     out.append(("fk-n3-rigidity", ["fk", "--n", "3", "--rigidity"]))
     out.append(("selfcheck", ["selfcheck"]))
     return out

@@ -125,27 +125,19 @@ def check_braid_equation(V):
     return True, None
 
 
-def q_number(m, q):
-    """(m)_q = 1 + q + ... + q^(m-1)."""
-    total = rational(0)
-    power = one()
-    for _ in range(m):
-        total = total + power
-        power = power * q
-    return total
-
-
 def cartan_integer(V, i, j, cap=DEFAULT_CARTAN_CAP):
     """-min{n >= 0 : (n+1)_{q_ii} (1 - q_ii^n qt_ij) = 0}, or None past cap."""
     if i == j:
         raise ValueError("Cartan integer requires i != j")
     qii = V.q(i, i)
     qt = V.qtilde(i, j)
-    power = one()
+    power = one()  # q_ii^n
+    qnum = one()  # (n+1)_{q_ii}
     for n in range(cap + 1):
-        if q_number(n + 1, qii).is_zero() or (one() - power * qt).is_zero():
+        if qnum.is_zero() or (one() - power * qt).is_zero():
             return -n
         power = power * qii
+        qnum = qnum + power
     return None
 
 
@@ -177,10 +169,11 @@ class DynkinDiagram:
         return hash(self.key())
 
 
-def is_cartan_vertex(V, i, cap=DEFAULT_CARTAN_CAP):
+def is_cartan_vertex(V, i, cap=DEFAULT_CARTAN_CAP, crow=None):
     """Cartan vertex test; in rank 1 the vertex counts as Cartan iff q_11
     is a root of unity of order >= 3 (so its cube-or-higher power relation
-    comes from the Cartan-root family rather than the simple-power one)."""
+    comes from the Cartan-root family rather than the simple-power one).
+    crow, if given, is row i of the Cartan matrix, already computed."""
     theta = V.rank
     if theta == 1:
         order = cyc_order(V.q(0, 0))
@@ -188,7 +181,7 @@ def is_cartan_vertex(V, i, cap=DEFAULT_CARTAN_CAP):
     for j in range(theta):
         if j == i:
             continue
-        cij = cartan_integer(V, i, j, cap=cap)
+        cij = cartan_integer(V, i, j, cap=cap) if crow is None else crow[j]
         if cij is None:
             raise ValueError(f"Cartan integer c[{i}][{j}] undefined within cap {cap}")
         if V.qtilde(i, j) != V.q(i, i) ** cij:

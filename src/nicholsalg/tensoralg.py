@@ -1,16 +1,21 @@
-"""Tensor algebra elements, quantum symmetrizers and Nichols-ideal data.
+"""Tensor algebra elements, Nichols algebras degree by degree, Nichols ideal.
 
 An element of T(V) is a linalg sparse vector {word: coeff}: basis words
 (tuples of basis indices) mapped to non-zero cyclotomic scalars. Sums and
 scalings are linalg.row_axpy and row_scale. All braidings in scope are
 monomial, so braid-group lifts act on words one at a time.
+
+NicholsDegree builds B^1, B^2, ... in turn through the embedding of B^n in
+B^(n-1) (x) V by Delta_(n-1,1) (Grana 2000; Milinski-Schneider 2000): each
+degree costs an echelon of dim B^(n-1) * theta rows, not the quantum
+symmetrizer on all theta^n words.
 """
 
 from itertools import permutations, product
 
 from .braided import apply_braiding_word, braid_word_blocks
 from .cyclo import one
-from .linalg import Echelon, add_term, nullspace, row_axpy
+from .linalg import Echelon, add_term, nullspace
 
 DENSE_WORD_BUDGET = 2 * 10**7
 
@@ -71,49 +76,6 @@ def braided_adjoint_power(V, i, power, target):
     return out
 
 
-def symmetrizer_image_word(V, word, _cache=None):
-    """Quantum symmetrizer S_n applied to a basis word: dict {word: coeff}.
-
-    Well-defined on braid-group lifts because the braid equation holds
-    (checked at space construction in callers). Computed by the coset
-    recursion S_n = (S_{n-1} (x) id) . sum of descending crossing chains,
-    which keeps the work polynomial in the output support size.
-    """
-    cache = {} if _cache is None else _cache
-    return _symmetrize(V, tuple(word), cache)
-
-
-def _symmetrize(V, word, cache):
-    n = len(word)
-    if n <= 1:
-        return {word: one()}
-    hit = cache.get(word)
-    if hit is not None:
-        return hit
-    out = {}
-    # chain k moves the letter at slot k to the last slot (k = n-1: identity)
-    for k in range(n):
-        coeff = one()
-        w = word
-        for pos in range(k, n - 1):
-            c, w = apply_braiding_word(V, w, pos)
-            coeff = coeff * c
-        prefix, last = w[:-1], w[-1]
-        for pw, pc in _symmetrize(V, prefix, cache).items():
-            add_term(out, pw + (last,), pc * coeff)
-    cache[word] = out
-    return out
-
-
-def matsumoto_symmetrizer(V, element, _cache=None):
-    """Quantum symmetrizer S_n applied to a homogeneous tensor element."""
-    cache = {} if _cache is None else _cache
-    out = {}
-    for w, c in element.items():
-        row_axpy(out, c, symmetrizer_image_word(V, w, _cache=cache))
-    return out
-
-
 def _check_dense_budget(V, degree):
     """DenseBudgetExceeded, before any work, if V^(x)degree has more basis
     words than the dense symmetrizer route may enumerate."""
@@ -149,27 +111,69 @@ def _word_blocks(V, degree):
     return blocks
 
 
-def symmetrizer_rank(V, degree, _cache=None):
-    """Exact rank of S_degree on V^(x)degree, blockwise."""
-    if degree <= 1:
-        return V.rank if degree == 1 else 1
-    cache = {} if _cache is None else _cache
-    total = 0
-    for block in _word_blocks(V, degree):
+class NicholsDegree:
+    """Degree n of the Nichols algebra, embedded in B^(n-1) (x) V.
+
+    basis holds the words b x (b in the basis of degree n-1, x a letter)
+    whose images were independent; they span B^n because J^(n-1) V lies in
+    J^n. pivots are the pivot columns of the fully reduced echelon of those
+    images, so project(u), the image of u restricted to pivots, gives the
+    coordinates of u in B^n. Degree 0 is NicholsDegree(V).
+    """
+
+    def __init__(self, V, prev=None):
+        self.V, self.prev, self.memo = V, prev, {}
+        if prev is None:
+            self.basis, self.pivots = [()], {()}
+            self.memo[()] = {(): one()}
+            return
         ech = Echelon()
-        for w in block:
-            ech.add(symmetrizer_image_word(V, w, _cache=cache))
-        total += ech.rank
-    return total
+        self.basis = []
+        for b in prev.basis:
+            for x in range(V.rank):
+                if ech.add(embed(V, prev, b + (x,))):
+                    self.basis.append(b + (x,))
+        self.pivots = set(ech.pivots)
+
+    def project(self, word):
+        hit = self.memo.get(word)
+        if hit is None:
+            image = embed(self.V, self.prev, word)
+            hit = self.memo[word] = {p: c for p, c in image.items() if p in self.pivots}
+        return hit
+
+
+def embed(V, prev, word):
+    """Image of a basis word of degree n in B^(n-1) (x) V, keyed by words.
+
+    The quantum symmetrizer factors as S_n = (S_(n-1) (x) id) T_n, where T_n
+    sums the descending crossing chains (chain k moves the letter at slot k
+    to the last slot). Composing T_n with prev.project (x) id instead keeps
+    the kernel, ker S_n, with rows of dim B^(n-1) * theta columns at most.
+    """
+    out = {}
+    unit = one()
+    for k, i in enumerate(word):
+        # x_i crosses the letters after it: c(x_i (x) x_j) = scal x_act (x) x_i
+        coeff = unit
+        tail = []
+        for j in word[k + 1 :]:
+            c, m = V.braid_pair(i, j)
+            coeff = coeff * c
+            tail.append(m)
+        for p, pc in prev.project(word[:k] + tuple(tail)).items():
+            add_term(out, p + (i,), pc * coeff)
+    return out
 
 
 def nichols_dims(V, max_degree):
     """Graded dimensions of the Nichols algebra through max_degree."""
     _check_dense_budget(V, max_degree)
-    cache = {}
+    layer = NicholsDegree(V)
     dims = [1]
-    for d in range(1, max_degree + 1):
-        dims.append(symmetrizer_rank(V, d, _cache=cache))
+    for _ in range(max_degree):
+        layer = NicholsDegree(V, layer)
+        dims.append(len(layer.basis))
     return dims
 
 
@@ -177,24 +181,20 @@ def ideal_component(V, degree):
     """Basis of ker S_degree as elements of T(V)."""
     if degree <= 1:
         return []
+    blocks = _word_blocks(V, degree)
+    prev = NicholsDegree(V)
+    for _ in range(degree - 1):
+        prev = NicholsDegree(V, prev)
     basis = []
-    cache = {}
-    for block in _word_blocks(V, degree):
-        # equations indexed by output word: sum_w S[out][w] x_w = 0
+    for block in blocks:
+        # equations indexed by image coordinate: sum_w E[key][w] x_w = 0
         mat = {}
         for w in block:
-            for out_word, c in symmetrizer_image_word(V, w, _cache=cache).items():
-                mat.setdefault(out_word, {})[w] = c
-        rows = list(mat.values())
-        for _, vec in nullspace(rows, block):
+            for key, c in embed(V, prev, w).items():
+                mat.setdefault(key, {})[w] = c
+        for _, vec in nullspace(list(mat.values()), block):
             basis.append(vec)
     return basis
-
-
-def is_in_nichols_ideal(V, element):
-    """True iff the quantum symmetrizer kills the (homogeneous) element."""
-    degree(element)  # raises if inhomogeneous
-    return not matsumoto_symmetrizer(V, element)
 
 
 def braided_coproduct(V, element):

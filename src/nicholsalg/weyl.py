@@ -50,10 +50,13 @@ def cartan_row(V, i, cap=DEFAULT_CARTAN_CAP):
     return row
 
 
-def reflect_qmatrix(V, i, cap=DEFAULT_CARTAN_CAP):
-    """q-matrix of the i-th reflection: q'_jk = chi(s_i a_j, s_i a_k)."""
+def reflect_qmatrix(V, i, cap=DEFAULT_CARTAN_CAP, crow=None):
+    """q-matrix of the i-th reflection: q'_jk = chi(s_i a_j, s_i a_k).
+
+    crow, if given, is row i of the Cartan matrix, already computed."""
     theta = V.rank
-    crow = cartan_row(V, i, cap=cap)
+    if crow is None:
+        crow = cartan_row(V, i, cap=cap)
 
     def s_i(j):
         alpha = [0] * theta
@@ -115,13 +118,14 @@ def enumerate_roots(V, cap=DEFAULT_CARTAN_CAP, object_cap=DEFAULT_OBJECT_CAP):
         if obj not in reflected:
             W = build_diagonal(qmatrices[obj])
             try:
-                reflected[obj] = (
-                    [cartan_row(W, i, cap=cap) for i in range(theta)],
-                    [is_cartan_vertex(W, j, cap=cap) for j in range(theta)],
-                    [reflect_qmatrix(W, i, cap=cap) for i in range(theta)],
-                )
+                cmat = [cartan_row(W, i, cap=cap) for i in range(theta)]
             except ValueError:
                 return not_finite()
+            reflected[obj] = (
+                cmat,
+                [is_cartan_vertex(W, j, cap=cap, crow=cmat[j]) for j in range(theta)],
+                [reflect_qmatrix(W, i, cap=cap, crow=cmat[i]) for i in range(theta)],
+            )
         cmat, flags, images = reflected[obj]
         for j in range(theta):
             col = tuple(M[r][j] for r in range(theta))
@@ -172,5 +176,8 @@ def diagram_summary(V, cap=DEFAULT_CARTAN_CAP):
     theta = V.rank
     diag = dynkin_diagram(V)
     cmat = [cartan_row(V, i, cap=cap) for i in range(theta)]
-    kinds = ["cartan" if is_cartan_vertex(V, i, cap=cap) else "non-cartan" for i in range(theta)]
+    kinds = [
+        "cartan" if is_cartan_vertex(V, i, cap=cap, crow=cmat[i]) else "non-cartan"
+        for i in range(theta)
+    ]
     return diag, cmat, kinds

@@ -286,6 +286,6 @@ def test_real_memory_error_propagates(monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(tensoralg, "symmetrizer_rank", out_of_memory)
+    monkeypatch.setattr(tensoralg, "NicholsDegree", out_of_memory)
     with pytest.raises(MemoryError):
         main(["nichols", "--config", "rank1_zeta3"])

@@ -1,23 +1,31 @@
-"""Quantum symmetrizer ranks and the defining ideal."""
+"""Nichols dimensions, the defining ideal, and the dense symmetrizer oracle."""
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nicholsalg.braided import build_diagonal
+from nicholsalg.configs import load_shipped
 from nicholsalg.cyclo import one, rational, zeta
+from nicholsalg.fk import build_fk_space
 from nicholsalg.linalg import row_axpy
 from nicholsalg.tensoralg import (
     braided_adjoint_power,
     braided_commutator,
     braided_coproduct,
     ideal_component,
-    is_in_nichols_ideal,
-    matsumoto_symmetrizer,
     monomial,
     nichols_dims,
     reduced_coproduct,
+)
+from symmetrizer_oracle import (
+    dense_ideal_component,
+    dense_nichols_dims,
+    is_in_nichols_ideal,
+    matsumoto_symmetrizer,
     symmetrizer_rank,
 )
 
@@ -108,3 +116,44 @@ def test_commutator_antisymmetry_under_braiding(q11, q12):
     back = braided_commutator(V, y, x)
     comb = row_axpy(dict(el), V.q(0, 1), back)
     assert matsumoto_symmetrizer(V, comb) == {}
+
+
+def _random_diagonal(rng, rank, N):
+    return build_diagonal(
+        [[zeta(N, rng.randrange(N)) for _ in range(rank)] for _ in range(rank)]
+    )
+
+
+def _agreement_cases():
+    rng = random.Random(12)
+    cases = [
+        pytest.param(_random_diagonal(rng, rank, N), 5, id=f"zeta{N}-rank{rank}")
+        for N in (3, 4, 6, 12)
+        for rank in (2, 3)
+    ]
+    return cases + [
+        pytest.param(build_fk_space(3), 5, id="fk3"),
+        pytest.param(build_fk_space(4), 4, id="fk4"),
+    ]
+
+
+@pytest.mark.parametrize("V, top", _agreement_cases())
+def test_embedding_route_matches_dense_symmetrizer(V, top):
+    assert nichols_dims(V, top) == dense_nichols_dims(V, top)
+    cache = {}
+    for d in range(2, top + 1):
+        kernel = ideal_component(V, d)
+        assert kernel == dense_ideal_component(V, d), d
+        assert all(is_in_nichols_ideal(V, r, _cache=cache) for r in kernel), d
+
+
+def test_high_degree_dims():
+    # the values of the dense symmetrizer route, past the snapshot's degree 6
+    assert nichols_dims(build_fk_space(4), 6) == [1, 6, 19, 42, 71, 96, 106]
+    expected = {
+        "rank3_triangle": [1, 3, 6, 11, 18, 27, 35, 42, 48, 50],
+        "rank3_super_a3": [1, 3, 6, 10, 14, 18, 21, 23, 24, 23],
+        "rank3_square": [1, 3, 6, 10, 14, 18, 21, 23, 24, 24],
+    }
+    for name, dims in expected.items():
+        assert nichols_dims(load_shipped(name).space(), 9) == dims, name

@@ -15,8 +15,8 @@ from nicholsalg.relations import (
     quotient_realization,
     rigidity_verdict,
 )
-from nicholsalg.tensoralg import is_in_nichols_ideal
 from nicholsalg.weyl import enumerate_roots
+from symmetrizer_oracle import is_in_nichols_ideal
 
 
 def a2_cartan():
