@@ -59,7 +59,7 @@ def commands(bicharacter_path):
                 ["fk", "--n", "4", "--max-degree", "6", "--symmetrizer"]))
     for cfg in RANK3:
         out.append((f"nichols-{cfg}-9", ["nichols", "--config", cfg, "--max-degree", "9"]))
-    # refused by DENSE_WORD_BUDGET before any work (exit 2)
+    # degrees 12 and 16 of the embedding route, far past any dense word count
     out.append(("fk-n4-symmetrizer-default", ["fk", "--n", "4", "--symmetrizer"]))
     out.append(("nichols-rank3_triangle-16",
                 ["nichols", "--config", "rank3_triangle", "--max-degree", "16"]))

@@ -53,7 +53,7 @@ from .liealg import (
 )
 from .relations import generate_relations, g_chi, rigidity_verdict
 from .rewriting import rewrite_dims
-from .tensoralg import DenseBudgetExceeded, nichols_dims
+from .tensoralg import nichols_dims
 from .weyl import diagram_summary, enumerate_roots
 
 LIE_EXAMPLES = {
@@ -215,10 +215,7 @@ def cmd_rigidity(args):
 def cmd_nichols(args):
     cfg = _diag_config(args)
     V = cfg.space()
-    try:
-        dims = nichols_dims(V, _max_degree(args, cfg.budgets["max_degree"]))
-    except DenseBudgetExceeded as e:
-        return 2, cfg, {}, [f"budget: {e}"]
+    dims = nichols_dims(V, _max_degree(args, cfg.budgets["max_degree"]))
     return 0, cfg, {"dims": dims, "total": sum(dims)}, []
 
 
@@ -295,7 +292,12 @@ def cmd_epsilon(args):
         "dim_Hom_M_U": hm,
         "identity_holds": eh["H"] == hm,
     }
-    return (0 if eh["H"] == hm else 1), cfg, results, warnings
+    apart = [d for d, v in md["word_dims"].items() if md["dims"][d] != v]
+    if apart:
+        d = apart[0]
+        warnings.append(f"dim M routes disagree first at degree {d}: {md['dims'][d]} "
+                        f"from structure constants, {md['word_dims'][d]} from words")
+    return (0 if eh["H"] == hm and not apart else 1), cfg, results, warnings
 
 
 def _load_bicharacter(path):
@@ -349,10 +351,7 @@ def cmd_fk(args):
     dims = fk_dims_rewriting(args.n, max_degree)
     results = {"n": args.n, "dims": dims, "total": sum(dims)}
     if args.symmetrizer:
-        try:
-            sdims = fk_dims_symmetrizer(args.n, max_degree)
-        except DenseBudgetExceeded as e:
-            return 2, None, results, [f"budget: {e}"]
+        sdims = fk_dims_symmetrizer(args.n, max_degree)
         results["symmetrizer_dims"] = sdims
         results["routes_agree"] = sdims == dims
     if args.rigidity:

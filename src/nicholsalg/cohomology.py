@@ -381,7 +381,7 @@ def kernel_M(B, relations=None, word_check_degree=6, max_degree=None):
                     if row:
                         wrows.append(row)
         dims[d] = len(kvecs) - sparse_rank(wrows)
-        blocks[d] = {"pairs": pairs, "K": kvecs, "W": wrows}
+        blocks[d] = {"K": kvecs, "W": wrows}
     out = {"dims": dims, "blocks": blocks}
     if relations is not None:
         out["word_dims"] = _kernel_m_from_words(

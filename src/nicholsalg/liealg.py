@@ -281,10 +281,10 @@ def enveloping_dims(L, max_degree, slack=2):
 
     U_c(L) = T(L)/(x (x) y - c(x (x) y) - [x, y]); the ideal is
     inhomogeneous, so filtration components are computed by echelonizing
-    all word multiples u r v with |u| + |v| + 2 <= max_degree + slack under
-    a length-primary descending order. In that order every reduced row's
-    terms are no longer than its lead, so leads of length <= d count
-    dim(I cap T_{<= d}) exactly once the span has saturated.
+    all word multiples u r v with |u| + |v| + 2 <= max_degree + slack; a
+    row's lead is its largest key in a length-primary order, so every
+    reduced row's terms are no longer than its lead, and leads of length
+    <= d count dim(I cap T_{<= d}) exactly once the span has saturated.
     """
     rep = check_braided_lie(L)
     if not all(ok for ok, _ in rep.values()):
@@ -299,7 +299,7 @@ def enveloping_dims(L, max_degree, slack=2):
                 add_term(row, (k,), -c)
             if row:
                 rels.append(row)
-    # columns are keyed (-len(word), word), so a row's pivot is its longest word
+    # columns are keyed (len(word), word), so a row's pivot is its longest word
     ech = Echelon()
     bound = max_degree + slack
 
@@ -317,11 +317,11 @@ def enveloping_dims(L, max_degree, slack=2):
             for u in words(la):
                 for v in words(lb):
                     for r in rels:
-                        row = {(-len(w) - la - lb, u + w + v): c for w, c in r.items()}
+                        row = {(len(w) + la + lb, u + w + v): c for w, c in r.items()}
                         ech.add(row)
     ideal_counts = [0] * (bound + 1)
     for lead in ech.pivots:
-        ideal_counts[-lead[0]] += 1
+        ideal_counts[lead[0]] += 1
     filtered = []
     cum_words = 0
     cum_ideal = 0

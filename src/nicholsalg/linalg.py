@@ -37,18 +37,17 @@ def row_axpy(target, coeff, source):
 
 
 class Echelon:
-    """Incremental reduced echelon form; a row's pivot is its smallest column key."""
+    """Incremental fully reduced echelon form; a row's pivot is its largest key."""
 
     def __init__(self):
-        self.pivots = {}  # pivot column -> row (pivot coeff 1)
+        self.pivots = {}  # pivot column -> row (pivot coeff 1, no other pivot column)
 
     def reduce(self, row):
         """Fully reduce a row against the current basis; returns a new dict."""
         row = {k: v for k, v in row.items() if not v.is_zero()}
-        for col in sorted(row):
-            piv = self.pivots.get(col)
-            if piv is not None:
-                row_axpy(row, -row[col], piv)
+        # no pivot row holds another pivot column, so any order clears them
+        for col in [col for col in row if col in self.pivots]:
+            row_axpy(row, -row[col], self.pivots[col])
         return row
 
     def add(self, row):
@@ -56,7 +55,7 @@ class Echelon:
         row = self.reduce(row)
         if not row:
             return row
-        col = min(row)
+        col = max(row)
         if not row[col].is_one():
             row = row_scale(row, row[col].inverse())
         # back-substitute into existing pivot rows to keep the form reduced

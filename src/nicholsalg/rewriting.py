@@ -8,10 +8,10 @@ S-polynomial of two overlapping leads is homogeneous of the degree of their
 overlap word, which exceeds both. Completion therefore runs degree by
 degree, the homogeneous form of Bergman's diamond lemma (Adv. Math. 1978)
 as in Mora (Theor. Comput. Sci. 1994): degree d reduces its relations and
-its S-polynomials by the rules below d, and the fully reduced echelon form
-of the results gives the rules of degree d. Nothing later changes a rule
-below d, so each degree is final once done, and truncating the overlaps at
-a degree bound leaves every normal-word count up to it exact.
+its S-polynomials by the rules below d, and the pivot rows of one
+linalg.Echelon of the results give the rules of degree d. Nothing later
+changes a rule below d, so each degree is final once done, and truncating
+the overlaps at a degree bound leaves the normal-word counts up to it exact.
 
 Leads are interreduced, so a word whose prefix word[:-1] is normal can only
 have a lead as a suffix; normal forms are built prefix by prefix on that.
@@ -20,7 +20,7 @@ have a lead as a suffix; normal forms are built prefix by prefix on that.
 from itertools import chain
 
 from .cyclo import one
-from .linalg import add_term, row_axpy, row_scale
+from .linalg import Echelon, add_term, row_axpy
 
 ONE = one()
 
@@ -135,23 +135,12 @@ class RewriteSystem:
             rows = relations.get(d, ())
             if d <= self.max_degree:
                 rows = chain(rows, self._s_polynomials(d))
-            pivots = {}  # lead -> row with coefficient 1 there and no other lead
+            ech = Echelon()  # its pivots are the leads of degree d
             for row in rows:
-                row = self.reduce(row)
-                for w in [w for w in row if w in pivots]:
-                    row_axpy(row, -row[w], pivots[w])
-                if not row:
-                    continue
-                lead = max(row)
-                if not row[lead].is_one():
-                    row = row_scale(row, row[lead].inverse())
-                for other in pivots.values():
-                    if lead in other:
-                        row_axpy(other, -other[lead], row)
-                pivots[lead] = row
-            if pivots:
+                ech.add(self.reduce(row))
+            if ech.pivots:
                 self._lens.append(d)
-            for lead, row in pivots.items():
+            for lead, row in ech.pivots.items():
                 self.rules[lead] = {w: -c for w, c in row.items() if w != lead}
                 for k in range(1, d):
                     self._index.setdefault((lead[:k], d), []).append(lead)

@@ -17,13 +17,6 @@ from .braided import apply_braiding_word, braid_word_blocks
 from .cyclo import one
 from .linalg import Echelon, add_term, nullspace
 
-DENSE_WORD_BUDGET = 2 * 10**7
-
-
-class DenseBudgetExceeded(Exception):
-    """V^(x)degree has more basis words than the dense symmetrizer route may
-    enumerate (DENSE_WORD_BUDGET)."""
-
 
 def monomial(word, coeff=None):
     """coeff * x_word in T(V); coeff defaults to 1."""
@@ -76,20 +69,9 @@ def braided_adjoint_power(V, i, power, target):
     return out
 
 
-def _check_dense_budget(V, degree):
-    """DenseBudgetExceeded, before any work, if V^(x)degree has more basis
-    words than the dense symmetrizer route may enumerate."""
-    if V.rank**degree > DENSE_WORD_BUDGET:
-        raise DenseBudgetExceeded(
-            f"{V.rank}^{degree} basis words exceed DENSE_WORD_BUDGET = {DENSE_WORD_BUDGET} "
-            "of the dense symmetrizer; use the rewriting engine instead"
-        )
-
-
 def _word_blocks(V, degree):
     """Partition basis words of the given degree into symmetrizer-invariant
     blocks (connected components of the braid-group action)."""
-    _check_dense_budget(V, degree)
     theta = V.rank
     seen = set()
     blocks = []
@@ -168,7 +150,6 @@ def embed(V, prev, word):
 
 def nichols_dims(V, max_degree):
     """Graded dimensions of the Nichols algebra through max_degree."""
-    _check_dense_budget(V, max_degree)
     layer = NicholsDegree(V)
     dims = [1]
     for _ in range(max_degree):

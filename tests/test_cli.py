@@ -1,12 +1,11 @@
 """Command-line surface: exit codes, JSON contract, config validation."""
 
 import json
-import time
 from argparse import Namespace
 
 import pytest
 
-from nicholsalg import tensoralg
+from nicholsalg import cohomology, tensoralg
 from nicholsalg.cli import _finite_bialgebra, build_parser, main
 from nicholsalg.configs import load_shipped, shipped_config_names
 
@@ -189,6 +188,21 @@ def test_epsilon_command(capsys):
     assert rep["results"]["identity_holds"]
 
 
+def test_epsilon_routes_to_dim_m_must_agree(capsys, monkeypatch):
+    from_words = cohomology._kernel_m_from_words
+
+    def one_too_many(*args):
+        dims = from_words(*args)
+        dims[3] += 1
+        return dims
+
+    monkeypatch.setattr(cohomology, "_kernel_m_from_words", one_too_many)
+    code, rep, _ = run_json(capsys, "epsilon", "--config", "rank1_zeta3")
+    assert code == 1
+    assert rep["results"]["identity_holds"]
+    assert "degree 3" in rep["warnings"][0]
+
+
 def test_cohomology_single_degree(capsys):
     code, rep, _ = run_json(
         capsys, "cohomology", "--config", "rank1_m1", "--ell", "-1"
@@ -268,17 +282,12 @@ def test_rigidity_honours_object_cap(tmp_path, capsys):
     assert rep["results"]["verdict"] == "NotDecided"
 
 
-def test_dense_budget_checked_before_work(capsys):
-    start = time.perf_counter()
-    code, rep, _ = run_json(
-        capsys, "nichols", "--config", "rank3_triangle", "--max-degree", "16"
-    )
-    assert time.perf_counter() - start < 1.0
-    assert code == 2
-    assert "DENSE_WORD_BUDGET" in rep["warnings"][0]
+def test_fk4_symmetrizer_at_default_degree(capsys):
+    # degree 12 has 6^12 words; the embedding route never enumerates them
     code, rep, _ = run_json(capsys, "fk", "--n", "4", "--symmetrizer")
-    assert code == 2
-    assert "DENSE_WORD_BUDGET" in rep["warnings"][0]
+    assert code == 0
+    assert rep["results"]["routes_agree"] is True
+    assert rep["results"]["total"] == 576
 
 
 def test_real_memory_error_propagates(monkeypatch):

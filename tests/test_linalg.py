@@ -19,13 +19,13 @@ def count_inverses(monkeypatch):
 def test_unit_pivot_needs_no_inverse(monkeypatch):
     calls = count_inverses(monkeypatch)
     ech = Echelon()
-    ech.add({0: one(), 1: zeta(3)})
-    ech.add({1: one(), 2: rational(5)})
+    ech.add({3: one(), 2: zeta(3)})
+    ech.add({2: one(), 1: rational(5)})
     assert calls == []
     assert ech.pivots == {
-        0: {0: one(), 2: -(zeta(3) * rational(5))},
-        1: {1: one(), 2: rational(5)},
+        3: {3: one(), 1: -(zeta(3) * rational(5))},
+        2: {2: one(), 1: rational(5)},
     }
-    ech.add({2: zeta(3), 3: one()})
+    ech.add({1: zeta(3), 0: one()})
     assert len(calls) == 1
-    assert ech.pivots[2] == {2: one(), 3: zeta(3).inverse()}
+    assert ech.pivots[1] == {1: one(), 0: zeta(3).inverse()}
