@@ -37,10 +37,15 @@ def row_axpy(target, coeff, source):
 
 
 class Echelon:
-    """Incremental fully reduced echelon form; a row's pivot is its largest key."""
+    """Incremental fully reduced echelon form; a row's pivot is its largest key.
+
+    holders indexes the pivot rows by their other columns, so a new pivot is
+    back-substituted only into the rows that hold its column.
+    """
 
     def __init__(self):
         self.pivots = {}  # pivot column -> row (pivot coeff 1, no other pivot column)
+        self.holders = {}  # non-pivot column -> pivot columns whose rows hold it
 
     def reduce(self, row):
         """Fully reduce a row against the current basis; returns a new dict."""
@@ -58,10 +63,29 @@ class Echelon:
         col = max(row)
         if not row[col].is_one():
             row = row_scale(row, row[col].inverse())
-        # back-substitute into existing pivot rows to keep the form reduced
-        for pcol, prow in self.pivots.items():
-            if col in prow:
-                row_axpy(prow, -prow[col], row)
+        # back-substitute into the pivot rows that hold col, keeping holders exact
+        holders = self.holders
+        targets = holders.pop(col, ())
+        for k in row:
+            if k != col:
+                holders.setdefault(k, set()).add(col)
+        for pcol in targets:
+            prow = self.pivots[pcol]
+            coeff = -prow.pop(col)
+            for k, v in row.items():
+                if k == col:
+                    continue
+                cur = prow.get(k)
+                if cur is None:
+                    prow[k] = v * coeff
+                    holders[k].add(pcol)
+                    continue
+                nv = cur + v * coeff
+                if nv.is_zero():
+                    del prow[k]
+                    holders[k].discard(pcol)  # col's own row keeps the set non-empty
+                else:
+                    prow[k] = nv
         self.pivots[col] = row
         return row
 

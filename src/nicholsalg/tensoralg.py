@@ -100,15 +100,17 @@ class NicholsDegree:
     whose images were independent; they span B^n because J^(n-1) V lies in
     J^n. pivots are the pivot columns of the fully reduced echelon of those
     images, so project(u), the image of u restricted to pivots, gives the
-    coordinates of u in B^n. Degree 0 is NicholsDegree(V).
+    coordinates of u in B^n. Degree 0 is NicholsDegree(V); it creates the
+    chains memo of embed, which every later degree shares.
     """
 
     def __init__(self, V, prev=None):
         self.V, self.prev, self.memo = V, prev, {}
         if prev is None:
-            self.basis, self.pivots = [()], {()}
+            self.basis, self.pivots, self.chains = [()], {()}, {}
             self.memo[()] = {(): one()}
             return
+        self.chains = prev.chains
         ech = Echelon()
         self.basis = []
         for b in prev.basis:
@@ -120,31 +122,42 @@ class NicholsDegree:
     def project(self, word):
         hit = self.memo.get(word)
         if hit is None:
-            image = embed(self.V, self.prev, word)
-            hit = self.memo[word] = {p: c for p, c in image.items() if p in self.pivots}
+            hit = self.memo[word] = embed(self.V, self.prev, word, self.pivots)
         return hit
 
 
-def embed(V, prev, word):
+def embed(V, prev, word, keys=None):
     """Image of a basis word of degree n in B^(n-1) (x) V, keyed by words.
 
     The quantum symmetrizer factors as S_n = (S_(n-1) (x) id) T_n, where T_n
     sums the descending crossing chains (chain k moves the letter at slot k
     to the last slot). Composing T_n with prev.project (x) id instead keeps
     the kernel, ker S_n, with rows of dim B^(n-1) * theta columns at most.
+
+    prev.chains maps a word w to the scalar of chain 0 on w, the product of
+    scal[w[0]][j] over j in w[1:]; chain k of word is chains[word[k:]], and
+    its letters after slot k are act[word[k]][j]. If keys is given, only the
+    image entries at those keys are summed.
     """
     out = {}
-    unit = one()
+    chains = prev.chains
     for k, i in enumerate(word):
         # x_i crosses the letters after it: c(x_i (x) x_j) = scal x_act (x) x_i
-        coeff = unit
-        tail = []
-        for j in word[k + 1 :]:
-            c, m = V.braid_pair(i, j)
-            coeff = coeff * c
-            tail.append(m)
-        for p, pc in prev.project(word[:k] + tuple(tail)).items():
-            add_term(out, p + (i,), pc * coeff)
+        rest = word[k + 1 :]
+        coeff = chains.get(word[k:])
+        if coeff is None:
+            coeff = one()
+            scal = V.scal[i]
+            for j in rest:
+                coeff = coeff * scal[j]
+            chains[word[k:]] = coeff
+        act = V.act[i]
+        image = prev.project(word[:k] + tuple(act[j] for j in rest))
+        unit = coeff.is_one()
+        for p, pc in image.items():
+            key = p + (i,)
+            if keys is None or key in keys:
+                add_term(out, key, pc if unit else pc * coeff)
     return out
 
 

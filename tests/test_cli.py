@@ -291,7 +291,7 @@ def test_fk4_symmetrizer_at_default_degree(capsys):
 
 
 def test_real_memory_error_propagates(monkeypatch):
-    # only the dense-budget refusal is a budget outcome (exit 2)
+    # running out of memory is no budget outcome (exit 2): the error propagates
     def out_of_memory(*args, **kwargs):
         raise MemoryError
 

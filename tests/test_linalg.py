@@ -1,7 +1,11 @@
 """Sparse exact linear algebra: echelon form."""
 
+import random
+
+import pytest
+
 from nicholsalg.cyclo import CycNumber, one, rational, zeta
-from nicholsalg.linalg import Echelon
+from nicholsalg.linalg import Echelon, row_axpy, row_scale
 
 
 def count_inverses(monkeypatch):
@@ -29,3 +33,80 @@ def test_unit_pivot_needs_no_inverse(monkeypatch):
     ech.add({1: zeta(3), 0: one()})
     assert len(calls) == 1
     assert ech.pivots[1] == {1: one(), 0: zeta(3).inverse()}
+
+
+class FullScanEchelon(Echelon):
+    """The reference add: back-substitution scans every pivot row."""
+
+    def add(self, row):
+        row = self.reduce(row)
+        if not row:
+            return row
+        col = max(row)
+        if not row[col].is_one():
+            row = row_scale(row, row[col].inverse())
+        for prow in self.pivots.values():
+            if col in prow:
+                row_axpy(prow, -prow[col], row)
+        self.pivots[col] = row
+        return row
+
+
+def _random_scalar(rng, N):
+    return zeta(N, rng.randrange(N)) * rational(rng.choice([-3, -2, -1, 1, 2, 5]))
+
+
+def _random_rows(rng, N, count, width=12):
+    """Random rows, combinations of earlier rows (dependent), and rows whose
+    back-substitution cancels an entry of an existing pivot row."""
+    ref = FullScanEchelon()
+    rows, cancelling = [], 0
+    while len(rows) < count:
+        kind = rng.random()
+        if kind < 0.2 and rows:
+            row = {}
+            for old in rng.sample(rows, min(3, len(rows))):
+                row_axpy(row, _random_scalar(rng, N), old)
+        elif kind < 0.5 and ref.pivots:
+            # c > d, neither a pivot: the new row {c, d} has pivot c and clears
+            # d from prow, since prow[d] - prow[c] * (prow[d] / prow[c]) = 0
+            prow = ref.pivots[rng.choice(sorted(ref.pivots))]
+            free = sorted(k for k in prow if k not in ref.pivots)
+            if len(free) < 2:
+                continue
+            d, c = sorted(rng.sample(free, 2))
+            scale = _random_scalar(rng, N)
+            row = {c: prow[c] * scale, d: prow[d] * scale}
+            cancelling += 1
+        else:
+            cols = rng.sample(range(width), rng.randint(1, 5))
+            row = {k: _random_scalar(rng, N) for k in cols}
+        rows.append(row)
+        ref.add(dict(row))
+    return rows, cancelling
+
+
+def _holders_from_rows(pivots):
+    index = {}
+    for pcol, prow in pivots.items():
+        for k in prow:
+            if k != pcol:
+                index.setdefault(k, set()).add(pcol)
+    return index
+
+
+@pytest.mark.parametrize("N", [3, 6])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_indexed_add_matches_full_scan(N, seed):
+    rows, cancelling = _random_rows(random.Random(seed), N, 40)
+    assert cancelling
+    ech, ref = Echelon(), FullScanEchelon()
+    for row in rows:
+        ech.add(dict(row))
+        ref.add(dict(row))
+        assert ech.pivots == ref.pivots
+        for pcol, prow in ech.pivots.items():
+            assert prow[pcol].is_one()
+            assert not any(k in ech.pivots for k in prow if k != pcol)
+            assert not any(v.is_zero() for v in prow.values())
+        assert ech.holders == _holders_from_rows(ech.pivots)

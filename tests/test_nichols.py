@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nicholsalg.braided import build_diagonal
+from nicholsalg.braided import apply_braiding_word, build_diagonal
 from nicholsalg.configs import load_shipped
 from nicholsalg.cyclo import one, rational, zeta
 from nicholsalg.fk import build_fk_space
 from nicholsalg.linalg import row_axpy
 from nicholsalg.tensoralg import (
+    NicholsDegree,
     braided_adjoint_power,
     braided_commutator,
     braided_coproduct,
+    embed,
     ideal_component,
     monomial,
     nichols_dims,
@@ -145,6 +147,35 @@ def test_embedding_route_matches_dense_symmetrizer(V, top):
         kernel = ideal_component(V, d)
         assert kernel == dense_ideal_component(V, d), d
         assert all(is_in_nichols_ideal(V, r, _cache=cache) for r in kernel), d
+
+
+@pytest.mark.parametrize(
+    "V",
+    [
+        pytest.param(load_shipped("rank3_triangle").space(), id="rank3_triangle"),
+        pytest.param(build_fk_space(4), id="fk4"),
+    ],
+)
+def test_pivot_projection_and_chain_memo(V):
+    layers = [NicholsDegree(V)]
+    for _ in range(5):
+        layers.append(NicholsDegree(V, layers[-1]))
+    chains = layers[0].chains
+    assert all(layer.chains is chains for layer in layers)
+    for layer in layers[1:-1]:
+        assert layer.memo, layer
+        for u, image in layer.memo.items():
+            full = embed(V, layer.prev, u)
+            assert image == {p: c for p, c in full.items() if p in layer.pivots}, u
+    assert chains
+    for w, scalar in chains.items():
+        # chain 0 moves the first letter to the last slot
+        coeff, moved = one(), w
+        for pos in range(len(w) - 1):
+            c, moved = apply_braiding_word(V, moved, pos)
+            coeff = coeff * c
+        assert scalar == coeff, w
+        assert moved == tuple(V.act[w[0]][j] for j in w[1:]) + w[:1], w
 
 
 def test_high_degree_dims():
