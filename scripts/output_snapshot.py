@@ -34,15 +34,27 @@ BICHARACTER = {
     "values": [["-1", "zeta5"], ["zeta5^4", "-1"]],
     "skew": True,
 }
+# the rewrite tasks of the perfbench rewriting workload
+REWRITE_16 = [
+    "a2_cartan_zeta3", "a2_super", "b2",
+    "rank3_square", "rank3_super_a3", "rank3_triangle", "rank1_zeta6",
+]
+# q_11 = 2 is no root of unity, so c[0][1] is undefined at any cap
+UNDEFINED_CARTAN = {"rank": 2, "q_values": [["2", "3"], ["1", "-1"]]}
 
 
-def commands(bicharacter_path):
+def commands(bicharacter_path, undefined_path):
     """(file name, CLI arguments) for every command in the snapshot."""
     out = []
     for cfg in DIAGONAL:
         for cmd in ("diagram", "roots", "relations", "rigidity", "rewrite"):
             out.append((f"{cmd}-{cfg}", [cmd, "--config", cfg]))
+        out.append((f"rigidity-{cfg}-pre-nichols", ["rigidity", "--config", cfg, "--pre-nichols"]))
         out.append((f"nichols-{cfg}", ["nichols", "--config", cfg, "--max-degree", "6"]))
+    for cfg in REWRITE_16:
+        out.append((f"rewrite-{cfg}-16", ["rewrite", "--config", cfg, "--max-degree", "16"]))
+    for cmd in ("diagram", "roots", "relations", "rigidity", "rewrite"):
+        out.append((f"{cmd}-undefined_cartan", [cmd, "--config", undefined_path]))
     for cfg in COHOMOLOGY + ["a2_cartan_zeta3", "b2"]:
         out.append((f"cohomology-{cfg}", ["cohomology", "--config", cfg]))
     for cfg in COHOMOLOGY + ["a2_cartan_zeta3", "b2"]:
@@ -79,7 +91,9 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         beta = Path(tmp) / "bicharacter.json"
         beta.write_text(json.dumps(BICHARACTER))
-        for name, cmd in commands(str(beta)):
+        undefined = Path(tmp) / "undefined_cartan.json"
+        undefined.write_text(json.dumps(UNDEFINED_CARTAN))
+        for name, cmd in commands(str(beta), str(undefined)):
             proc = subprocess.run(
                 [sys.executable, "-m", "nicholsalg", *cmd, "--json"],
                 env=env, capture_output=True, text=True,

@@ -459,14 +459,14 @@ def compose_perm(p, q):
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def nichols_ideal_biideal_check(V, max_degree=4):
+def nichols_ideal_biideal_check(V):
     """Coproduct closure of the symmetrizer-kernel ideal in low degrees.
 
-    For each degree d <= max_degree and each kernel basis element r, checks
+    For each degree d <= 4 and each kernel basis element r, checks
     that every middle component of the braided coproduct of r lies in
     I (x) T + T (x) I. Returns (True, None) or (False, witness).
     """
-    ideal = {d: ideal_component(V, d) for d in range(2, max_degree + 1)}
+    ideal = {d: ideal_component(V, d) for d in range(2, 5)}
     echelons = {}
 
     def split_echelon(a, b):
@@ -482,8 +482,8 @@ def nichols_ideal_biideal_check(V, max_degree=4):
                     ech.add({(u, v): c for v, c in je.items()})
         return ech
 
-    for d in range(2, max_degree + 1):
-        for r in ideal[d]:
+    for d, kernel in ideal.items():
+        for r in kernel:
             by_split = {}
             cop = braided_coproduct(V, r)
             for (u, v), c in cop.items():

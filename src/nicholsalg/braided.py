@@ -41,7 +41,7 @@ class BraidedSpace:
         return self.scal[i][j], self.act[i][j]
 
 
-def build_diagonal(qmatrix, basis=None):
+def build_diagonal(qmatrix):
     """Braided space with c(x_i (x) x_j) = q_ij x_j (x) x_i."""
     theta = len(qmatrix)
     rows = []
@@ -56,13 +56,10 @@ def build_diagonal(qmatrix, basis=None):
                 raise ValueError(f"q[{i}][{j}] must be nonzero")
             ents.append(q)
         rows.append(tuple(ents))
-    if basis is None:
-        basis = tuple(f"x{i + 1}" for i in range(theta))
+    basis = tuple(f"x{i + 1}" for i in range(theta))
     act = tuple(tuple(range(theta)) for _ in range(theta))
     scal = tuple(rows[i] for i in range(theta))
-    return BraidedSpace(
-        kind="diagonal", basis=tuple(basis), act=act, scal=scal, qmatrix=tuple(rows)
-    )
+    return BraidedSpace(kind="diagonal", basis=basis, act=act, scal=scal, qmatrix=tuple(rows))
 
 
 def build_group_type(basis, act, scal, group_degrees):
@@ -159,31 +156,16 @@ class DynkinDiagram:
         self.vertices = tuple(vertices)
         self.edges = dict(edges)
 
-    def key(self):
-        return (self.vertices, tuple(sorted(self.edges.items())))
 
-    def __eq__(self, other):
-        return isinstance(other, DynkinDiagram) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-
-def is_cartan_vertex(V, i, cap=DEFAULT_CARTAN_CAP, crow=None):
-    """Cartan vertex test; in rank 1 the vertex counts as Cartan iff q_11
-    is a root of unity of order >= 3 (so its cube-or-higher power relation
-    comes from the Cartan-root family rather than the simple-power one).
-    crow, if given, is row i of the Cartan matrix, already computed."""
+def is_cartan_vertex(V, i, crow):
+    """Cartan vertex test, where crow is row i of the Cartan matrix; in rank 1
+    the vertex counts as Cartan iff q_11 is a root of unity of order >= 3 (so
+    its cube-or-higher power relation comes from the Cartan-root family
+    rather than the simple-power one)."""
     theta = V.rank
     if theta == 1:
         order = cyc_order(V.q(0, 0))
         return order is not None and order >= 3
-    for j in range(theta):
-        if j == i:
-            continue
-        cij = cartan_integer(V, i, j, cap=cap) if crow is None else crow[j]
-        if cij is None:
-            raise ValueError(f"Cartan integer c[{i}][{j}] undefined within cap {cap}")
-        if V.qtilde(i, j) != V.q(i, i) ** cij:
-            return False
-    return True
+    return all(
+        V.qtilde(i, j) == V.q(i, i) ** crow[j] for j in range(theta) if j != i
+    )

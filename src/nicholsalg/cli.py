@@ -122,7 +122,7 @@ def _catalog_elements(cfg, V):
         return None, ["root system not finite"]
     elems = []
     warnings = []
-    for inst in generate_relations(V, rs, cap=cfg.budgets["cartan_cap"]):
+    for inst in generate_relations(V, rs):
         if inst.element is None:
             warnings.append(f"no explicit element for {inst.family} {inst.participants}")
         else:
@@ -168,7 +168,7 @@ def cmd_relations(args):
     rs = _root_data(cfg, V)
     if not rs.finite:
         return 2, cfg, {"finite": False}, ["root system not finite; no relation list"]
-    instances = generate_relations(V, rs, cap=cfg.budgets["cartan_cap"])
+    instances = generate_relations(V, rs)
     rows = []
     for inst in instances:
         _, _, scalar = g_chi(real, inst)
@@ -189,9 +189,7 @@ def cmd_rigidity(args):
     real = cfg.realization(V)
     rs = _root_data(cfg, V)
     try:
-        verdict, reports = rigidity_verdict(
-            V, rs, real, pre_nichols=args.pre_nichols, cap=cfg.budgets["cartan_cap"]
-        )
+        verdict, reports = rigidity_verdict(V, rs, real, pre_nichols=args.pre_nichols)
     except ValueError as e:
         return 2, cfg, {"verdict": "NotDecided"}, [str(e)]
     failing = [
@@ -282,7 +280,7 @@ def cmd_epsilon(args):
     B, rels, warnings = _finite_bialgebra(cfg, args)
     if B is None:
         return 2, cfg, {}, warnings
-    md = kernel_M(B, relations=rels, word_check_degree=min(5, 2 * B.top_degree))
+    md = kernel_M(B, rels, word_check_degree=min(5, 2 * B.top_degree))
     eh = epsilon_H2(B)
     hm = hom_M_dim(B, md)
     results = {
@@ -406,7 +404,7 @@ def cmd_selfcheck(args):
             V = build_fk_space(cfg.n)
         else:
             V = cfg.space()
-        ok, w = nichols_ideal_biideal_check(V, max_degree=4)
+        ok, w = nichols_ideal_biideal_check(V)
         biideal[name] = ok
         ok_all = ok_all and ok
     results["nichols_ideal_biideal"] = biideal

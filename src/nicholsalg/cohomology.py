@@ -330,17 +330,14 @@ def epsilon_H2(B):
     return {"Z": dim_z, "B": dim_b, "H": dim_z - dim_b}
 
 
-def kernel_M(B, relations=None, word_check_degree=6, max_degree=None):
+def kernel_M(B, relations, word_check_degree=6):
     """M = ker(B+ (x)_B B+ -> B+) degreewise, from structure constants.
 
-    Returns {"dims": {degree: dim}, "blocks": per-degree data, and, when the
-    relation generators are supplied, "word_dims": the same dims through
-    word_check_degree computed independently as I/(T+ I + I T+) inside the
-    tensor algebra.
+    Returns {"dims": {degree: dim}, "blocks": per-degree data, "word_dims":
+    the same dims through word_check_degree computed independently from the
+    relation generators as I/(T+ I + I T+) inside the tensor algebra}.
     """
-    top = B.top_degree
-    if max_degree is None:
-        max_degree = 2 * top
+    max_degree = 2 * B.top_degree
     cat = B.category
     pos = B.positive()
     dims = {}
@@ -382,12 +379,8 @@ def kernel_M(B, relations=None, word_check_degree=6, max_degree=None):
                         wrows.append(row)
         dims[d] = len(kvecs) - sparse_rank(wrows)
         blocks[d] = {"K": kvecs, "W": wrows}
-    out = {"dims": dims, "blocks": blocks}
-    if relations is not None:
-        out["word_dims"] = _kernel_m_from_words(
-            B.V, relations, min(word_check_degree, max_degree)
-        )
-    return out
+    word_dims = _kernel_m_from_words(B.V, relations, min(word_check_degree, max_degree))
+    return {"dims": dims, "blocks": blocks, "word_dims": word_dims}
 
 
 def _kernel_m_from_words(V, relations, max_degree):

@@ -105,8 +105,10 @@ def parse_config(data, name=None):
     real = data.get("realization", {"kind": "canonical"})
     if not isinstance(real, dict) or "kind" not in real:
         raise ConfigError("realization: need an object with a 'kind' field")
-    if real["kind"] == "quotient" and not _is_int(real.get("order")):
-        raise ConfigError("realization.order: need an integer for quotient kind")
+    if real["kind"] == "quotient":
+        N = real.get("order")
+        if not _is_int(N) or N < 1:
+            raise ConfigError(f"realization.order: need an integer >= 1, got {N!r}")
 
     cfg = RunConfig(
         cname,

@@ -120,8 +120,10 @@ def group_degree_of(V, element):
 def fk_bialgebra(n, max_degree=5):
     """The finite quadratic algebra as a bialgebra with its Sym(n) category.
 
-    Only practical for n = 3 (the basis enumeration needs the completed
-    rewriting system past twice the top degree).
+    The basis enumeration needs the completed rewriting system past twice
+    the top degree; this is cheap for n = 3 and n = 4 (degree 13, dim 576).
+    The n = 3 limit of the command line lies in `cli._finite_bialgebra`,
+    because the cohomology on the n = 4 bialgebra is far dearer.
     """
     V = build_fk_space(n)
     rels = fk_relations(n)

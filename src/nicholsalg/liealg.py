@@ -276,12 +276,12 @@ def braided_commutator(A, beta):
 # -- universal envelope ------------------------------------------------------
 
 
-def enveloping_dims(L, max_degree, slack=2):
+def enveloping_dims(L, max_degree):
     """Filtered dims of U_c(L) and graded dims of gr, vs Nichols dims.
 
     U_c(L) = T(L)/(x (x) y - c(x (x) y) - [x, y]); the ideal is
     inhomogeneous, so filtration components are computed by echelonizing
-    all word multiples u r v with |u| + |v| + 2 <= max_degree + slack; a
+    all word multiples u r v with |u| + |v| + 2 <= max_degree + 2; a
     row's lead is its largest key in a length-primary order, so every
     reduced row's terms are no longer than its lead, and leads of length
     <= d count dim(I cap T_{<= d}) exactly once the span has saturated.
@@ -301,7 +301,7 @@ def enveloping_dims(L, max_degree, slack=2):
                 rels.append(row)
     # columns are keyed (len(word), word), so a row's pivot is its longest word
     ech = Echelon()
-    bound = max_degree + slack
+    bound = max_degree + 2
 
     def words(length):
         if length == 0:

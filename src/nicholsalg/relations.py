@@ -17,11 +17,9 @@ from dataclasses import dataclass
 from itertools import combinations, groupby, permutations
 from typing import Optional
 
-from .braided import DEFAULT_CARTAN_CAP, cartan_integer, is_cartan_vertex
 from .cyclo import cyc_order, one
 from .linalg import row_axpy
 from .tensoralg import braided_adjoint_power, braided_commutator, concat, monomial, root_vector_word
-from .weyl import enumerate_roots
 
 ELEMENT_DEGREE_CAP = 12  # skip explicit word realizations above this degree
 
@@ -190,15 +188,15 @@ def _variant(*cases):
 
 class _GuardData:
     """What the family guards read, computed once per catalog: the q and
-    q-tilde matrices, the Cartan integers (None where undefined), the root set
-    and cached root-of-unity orders."""
+    q-tilde matrices, the Cartan matrix and root set of the root data, and
+    cached root-of-unity orders."""
 
-    def __init__(self, V, rs, cap):
+    def __init__(self, V, rs):
         n = range(V.rank)
         self.theta = V.rank
         self.q = V.qmatrix
         self.t = [[V.qtilde(i, j) for j in n] for i in n]
-        self.c = [[None if i == j else cartan_integer(V, i, j, cap=cap) for j in n] for i in n]
+        self.c = rs.cartan
         self.roots = set(rs.positive_roots)
         self._orders = {}
 
@@ -257,8 +255,7 @@ def _tower43(d, i, j):
     cij, cji, qjj = d.c[i][j], d.c[j][i], d.q[j][j]
     holds = (
         not d.is_root((i, j), (4, 3))
-        and (_m1(qjj) or (cji is not None and -cji >= 2))
-        and cij is not None
+        and (_m1(qjj) or -cji >= 2)
         and (-cij >= 3 or (-cij == 2 and d.order(d.q[i][i]) == 3))
     )
     if not holds:
@@ -429,7 +426,7 @@ _FAMILIES = [
     # [x_iij, x_ij]_c with a sixth-root weighted edge
     ("sixth_root_bracket", (3, 2), lambda d, i, j: _only(
         _m1(d.q[j][j]) and d.order(d.q[i][i] * d.t[i][j]) == 6 and not _m1(d.t[i][j])
-        and (d.order(d.q[i][i]) == 3 or (d.c[i][j] is not None and -d.c[i][j] >= 3))
+        and (d.order(d.q[i][i]) == 3 or -d.c[i][j] >= 3)
     ), lambda V, d, i, j: _br(V, (i, i, j), (i, j))),
     # double Serre-type combination
     ("two_vertex_mixed", (2, 2), lambda d, i, j: _only(
@@ -437,10 +434,10 @@ _FAMILIES = [
         and not (d.q[i][i] * d.t[i][j]).is_one() and not (d.q[j][j] * d.t[i][j]).is_one()
     ), _two_vertex_mixed),
     # [x_i, x_{3a_i+2a_j}]_c - coef x_iij^2
-    ("high_root_serre", (4, 2), lambda d, i, j: _only(d.c[i][j] is not None and (
+    ("high_root_serre", (4, 2), lambda d, i, j: _only(
         -d.c[i][j] in (4, 5)
         or (_m1(d.q[j][j]) and -d.c[i][j] == 3 and d.order(d.q[i][i]) == 4)
-    )), _high_root_serre),
+    ), _high_root_serre),
     # vanishing of the degree-(4,3) bracket tower
     ("tower43_vanishes", (4, 3), _tower43, lambda V, d, i, j: _tower(V, i, j, 3)),
     # [x_iij, x_{3a_i+2a_j}]_c
@@ -464,19 +461,18 @@ _FAMILIES = [
 ]
 
 
-def generate_relations(V, rs=None, cap=DEFAULT_CARTAN_CAP):
+def generate_relations(V, rs):
     """All relation instances whose guards hold on V, in catalog order.
 
-    rs: RootSystemData (computed when omitted); needed both for Cartan root
-    powers and for the membership guards of the high two-index families.
-    An instance gets an explicit element only up to ELEMENT_DEGREE_CAP.
+    rs is the root data of V (weyl.enumerate_roots); it supplies the Cartan
+    matrix and Cartan vertices, the Cartan root powers and the membership
+    guards of the high two-index families. An instance gets an explicit
+    element only up to ELEMENT_DEGREE_CAP.
     """
     theta = V.rank
-    if rs is None:
-        rs = enumerate_roots(V, cap=cap)
     if not rs.finite:
         raise ValueError("relation catalog requires a finite root system")
-    d = _GuardData(V, rs, cap)
+    d = _GuardData(V, rs)
     q, t = d.q, d.t
     out = []
 
@@ -494,13 +490,13 @@ def generate_relations(V, rs=None, cap=DEFAULT_CARTAN_CAP):
     # quantum Serre relations (ad_c x_i)^{1-c_ij} x_j
     for i, j in permutations(range(theta), 2):
         cij = d.c[i][j]
-        if cij is not None and not (q[i][i] ** (1 - cij)).is_one():
+        if not (q[i][i] ** (1 - cij)).is_one():
             degree = _degree(theta, (i, j), (1 - cij, 1))
             add("quantum_serre", (i, j), degree,
                 lambda: braided_adjoint_power(V, i, 1 - cij, _gen(j)))
     # simple root powers x_i^{N_i} at non-Cartan vertices
     for i in range(theta):
-        N = None if is_cartan_vertex(V, i, cap=cap) else d.order(q[i][i])
+        N = None if rs.cartan_vertices[i] else d.order(q[i][i])
         if N is not None and N >= 2:
             add("simple_root_power", (i,), _degree(theta, (i,), (N,)), lambda: _power(_gen(i), N))
     # x_ij^2 for a -1-triangle of q_ii, qt_ij, q_jj with an asymmetric witness k
@@ -574,18 +570,16 @@ def check_prop_gchi(V, real, instances):
     return reports
 
 
-def rigidity_verdict(V, rs, real=None, pre_nichols=False, cap=DEFAULT_CARTAN_CAP):
+def rigidity_verdict(V, rs, real, pre_nichols=False):
     """Rigid | NotDecided per the sufficient (g_R, chi_R) criterion.
 
     rs is the root data of V (weyl.enumerate_roots within the caller's caps).
     pre_nichols drops the Cartan root power relations (the quotient keeping
     root vectors alive) before testing.
     """
-    if real is None:
-        real = canonical_realization(V)
     if not rs.finite:
         raise ValueError("rigidity criterion requires a finite root system")
-    instances = generate_relations(V, rs, cap=cap)
+    instances = generate_relations(V, rs)
     if pre_nichols:
         instances = [r for r in instances if r.family != "cartan_root_power"]
     reports = check_prop_gchi(V, real, instances)

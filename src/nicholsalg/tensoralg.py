@@ -18,10 +18,9 @@ from .cyclo import one
 from .linalg import Echelon, add_term, nullspace
 
 
-def monomial(word, coeff=None):
-    """coeff * x_word in T(V); coeff defaults to 1."""
-    coeff = one() if coeff is None else coeff
-    return {} if coeff.is_zero() else {tuple(word): coeff}
+def monomial(word):
+    """x_word in T(V)."""
+    return {tuple(word): one()}
 
 
 def concat(a, b):

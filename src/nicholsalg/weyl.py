@@ -3,11 +3,13 @@
 Objects are q-matrices; reflections act through the bicharacter
 chi(alpha, beta) = prod q_ij^(a_i b_j) on Z^theta. A breadth-first walk
 over reflection-equivalent matrices collects positive roots as images of
-the simple roots under composed reflections.
+the simple roots under composed reflections. Cartan matrices are computed
+here and nowhere else; the initial object's travels with the root data.
 """
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Optional
 
 from .braided import (
@@ -36,27 +38,21 @@ def bichar_eval(V, alpha, beta):
     return out
 
 
-def cartan_row(V, i, cap=DEFAULT_CARTAN_CAP):
-    """Row i of the Cartan-scheme matrix (c_ii = 2); None entry aborts."""
-    row = []
-    for j in range(V.rank):
-        if j == i:
-            row.append(2)
-            continue
-        cij = cartan_integer(V, i, j, cap=cap)
-        if cij is None:
+def cartan_matrix(V, cap=DEFAULT_CARTAN_CAP):
+    """Cartan-scheme matrix of V (c_ii = 2); raises at the first entry, in
+    row-major order, that is undefined within cap."""
+    cmat = [[2] * V.rank for _ in range(V.rank)]
+    for i, j in permutations(range(V.rank), 2):
+        cmat[i][j] = cartan_integer(V, i, j, cap=cap)
+        if cmat[i][j] is None:
             raise ValueError(f"Cartan integer c[{i}][{j}] undefined within cap {cap}")
-        row.append(cij)
-    return row
+    return cmat
 
 
-def reflect_qmatrix(V, i, cap=DEFAULT_CARTAN_CAP, crow=None):
-    """q-matrix of the i-th reflection: q'_jk = chi(s_i a_j, s_i a_k).
-
-    crow, if given, is row i of the Cartan matrix, already computed."""
+def reflect_qmatrix(V, i, crow):
+    """q-matrix of the i-th reflection: q'_jk = chi(s_i a_j, s_i a_k), where
+    crow is row i of the Cartan matrix."""
     theta = V.rank
-    if crow is None:
-        crow = cartan_row(V, i, cap=cap)
 
     def s_i(j):
         alpha = [0] * theta
@@ -77,7 +73,9 @@ class RootSystemData:
     positive_roots: list  # tuples in N_0^theta, at the initial object
     cartan_roots: list  # subset closed under the groupoid action
     objects: int
-    qmatrix: tuple
+    # Cartan matrix and Cartan-vertex flags of the initial object; None unless finite
+    cartan: Optional[list]
+    cartan_vertices: Optional[list]
 
     def root_scalar(self, V, alpha):
         """q_alpha = chi(alpha, alpha)."""
@@ -111,20 +109,20 @@ def enumerate_roots(V, cap=DEFAULT_CARTAN_CAP, object_cap=DEFAULT_OBJECT_CAP):
     cartan = set()
 
     def not_finite():
-        return RootSystemData(False, [], [], len(numbers), start)
+        return RootSystemData(False, [], [], len(numbers), None, None)
 
     while queue:
         obj, M = queue.popleft()
         if obj not in reflected:
             W = build_diagonal(qmatrices[obj])
             try:
-                cmat = [cartan_row(W, i, cap=cap) for i in range(theta)]
+                cmat = cartan_matrix(W, cap)
             except ValueError:
                 return not_finite()
             reflected[obj] = (
                 cmat,
-                [is_cartan_vertex(W, j, cap=cap, crow=cmat[j]) for j in range(theta)],
-                [reflect_qmatrix(W, i, cap=cap, crow=cmat[i]) for i in range(theta)],
+                [is_cartan_vertex(W, j, cmat[j]) for j in range(theta)],
+                [reflect_qmatrix(W, i, cmat[i]) for i in range(theta)],
             )
         cmat, flags, images = reflected[obj]
         for j in range(theta):
@@ -161,23 +159,16 @@ def enumerate_roots(V, cap=DEFAULT_CARTAN_CAP, object_cap=DEFAULT_OBJECT_CAP):
     cartan_pos = sorted(
         {r if all(x >= 0 for x in r) else tuple(-x for x in r) for r in cartan}
     )
-    return RootSystemData(True, positive, cartan_pos, len(numbers), start)
-
-
-def cartan_roots(V, cap=DEFAULT_CARTAN_CAP, object_cap=DEFAULT_OBJECT_CAP):
-    data = enumerate_roots(V, cap=cap, object_cap=object_cap)
-    if not data.finite:
-        raise ValueError("root system not shown finite within caps")
-    return data.cartan_roots
+    cmat, flags, _ = reflected[0]
+    return RootSystemData(True, positive, cartan_pos, len(numbers), cmat, flags)
 
 
 def diagram_summary(V, cap=DEFAULT_CARTAN_CAP):
     """Printable diagram data: vertex scalars, edges, Cartan matrix, vertex types."""
-    theta = V.rank
     diag = dynkin_diagram(V)
-    cmat = [cartan_row(V, i, cap=cap) for i in range(theta)]
+    cmat = cartan_matrix(V, cap)
     kinds = [
-        "cartan" if is_cartan_vertex(V, i, cap=cap, crow=cmat[i]) else "non-cartan"
-        for i in range(theta)
+        "cartan" if is_cartan_vertex(V, i, cmat[i]) else "non-cartan"
+        for i in range(V.rank)
     ]
     return diag, cmat, kinds

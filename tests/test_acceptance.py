@@ -102,18 +102,18 @@ def test_criterion_5_grading_pair_avoidance():
         cfg = load_shipped(name)
         V = cfg.space()
         real = cfg.realization(V)
-        reports = check_prop_gchi(V, real, generate_relations(V))
+        reports = check_prop_gchi(V, real, generate_relations(V, enumerate_roots(V)))
         ok = ok and all(r["ok"] for r in reports)
     # scalar witnesses on the two rank-3 families
     cfg = load_shipped("rank3_square")
     V = cfg.space()
-    sq = [r for r in generate_relations(V) if r.family == "square_of_bracket"]
+    sq = [r for r in generate_relations(V, enumerate_roots(V)) if r.family == "square_of_bracket"]
     ok = ok and sq and all(
         g_chi(cfg.realization(V), r)[2] == one() for r in sq
     )
     cfg = load_shipped("rank3_super_a3")
     V = cfg.space()
-    mid = [r for r in generate_relations(V) if r.family == "mid_vertex_bracket"]
+    mid = [r for r in generate_relations(V, enumerate_roots(V)) if r.family == "mid_vertex_bracket"]
     ok = ok and mid and all(
         g_chi(cfg.realization(V), r)[2] == V.q(0, 0) * V.q(2, 2) for r in mid
     )

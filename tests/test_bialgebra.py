@@ -97,7 +97,7 @@ def test_biideal_witness_reports_leftover():
 def test_nichols_ideal_is_biideal():
     for name in ("rank1_zeta4", "a2_cartan_zeta3", "rank3_square"):
         V = load_shipped(name).space()
-        ok, witness = nichols_ideal_biideal_check(V, max_degree=4)
+        ok, witness = nichols_ideal_biideal_check(V)
         assert ok, (name, witness)
 
 
@@ -110,7 +110,7 @@ def test_biideal_check_builds_one_echelon_per_split(monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(bialgebra, "Echelon", CountingEchelon)
-    ok, witness = nichols_ideal_biideal_check(build_fk_space(3), max_degree=4)
+    ok, witness = nichols_ideal_biideal_check(build_fk_space(3))
     assert ok, witness
     # degree <= 4 has the splits (a, b) with a + b <= 4 and a, b >= 1
     assert 0 < len(built) <= 6

@@ -13,6 +13,7 @@ from nicholsalg.braided import (
 )
 from nicholsalg.cyclo import one, rational, zeta
 from nicholsalg.tensoralg import braiding_operator, monomial
+from nicholsalg.weyl import cartan_matrix
 
 
 def test_build_rejects_zero_entry():
@@ -85,6 +86,7 @@ def test_dynkin_diagram():
 
 def test_cartan_vertices_a2():
     V = build_diagonal([[zeta(3), zeta(3, 2)], [one(), zeta(3)]])
-    assert is_cartan_vertex(V, 0) and is_cartan_vertex(V, 1)
+    cmat = cartan_matrix(V)
+    assert is_cartan_vertex(V, 0, cmat[0]) and is_cartan_vertex(V, 1, cmat[1])
     W = build_diagonal([[rational(-1), zeta(3)], [one(), rational(-1)]])
-    assert not is_cartan_vertex(W, 0)
+    assert not is_cartan_vertex(W, 0, cartan_matrix(W)[0])

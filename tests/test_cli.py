@@ -70,6 +70,8 @@ def test_malformed_config_names_field(tmp_path, capsys):
         ("rank", True, "rank"),
         ("cyclotomic_order", True, "cyclotomic_order"),
         ("realization", {"kind": "quotient", "order": True}, "realization.order"),
+        ("realization", {"kind": "quotient", "order": 0}, "realization.order"),
+        ("realization", {"kind": "quotient", "order": -3}, "realization.order"),
         ("kind", "fk", "n"),  # with "n": true below
     ]
     for field, value, named in cases:

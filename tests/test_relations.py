@@ -42,7 +42,7 @@ def test_quotient_realization_requires_divisibility():
 
 def test_a2_relation_families():
     V = a2_cartan()
-    rels = generate_relations(V)
+    rels = generate_relations(V, enumerate_roots(V))
     fams = {r.family for r in rels}
     assert "quantum_serre" in fams
     assert "cartan_root_power" in fams
@@ -61,7 +61,7 @@ def _relation_elements():
         rs = enumerate_roots(
             V, cap=cfg.budgets["cartan_cap"], object_cap=cfg.budgets["object_cap"]
         )
-        for r in generate_relations(V, rs, cap=cfg.budgets["cartan_cap"]):
+        for r in generate_relations(V, rs):
             if r.element is not None:
                 yield (name, r.family, r.participants), r.element
     for n in (3, 4):
@@ -82,7 +82,7 @@ def test_relation_elements_are_homogeneous_sparse_vectors():
 def test_relation_degrees_match_elements():
     cfg = load_shipped("a2_super")
     V = cfg.space()
-    for r in generate_relations(V):
+    for r in generate_relations(V, enumerate_roots(V)):
         if r.element is None:
             continue
         for word in r.element:
@@ -96,7 +96,7 @@ def test_gchi_witness_square_of_bracket():
     cfg = load_shipped("rank3_square")
     V = cfg.space()
     real = cfg.realization(V)
-    rels = [r for r in generate_relations(V) if r.family == "square_of_bracket"]
+    rels = [r for r in generate_relations(V, enumerate_roots(V)) if r.family == "square_of_bracket"]
     assert rels
     _, _, scalar = g_chi(real, rels[0])
     assert scalar == one()
@@ -106,7 +106,9 @@ def test_gchi_witness_mid_vertex_bracket():
     cfg = load_shipped("rank3_super_a3")
     V = cfg.space()
     real = cfg.realization(V)
-    rels = [r for r in generate_relations(V) if r.family == "mid_vertex_bracket"]
+    rels = [
+        r for r in generate_relations(V, enumerate_roots(V)) if r.family == "mid_vertex_bracket"
+    ]
     assert (0, 1, 2) in [r.participants for r in rels]
     for r in rels:
         _, _, scalar = g_chi(real, r)
@@ -116,7 +118,8 @@ def test_gchi_witness_mid_vertex_bracket():
 
 def test_prop_gchi_reports_shape():
     V = a2_cartan()
-    reports = check_prop_gchi(V, canonical_realization(V), generate_relations(V))
+    rels = generate_relations(V, enumerate_roots(V))
+    reports = check_prop_gchi(V, canonical_realization(V), rels)
     assert reports and all(rep["ok"] for rep in reports)
     for rep in reports:
         assert "chi_R(g_R)" in rep["witnesses"]
@@ -132,16 +135,17 @@ def test_rigidity_verdicts():
 
 def test_pre_nichols_filter():
     V = a2_cartan()
-    _, reports = rigidity_verdict(V, enumerate_roots(V), pre_nichols=True)
+    real = canonical_realization(V)
+    _, reports = rigidity_verdict(V, enumerate_roots(V), real, pre_nichols=True)
     assert all(r["instance"].family != "cartan_root_power" for r in reports)
-    verdict, _ = rigidity_verdict(V, enumerate_roots(V), pre_nichols=True)
+    verdict, _ = rigidity_verdict(V, enumerate_roots(V), real, pre_nichols=True)
     assert verdict == "Rigid"
 
 
 def test_rigidity_requires_finite_type():
     V = build_diagonal([[zeta(3), zeta(3)], [one(), zeta(3)]])
     with pytest.raises(ValueError):
-        rigidity_verdict(V, enumerate_roots(V, cap=1), cap=1)
+        rigidity_verdict(V, enumerate_roots(V, cap=1), canonical_realization(V))
 
 
 # One case per catalog family, found by a seeded sweep of diagonal

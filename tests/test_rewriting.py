@@ -123,12 +123,13 @@ def test_routes_agree_on_shipped_config(name):
     dims through degree 6."""
     cfg = load_shipped(name)
     V = cfg.space()
-    cap = cfg.budgets["cartan_cap"]
-    roots = enumerate_roots(V, cap=cap, object_cap=cfg.budgets["object_cap"])
+    roots = enumerate_roots(
+        V, cap=cfg.budgets["cartan_cap"], object_cap=cfg.budgets["object_cap"]
+    )
     assert roots.finite
     elems = [
         inst.element
-        for inst in generate_relations(V, roots, cap=cap)
+        for inst in generate_relations(V, roots)
         if inst.element is not None
     ]
     dims, _ = rewrite_dims(V.rank, elems, 6)

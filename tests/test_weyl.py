@@ -1,13 +1,13 @@
 """Reflection groupoid walks and root enumeration."""
 
-import pytest
+import random
 
 from nicholsalg import weyl
-from nicholsalg.braided import build_diagonal
+from nicholsalg.braided import build_diagonal, is_cartan_vertex
 from nicholsalg.cyclo import one, rational, zeta
 from nicholsalg.weyl import (
     bichar_eval,
-    cartan_roots,
+    cartan_matrix,
     enumerate_roots,
     reflect_qmatrix,
 )
@@ -40,15 +40,15 @@ def test_b2_roots():
 
 def test_reflection_involution():
     V = a2_cartan()
-    q2 = reflect_qmatrix(V, 0)
+    q2 = reflect_qmatrix(V, 0, cartan_matrix(V)[0])
     W = build_diagonal(q2)
-    assert reflect_qmatrix(W, 0) == V.qmatrix
+    assert reflect_qmatrix(W, 0, cartan_matrix(W)[0]) == V.qmatrix
 
 
 def test_reflection_preserves_diagram_class():
     # reflecting at a Cartan vertex of a Cartan matrix keeps q_ii values
     V = a2_cartan()
-    q2 = reflect_qmatrix(V, 1)
+    q2 = reflect_qmatrix(V, 1, cartan_matrix(V)[1])
     assert tuple(q2[i][i] for i in range(2)) == (zeta(3), zeta(3))
 
 
@@ -66,18 +66,12 @@ def test_bichar_eval_additivity():
     assert lhs == bichar_eval(V, (1, 1), c)
 
 
-def test_cartan_roots_raises_when_not_finite():
-    V = build_diagonal([[zeta(3), zeta(3)], [one(), zeta(3)]])
-    with pytest.raises(ValueError):
-        cartan_roots(V, object_cap=1)
-
-
 def test_each_object_reflected_once(monkeypatch):
     calls = []
 
-    def counting(V, i, **kwargs):
+    def counting(V, i, *args):
         calls.append((V.qmatrix, i))
-        return reflect_qmatrix(V, i, **kwargs)
+        return reflect_qmatrix(V, i, *args)
 
     monkeypatch.setattr(weyl, "reflect_qmatrix", counting)
     rs = enumerate_roots(a2_cartan())
@@ -90,3 +84,55 @@ def test_undefined_cartan_integer_is_not_finite():
     # q_11 = 2 is no root of unity: c[0][1] is undefined at any cap
     V = build_diagonal([[rational(2), rational(3)], [one(), rational(-1)]])
     assert not enumerate_roots(V).finite
+
+
+# Exponent templates e_ij of q_ij = zeta_N^e_ij, one per diagram shape the
+# catalog families use: None is a random exponent, "h" is N/2 (q_ij = -1) and
+# 0 is q_ij = 1 (no contribution to the edge).
+TEMPLATES = [
+    [[None, None], [0, None]],
+    [["h", None], [0, None]],
+    [["h", None], [0, "h"]],
+    [[None, None, 0], [0, None, None], [0, 0, None]],
+    [[None, None, 0], [0, "h", None], [0, 0, None]],
+    [["h", None, 0], [0, "h", None], [0, 0, "h"]],
+    [[None, None, None], [0, None, None], [0, 0, None]],
+]
+
+
+def _seeded_braidings(seed, count):
+    """(N, exponents) of rank-2 and rank-3 diagonal braidings over Q(zeta_12)
+    and Q(zeta_18): three in four from a template, the rest all random."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        N = rng.choice((12, 18))
+        if rng.random() < 0.75:
+            rows = rng.choice(TEMPLATES)
+        else:
+            rank = rng.choice((2, 3))
+            rows = [[None] * rank for _ in range(rank)]
+        exps = [
+            [rng.randrange(N) if e is None else (N // 2 if e == "h" else e) for e in row]
+            for row in rows
+        ]
+        out.append((N, exps))
+    return out
+
+
+def test_root_data_carries_the_cartan_matrix():
+    # a walk that does not close stops at 1000 * object_cap states, so a low
+    # cap keeps the non-finite inputs cheap; the invariant holds at any cap
+    finite = 0
+    for N, exps in _seeded_braidings(15, 60):
+        V = build_diagonal([[zeta(N, e) for e in row] for row in exps])
+        rs = enumerate_roots(V, object_cap=8)
+        if not rs.finite:
+            assert rs.cartan is None and rs.cartan_vertices is None, (N, exps)
+            continue
+        finite += 1
+        assert rs.cartan == cartan_matrix(V), (N, exps)
+        assert all(c is not None for row in rs.cartan for c in row), (N, exps)
+        flags = [is_cartan_vertex(V, i, rs.cartan[i]) for i in range(V.rank)]
+        assert rs.cartan_vertices == flags, (N, exps)
+    assert 0 < finite < 60
