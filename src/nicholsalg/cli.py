@@ -233,27 +233,27 @@ def _finite_bialgebra(cfg, args):
     max_degree = _max_degree(args, cfg.budgets["max_degree"])
     if cfg.kind == "fk":
         if cfg.n != 3:
-            return None, None, [f"bialgebra construction limited to n = 3, got {cfg.n}"]
+            return None, [f"bialgebra construction limited to n = 3, got {cfg.n}"]
         try:
-            B, rels = fk_bialgebra(3, max_degree)
+            B, _ = fk_bialgebra(3, max_degree)
         except ValueError as e:
-            return None, None, [f"budget: {e}"]
-        return B, rels, []
+            return None, [f"budget: {e}"]
+        return B, []
     V = cfg.space()
     elems, warnings = _catalog_elements(cfg, V)
     if elems is None:
-        return None, None, warnings
+        return None, warnings
     try:
         B = from_nichols(V, elems, max_degree)
     except ValueError as e:
-        return None, None, warnings + [f"budget: {e}"]
+        return None, warnings + [f"budget: {e}"]
     attach_diagonal_category(B, cfg.realization(V))
-    return B, elems, warnings
+    return B, warnings
 
 
 def cmd_cohomology(args):
     cfg = resolve_config(args.config)
-    B, _, warnings = _finite_bialgebra(cfg, args)
+    B, warnings = _finite_bialgebra(cfg, args)
     if B is None:
         return 2, cfg, {}, warnings
     if args.ell is not None:
@@ -277,24 +277,29 @@ def cmd_cohomology(args):
 
 def cmd_epsilon(args):
     cfg = resolve_config(args.config)
-    B, rels, warnings = _finite_bialgebra(cfg, args)
+    B, warnings = _finite_bialgebra(cfg, args)
     if B is None:
         return 2, cfg, {}, warnings
-    md = kernel_M(B, rels, word_check_degree=min(5, 2 * B.top_degree))
+    md = kernel_M(B)
+    # the completion's count of minimal relations; from_nichols completes
+    # through 2 * top, so it covers every degree of md["dims"]
+    minimal = B.rs.minimal
     eh = epsilon_H2(B)
     hm = hom_M_dim(B, md)
     results = {
         "M_dims": {str(k): v for k, v in md["dims"].items()},
-        "M_dims_word_route": {str(k): v for k, v in md["word_dims"].items()},
+        "M_dims_word_route": {
+            str(d): minimal[d] for d in range(2, min(5, 2 * B.top_degree) + 1)
+        },
         "H2_eps": eh,
         "dim_Hom_M_U": hm,
         "identity_holds": eh["H"] == hm,
     }
-    apart = [d for d, v in md["word_dims"].items() if md["dims"][d] != v]
+    apart = [d for d, v in md["dims"].items() if minimal[d] != v]
     if apart:
         d = apart[0]
         warnings.append(f"dim M routes disagree first at degree {d}: {md['dims'][d]} "
-                        f"from structure constants, {md['word_dims'][d]} from words")
+                        f"from structure constants, {minimal[d]} from the completion")
     return (0 if eh["H"] == hm and not apart else 1), cfg, results, warnings
 
 
@@ -380,7 +385,7 @@ def cmd_selfcheck(args):
     square = {}
     for name in ("rank1_m1", "rank1_zeta3", "rank1_zeta4"):
         cfg = load_shipped(name)
-        B, _, warn = _finite_bialgebra(cfg, args)
+        B, warn = _finite_bialgebra(cfg, args)
         if B is None:
             square[name] = False
             warnings += warn

@@ -14,12 +14,10 @@ first-order deformations over k[t]/(t^(r+1)).
 
 import random
 from fractions import Fraction
-from itertools import product
 
 from .bialgebra import check_bialgebra_axioms
 from .cyclo import CycNumber, one, rational
 from .linalg import Echelon, add_term, nullspace, row_axpy, sparse_rank
-from .tensoralg import degree
 
 
 # -- cochain faces ----------------------------------------------------------
@@ -330,12 +328,12 @@ def epsilon_H2(B):
     return {"Z": dim_z, "B": dim_b, "H": dim_z - dim_b}
 
 
-def kernel_M(B, relations, word_check_degree=6):
+def kernel_M(B):
     """M = ker(B+ (x)_B B+ -> B+) degreewise, from structure constants.
 
-    Returns {"dims": {degree: dim}, "blocks": per-degree data, "word_dims":
-    the same dims through word_check_degree computed independently from the
-    relation generators as I/(T+ I + I T+) inside the tensor algebra}.
+    Returns {"dims": {degree: dim}, "blocks": per-degree data}. The
+    completion that built B counts the same dims from the relations, as
+    B.rs.minimal.
     """
     max_degree = 2 * B.top_degree
     cat = B.category
@@ -379,31 +377,7 @@ def kernel_M(B, relations, word_check_degree=6):
                         wrows.append(row)
         dims[d] = len(kvecs) - sparse_rank(wrows)
         blocks[d] = {"K": kvecs, "W": wrows}
-    word_dims = _kernel_m_from_words(B.V, relations, min(word_check_degree, max_degree))
-    return {"dims": dims, "blocks": blocks, "word_dims": word_dims}
-
-
-def _kernel_m_from_words(V, relations, max_degree):
-    """dim I_d - dim (T+ I + I T+)_d per degree, inside the tensor algebra."""
-    rels = [(degree(rel), rel) for rel in relations if rel]
-    dims = {}
-    for d in range(2, max_degree + 1):
-        full = Echelon()
-        proper = Echelon()
-        for rdeg, sup in rels:
-            if rdeg > d:
-                continue
-            pad = d - rdeg
-            for la in range(pad + 1):
-                lb = pad - la
-                for u in product(range(V.rank), repeat=la):
-                    for v in product(range(V.rank), repeat=lb):
-                        row = {u + w + v: c for w, c in sup.items()}
-                        full.add(dict(row))
-                        if la or lb:
-                            proper.add(row)
-        dims[d] = full.rank - proper.rank
-    return dims
+    return {"dims": dims, "blocks": blocks}
 
 
 def hom_M_dim(B, mdata):

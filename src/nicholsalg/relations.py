@@ -219,7 +219,6 @@ def _nested_c3(d, i, j, k):
         ("ii", _m1(tij) and qii == -(tjk ** 2) and d.order(qii) == 3),
         ("iii", _m1(q[k][k]) and _m1(tjk) and qii == -tij and d.order(qii) == 3),
         ("iv", tij == qii ** -2 and tjk == -(qii ** 3)),
-        ("v", _m1(qii) and _m1(q[k][k]) and (tij == tjk or tij == -tjk) and d.order(tjk) == 3),
     )
 
 
@@ -349,7 +348,7 @@ _FAMILIES = [
     ("triangle", (1, 1, 1), lambda d, i, j, k: _only(
         not d.t[i][k].is_one() and not d.t[i][j].is_one() and not d.t[j][k].is_one()
     ), _triangle),
-    # [[x_ij, x_ijk]_c, x_j]_c, five guard variants
+    # [[x_ij, x_ijk]_c, x_j]_c, four guard variants
     ("nested_c3_bracket", (2, 3, 1), _nested_c3,
      lambda V, d, i, j, k: _br(V, (i, j), (i, j, k), j)),
     # [[x_ij, [x_ij, x_ijk]_c]_c, x_j]_c

@@ -13,11 +13,16 @@ linalg.Echelon of the results give the rules of degree d. Nothing later
 changes a rule below d, so each degree is final once done, and truncating
 the overlaps at a degree bound leaves the normal-word counts up to it exact.
 
+The S-polynomials of degree d enter the echelon before the relations of
+degree d. Together with the rules below d they span the degree-d part of the
+ideal generated in lower degrees, so the rank the relations then add is the
+number of minimal relations of degree d, dim M_d for M = I/(T+ I + I T+)
+(Anick, Trans. AMS 1986). A fully reduced echelon whose pivot is its largest
+key is fixed by its row space, so the order changes no rule.
+
 Leads are interreduced, so a word whose prefix word[:-1] is normal can only
 have a lead as a suffix; normal forms are built prefix by prefix on that.
 """
-
-from itertools import chain
 
 from .cyclo import one
 from .linalg import Echelon, add_term, row_axpy
@@ -32,6 +37,7 @@ class RewriteSystem:
         self.rank = rank
         self.max_degree = max_degree
         self.rules = {}  # lead word -> tail dict {word: coeff}, lead = tail
+        self.minimal = {}  # degree d <= max_degree -> dim M_d
         self._lens = []  # distinct lead lengths, ascending
         self._index = {}  # (proper prefix, lead length) -> leads
         self._final = float("inf")  # words shorter than this reduce by final rules
@@ -127,17 +133,21 @@ class RewriteSystem:
     def complete(self, relations):
         """Complete a new system from {degree: [relations]}, one degree at a time.
 
-        Overlaps are resolved up to the degree bound; relations above it
-        are still interreduced into rules, so none is dropped.
+        Overlaps are resolved, and minimal relations counted, up to the
+        degree bound; relations above it are still interreduced into rules,
+        so none is dropped.
         """
         for d in range(1, max([self.max_degree, *relations]) + 1):
             self._final = d
-            rows = relations.get(d, ())
-            if d <= self.max_degree:
-                rows = chain(rows, self._s_polynomials(d))
             ech = Echelon()  # its pivots are the leads of degree d
-            for row in rows:
+            if d <= self.max_degree:
+                for row in self._s_polynomials(d):
+                    ech.add(self.reduce(row))
+            spanned = ech.rank
+            for row in relations.get(d, ()):
                 ech.add(self.reduce(row))
+            if d <= self.max_degree:
+                self.minimal[d] = ech.rank - spanned
             if ech.pivots:
                 self._lens.append(d)
             for lead, row in ech.pivots.items():

@@ -148,13 +148,13 @@ def test_criterion_7_negative_H2_vanishes():
 def test_criterion_8_epsilon_identity():
     ok = True
     for N in (2, 3, 4):
-        B, rels = line_algebra(N)
+        B, _ = line_algebra(N)
         lhs = epsilon_H2(B)["H"]
-        rhs = hom_M_dim(B, kernel_M(B, relations=rels))
+        rhs = hom_M_dim(B, kernel_M(B))
         ok = ok and lhs == rhs
-    B, rels = fk_bialgebra(3)
+    B, _ = fk_bialgebra(3)
     lhs = epsilon_H2(B)["H"]
-    rhs = hom_M_dim(B, kernel_M(B, relations=rels))
+    rhs = hom_M_dim(B, kernel_M(B))
     ok = ok and lhs == rhs == 1
     report(8, ok, "dim H2_eps = dim Hom(M, U) on all four algebras")
 

@@ -5,9 +5,10 @@ from argparse import Namespace
 
 import pytest
 
-from nicholsalg import cohomology, tensoralg
+from nicholsalg import tensoralg
 from nicholsalg.cli import _finite_bialgebra, build_parser, main
 from nicholsalg.configs import load_shipped, shipped_config_names
+from nicholsalg.rewriting import RewriteSystem
 
 
 def run(capsys, *argv):
@@ -190,19 +191,32 @@ def test_epsilon_command(capsys):
     assert rep["results"]["identity_holds"]
 
 
+def miscount_minimal_relations(monkeypatch, degree):
+    """Make every completion report one minimal relation too many at degree."""
+    complete = RewriteSystem.complete
+
+    def one_too_many(self, relations):
+        complete(self, relations)
+        self.minimal[degree] += 1
+
+    monkeypatch.setattr(RewriteSystem, "complete", one_too_many)
+
+
 def test_epsilon_routes_to_dim_m_must_agree(capsys, monkeypatch):
-    from_words = cohomology._kernel_m_from_words
-
-    def one_too_many(*args):
-        dims = from_words(*args)
-        dims[3] += 1
-        return dims
-
-    monkeypatch.setattr(cohomology, "_kernel_m_from_words", one_too_many)
+    miscount_minimal_relations(monkeypatch, 3)
     code, rep, _ = run_json(capsys, "epsilon", "--config", "rank1_zeta3")
     assert code == 1
     assert rep["results"]["identity_holds"]
     assert "degree 3" in rep["warnings"][0]
+
+
+def test_epsilon_compares_dim_m_past_degree_5(capsys, monkeypatch):
+    # a2_cartan_zeta3's minimal relations lie in degrees 3 and 6
+    miscount_minimal_relations(monkeypatch, 6)
+    code, rep, _ = run_json(capsys, "epsilon", "--config", "a2_cartan_zeta3")
+    assert code == 1
+    assert rep["results"]["identity_holds"]
+    assert "degree 6" in rep["warnings"][0]
 
 
 def test_cohomology_single_degree(capsys):
@@ -251,7 +265,7 @@ def test_fk3_bialgebra_honours_max_degree(capsys):
 
 
 def test_b2_finite_at_shipped_budget():
-    B, _, warnings = _finite_bialgebra(load_shipped("b2"), Namespace(max_degree=None))
+    B, warnings = _finite_bialgebra(load_shipped("b2"), Namespace(max_degree=None))
     assert B is not None, warnings
     assert B.dims() == [1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1]
 

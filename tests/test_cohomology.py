@@ -6,13 +6,13 @@ from argparse import Namespace
 import pytest
 
 from nicholsalg.braided import build_diagonal
-from nicholsalg.cli import _finite_bialgebra
+from nicholsalg.cli import _catalog_elements, _finite_bialgebra
 from nicholsalg.configs import load_shipped
 from nicholsalg.cyclo import one, zeta
 from nicholsalg.tensoralg import monomial
 from nicholsalg.bialgebra import attach_diagonal_category, from_nichols
 from nicholsalg.relations import quotient_realization
-from nicholsalg.fk import fk_bialgebra
+from nicholsalg.fk import fk_bialgebra, fk_relations
 from nicholsalg import cohomology
 from nicholsalg.cohomology import (
     TruncPoly,
@@ -27,6 +27,8 @@ from nicholsalg.cohomology import (
     total_square_check,
     truncated_H2,
 )
+
+from kernel_m_oracle import kernel_m_from_words
 
 
 def line(N):
@@ -62,7 +64,7 @@ def test_nonzero_cocycle_spaces_pinned(name, ell, expected):
     elif name == "line3":
         B, _ = line(3)
     else:
-        B, _, _ = _finite_bialgebra(load_shipped(name), Namespace(max_degree=None))
+        B, _ = _finite_bialgebra(load_shipped(name), Namespace(max_degree=None))
     out = truncated_H2(B, ell)
     assert (out["Z"], out["B"], out["H"]) == expected
 
@@ -116,7 +118,7 @@ def test_map_unknowns_labels_each_tuple_once(monkeypatch, name):
     if name == "fk3":
         B, _ = fk_bialgebra(3)
     else:
-        B, _, _ = _finite_bialgebra(load_shipped(name), Namespace(max_degree=None))
+        B, _ = _finite_bialgebra(load_shipped(name), Namespace(max_degree=None))
     cat = B.category
     tuple_label = cat.tuple_label
     for ell in (None, 0, -1, -2, -3):
@@ -135,7 +137,7 @@ def test_map_unknowns_labels_each_tuple_once(monkeypatch, name):
 
 
 def test_no_face_work_without_unknowns(monkeypatch):
-    B, _, _ = _finite_bialgebra(load_shipped("a2_super"), Namespace(max_degree=None))
+    B, _ = _finite_bialgebra(load_shipped("a2_super"), Namespace(max_degree=None))
     assert not any(cohomology.map_unknowns(B, p, q, -1) for p, q in [(2, 1), (1, 2), (1, 1)])
     calls = []
 
@@ -201,31 +203,54 @@ def test_filtration_implications():
 
 
 def test_kernel_M_two_routes_agree():
-    B, rels = line(3)
-    out = kernel_M(B, relations=rels, word_check_degree=5)
-    for d, n in out["word_dims"].items():
-        assert out["dims"].get(d, 0) == n, (d, out)
+    B, _ = line(3)
+    out = kernel_M(B)
+    for d in range(2, 2 * B.top_degree + 1):
+        assert out["dims"].get(d, 0) == B.rs.minimal[d], (d, out)
     assert out["dims"][3] == 1
 
 
 def test_kernel_M_fk3():
-    B, rels = fk_bialgebra(3)
-    out = kernel_M(B, relations=rels, word_check_degree=4)
+    B, _ = fk_bialgebra(3)
+    out = kernel_M(B)
     assert out["dims"][2] == 5
-    for d, n in out["word_dims"].items():
-        assert out["dims"].get(d, 0) == n
+    for d in range(2, 2 * B.top_degree + 1):
+        assert out["dims"].get(d, 0) == B.rs.minimal[d]
+
+
+# the shipped configs whose bialgebra the command line builds at its budget
+FINITE_CONFIGS = [
+    "a2_cartan_zeta3", "a2_super", "b2", "fk3",
+    "rank1_m1", "rank1_zeta3", "rank1_zeta4", "rank1_zeta6",
+]
+
+
+@pytest.mark.parametrize("name", FINITE_CONFIGS)
+def test_completion_counts_dim_M(name):
+    """The completion's minimal relations are dim M: the word oracle through
+    degree 6 (a2_cartan_zeta3 has one there) and kernel_M through 2 top."""
+    cfg = load_shipped(name)
+    # complete through degree 6 at least, also where the budget is smaller
+    args = Namespace(max_degree=max(6, cfg.budgets["max_degree"]))
+    B, warnings = _finite_bialgebra(cfg, args)
+    assert B is not None, warnings
+    rels = fk_relations(3) if cfg.kind == "fk" else _catalog_elements(cfg, B.V)[0]
+    minimal = B.rs.minimal
+    assert kernel_m_from_words(B.V, rels, 6) == {d: minimal[d] for d in range(2, 7)}
+    dims = kernel_M(B)["dims"]
+    assert dims == {d: minimal[d] for d in range(2, 2 * B.top_degree + 1)}
 
 
 def test_epsilon_cohomology_matches_hom():
     for N in (2, 3, 4):
-        B, rels = line(N)
-        md = kernel_M(B, relations=rels)
+        B, _ = line(N)
+        md = kernel_M(B)
         eps = epsilon_H2(B)
         assert eps["H"] == hom_M_dim(B, md) == 1, (N, eps)
-    B, rels = fk_bialgebra(3)
+    B, _ = fk_bialgebra(3)
     eps = epsilon_H2(B)
     assert eps == {"Z": 2, "B": 1, "H": 1}
-    assert hom_M_dim(B, kernel_M(B, relations=rels)) == 1
+    assert hom_M_dim(B, kernel_M(B)) == 1
 
 
 def test_random_cochains_are_morphisms():

@@ -1,6 +1,9 @@
 """Degree-truncated rewriting and normal-word counting."""
 
+import random
+from collections import Counter
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +12,14 @@ from hypothesis import strategies as st
 from nicholsalg.braided import build_diagonal
 from nicholsalg.configs import load_shipped, shipped_config_names
 from nicholsalg.cyclo import CycNumber, one, rational, zeta
-from nicholsalg.tensoralg import monomial, nichols_dims
+from nicholsalg.fk import build_fk_space, fk_relations
+from nicholsalg.tensoralg import degree, monomial, nichols_dims
 from nicholsalg.relations import generate_relations
-from nicholsalg.linalg import sparse_rank
+from nicholsalg.linalg import row_axpy, sparse_rank
 from nicholsalg.rewriting import rewrite_dims
 from nicholsalg.weyl import enumerate_roots
+
+from kernel_m_oracle import kernel_m_from_words
 
 
 def test_power_relation_truncates():
@@ -117,10 +123,8 @@ def test_completion_matches_ideal_ranks(case):
 DIAGONAL_CONFIGS = [n for n in shipped_config_names() if load_shipped(n).kind == "diagonal"]
 
 
-@pytest.mark.parametrize("name", DIAGONAL_CONFIGS)
-def test_routes_agree_on_shipped_config(name):
-    """Symmetrizer ranks and the rewritten relation catalog give the same
-    dims through degree 6."""
+def catalog(name):
+    """The space of a shipped diagonal config and its explicit catalog elements."""
     cfg = load_shipped(name)
     V = cfg.space()
     roots = enumerate_roots(
@@ -132,8 +136,111 @@ def test_routes_agree_on_shipped_config(name):
         for inst in generate_relations(V, roots)
         if inst.element is not None
     ]
+    return V, elems
+
+
+@pytest.mark.parametrize("name", DIAGONAL_CONFIGS)
+def test_routes_agree_on_shipped_config(name):
+    """Symmetrizer ranks and the rewritten relation catalog give the same
+    dims through degree 6."""
+    V, elems = catalog(name)
     dims, _ = rewrite_dims(V.rank, elems, 6)
     assert nichols_dims(V, 6) == dims
+
+
+# nonzero counts of minimal relations at degree 16; the catalogs of b2,
+# rank3_square, rank3_super_a3 and rank3_triangle hold redundant elements
+MINIMAL_AT_16 = {
+    "a2_cartan_zeta3": {3: 4, 6: 1},
+    "a2_super": {2: 1, 3: 2},
+    "b2": {2: 1, 3: 1, 5: 1},
+    "rank3_square": {2: 3, 3: 2, 4: 1},
+    "rank3_super_a3": {2: 3, 3: 2, 4: 1, 6: 1, 9: 1},
+    "rank3_triangle": {2: 3, 3: 1, 6: 3},
+    "rank1_zeta6": {6: 1},
+}
+
+
+def nonzero(counts):
+    return {d: n for d, n in counts.items() if n}
+
+
+def at_least_minimal(relations, minimal):
+    """Every generating set holds at least minimal[d] relations of degree d."""
+    counts = Counter(degree(rel) for rel in relations)
+    return all(counts[d] >= n for d, n in minimal.items())
+
+
+@pytest.mark.parametrize("name", sorted(MINIMAL_AT_16))
+def test_minimal_relations_of_catalogs(name):
+    V, elems = catalog(name)
+    _, rs = rewrite_dims(V.rank, elems, 16)
+    assert nonzero(rs.minimal) == MINIMAL_AT_16[name]
+    assert sorted(rs.minimal) == list(range(1, 17))
+    assert at_least_minimal(elems, rs.minimal)
+    assert kernel_m_from_words(V, elems, 6) == {d: rs.minimal[d] for d in range(2, 7)}
+
+
+@pytest.mark.parametrize("n, max_degree, expected", [(5, 8, {2: 45}), (6, 6, {2: 100})])
+def test_minimal_relations_of_fk(n, max_degree, expected):
+    rels = fk_relations(n)
+    _, rs = rewrite_dims(build_fk_space(n).rank, rels, max_degree)
+    assert nonzero(rs.minimal) == expected
+    assert at_least_minimal(rels, rs.minimal)
+
+
+def random_element(rng, rank, d, terms=3):
+    """A homogeneous element of degree d with small rational coefficients."""
+    return {
+        tuple(rng.randrange(rank) for _ in range(d)): rational(rng.choice([-2, -1, 1, 2]))
+        for _ in range(terms)
+    }
+
+
+def completion(rank, relations):
+    """minimal and rules of the completion through degree 6."""
+    _, rs = rewrite_dims(rank, relations, 6)
+    return rs.minimal, rs.rules
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_minimal_relations_are_intrinsic(seed):
+    """minimal depends on the ideal and its generators, not on their order
+    or on redundant ones; a generator outside the ideal adds one in its degree."""
+    rng = random.Random(seed)
+    rank = rng.choice([2, 3])
+    rels = [random_element(rng, rank, d) for d in [2, 2] + rng.choices([2, 3, 4], k=2)]
+    minimal, rules = completion(rank, rels)
+    V = SimpleNamespace(rank=rank)  # the oracle reads only the rank
+    assert kernel_m_from_words(V, rels, 5) == {d: minimal[d] for d in range(2, 6)}
+
+    shuffled = rels[:]
+    rng.shuffle(shuffled)
+    assert completion(rank, shuffled) == (minimal, rules)
+
+    r1, r2 = rels[0], rels[1]  # both of degree 2
+    a = (rng.randrange(rank),)
+    c1, c2 = rational(rng.choice([-2, 1, 3])), rational(rng.choice([-1, 2, 5]))
+    combination = {}
+    row_axpy(combination, c1, r1)
+    row_axpy(combination, c2, r2)
+    for redundant in ({a + w: c for w, c in r1.items()},
+                      {w + a: c for w, c in r2.items()},
+                      combination):
+        assert completion(rank, rels + [redundant]) == (minimal, rules)
+
+    dims, rs = rewrite_dims(rank, rels, 6)
+    open_degrees = [d for d in (2, 3, 4) if dims[d]]
+    while True:
+        d = rng.choice(open_degrees)
+        new = random_element(rng, rank, d)
+        if rs.reduce(new):  # not in the ideal
+            break
+    raised, _ = completion(rank, rels + [new])
+    assert all(raised[e] == minimal[e] for e in raised if e < d)
+    assert raised[d] == minimal[d] + 1
+    # a new generator can make later ones redundant, never add one
+    assert all(raised[e] <= minimal[e] for e in raised if e > d)
 
 
 def test_unit_lead_needs_no_inverse(monkeypatch):
