@@ -14,7 +14,7 @@ this structure.
 from itertools import product
 
 from .braided import braid_word_blocks
-from .cyclo import one
+from .cyclo import ONE
 from .linalg import Echelon, add_term, row_axpy, sparse_rank
 from .rewriting import rewrite_dims
 from .tensoralg import braided_coproduct, ideal_component
@@ -97,7 +97,7 @@ class GradedBialgebraData:
         return out
 
     def counit(self, i):
-        return one() if i == self.unit else None
+        return ONE if i == self.unit else None
 
     # -- structure constants -----------------------------------------------
 
@@ -106,7 +106,7 @@ class GradedBialgebraData:
         key = (i, j)
         hit = self._mult.get(key)
         if hit is None:
-            hit = self.vec_of({self.flat[i] + self.flat[j]: one()})
+            hit = self.vec_of({self.flat[i] + self.flat[j]: ONE})
             self._mult[key] = hit
         return hit
 
@@ -115,10 +115,10 @@ class GradedBialgebraData:
         hit = self._coprod.get(i)
         if hit is None:
             out = {}
-            full = braided_coproduct(self.V, {self.flat[i]: one()})
+            full = braided_coproduct(self.V, {self.flat[i]: ONE})
             for (u, v), c in full.items():
-                for iu, cu in self.vec_of({u: one()}).items():
-                    for iv, cv in self.vec_of({v: one()}).items():
+                for iu, cu in self.vec_of({u: ONE}).items():
+                    for iv, cv in self.vec_of({v: ONE}).items():
                         add_term(out, (iu, iv), c * cu * cv)
             self._coprod[i] = hit = out
         return hit
@@ -130,8 +130,8 @@ class GradedBialgebraData:
         if hit is None:
             coeff, right, left = braid_word_blocks(self.V, self.flat[i], self.flat[j])
             out = {}
-            for ir, cr in self.vec_of({right: one()}).items():
-                for il, cl in self.vec_of({left: one()}).items():
+            for ir, cr in self.vec_of({right: ONE}).items():
+                for il, cl in self.vec_of({left: ONE}).items():
                     add_term(out, (ir, il), coeff * cr * cl)
             self._braid[key] = hit = out
         return hit
@@ -148,7 +148,7 @@ class GradedBialgebraData:
         hit = self._act_left.get(key)
         if hit is None:
             if not t:
-                hit = {(): one()} if i == self.unit else {}
+                hit = {(): ONE} if i == self.unit else {}
             else:
                 hit = {}
                 head, rest = t[0], t[1:]
@@ -170,7 +170,7 @@ class GradedBialgebraData:
         hit = self._act_right.get(key)
         if hit is None:
             if not t:
-                hit = {(): one()} if i == self.unit else {}
+                hit = {(): ONE} if i == self.unit else {}
             else:
                 hit = {}
                 front, last = t[:-1], t[-1]
@@ -196,7 +196,7 @@ class GradedBialgebraData:
         hit = self._coact_left.get(t)
         if hit is None:
             if not t:
-                hit = {(self.unit, ()): one()}
+                hit = {(self.unit, ()): ONE}
             else:
                 hit = {}
                 head, rest = t[0], t[1:]
@@ -219,7 +219,7 @@ class GradedBialgebraData:
         hit = self._coact_right.get(t)
         if hit is None:
             if not t:
-                hit = {((), self.unit): one()}
+                hit = {((), self.unit): ONE}
             else:
                 hit = {}
                 front, last = t[:-1], t[-1]
@@ -236,7 +236,7 @@ class GradedBialgebraData:
 
     def check_all(self):
         return check_bialgebra_axioms(
-            self.dim, self.unit, self.mult, self.coprod, self.braid, one()
+            self.dim, self.unit, self.mult, self.coprod, self.braid, ONE
         )
 
     # -- derived data ------------------------------------------------------
@@ -344,8 +344,8 @@ def biideal_witness(V, rs, relations):
             return rel, "relation does not reduce to zero"
         leftover = {}
         for (u, v), c in braided_coproduct(V, rel).items():
-            for wu, cu in rs.reduce({u: one()}).items():
-                for wv, cv in rs.reduce({v: one()}).items():
+            for wu, cu in rs.reduce({u: ONE}).items():
+                for wv, cv in rs.reduce({v: ONE}).items():
                     add_term(leftover, (wu, wv), c * cu * cv)
         if leftover:
             return rel, leftover
@@ -366,8 +366,9 @@ def from_nichols(V, relations, max_degree):
         )
     top = max(d for d, n in enumerate(dims) if n)
     if max_degree < 2 * top:
-        # re-complete far enough that any product of two basis words reduces
-        dims, rs = rewrite_dims(V.rank, relations, 2 * top)
+        # complete far enough that any product of two basis words reduces
+        rs.extend(2 * top)
+        dims = rs.normal_word_counts()
         if any(dims[top + 1 :]):
             raise RuntimeError(f"quotient grew past degree {top} on re-completion: {dims}")
     basis = [[()]]
@@ -409,7 +410,7 @@ def attach_diagonal_category(B, realization):
 
     unit = (
         realization.normalize((0,) * ngen),
-        tuple(one() for _ in range(ngen)),
+        tuple(ONE for _ in range(ngen)),
     )
     labels = [word_label(w) for w in B.flat]
     B.category = CategoryStructure(labels, label_mul, unit)
@@ -439,14 +440,14 @@ def attach_group_category(B, group_elements, letter_action):
     for gamma in group_elements:
         mat = []
         for w in B.flat:
-            coeff = one()
+            coeff = ONE
             img = []
             for t in w:
                 t2, c = letter_action(gamma, t)
                 coeff = coeff * c
                 img.append(t2)
             vec = {
-                k: coeff * c for k, c in B.vec_of({tuple(img): one()}).items()
+                k: coeff * c for k, c in B.vec_of({tuple(img): ONE}).items()
             }
             mat.append(vec)
         action_gens.append(mat)

@@ -7,6 +7,7 @@ budget-limited partial results, 1 for errors.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -36,7 +37,6 @@ from .fk import (
     build_fk_space,
     fk_bialgebra,
     fk_dims_rewriting,
-    fk_dims_symmetrizer,
     fk_rigidity,
 )
 from .liealg import (
@@ -351,10 +351,11 @@ def cmd_fk(args):
     if args.n < 3:
         raise ConfigError(f"n: need n >= 3, got {args.n}")
     max_degree = _max_degree(args, 4 if args.n == 3 else 12)
+    V = build_fk_space(args.n)  # checks the braid equation, once per command
     dims = fk_dims_rewriting(args.n, max_degree)
     results = {"n": args.n, "dims": dims, "total": sum(dims)}
     if args.symmetrizer:
-        sdims = fk_dims_symmetrizer(args.n, max_degree)
+        sdims = nichols_dims(V, max_degree)
         results["symmetrizer_dims"] = sdims
         results["routes_agree"] = sdims == dims
     if args.rigidity:
@@ -489,9 +490,11 @@ def build_parser():
     return parser
 
 
+_parser = functools.cache(build_parser)  # one parser per process; parse_args keeps no state
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, cfg, results, warnings = COMMANDS[args.command](args)
     except ConfigError as e:

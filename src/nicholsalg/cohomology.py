@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 from .bialgebra import check_bialgebra_axioms
-from .cyclo import CycNumber, one, rational
+from .cyclo import CycNumber, ONE, rational
 from .linalg import Echelon, add_term, nullspace, row_axpy, sparse_rank
 
 
@@ -124,7 +124,7 @@ def map_unknowns(B, p, q, ell=None):
 
 
 def _tensor_action(B, mat, tup):
-    states = {(): one()}
+    states = {(): ONE}
     for i in tup:
         nxt = {}
         for partial, c in states.items():
@@ -212,7 +212,7 @@ def _cocycle_rows(B, fU, gU):
     rows += dc_apply(B, gU, 1).values()
     compat = dc_apply(B, fU, 2)
     for key, row in dh_apply(B, gU, 1).items():
-        row_axpy(compat.setdefault(key, {}), one(), row)
+        row_axpy(compat.setdefault(key, {}), ONE, row)
     rows += (row for row in compat.values() if row)
     return rows
 
@@ -338,15 +338,14 @@ def kernel_M(B):
     max_degree = 2 * B.top_degree
     cat = B.category
     pos = B.positive()
+    deg = {i: B.degree(i) for i in pos}
+    by_degree = {}  # the last leg of a pair or triple runs over one of these, in pos order
+    for i in pos:
+        by_degree.setdefault(deg[i], []).append(i)
     dims = {}
     blocks = {}
     for d in range(2, max_degree + 1):
-        pairs = [
-            (i, j)
-            for i in pos
-            for j in pos
-            if B.degree(i) + B.degree(j) == d
-        ]
+        pairs = [(i, j) for i in pos for j in by_degree.get(d - deg[i], ())]
         if not pairs:
             dims[d] = 0
             continue
@@ -365,9 +364,7 @@ def kernel_M(B):
         wrows = []
         for x in pos:
             for a in pos:
-                for y in pos:
-                    if B.degree(x) + B.degree(a) + B.degree(y) != d:
-                        continue
+                for y in by_degree.get(d - deg[x] - deg[a], ()):
                     row = {}
                     for j, c in B.mult(x, a).items():
                         add_term(row, (j, y), c)
@@ -406,14 +403,14 @@ def hom_M_dim(B, mdata):
                         for pair2, cp in _tensor_action(B, mat, pair).items():
                             add_term(img, pair2, c * cp)
                     row = coords(img)
-                    add_term(row, a, -one())
+                    add_term(row, a, -ONE)
                     if row:
                         action_rows.append(row)
         rows = []
         if cat:
             for a, (vec, free, lab) in enumerate(kvecs):
                 if lab != cat.label_unit:
-                    rows.append({a: one()})
+                    rows.append({a: ONE})
         for w in blk["W"]:
             row = coords(w)
             if row:
@@ -507,7 +504,7 @@ def first_order_deformation(B, pair_vec, r):
         return {k: v for k, v in out.items() if not v.is_zero()}
 
     report = check_bialgebra_axioms(
-        B.dim, B.unit, mult_t, coprod_t, B.braid, TruncPoly.tpow(one(), 0, r)
+        B.dim, B.unit, mult_t, coprod_t, B.braid, TruncPoly.tpow(ONE, 0, r)
     )
     tables = {"mult": mult_t, "coprod": coprod_t}
     return tables, report

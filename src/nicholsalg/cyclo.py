@@ -80,6 +80,12 @@ def _canonical(n, num, den):
     return CycNumber(n, tuple(num), den)
 
 
+def _rational(p, q):
+    """The CycNumber p/q of Q(zeta_1) for integers p and q > 0."""
+    g = gcd(p, q) if q != 1 else 1
+    return CycNumber(1, (p,), q) if g == 1 else CycNumber(1, (p // g,), q // g)
+
+
 class CycNumber:
     """An element of Q(zeta_n) in canonical (reduced) form.
 
@@ -133,6 +139,8 @@ class CycNumber:
         return _canonical(m, _reduce(m, poly), self.den)
 
     # -- coercion ---------------------------------------------------------
+    # Operands of one field skip _pair; those of Q(zeta_1) also skip the
+    # coefficient lists. Every other operand goes through _pair.
 
     def _pair(self, other):
         if other.__class__ is CycNumber and other.n == self.n:
@@ -149,9 +157,15 @@ class CycNumber:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
+        if other.__class__ is CycNumber and other.n == self.n:
+            a, b = self, other
+            if a.n == 1:
+                p, q, r, s = a.num[0], a.den, b.num[0], b.den
+                return _rational(p + r, q) if q == s else _rational(p * s + r * q, q * s)
+        else:
+            a, b = self._pair(other)
+            if a is None:
+                return NotImplemented
         if a.den == b.den:
             return _canonical(a.n, [x + y for x, y in zip(a.num, b.num)], a.den)
         da, db = a.den, b.den
@@ -160,12 +174,20 @@ class CycNumber:
     __radd__ = __add__
 
     def __neg__(self):
+        if self.n == 1:
+            return CycNumber(1, (-self.num[0],), self.den)
         return CycNumber(self.n, tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
+        if other.__class__ is CycNumber and other.n == self.n:
+            a, b = self, other
+            if a.n == 1:
+                p, q, r, s = a.num[0], a.den, b.num[0], b.den
+                return _rational(p - r, q) if q == s else _rational(p * s - r * q, q * s)
+        else:
+            a, b = self._pair(other)
+            if a is None:
+                return NotImplemented
         if a.den == b.den:
             return _canonical(a.n, [x - y for x, y in zip(a.num, b.num)], a.den)
         da, db = a.den, b.den
@@ -178,10 +200,12 @@ class CycNumber:
         """self * p/q for p/q in lowest terms, q > 0; a factor of exactly 1 returns self."""
         if p == q:
             return self
+        if self.n == 1:
+            return _rational(self.num[0] * p, self.den * q)
         return _canonical(self.n, [x * p for x in self.num], self.den * q)
 
     def __mul__(self, other):
-        if not isinstance(other, CycNumber):
+        if other.__class__ is not CycNumber:
             if isinstance(other, int):
                 return self._scaled(other, 1)
             if isinstance(other, Fraction):
@@ -193,7 +217,7 @@ class CycNumber:
             return other._scaled(self.num[0], self.den)
         if other.n == 1:
             return self._scaled(other.num[0], other.den)
-        a, b = self._pair(other)
+        a, b = (self, other) if other.n == self.n else self._pair(other)
         # integer convolution, then reduction mod Phi_n
         y = b.num
         prod = [0] * (2 * len(y) - 1)
@@ -256,7 +280,7 @@ class CycNumber:
     # -- predicates -------------------------------------------------------
 
     def is_zero(self):
-        return not any(self.num)
+        return not self.num[0] if self.n == 1 else not any(self.num)
 
     def is_one(self):
         return self.den == 1 and self.num[0] == 1 and self.is_rational()
@@ -268,6 +292,8 @@ class CycNumber:
         return any(self.num)
 
     def __eq__(self, other):
+        if other.__class__ is CycNumber and other.n == self.n:
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return (
                 self.num[0] == other.numerator and self.den == other.denominator
@@ -282,14 +308,17 @@ class CycNumber:
         # The normalised trace Tr(x) / [Q(zeta_n):Q] does not change under
         # lift, and equals x itself on a rational x. zeta_n^k has order
         # m = n / gcd(n, k); its conjugates are the roots of Phi_m, whose sum
-        # mu(m) is minus the coefficient below the leading one.
+        # mu(m) is minus the coefficient below the leading one, and the trace
+        # over Q(zeta_n) counts them d / deg Phi_m times, d = deg Phi_n.
         if self._hash is None:
-            trace = Fraction(0)
-            for k, c in enumerate(self.num):
+            n, num = self.n, self.num
+            d = len(num)
+            trace = 0
+            for k, c in enumerate(num):
                 if c:
-                    phi = cyclotomic_poly(self.n // gcd(self.n, k))
-                    trace += Fraction(-phi[-2] * c, len(phi) - 1)
-            self._hash = hash(trace / self.den)
+                    phi = cyclotomic_poly(n // gcd(n, k))
+                    trace -= phi[-2] * c * (d // (len(phi) - 1))
+            self._hash = hash(Fraction(trace, d * self.den))
         return self._hash
 
     def __repr__(self):
@@ -307,6 +336,9 @@ def zeta(n, exponent=1):
 
 def one(n=1):
     return CycNumber.from_rational(1, n)
+
+
+ONE = one()  # shared: CycNumber is never mutated
 
 
 def rational(r, n=1):

@@ -12,7 +12,6 @@ from .bialgebra import attach_group_category, compose_perm, from_nichols
 from .braided import build_group_type, check_braid_equation
 from .cyclo import rational
 from .rewriting import rewrite_dims
-from .tensoralg import nichols_dims
 
 
 def transpositions(n):
@@ -92,25 +91,20 @@ def fk_relations(n):
 
 
 def fk_dims_rewriting(n, max_degree):
-    """Graded dims of the quadratic algebra via rewriting."""
-    V = build_fk_space(n)
-    dims, _ = rewrite_dims(V.rank, fk_relations(n), max_degree)
+    """Graded dims of the quadratic algebra via rewriting; the relations
+    need no braided space, only the number of generators."""
+    dims, _ = rewrite_dims(len(transpositions(n)), fk_relations(n), max_degree)
     return dims
 
 
-def fk_dims_symmetrizer(n, max_degree):
-    """Graded dims of the Nichols algebra via quantum symmetrizer ranks."""
-    V = build_fk_space(n)
-    return nichols_dims(V, max_degree)
-
-
-def group_degree_of(V, element):
-    """Group degree of a homogeneous tensor element; None if mixed."""
+def group_degree_of(group_degrees, element):
+    """Group degree of a homogeneous tensor element, given the permutation
+    of each letter (V.group_degrees); None if mixed."""
     degs = set()
     for w in element:
-        g = tuple(range(len(V.group_degrees[0])))
+        g = tuple(range(len(group_degrees[0])))
         for letter in w:
-            g = compose_perm(g, V.group_degrees[letter])
+            g = compose_perm(g, group_degrees[letter])
         degs.add(g)
     if len(degs) != 1:
         return None
@@ -150,12 +144,12 @@ def fk_rigidity(n):
     degree, mixed relations a 3-cycle, disjoint commutators a double
     transposition, so no relation qualifies.
     """
-    V = build_fk_space(n)
-    gens = set(V.group_degrees)
+    perms = [_perm_of(p, n) for p in transpositions(n)]
+    gens = set(perms)
     details = []
     ok = True
     for rel in fk_relations(n):
-        g = group_degree_of(V, rel)
+        g = group_degree_of(perms, rel)
         if g is None:
             ok = False
             details.append(("inhomogeneous", rel))

@@ -3,10 +3,13 @@
 A sparse vector is a dict {key: CycNumber} with no zero entries. Keys can
 be arbitrary hashable objects (basis words, tensor indices); an explicit
 key order is only needed where nullspaces are extracted. This module is
-the one place that updates and solves such vectors.
+the one place that updates and solves such vectors. Echelon.reduce and
+Echelon.add (so also contains, sparse_rank and nullspace) take rows in that
+form and do not test their entries for zero; add_term and row_axpy build
+rows that meet it.
 """
 
-from .cyclo import one
+from .cyclo import ONE
 
 
 def add_term(target, key, val):
@@ -48,8 +51,8 @@ class Echelon:
         self.holders = {}  # non-pivot column -> pivot columns whose rows hold it
 
     def reduce(self, row):
-        """Fully reduce a row against the current basis; returns a new dict."""
-        row = {k: v for k, v in row.items() if not v.is_zero()}
+        """Fully reduce a zero-free row; returns a new dict and leaves row unchanged."""
+        row = dict(row)
         # no pivot row holds another pivot column, so any order clears them
         for col in [col for col in row if col in self.pivots]:
             row_axpy(row, -row[col], self.pivots[col])
@@ -119,7 +122,7 @@ def nullspace(rows, columns):
     for free in columns:
         if free in ech.pivots:
             continue
-        vec = {free: one()}
+        vec = {free: ONE}
         for pcol, prow in ech.pivots.items():
             c = prow.get(free)
             if c is not None:

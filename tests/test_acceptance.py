@@ -21,7 +21,7 @@ from nicholsalg.cohomology import (
     kernel_M,
     truncated_H2,
 )
-from nicholsalg.fk import fk_bialgebra, fk_dims_rewriting, fk_dims_symmetrizer
+from nicholsalg.fk import build_fk_space, fk_bialgebra, fk_dims_rewriting
 from nicholsalg.liealg import (
     check_braided_lie,
     check_cocycle_random,
@@ -56,7 +56,7 @@ def diagonal_config_names():
 def test_criterion_1_fk3_dimension_12():
     t0 = time.monotonic()
     d_rw = fk_dims_rewriting(3, 4)
-    d_sym = fk_dims_symmetrizer(3, 4)
+    d_sym = nichols_dims(build_fk_space(3), 4)
     dt = time.monotonic() - t0
     ok = d_rw == d_sym == [1, 3, 4, 3, 1] and sum(d_rw) == 12 and dt < 5
     report(1, ok, f"dims {d_rw}, both routes, {dt:.2f}s")

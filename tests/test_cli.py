@@ -5,7 +5,7 @@ from argparse import Namespace
 
 import pytest
 
-from nicholsalg import tensoralg
+from nicholsalg import cli, fk, tensoralg
 from nicholsalg.cli import _finite_bialgebra, build_parser, main
 from nicholsalg.configs import load_shipped, shipped_config_names
 from nicholsalg.rewriting import RewriteSystem
@@ -133,6 +133,40 @@ def test_usage_errors_exit_1(capsys):
             main(argv)
         assert exc.value.code == 0, argv
         assert "usage:" in capsys.readouterr().out
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    """main builds its parser once per process; usage errors still read as
+    those of a fresh parser and exit 1."""
+    argv = ["nichols", "--config"]
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    fresh = capsys.readouterr().err
+    main(["fk", "--n", "3"])
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_Parser", None)  # a second build would fail
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == fresh
+    assert main(["fk", "--n", "3", "--json"]) == 0
+
+
+def test_fk_checks_the_braid_equation_once(capsys, monkeypatch):
+    calls = []
+    check = fk.check_braid_equation
+
+    def counting(V):
+        calls.append(V)
+        return check(V)
+
+    monkeypatch.setattr(fk, "check_braid_equation", counting)
+    for flags in ([], ["--symmetrizer"], ["--symmetrizer", "--rigidity"]):
+        calls.clear()
+        code, rep, _ = run_json(capsys, "fk", "--n", "4", "--max-degree", "3", *flags)
+        assert code == 0 and len(calls) == 1, flags
+    assert rep["results"]["routes_agree"] and rep["results"]["rigidity"] == "Rigid"
 
 
 def test_seed_only_where_read():

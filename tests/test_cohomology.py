@@ -12,6 +12,7 @@ from nicholsalg.cyclo import one, zeta
 from nicholsalg.tensoralg import monomial
 from nicholsalg.bialgebra import attach_diagonal_category, from_nichols
 from nicholsalg.relations import quotient_realization
+from nicholsalg.rewriting import rewrite_dims
 from nicholsalg.fk import fk_bialgebra, fk_relations
 from nicholsalg import cohomology
 from nicholsalg.cohomology import (
@@ -239,6 +240,25 @@ def test_completion_counts_dim_M(name):
     assert kernel_m_from_words(B.V, rels, 6) == {d: minimal[d] for d in range(2, 7)}
     dims = kernel_M(B)["dims"]
     assert dims == {d: minimal[d] for d in range(2, 2 * B.top_degree + 1)}
+
+
+@pytest.mark.parametrize("name", FINITE_CONFIGS)
+def test_resumed_completion_matches_fresh(name):
+    """from_nichols completes at the budget and, below 2 top, extends the same
+    system to 2 top; the result is the system completed from scratch."""
+    cfg = load_shipped(name)
+    B, warnings = _finite_bialgebra(cfg, Namespace(max_degree=None))
+    assert B is not None, warnings
+    budget, bound = cfg.budgets["max_degree"], 2 * B.top_degree
+    if name in ("a2_cartan_zeta3", "a2_super", "b2", "fk3"):
+        assert budget < bound  # the system was extended
+    bound = max(budget, bound)
+    rels = fk_relations(3) if cfg.kind == "fk" else _catalog_elements(cfg, B.V)[0]
+    dims, fresh = rewrite_dims(B.V.rank, rels, bound)
+    assert B.rs.max_degree == bound
+    assert B.rs.rules == fresh.rules
+    assert B.rs.minimal == fresh.minimal
+    assert B.rs.normal_word_counts() == dims
 
 
 def test_epsilon_cohomology_matches_hom():

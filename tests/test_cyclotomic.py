@@ -168,19 +168,47 @@ small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
 
 
 @st.composite
-def elements(draw):
+def elements(draw, n=None):
     """(n, polynomial in zeta_n) with exponents up to n - 1, unreduced."""
-    n = draw(kernel_orders)
+    if n is None:
+        n = draw(kernel_orders)
     return n, draw(st.lists(small_fractions, min_size=1, max_size=n))
 
 
-@given(elements(), elements())
-@settings(max_examples=150, deadline=None)
-def test_kernel_matches_fraction_reference(xa, xb):
-    (na, pa), (nb, pb) = xa, xb
+@st.composite
+def element_pairs(draw):
+    """Two elements: of any two conductors, of one conductor, or both in
+    Q(zeta_1) (where denominators other than 1 are common), a third each."""
+    kind = draw(st.sampled_from(["mixed", "same", "rational"]))
+    if kind == "mixed":
+        return draw(elements()), draw(elements())
+    n = 1 if kind == "rational" else draw(kernel_orders)
+    return draw(elements(n)), draw(elements(n))
+
+
+def ref_trace(n, coeffs):
+    """Tr(x) / [Q(zeta_n):Q] for x = sum coeffs[k] zeta_n^k, summing the
+    Galois conjugates zeta_n^(jk), gcd(j, n) = 1, in the reference field."""
+    units = [j for j in range(1, n + 1) if gcd(j, n) == 1]
+    total = Fraction(0)
+    for k, c in enumerate(coeffs):
+        conj = [0] * n
+        for j in units:
+            conj[j * k % n] += 1
+        orbit = ref_reduce(n, conj)
+        assert not any(orbit[1:])  # a sum over a Galois orbit is rational
+        total += c * orbit[0]
+    return total / len(units)
+
+
+@given(element_pairs())
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_fraction_reference(pair):
+    (na, pa), (nb, pb) = pair
     a = CycNumber.from_powers(na, dict(enumerate(pa)))
     b = CycNumber.from_powers(nb, dict(enumerate(pb)))
-    assert_canonical(a, na, ref_reduce(na, pa))
+    own = ref_reduce(na, pa)
+    assert_canonical(a, na, own)
     m = lcm(na, nb)
     ra, rb = ref_lift(na, pa, m), ref_lift(nb, pb, m)
     assert_canonical(a.lift(m), m, ra)
@@ -188,6 +216,16 @@ def test_kernel_matches_fraction_reference(xa, xb):
     assert_canonical(a + b, m, [x + y for x, y in zip(ra, rb)])
     assert_canonical(a - b, m, [x - y for x, y in zip(ra, rb)])
     assert_canonical(a * b, m, ref_mul(m, ra, rb))
+    assert_canonical(-a, na, [-x for x in own])
+    assert (a == b) == (ra == rb) and (a != b) == (ra != rb)
+    assert a.is_zero() == (not any(own))
+    assert a.is_one() == (own == [1] + [0] * (len(own) - 1))
+    # the hash is that of the normalised trace, in every field holding a
+    trace = ref_trace(na, own)
+    assert hash(a) == hash(trace)
+    same = CycNumber.from_powers(m, dict(enumerate(ra)))
+    assert same == a.lift(m) and hash(same) == hash(a)
+    assert ref_trace(m, ra) == trace
     if not b.is_zero():
         inv = b.inverse()
         assert_canonical(inv, nb, list(inv.coeffs))

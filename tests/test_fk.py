@@ -2,13 +2,12 @@
 
 from nicholsalg.braided import check_braid_equation
 from nicholsalg.cyclo import one
-from nicholsalg.tensoralg import braiding_operator, ideal_component, monomial
+from nicholsalg.tensoralg import braiding_operator, ideal_component, monomial, nichols_dims
 from nicholsalg.fk import (
     build_fk_space,
     fk_bialgebra,
     fk_chi,
     fk_dims_rewriting,
-    fk_dims_symmetrizer,
     fk_relations,
     fk_rigidity,
     group_degree_of,
@@ -49,7 +48,7 @@ def test_braid_equation_through_n6():
 
 def test_n3_dims_both_routes():
     assert fk_dims_rewriting(3, 4) == [1, 3, 4, 3, 1]
-    assert fk_dims_symmetrizer(3, 4) == [1, 3, 4, 3, 1]
+    assert nichols_dims(build_fk_space(3), 4) == [1, 3, 4, 3, 1]
 
 
 def test_degree2_kernel_is_relation_span():
@@ -67,7 +66,7 @@ def test_hilbert_series_palindromic():
 def test_relations_group_homogeneous():
     V = build_fk_space(4)
     for rel in fk_relations(4):
-        assert group_degree_of(V, rel) is not None
+        assert group_degree_of(V.group_degrees, rel) is not None
 
 
 def test_rigidity_bookkeeping():

@@ -35,6 +35,21 @@ def test_unit_pivot_needs_no_inverse(monkeypatch):
     assert ech.pivots[1] == {1: one(), 0: zeta(3).inverse()}
 
 
+def test_reduce_returns_a_new_dict_and_keeps_its_argument():
+    ech = Echelon()
+    ech.add({2: one(), 0: rational(3)})
+    row = {2: zeta(3), 1: rational(5)}
+    kept = dict(row)
+    out = ech.reduce(row)
+    assert out is not row and row == kept
+    assert out == {1: rational(5), 0: -(zeta(3) * rational(3))}
+    untouched = {1: one()}  # no pivot column: reduce still copies
+    out = ech.reduce(untouched)
+    assert out == untouched and out is not untouched
+    out[0] = one()
+    assert untouched == {1: one()}
+
+
 class FullScanEchelon(Echelon):
     """The reference add: back-substitution scans every pivot row."""
 

@@ -203,6 +203,26 @@ def completion(rank, relations):
     return rs.minimal, rs.rules
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_extend_matches_fresh_completion(seed):
+    """A system completed at a low bound, used, then extended equals the
+    system completed at the high bound, also with relations above the low one."""
+    rng = random.Random(seed)
+    rank = rng.choice([2, 3])
+    rels = [random_element(rng, rank, d) for d in [2] + rng.choices([2, 3, 4, 5], k=3)]
+    low = rng.choice([2, 3])
+    _, rs = rewrite_dims(rank, rels, low)
+    for d in range(1, 6):  # memoize normal forms of words past the low bound
+        rs.reduce(random_element(rng, rank, d))
+    rs.extend(6)
+    dims, fresh = rewrite_dims(rank, rels, 6)
+    assert rs.rules == fresh.rules
+    assert rs.minimal == fresh.minimal
+    assert rs.normal_word_counts() == dims
+    words = [tuple(rng.randrange(rank) for _ in range(d)) for d in range(1, 7)]
+    assert [rs.reduce({w: one()}) for w in words] == [fresh.reduce({w: one()}) for w in words]
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_minimal_relations_are_intrinsic(seed):
     """minimal depends on the ideal and its generators, not on their order
