@@ -76,6 +76,9 @@ def commands(bicharacter_path, undefined_path):
     out.append(("nichols-rank3_triangle-16",
                 ["nichols", "--config", "rank3_triangle", "--max-degree", "16"]))
     out.append(("fk-n3-rigidity", ["fk", "--n", "3", "--rigidity"]))
+    # FK completion past n = 4: the fk tasks of the perfbench rewriting workload, and W12
+    for n, top in ((5, 8), (6, 6), (6, 8)):
+        out.append((f"fk-n{n}-{top}", ["fk", "--n", str(n), "--max-degree", str(top)]))
     out.append(("selfcheck", ["selfcheck"]))
     return out
 

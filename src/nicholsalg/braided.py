@@ -104,21 +104,28 @@ def braid_word_blocks(V, left, right):
 def check_braid_equation(V):
     """Exhaustively verify the braid equation on basis words of V^(x)3.
 
+    Write c(x_i (x) x_j) = s_ij x_{i.j} (x) x_i, with i.j = act[i][j] and
+    s = scal. On x_a (x) x_b (x) x_c, c1c2c1 gives
+    s_{a,b} s_{a,c} s_{a.b,a.c} x_{(a.b).(a.c)} (x) x_{a.b} (x) x_a and
+    c2c1c2 gives s_{b,c} s_{a,b.c} s_{a,b} x_{a.(b.c)} (x) x_{a.b} (x) x_a,
+    so the tables are compared directly, with no words.
+
     Returns (True, None) or (False, offending_word).
     """
+    act, scal = V.act, V.scal
     theta = V.rank
     for a in range(theta):
+        act_a, scal_a = act[a], scal[a]
         for b in range(theta):
+            ab = act_a[b]
+            act_ab, scal_ab = act[ab], scal[ab]
             for c in range(theta):
-                w = (a, b, c)
-                c1, w1 = apply_braiding_word(V, w, 0)
-                c2, w2 = apply_braiding_word(V, w1, 1)
-                c3, w3 = apply_braiding_word(V, w2, 0)
-                d1, v1 = apply_braiding_word(V, w, 1)
-                d2, v2 = apply_braiding_word(V, v1, 0)
-                d3, v3 = apply_braiding_word(V, v2, 1)
-                if w3 != v3 or c1 * c2 * c3 != d1 * d2 * d3:
-                    return False, w
+                ac, bc = act_a[c], act[b][c]
+                if (
+                    act_ab[ac] != act_a[bc]
+                    or scal_a[b] * scal_a[c] * scal_ab[ac] != scal[b][c] * scal_a[bc] * scal_a[b]
+                ):
+                    return False, (a, b, c)
     return True, None
 
 

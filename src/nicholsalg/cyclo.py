@@ -268,14 +268,17 @@ class CycNumber:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        result = CycNumber.from_rational(1, self.n)
-        base = self
-        while k:
+        if k == 0:
+            return CycNumber.from_rational(1, self.n)
+        # square-and-multiply with no product by 1 and no square past the top bit
+        result, base = None, self
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     # -- predicates -------------------------------------------------------
 

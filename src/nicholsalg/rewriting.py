@@ -22,7 +22,18 @@ key is fixed by its row space, so the order changes no rule.
 
 Leads are interreduced, so a word whose prefix word[:-1] is normal can only
 have a lead as a suffix; normal forms are built prefix by prefix on that.
+
+Inside this module a word is one int, its code. With b = rank.bit_length()
+bits per letter, letter a is the digit a + 1 and the first letter is the most
+significant digit: () is 0, word[:-1] is code >> b, the suffix of length k is
+code & (2^(bk) - 1), and the length is bit_length() / b rounded up. Numeric
+order of codes is deglex order, so the pivot Echelon picks, the largest key,
+is the lead. Rules, memos and S-polynomials are keyed by codes; the public
+methods take and return words as tuples, and only this module codes them.
 """
+
+
+from types import MappingProxyType
 
 from .cyclo import ONE
 from .linalg import Echelon, add_term, row_axpy
@@ -34,59 +45,104 @@ class RewriteSystem:
     def __init__(self, rank, max_degree):
         self.rank = rank
         self.max_degree = max_degree
-        self.rules = {}  # lead word -> tail dict {word: coeff}, lead = tail
         self.minimal = {}  # degree d <= max_degree -> dim M_d
-        self._lens = []  # distinct lead lengths, ascending
-        self._index = {}  # (proper prefix, lead length) -> leads
-        self._final = float("inf")  # words shorter than this reduce by final rules
-        self._nf = {}  # reducible final word -> normal form
-        self._normal = {()}  # irreducible final words
-        self._relations = {}  # {degree: [relations]} last passed to complete
+        self._bits = max(rank, 1).bit_length()  # bits per letter
+        self._rules = {}  # lead code -> tail {code: coeff}, lead = tail
+        self._suffixes = []  # (least code, suffix mask) per lead length, ascending
+        self._index = {}  # (proper prefix code, lead length) -> lead codes
+        self._final = float("inf")  # codes below this reduce by final rules
+        self._nf = {}  # reducible final code -> normal form
+        self._normal = {0}  # irreducible final codes
+        self._relations = {}  # {degree: [coded relations]} last passed to complete
 
-    # -- reduction ---------------------------------------------------------
+    # -- word codes --------------------------------------------------------
+
+    def _encode(self, word):
+        code, bits, rank = 0, self._bits, self.rank
+        for a in word:
+            if not 0 <= a < rank:
+                raise ValueError(f"letter {a} is outside the alphabet of rank {rank}")
+            code = code << bits | a + 1
+        return code
+
+    def _decode(self, code):
+        bits, digit = self._bits, (1 << self._bits) - 1
+        word = []
+        while code:
+            word.append((code & digit) - 1)
+            code >>= bits
+        return tuple(reversed(word))
+
+    def _decode_row(self, row):
+        return {self._decode(w): c for w, c in row.items()}
+
+    def _length(self, code):
+        return -(-code.bit_length() // self._bits)
+
+    # -- public API on tuple words -----------------------------------------
+
+    @property
+    def rules(self):
+        """Read-only view {lead word: tail {word: coeff}} of the rules."""
+        return MappingProxyType(
+            {self._decode(lead): self._decode_row(tail) for lead, tail in self._rules.items()}
+        )
 
     def suffix_lead(self, word):
         """The lead that ends word, or None; the only redex if word[:-1] is normal."""
-        n = len(word)
-        for k in self._lens:
-            if k > n:
+        lead = self._suffix_lead(self._encode(word))
+        return None if lead is None else self._decode(lead)
+
+    def normal_form_word(self, word):
+        """Normal form of a word as {normal word: coeff}."""
+        return self._decode_row(self._normal_form(self._encode(word), ({}, set())))
+
+    def reduce(self, elem):
+        """Fully reduce {word: coeff}; returns a new dict."""
+        return self._decode_row(self._reduce({self._encode(w): c for w, c in elem.items()}))
+
+    # -- reduction ---------------------------------------------------------
+
+    def _suffix_lead(self, code):
+        rules = self._rules
+        for least, mask in self._suffixes:
+            if code < least:
                 break
-            if word[n - k :] in self.rules:
-                return word[n - k :]
+            if (code & mask) in rules:
+                return code & mask
         return None
 
-    def normal_form_word(self, word, scratch=None):
-        """Normal form of a word as {normal word: coeff}, as nf(nf(word[:-1]) a).
+    def _normal_form(self, word, scratch):
+        """Normal form {code: coeff} of a code, as nf(nf(word[:-1]) a).
 
-        Words shorter than the degree being completed are memoized for good,
-        longer ones in scratch, a (memo, normal set) pair of the caller.
+        Codes below _final (words shorter than the degree being completed)
+        are memoized for good, longer ones in scratch, a (memo, normal set)
+        pair of the caller. The result may be a memo entry: read it only.
         """
-        memo, final = (self._nf, self._normal), self._final
-        if scratch is None:
-            scratch = ({}, set())
+        memo, final, rules = (self._nf, self._normal), self._final, self._rules
+        bits, digit = self._bits, (1 << self._bits) - 1
         # iterative post-order evaluation; rewrite chains can be deep
         stack = [(word, None)]
         while stack:
             w, terms = stack[-1]
-            n = len(w)
-            nf, normal = memo if n < final else scratch
+            nf, normal = memo if w < final else scratch
             if terms is None:
                 if w in normal or w in nf:
                     stack.pop()
                     continue
-                head = w[:-1]
-                head_nf, head_normal = memo if n - 1 < final else scratch
+                head = w >> bits
+                head_nf, head_normal = memo if head < final else scratch
                 if head in head_normal:
-                    lead = self.suffix_lead(w)
+                    lead = self._suffix_lead(w)
                     if lead is None:
                         normal.add(w)
                         stack.pop()
                         continue
-                    prefix = w[: n - len(lead)]
-                    terms = [(prefix + t, c) for t, c in self.rules[lead].items()]
+                    prefix = w - lead  # the prefix, shifted past the lead
+                    terms = [(prefix + t, c) for t, c in rules[lead].items()]
                 elif head in head_nf:
-                    last = w[-1:]
-                    terms = [(u + last, c) for u, c in head_nf[head].items()]
+                    last = w & digit
+                    terms = [(u << bits | last, c) for u, c in head_nf[head].items()]
                 else:
                     stack.append((head, None))
                     continue
@@ -104,33 +160,40 @@ class RewriteSystem:
                     row_axpy(res, c, nf[v])
             nf[w] = res
             stack.pop()
-        nf, normal = memo if len(word) < final else scratch
+        nf, normal = memo if word < final else scratch
         return {word: ONE} if word in normal else nf[word]
 
-    def reduce(self, elem):
-        """Fully reduce {word: coeff}; returns a new dict."""
+    def _reduce(self, elem):
+        """Fully reduce {code: coeff}; returns a new dict."""
         out = {}
         scratch = ({}, set())
         for w, c in elem.items():
-            row_axpy(out, c, self.normal_form_word(w, scratch))
+            row_axpy(out, c, self._normal_form(w, scratch))
         return out
 
     # -- completion --------------------------------------------------------
 
     def _s_polynomials(self, d):
         """Differences of the two rewrites of every overlap word of length d."""
-        for l1, t1 in self.rules.items():
-            n1 = len(l1)
+        bits, rules, index = self._bits, self._rules, self._index
+        for l1, t1 in rules.items():
+            n1 = self._length(l1)
+            shift = bits * (d - n1)  # l1 is followed by a rest of d - n1 letters
+            rest_mask = (1 << shift) - 1
             for k in range(1, n1):
-                for l2 in self._index.get((l1[n1 - k :], d - n1 + k), ()):
-                    rest, head = l2[k:], l1[: n1 - k]
-                    row = {t + rest: c for t, c in t1.items()}
-                    for t, c in self.rules[l2].items():
-                        add_term(row, head + t, -c)
+                # l2, of d - n1 + k letters, starts with the last k letters of l1
+                n2 = d - n1 + k
+                head = l1 >> bits * k << bits * n2
+                for l2 in index.get((l1 & (1 << bits * k) - 1, n2), ()):
+                    rest = l2 & rest_mask
+                    row = {t << shift | rest: c for t, c in t1.items()}
+                    for t, c in rules[l2].items():
+                        add_term(row, head | t, -c)
                     yield row
 
     def complete(self, relations):
-        """Complete the system from {degree: [relations]}, one degree at a time.
+        """Complete the system from {degree: [relations keyed by code]}, one
+        degree at a time.
 
         Overlaps are resolved, and minimal relations counted, up to the
         degree bound; relations above it are still interreduced into rules,
@@ -138,23 +201,24 @@ class RewriteSystem:
         and skipped, which is how extend resumes.
         """
         self._relations = relations
+        bits = self._bits
         for d in range(len(self.minimal) + 1, max([self.max_degree, *relations]) + 1):
-            self._final = d
+            self._final = 1 << bits * (d - 1)  # the least code of length d
             ech = Echelon()  # its pivots are the leads of degree d
             if d <= self.max_degree:
                 for row in self._s_polynomials(d):
-                    ech.add(self.reduce(row))
+                    ech.add(self._reduce(row))
             spanned = ech.rank
             for row in relations.get(d, ()):
-                ech.add(self.reduce(row))
+                ech.add(self._reduce(row))
             if d <= self.max_degree:
                 self.minimal[d] = ech.rank - spanned
             if ech.pivots:
-                self._lens.append(d)
+                self._suffixes.append((self._final, (1 << bits * d) - 1))
             for lead, row in ech.pivots.items():
-                self.rules[lead] = {w: -c for w, c in row.items() if w != lead}
+                self._rules[lead] = {w: -c for w, c in row.items() if w != lead}
                 for k in range(1, d):
-                    self._index.setdefault((lead[:k], d), []).append(lead)
+                    self._index.setdefault((lead >> bits * (d - k), d), []).append(lead)
         self._final = float("inf")
 
     def extend(self, max_degree):
@@ -166,11 +230,12 @@ class RewriteSystem:
         dropped and computed again.
         """
         old = self.max_degree
-        self.rules = {lead: tail for lead, tail in self.rules.items() if len(lead) <= old}
-        self._lens = [k for k in self._lens if k <= old]
+        bound = 1 << self._bits * old  # codes of the words of length <= old lie below
+        self._rules = {lead: tail for lead, tail in self._rules.items() if lead < bound}
+        self._suffixes = [(least, mask) for least, mask in self._suffixes if least < bound]
         self._index = {key: leads for key, leads in self._index.items() if key[1] <= old}
-        self._nf = {w: nf for w, nf in self._nf.items() if len(w) <= old}
-        self._normal = {w for w in self._normal if len(w) <= old}
+        self._nf = {w: nf for w, nf in self._nf.items() if w < bound}
+        self._normal = {w for w in self._normal if w < bound}
         self.max_degree = max_degree
         self.complete(self._relations)
 
@@ -182,19 +247,22 @@ class RewriteSystem:
         A state is the longest suffix of a normal word that is a proper
         prefix of a lead; a letter that completes a lead leads nowhere.
         """
-        prefixes = {()} | {lead[:i] for lead in self.rules for i in range(1, len(lead))}
+        bits = self._bits
+        prefixes = {0} | {
+            lead >> bits * i for lead in self._rules for i in range(1, self._length(lead))
+        }
         states = sorted(prefixes)
         index = {s: i for i, s in enumerate(states)}
         trans = []  # state -> next state per live letter
         for s in states:
             trans.append([])
-            for a in range(self.rank):
-                t = s + (a,)
-                if self.suffix_lead(t) is None:
-                    longest = next(t[i:] for i in range(len(t) + 1) if t[i:] in prefixes)
-                    trans[-1].append(index[longest])
+            for a in range(1, self.rank + 1):
+                t = s << bits | a
+                if self._suffix_lead(t) is None:
+                    suffixes = (t & (1 << bits * k) - 1 for k in range(self._length(t), -1, -1))
+                    trans[-1].append(index[next(u for u in suffixes if u in prefixes)])
         counts = [0] * len(states)
-        counts[index[()]] = 1
+        counts[index[0]] = 1
         out = [1]
         for _ in range(self.max_degree):
             nxt = [0] * len(states)
@@ -211,15 +279,17 @@ def rewrite_dims(rank, relations, max_degree):
     """Graded dimensions of T(V)/(relations) up to max_degree by rewriting.
 
     relations: iterable of elements {word: coeff} of T(V), each homogeneous
-    of positive degree (ValueError otherwise); a zero relation is skipped.
+    of positive degree in the letters 0..rank-1 (ValueError otherwise); a
+    zero relation is skipped.
     """
+    rs = RewriteSystem(rank, max_degree)
     by_degree = {}
     for elem in relations:
         degrees = {len(w) for w in elem}
         if len(degrees) > 1 or 0 in degrees:
             raise ValueError(f"relation is not homogeneous of positive degree: {sorted(degrees)}")
         if degrees:
-            by_degree.setdefault(degrees.pop(), []).append(elem)
-    rs = RewriteSystem(rank, max_degree)
+            coded = {rs._encode(w): c for w, c in elem.items()}
+            by_degree.setdefault(degrees.pop(), []).append(coded)
     rs.complete(by_degree)
     return rs.normal_word_counts(), rs

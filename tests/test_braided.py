@@ -1,10 +1,14 @@
 """Braided spaces, the braid equation, and Dynkin-diagram data."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nicholsalg.braided import (
+    apply_braiding_word,
     build_diagonal,
     cartan_integer,
     check_braid_equation,
@@ -12,6 +16,7 @@ from nicholsalg.braided import (
     is_cartan_vertex,
 )
 from nicholsalg.cyclo import one, rational, zeta
+from nicholsalg.fk import build_fk_space
 from nicholsalg.tensoralg import braiding_operator, monomial
 from nicholsalg.weyl import cartan_matrix
 
@@ -49,6 +54,63 @@ def test_diagonal_always_braided(vals):
     q = [[vals[0], vals[1]], [vals[2], vals[3]]]
     ok, bad = check_braid_equation(build_diagonal(q))
     assert ok, bad
+
+
+def braid_equation_on_words(V):
+    """The reference check: both sides of the braid equation applied to each
+    word of V^(x)3, one crossing at a time."""
+    theta = V.rank
+    for a in range(theta):
+        for b in range(theta):
+            for c in range(theta):
+                w = (a, b, c)
+                c1, w1 = apply_braiding_word(V, w, 0)
+                c2, w2 = apply_braiding_word(V, w1, 1)
+                c3, w3 = apply_braiding_word(V, w2, 0)
+                d1, v1 = apply_braiding_word(V, w, 1)
+                d2, v2 = apply_braiding_word(V, v1, 0)
+                d3, v3 = apply_braiding_word(V, v2, 1)
+                if w3 != v3 or c1 * c2 * c3 != d1 * d2 * d3:
+                    return False, w
+    return True, None
+
+
+def with_entry(V, table, i, j, value):
+    """V with entry [i][j] of its act or scal table replaced."""
+    rows = [list(row) for row in getattr(V, table)]
+    rows[i][j] = value
+    return dataclasses.replace(V, **{table: tuple(tuple(row) for row in rows)})
+
+
+def test_braid_check_finds_a_negated_scalar():
+    V = build_fk_space(3)
+    bad = with_entry(V, "scal", 0, 1, -V.scal[0][1])
+    ok, witness = check_braid_equation(bad)
+    assert not ok
+    assert (ok, witness) == braid_equation_on_words(bad)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("seed", range(15))
+def test_braid_check_matches_words_on_corrupted_tables(n, seed):
+    """Random corruptions of the act and scal tables of FK_n give the same
+    verdict and witness as the word-based check."""
+    rng = random.Random(seed)
+    V = build_fk_space(n)
+    for _ in range(rng.randint(1, 2)):
+        i, j = rng.randrange(V.rank), rng.randrange(V.rank)
+        if rng.random() < 0.5:
+            V = with_entry(V, "scal", i, j, rng.choice([-1, 2, zeta(3)]) * V.scal[i][j])
+        else:
+            V = with_entry(V, "act", i, j, rng.randrange(V.rank))
+    assert check_braid_equation(V) == braid_equation_on_words(V)
+
+
+def test_braid_check_matches_words_on_braided_spaces():
+    spaces = [build_fk_space(n) for n in (3, 4, 5)]
+    spaces.append(build_diagonal([[zeta(3), zeta(5)], [zeta(5, 4), rational(-1)]]))
+    for V in spaces:
+        assert check_braid_equation(V) == braid_equation_on_words(V) == (True, None)
 
 
 def test_cartan_integers():

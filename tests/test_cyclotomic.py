@@ -231,6 +231,16 @@ def test_kernel_matches_fraction_reference(pair):
         assert_canonical(inv, nb, list(inv.coeffs))
         one_ref = [Fraction(1)] + [Fraction(0)] * (len(inv.num) - 1)
         assert ref_mul(nb, ref_reduce(nb, pb), list(inv.coeffs)) == one_ref
+    # powers: a^0 .. a^6 by repeated products, a^-1 and a^-2 as their inverses
+    one_ref = [Fraction(1)] + [Fraction(0)] * (len(own) - 1)
+    power = one_ref
+    for k in range(7):
+        assert_canonical(a ** k, na, power)
+        if 1 <= k <= 2 and not a.is_zero():
+            inv = a ** -k
+            assert_canonical(inv, na, list(inv.coeffs))
+            assert ref_mul(na, list(inv.coeffs), power) == one_ref
+        power = ref_mul(na, power, own)
 
 
 @given(elements())

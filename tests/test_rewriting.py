@@ -19,6 +19,7 @@ from nicholsalg.linalg import row_axpy, sparse_rank
 from nicholsalg.rewriting import rewrite_dims
 from nicholsalg.weyl import enumerate_roots
 
+import rewriting_oracle
 from kernel_m_oracle import kernel_m_from_words
 
 
@@ -87,6 +88,18 @@ def test_rule_interreduction():
 def test_non_homogeneous_relation_is_rejected():
     with pytest.raises(ValueError, match="homogeneous"):
         rewrite_dims(2, [{(0,): one(), (0, 1): one()}], 3)
+
+
+def test_letter_outside_the_alphabet_is_rejected():
+    # the lead (1, 5) never occurs in a word of rank 2, so it must not be dropped silently
+    with pytest.raises(ValueError, match="letter 5 is outside the alphabet of rank 2"):
+        rewrite_dims(2, [{(0, 1): one(), (1, 5): one()}], 3)
+    with pytest.raises(ValueError, match="letter -1 is outside the alphabet of rank 3"):
+        rewrite_dims(3, [{(-1, 0): one()}], 3)
+    _, rs = rewrite_dims(2, [{(1, 0): one(), (0, 1): -one()}], 4)
+    for query in (rs.suffix_lead, rs.normal_form_word, lambda w: rs.reduce({w: one()})):
+        with pytest.raises(ValueError, match="letter 2 is outside the alphabet of rank 2"):
+            query((0, 2))
 
 
 @st.composite
@@ -283,3 +296,67 @@ def test_zero_relation_is_skipped():
     assert dims == [1, 1, 1, 1]
     dims, _ = rewrite_dims(1, [{}, {(0, 0): one()}], 3)
     assert dims == [1, 1, 0, 0]
+
+
+# -- the integer-coded engine against the tuple-word oracle ------------------
+
+def assert_engines_agree(rank, relations, low, high, rng):
+    """The engine and rewriting_oracle agree on a system completed at low,
+    and again after both extend it to high."""
+    dims, rs = rewrite_dims(rank, relations, low)
+    oracle_dims, oracle = rewriting_oracle.rewrite_dims(rank, relations, low)
+    assert dims == oracle_dims
+    for top in (low, high):
+        if top != rs.max_degree:
+            rs.extend(top)
+            oracle.extend(top)
+        assert rs.rules == oracle.rules
+        assert rs.minimal == oracle.minimal
+        assert rs.normal_word_counts() == oracle.normal_word_counts()
+        for d in range(1, top + 2):
+            elem = random_element(rng, rank, d)
+            assert rs.reduce(elem) == oracle.reduce(elem)
+            word = next(iter(elem))
+            assert rs.suffix_lead(word) == oracle.suffix_lead(word)
+            assert rs.normal_form_word(word) == oracle.normal_form_word(word)
+
+
+@pytest.mark.parametrize("name", DIAGONAL_CONFIGS)
+def test_engine_matches_oracle_on_catalogs(name):
+    V, elems = catalog(name)
+    assert_engines_agree(V.rank, elems, 16, 18, random.Random(name))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("max_degree", [5, 6, 7, 8])
+def test_engine_matches_oracle_on_fk(n, max_degree):
+    rank = build_fk_space(n).rank
+    assert_engines_agree(rank, fk_relations(n), max_degree, max_degree + 1, random.Random(n))
+
+
+def random_system(rng, rank):
+    """Homogeneous relations in degrees 2-4; up to rank 5 one relation per
+    pair of letters keeps the quotient small enough for degree 8."""
+    rels = []
+    if rank <= 5:
+        for i in range(rank):
+            for j in range(i):
+                rel = {(i, j): one(), (j, i): rational(rng.choice([-2, -1, 1, 2]))}
+                if rng.random() < 0.3:
+                    rel[(rng.randrange(rank), rng.randrange(rank))] = rational(rng.choice([-1, 1]))
+                rels.append(rel)
+    for _ in range(rng.randint(1, 3) if rank <= 5 else rank):
+        rels.append(random_element(rng, rank, rng.choice([2, 3, 4]), rng.randint(1, 3)))
+    return rels
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_engine_matches_oracle_on_random_systems(seed):
+    """Ranks 1-5 and 15-16: letter codes of 1 to 5 bits; at rank 15 the last
+    letter is the all-ones digit."""
+    rng = random.Random(seed)
+    if seed < 10:
+        rank, high = seed % 5 + 1, rng.choice([6, 7, 8])
+    else:
+        rank, high = 15 + seed % 2, 4
+    assert_engines_agree(rank, random_system(rng, rank), rng.randrange(2, high), high, rng)
