@@ -61,6 +61,13 @@ def commands(bicharacter_path, undefined_path):
         out.append((f"epsilon-{cfg}", ["epsilon", "--config", cfg]))
     out.append(("cohomology-a2_cartan_zeta3-ell-1",
                 ["cohomology", "--config", "a2_cartan_zeta3", "--ell", "-1"]))
+    # ell 0, where Z = B > 0 and the cocycle rank stops furthest short of its rows
+    out.append(("cohomology-fk3-ell0", ["cohomology", "--config", "fk3", "--ell", "0"]))
+    out.append(("cohomology-a2_super-ell0",
+                ["cohomology", "--config", "a2_super", "--ell", "0"]))  # W10
+    out.append(("cohomology-a2_cartan_zeta3-9-ell0",
+                ["cohomology", "--config", "a2_cartan_zeta3", "--max-degree", "9",
+                 "--ell", "0"]))  # W11
     out.append(("twist", ["twist", "--bicharacter", bicharacter_path]))
     for ex in LIE_EXAMPLES:
         out.append((f"lie-check-{ex}", ["lie-check", "--example", ex]))

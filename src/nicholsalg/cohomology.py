@@ -3,20 +3,26 @@
 Cochains are maps (B+)^p -> (B+)^q stored entrywise on basis tuples. The
 Hochschild-type and coalgebra-type faces act through the regular (co)module
 structure of the braided tensor powers; the truncated second cohomology is
-computed per homogeneity degree l as exact ranks of the cocycle and
+computed per homogeneity degree l from exact ranks of the cocycle and
 coboundary systems, with all maps constrained to be morphisms for the
 attached category structure.
 
-Also here: the augmentation-cocycle cohomology H2_eps and its comparison
-with Hom(M, U) for M the kernel of multiplication on B+ (x)_B B+, and
-first-order deformations over k[t]/(t^(r+1)).
+The coboundary dimension B comes first. Computing it checks that every
+coboundary satisfies every cocycle row, and raises if one does not, so
+B <= Z is proven and the n cocycle rows have rank at most n - B. Their
+echelon stops at that rank: reaching it gives Z = B exactly, with the rest
+of the rows left unread; otherwise every row is eliminated, as a full rank
+would.
+
+Also here: the augmentation-cocycle cohomology H2_eps, computed the same
+way, and its comparison with Hom(M, U) for M the kernel of multiplication
+on B+ (x)_B B+.
 """
 
 import random
 from fractions import Fraction
 
-from .bialgebra import check_bialgebra_axioms
-from .cyclo import CycNumber, ONE, rational
+from .cyclo import ONE, rational
 from .linalg import Echelon, add_term, nullspace, row_axpy, sparse_rank
 
 
@@ -189,11 +195,13 @@ def truncated_H2(B, ell):
     Pairs (f, g) with f: (B+)^2 -> B+ and g: B+ -> (B+)^2, both morphisms
     of degree l, subject to the associativity, coassociativity and
     compatibility conditions; coboundaries come from morphisms h: B+ -> B+.
+    The cocycle rows are ranked only up to n - B, n the number of f/g
+    entries: _coboundary_rank has checked every row against every
+    coboundary, so B <= Z, and reaching that rank means Z = B.
     """
     fU = map_unknowns(B, 2, 1, ell)
     gU = map_unknowns(B, 1, 2, ell)
     cocycle_rows = _cocycle_rows(B, fU, gU)
-    dim_z = len(fU) + len(gU) - sparse_rank(cocycle_rows)
 
     hU = map_unknowns(B, 1, 1, ell)
     # the coboundary of h is (dh h, -dc h); f and g entries differ in shape
@@ -201,48 +209,22 @@ def truncated_H2(B, ell):
     for key, row in dc_apply(B, hU, 1).items():
         faces[key] = {k: -c for k, c in row.items()}
     dim_b = _coboundary_rank(B, hU, faces, set(fU) | set(gU), cocycle_rows)
+    n = len(fU) + len(gU)
+    dim_z = n - sparse_rank(cocycle_rows, bound=n - dim_b)
     return {"Z": dim_z, "B": dim_b, "H": dim_z - dim_b}
 
 
 def _cocycle_rows(B, fU, gU):
-    """Equations on the f/g entries: equivariance, associativity (dh f),
-    coassociativity (dc g) and compatibility (dc f + dh g)."""
-    rows = equivariance_rows(B, fU, 2) + equivariance_rows(B, gU, 1)
-    rows += dh_apply(B, fU, 2).values()
+    """Equations on the f/g entries: associativity (dh f), coassociativity
+    (dc g) and compatibility (dc f + dh g), then equivariance; the face rows
+    come first because they bring the cocycle echelon to its bound sooner."""
+    rows = list(dh_apply(B, fU, 2).values())
     rows += dc_apply(B, gU, 1).values()
     compat = dc_apply(B, fU, 2)
     for key, row in dh_apply(B, gU, 1).items():
         row_axpy(compat.setdefault(key, {}), ONE, row)
     rows += (row for row in compat.values() if row)
-    return rows
-
-
-def solve_cocycles(B, ell):
-    """Basis of the degree-l cocycle pairs as dicts over f/g entries (s, t)."""
-    fU = map_unknowns(B, 2, 1, ell)
-    gU = map_unknowns(B, 1, 2, ell)
-    return [vec for _, vec in nullspace(_cocycle_rows(B, fU, gU), fU + gU)]
-
-
-def check_filtration_vanishing(B, pair_vec, ell, r):
-    """Degree-filtration property of cocycle pairs.
-
-    With f_s the restriction of f to sources of total degree s: if r > 1,
-    f_{<=r} = 0 and g_{<r} = 0 then g_r = 0; if l < 0 and f_{<=r} = 0 then
-    g_{<=r} = 0; and if f = 0 with l < 0 then g = 0. Returns True when all
-    applicable implications hold for the given pair (f entries have 2-tuple
-    sources, g entries 1-tuple ones).
-    """
-    f_degs = {sum(B.degree(i) for i in s) for s, _ in pair_vec if len(s) == 2}
-    g_degs = {sum(B.degree(i) for i in s) for s, _ in pair_vec if len(s) == 1}
-    ok = True
-    if r > 1 and not any(d <= r for d in f_degs) and not any(d < r for d in g_degs):
-        ok = ok and r not in g_degs
-    if ell < 0 and not any(d <= r for d in f_degs):
-        ok = ok and not any(d <= r for d in g_degs)
-    if ell < 0 and not f_degs:
-        ok = ok and not g_degs
-    return ok
+    return rows + equivariance_rows(B, fU, 2) + equivariance_rows(B, gU, 1)
 
 
 # -- total differential selfcheck -------------------------------------------
@@ -316,15 +298,15 @@ def epsilon_H2(B):
 
     U is the 0-th tensor power (basis tuple ()), on which B acts through the
     counit, so H2_eps is the q = 0 column of the Hochschild differential:
-    cocycles f: (B+)^2 -> U with dh f = 0, modulo dh t for t: B+ -> U.
+    cocycles f: (B+)^2 -> U with dh f = 0, modulo dh t for t: B+ -> U. As in
+    truncated_H2, B comes first and the cocycle rows are ranked only up to
+    n - B; where H2_eps is nonzero, every row is eliminated.
     """
     fU = map_unknowns(B, 2, 0)
-    rows = equivariance_rows(B, fU, 2)
-    rows += dh_apply(B, fU, 2).values()
-    dim_z = len(fU) - sparse_rank(rows)
-
+    rows = list(dh_apply(B, fU, 2).values()) + equivariance_rows(B, fU, 2)
     tU = map_unknowns(B, 1, 0)
     dim_b = _coboundary_rank(B, tU, dh_apply(B, tU, 1), set(fU), rows)
+    dim_z = len(fU) - sparse_rank(rows, bound=len(fU) - dim_b)
     return {"Z": dim_z, "B": dim_b, "H": dim_z - dim_b}
 
 
@@ -418,93 +400,3 @@ def hom_M_dim(B, mdata):
         rows.extend(action_rows)
         total += len(kvecs) - sparse_rank(rows)
     return total
-
-
-# -- first-order deformations -----------------------------------------------
-
-
-class TruncPoly:
-    """Element of k[t]/(t^(r+1)) with cyclotomic coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
-
-    @staticmethod
-    def const(c, r):
-        return TruncPoly((c,) + (rational(0),) * r)
-
-    @staticmethod
-    def tpow(c, k, r):
-        coeffs = [rational(0)] * (r + 1)
-        if k <= r:
-            coeffs[k] = c
-        return TruncPoly(coeffs)
-
-    def __add__(self, other):
-        return TruncPoly(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return TruncPoly(-a for a in self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, CycNumber):
-            return TruncPoly(a * other for a in self.coeffs)
-        n = len(self.coeffs)
-        out = [rational(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j < n and not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncPoly(out)
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return all(a.is_zero() for a in self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, TruncPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"TruncPoly({self.coeffs!r})"
-
-
-def first_order_deformation(B, pair_vec, r):
-    """Deform (m, Delta) by t^r times a cocycle pair; verify all axioms.
-
-    Returns (tables, report) where tables hold the deformed structure
-    constants over k[t]/(t^(r+1)) and report maps each axiom to (ok,
-    witness). A genuine cocycle always passes; a failure pinpoints the
-    violated instance.
-    """
-    fpart = {}
-    gpart = {}
-    for (s, t), c in pair_vec.items():
-        if len(s) == 2:
-            fpart.setdefault(s, {})[t[0]] = c
-        else:
-            gpart.setdefault(s[0], {})[t] = c
-
-    def mult_t(i, j):
-        out = {k: TruncPoly.tpow(c, 0, r) for k, c in B.mult(i, j).items()}
-        for k, c in fpart.get((i, j), {}).items():
-            cur = out.get(k, TruncPoly.const(rational(0), r))
-            out[k] = cur + TruncPoly.tpow(c, r, r)
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    def coprod_t(i):
-        out = {p: TruncPoly.tpow(c, 0, r) for p, c in B.coprod(i).items()}
-        for p, c in gpart.get(i, {}).items():
-            cur = out.get(p, TruncPoly.const(rational(0), r))
-            out[p] = cur + TruncPoly.tpow(c, r, r)
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    report = check_bialgebra_axioms(
-        B.dim, B.unit, mult_t, coprod_t, B.braid, TruncPoly.tpow(ONE, 0, r)
-    )
-    tables = {"mult": mult_t, "coprod": coprod_t}
-    return tables, report

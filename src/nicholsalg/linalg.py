@@ -100,9 +100,12 @@ class Echelon:
         return not self.reduce(row)
 
 
-def sparse_rank(rows):
+def sparse_rank(rows, bound=None):
+    """Rank of the rows. Given a proven upper bound on that rank, no row is
+    pulled from rows once the rank reaches it."""
     ech = Echelon()
-    for row in rows:
+    rows = iter(rows)
+    while ech.rank != bound and (row := next(rows, None)) is not None:
         ech.add(row)
     return ech.rank
 

@@ -1,0 +1,127 @@
+"""Test-side tools on degree-l cocycle pairs of a finite graded bialgebra.
+
+solve_cocycles gives a basis of the cocycle pairs, check_filtration_vanishing
+tests the degree-filtration implications on one pair, and
+first_order_deformation deforms (m, Delta) by t^r times a pair over
+k[t]/(t^(r+1)) (TruncPoly) and checks every bialgebra axiom.
+"""
+
+from nicholsalg.bialgebra import check_bialgebra_axioms
+from nicholsalg.cohomology import _cocycle_rows, map_unknowns
+from nicholsalg.cyclo import CycNumber, ONE, rational
+from nicholsalg.linalg import nullspace
+
+
+def solve_cocycles(B, ell):
+    """Basis of the degree-l cocycle pairs as dicts over f/g entries (s, t)."""
+    fU = map_unknowns(B, 2, 1, ell)
+    gU = map_unknowns(B, 1, 2, ell)
+    return [vec for _, vec in nullspace(_cocycle_rows(B, fU, gU), fU + gU)]
+
+
+def check_filtration_vanishing(B, pair_vec, ell, r):
+    """Degree-filtration property of cocycle pairs.
+
+    With f_s the restriction of f to sources of total degree s: if r > 1,
+    f_{<=r} = 0 and g_{<r} = 0 then g_r = 0; if l < 0 and f_{<=r} = 0 then
+    g_{<=r} = 0; and if f = 0 with l < 0 then g = 0. Returns True when all
+    applicable implications hold for the given pair (f entries have 2-tuple
+    sources, g entries 1-tuple ones).
+    """
+    f_degs = {sum(B.degree(i) for i in s) for s, _ in pair_vec if len(s) == 2}
+    g_degs = {sum(B.degree(i) for i in s) for s, _ in pair_vec if len(s) == 1}
+    ok = True
+    if r > 1 and not any(d <= r for d in f_degs) and not any(d < r for d in g_degs):
+        ok = ok and r not in g_degs
+    if ell < 0 and not any(d <= r for d in f_degs):
+        ok = ok and not any(d <= r for d in g_degs)
+    if ell < 0 and not f_degs:
+        ok = ok and not g_degs
+    return ok
+
+
+class TruncPoly:
+    """Element of k[t]/(t^(r+1)) with cyclotomic coefficients."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(coeffs)
+
+    @staticmethod
+    def const(c, r):
+        return TruncPoly((c,) + (rational(0),) * r)
+
+    @staticmethod
+    def tpow(c, k, r):
+        coeffs = [rational(0)] * (r + 1)
+        if k <= r:
+            coeffs[k] = c
+        return TruncPoly(coeffs)
+
+    def __add__(self, other):
+        return TruncPoly(a + b for a, b in zip(self.coeffs, other.coeffs))
+
+    def __neg__(self):
+        return TruncPoly(-a for a in self.coeffs)
+
+    def __mul__(self, other):
+        if isinstance(other, CycNumber):
+            return TruncPoly(a * other for a in self.coeffs)
+        n = len(self.coeffs)
+        out = [rational(0)] * n
+        for i, a in enumerate(self.coeffs):
+            if a.is_zero():
+                continue
+            for j, b in enumerate(other.coeffs):
+                if i + j < n and not b.is_zero():
+                    out[i + j] = out[i + j] + a * b
+        return TruncPoly(out)
+
+    __rmul__ = __mul__
+
+    def is_zero(self):
+        return all(a.is_zero() for a in self.coeffs)
+
+    def __eq__(self, other):
+        return isinstance(other, TruncPoly) and self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return f"TruncPoly({self.coeffs!r})"
+
+
+def first_order_deformation(B, pair_vec, r):
+    """Deform (m, Delta) by t^r times a cocycle pair; verify all axioms.
+
+    Returns (tables, report) where tables hold the deformed structure
+    constants over k[t]/(t^(r+1)) and report maps each axiom to (ok,
+    witness). A genuine cocycle always passes; a failure pinpoints the
+    violated instance.
+    """
+    fpart = {}
+    gpart = {}
+    for (s, t), c in pair_vec.items():
+        if len(s) == 2:
+            fpart.setdefault(s, {})[t[0]] = c
+        else:
+            gpart.setdefault(s[0], {})[t] = c
+
+    def mult_t(i, j):
+        out = {k: TruncPoly.tpow(c, 0, r) for k, c in B.mult(i, j).items()}
+        for k, c in fpart.get((i, j), {}).items():
+            cur = out.get(k, TruncPoly.const(rational(0), r))
+            out[k] = cur + TruncPoly.tpow(c, r, r)
+        return {k: v for k, v in out.items() if not v.is_zero()}
+
+    def coprod_t(i):
+        out = {p: TruncPoly.tpow(c, 0, r) for p, c in B.coprod(i).items()}
+        for p, c in gpart.get(i, {}).items():
+            cur = out.get(p, TruncPoly.const(rational(0), r))
+            out[p] = cur + TruncPoly.tpow(c, r, r)
+        return {k: v for k, v in out.items() if not v.is_zero()}
+
+    report = check_bialgebra_axioms(
+        B.dim, B.unit, mult_t, coprod_t, B.braid, TruncPoly.tpow(ONE, 0, r)
+    )
+    tables = {"mult": mult_t, "coprod": coprod_t}
+    return tables, report

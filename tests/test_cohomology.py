@@ -16,19 +16,26 @@ from nicholsalg.rewriting import rewrite_dims
 from nicholsalg.fk import fk_bialgebra, fk_relations
 from nicholsalg import cohomology
 from nicholsalg.cohomology import (
-    TruncPoly,
-    check_filtration_vanishing,
+    _cocycle_rows,
+    dh_apply,
     epsilon_H2,
-    first_order_deformation,
+    equivariance_rows,
     hom_M_dim,
     kernel_M,
+    map_unknowns,
     random_cochain,
-    solve_cocycles,
     tot_differential,
     total_square_check,
     truncated_H2,
 )
+from nicholsalg.linalg import Echelon, sparse_rank
 
+from cocycle_helpers import (
+    TruncPoly,
+    check_filtration_vanishing,
+    first_order_deformation,
+    solve_cocycles,
+)
 from kernel_m_oracle import kernel_m_from_words
 
 
@@ -259,6 +266,58 @@ def test_resumed_completion_matches_fresh(name):
     assert B.rs.rules == fresh.rules
     assert B.rs.minimal == fresh.minimal
     assert B.rs.normal_word_counts() == dims
+
+
+def _finite(name):
+    """The bialgebra of a shipped finite config at its budget, or of line(N)."""
+    if name.startswith("line"):
+        return line(int(name[4:]))[0]
+    B, warnings = _finite_bialgebra(load_shipped(name), Namespace(max_degree=None))
+    assert B is not None, warnings
+    return B
+
+
+def _full_rank_Z(B, ell):
+    """dim Z from the full rank of every cocycle row, with no bound."""
+    fU = map_unknowns(B, 2, 1, ell)
+    gU = map_unknowns(B, 1, 2, ell)
+    return len(fU) + len(gU) - sparse_rank(_cocycle_rows(B, fU, gU))
+
+
+@pytest.mark.parametrize("name", FINITE_CONFIGS + ["line2", "line3", "line4"])
+def test_bounded_cocycle_rank_matches_full_rank(name):
+    B = _finite(name)
+    ells = list(range(-2 * B.top_degree, 0))
+    if name in ("fk3", "line3", "a2_super"):
+        ells.append(0)  # Z = B > 0 there: the bound cuts the elimination short
+    for ell in ells:
+        out = truncated_H2(B, ell)
+        assert out["Z"] == _full_rank_Z(B, ell), (ell, out)
+        assert out["H"] == out["Z"] - out["B"] >= 0, (ell, out)
+    fU = map_unknowns(B, 2, 0)
+    rows = list(dh_apply(B, fU, 2).values()) + equivariance_rows(B, fU, 2)
+    eps = epsilon_H2(B)
+    assert eps["Z"] == len(fU) - sparse_rank(rows), eps
+    assert eps["H"] == eps["Z"] - eps["B"] >= 0, eps
+
+
+@pytest.mark.parametrize("name, ell", [("fk3", 0), ("line3", 0), ("a2_super", 0), ("fk3", -2)])
+def test_unreached_bound_ranks_every_row(monkeypatch, name, ell):
+    """Without the row that brings the cocycle echelon to n - B, Z > B: the
+    bound is never reached and Z is the full rank of the rows given."""
+    B = _finite(name)
+    fU, gU = map_unknowns(B, 2, 1, ell), map_unknowns(B, 1, 2, ell)
+    n, dim_b = len(fU) + len(gU), truncated_H2(B, ell)["B"]
+    all_rows = _cocycle_rows(B, fU, gU)
+    ech = Echelon()
+    for last, row in enumerate(all_rows):
+        ech.add(row)
+        if ech.rank == n - dim_b:
+            break
+    for prefix in (all_rows[:last], all_rows[: last // 2]):
+        monkeypatch.setattr(cohomology, "_cocycle_rows", lambda B, fU, gU: list(prefix))
+        out = truncated_H2(B, ell)
+        assert out["Z"] == n - sparse_rank(prefix) > dim_b == out["B"], out
 
 
 def test_epsilon_cohomology_matches_hom():

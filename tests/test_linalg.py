@@ -5,7 +5,7 @@ import random
 import pytest
 
 from nicholsalg.cyclo import CycNumber, one, rational, zeta
-from nicholsalg.linalg import Echelon, row_axpy, row_scale
+from nicholsalg.linalg import Echelon, row_axpy, row_scale, sparse_rank
 
 
 def count_inverses(monkeypatch):
@@ -125,3 +125,27 @@ def test_indexed_add_matches_full_scan(N, seed):
             assert not any(k in ech.pivots for k in prow if k != pcol)
             assert not any(v.is_zero() for v in prow.values())
         assert ech.holders == _holders_from_rows(ech.pivots)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bounded_rank_pulls_no_row_past_its_bound(seed):
+    rows, _ = _random_rows(random.Random(seed), 6, 30)
+    rank = sparse_rank(rows)
+    assert 2 < rank < len(rows)
+    # prefix ranks: reached[k] is the first row count whose rank is k
+    ech, reached = Echelon(), {0: 0}
+    for i, row in enumerate(rows, 1):
+        ech.add(row)
+        reached.setdefault(ech.rank, i)
+
+    def guarded(stop):
+        for i, row in enumerate(rows):
+            if i == stop:
+                raise AssertionError(f"row {i} pulled after the bound was reached")
+            yield row
+
+    for bound in range(rank + 1):
+        assert sparse_rank(guarded(reached[bound]), bound=bound) == bound
+    # a bound above the rank is never reached: every row is read
+    for bound in (rank + 1, len(rows) + 5):
+        assert sparse_rank(iter(rows), bound=bound) == rank
