@@ -21,7 +21,15 @@ number of minimal relations of degree d, dim M_d for M = I/(T+ I + I T+)
 key is fixed by its row space, so the order changes no rule.
 
 Leads are interreduced, so a word whose prefix word[:-1] is normal can only
-have a lead as a suffix; normal forms are built prefix by prefix on that.
+have a lead as a suffix. A word shorter than the degree being completed
+reduces by final rules, so its normal form nf(nf(word[:-1]) a) is memoized
+for good; once completion is done every word is memoized this way, which is
+what keeps the many reductions of bialgebra's products fast. The words of
+the degree being completed are reduced largest first, one step per word: w
+becomes nf(w[:-1]) a if w[:-1] is reducible, else its suffix lead is
+replaced by its tail, else w is normal. Every step yields smaller words, so
+each word of a row is expanded once, with its summed coefficient, and a
+word whose coefficients cancel is never expanded.
 
 Inside this module a word is one int, its code. With b = rank.bit_length()
 bits per letter, letter a is the digit a + 1 and the first letter is the most
@@ -33,6 +41,7 @@ methods take and return words as tuples, and only this module codes them.
 """
 
 
+from heapq import heapify, heappop, heappush
 from types import MappingProxyType
 
 from .cyclo import ONE
@@ -95,7 +104,7 @@ class RewriteSystem:
 
     def normal_form_word(self, word):
         """Normal form of a word as {normal word: coeff}."""
-        return self._decode_row(self._normal_form(self._encode(word), ({}, set())))
+        return self._decode_row(self._normal_form(self._encode(word)))
 
     def reduce(self, elem):
         """Fully reduce {word: coeff}; returns a new dict."""
@@ -112,27 +121,25 @@ class RewriteSystem:
                 return code & mask
         return None
 
-    def _normal_form(self, word, scratch):
-        """Normal form {code: coeff} of a code, as nf(nf(word[:-1]) a).
+    def _normal_form(self, word):
+        """Normal form {code: coeff} of a code below _final, as nf(nf(word[:-1]) a).
 
-        Codes below _final (words shorter than the degree being completed)
-        are memoized for good, longer ones in scratch, a (memo, normal set)
-        pair of the caller. The result may be a memo entry: read it only.
+        Words shorter than the degree being completed reduce by final rules,
+        so their normal forms are memoized for good. The result may be a
+        memo entry: read it only.
         """
-        memo, final, rules = (self._nf, self._normal), self._final, self._rules
+        nf, normal, rules = self._nf, self._normal, self._rules
         bits, digit = self._bits, (1 << self._bits) - 1
         # iterative post-order evaluation; rewrite chains can be deep
         stack = [(word, None)]
         while stack:
             w, terms = stack[-1]
-            nf, normal = memo if w < final else scratch
             if terms is None:
                 if w in normal or w in nf:
                     stack.pop()
                     continue
                 head = w >> bits
-                head_nf, head_normal = memo if head < final else scratch
-                if head in head_normal:
+                if head in normal:
                     lead = self._suffix_lead(w)
                     if lead is None:
                         normal.add(w)
@@ -140,9 +147,9 @@ class RewriteSystem:
                         continue
                     prefix = w - lead  # the prefix, shifted past the lead
                     terms = [(prefix + t, c) for t, c in rules[lead].items()]
-                elif head in head_nf:
+                elif head in nf:
                     last = w & digit
-                    terms = [(u << bits | last, c) for u, c in head_nf[head].items()]
+                    terms = [(u << bits | last, c) for u, c in nf[head].items()]
                 else:
                     stack.append((head, None))
                     continue
@@ -160,15 +167,51 @@ class RewriteSystem:
                     row_axpy(res, c, nf[v])
             nf[w] = res
             stack.pop()
-        nf, normal = memo if word < final else scratch
         return {word: ONE} if word in normal else nf[word]
 
     def _reduce(self, elem):
-        """Fully reduce {code: coeff}; returns a new dict."""
-        out = {}
-        scratch = ({}, set())
+        """Fully reduce {code: coeff}; returns a new dict.
+
+        Codes below _final take their memoized normal forms. The others, the
+        words of the degree being completed, are rewritten largest first,
+        one step each, as the module docstring says; every step yields
+        smaller codes, so a popped code never returns.
+        """
+        out, pending, heap = {}, {}, []
+        final, bits, digit = self._final, self._bits, (1 << self._bits) - 1
+        nf, normal, rules = self._nf, self._normal, self._rules
         for w, c in elem.items():
-            row_axpy(out, c, self._normal_form(w, scratch))
+            if w < final:
+                row_axpy(out, c, self._normal_form(w))
+            else:
+                pending[w] = c
+                heap.append(-w)
+        heapify(heap)  # a max-heap of codes
+        while heap:
+            w = -heappop(heap)
+            c = pending.pop(w)
+            if c.is_zero():
+                continue
+            head = w >> bits
+            if head not in normal and head not in nf:
+                self._normal_form(head)
+            if head in normal:
+                lead = self._suffix_lead(w)
+                if lead is None:
+                    out[w] = c
+                    continue
+                # w becomes (t << shift) + rest for each term t of terms
+                terms, shift, rest = rules[lead], 0, w - lead
+            else:
+                terms, shift, rest = nf[head], bits, w & digit
+            for t, tc in terms.items():
+                v = (t << shift) + rest
+                cur = pending.get(v)
+                if cur is None:
+                    pending[v] = tc * c
+                    heappush(heap, -v)
+                else:
+                    pending[v] = cur + tc * c
         return out
 
     # -- completion --------------------------------------------------------

@@ -1,6 +1,7 @@
 """Degree-truncated rewriting and normal-word counting."""
 
 import random
+import sys
 from collections import Counter
 from itertools import product
 from types import SimpleNamespace
@@ -119,7 +120,7 @@ def test_completion_matches_ideal_ranks(case):
     """dim_d = rank^d - rank of the span of all u r v of degree d."""
     rank, rels = case
     top = 6
-    dims, _ = rewrite_dims(rank, rels, top)
+    dims, rs = rewrite_dims(rank, rels, top)
     expected = []
     for d in range(top + 1):
         rows = []
@@ -130,6 +131,8 @@ def test_completion_matches_ideal_ranks(case):
                     for v in product(range(rank), repeat=d - n - left):
                         rows.append({u + w + v: c for w, c in r.items()})
         expected.append(rank**d - sparse_rank(rows))
+        # every u r v lies in the ideal, which the rules decide up to top
+        assert all(rs.reduce(row) == {} for row in rows)
     assert dims == expected
 
 
@@ -289,6 +292,22 @@ def test_unit_lead_needs_no_inverse(monkeypatch):
     assert set(rs.rules) == {(1, 0), (1, 1)}
     assert calls == []
     assert rs.rules[(1, 0)] == {(0, 1): zeta(3)}
+
+
+def test_long_words_need_no_recursion():
+    """Words longer than the recursion limit reduce as in the oracle."""
+    rels = [monomial((0, 0))]
+    _, rs = rewrite_dims(2, rels, 3)
+    _, oracle = rewriting_oracle.rewrite_dims(2, rels, 3)
+    normal = (0, 1) * 1500
+    assert len(normal) > sys.getrecursionlimit()
+    for word in (normal, normal + (0, 0)):
+        assert rs.normal_form_word(word) == oracle.normal_form_word(word)
+        assert rs.reduce({word: one()}) == oracle.reduce({word: one()})
+        assert rs.suffix_lead(word) == oracle.suffix_lead(word)
+    assert rs.normal_form_word(normal) == {normal: one()}
+    assert rs.reduce({normal + (0, 0): one()}) == {}
+    assert rs.suffix_lead(normal + (0, 0)) == (0, 0)
 
 
 def test_zero_relation_is_skipped():
