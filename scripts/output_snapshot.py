@@ -41,9 +41,12 @@ REWRITE_16 = [
 ]
 # q_11 = 2 is no root of unity, so c[0][1] is undefined at any cap
 UNDEFINED_CARTAN = {"rank": 2, "q_values": [["2", "3"], ["1", "-1"]]}
+# [[zeta3, zeta3], [1, zeta3]] has the affine Cartan matrix [[2, -2], [-2, 2]]:
+# its walk never closes and stops at the bound of 1000 * object_cap states
+AFFINE = {"rank": 2, "cyclotomic_order": 3, "q_exponents": [[1, 1], [0, 1]]}
 
 
-def commands(bicharacter_path, undefined_path):
+def commands(bicharacter_path, undefined_path, affine_path):
     """(file name, CLI arguments) for every command in the snapshot."""
     out = []
     for cfg in DIAGONAL:
@@ -55,6 +58,7 @@ def commands(bicharacter_path, undefined_path):
         out.append((f"rewrite-{cfg}-16", ["rewrite", "--config", cfg, "--max-degree", "16"]))
     for cmd in ("diagram", "roots", "relations", "rigidity", "rewrite"):
         out.append((f"{cmd}-undefined_cartan", [cmd, "--config", undefined_path]))
+    out.append(("roots-affine", ["roots", "--config", affine_path]))
     for cfg in COHOMOLOGY + ["a2_cartan_zeta3", "b2"]:
         out.append((f"cohomology-{cfg}", ["cohomology", "--config", cfg]))
     for cfg in COHOMOLOGY + ["a2_cartan_zeta3", "b2"]:
@@ -103,7 +107,9 @@ def main(argv=None):
         beta.write_text(json.dumps(BICHARACTER))
         undefined = Path(tmp) / "undefined_cartan.json"
         undefined.write_text(json.dumps(UNDEFINED_CARTAN))
-        for name, cmd in commands(str(beta), str(undefined)):
+        affine = Path(tmp) / "affine.json"
+        affine.write_text(json.dumps(AFFINE))
+        for name, cmd in commands(str(beta), str(undefined), str(affine)):
             proc = subprocess.run(
                 [sys.executable, "-m", "nicholsalg", *cmd, "--json"],
                 env=env, capture_output=True, text=True,

@@ -2,8 +2,9 @@
 
 The basis in each degree is the set of irreducible words of a completed
 rewriting system; multiplication is concatenate-and-reduce, the coproduct
-is pushed down from the tensor algebra (legal once the relation span is
-checked to be a coideal), and the braiding descends word by word.
+is pushed down from the tensor algebra one letter at a time (legal once
+the relation span is checked to be a coideal), and the braiding descends
+word by word.
 
 A bialgebra can carry a category structure: a (group, character)-style
 label per basis element plus, for nonabelian gradings, explicit action
@@ -111,16 +112,29 @@ class GradedBialgebraData:
         return hit
 
     def coprod(self, i):
-        """Coproduct as {(left index, right index): coeff}, unit legs included."""
+        """Coproduct as {(left index, right index): coeff}, unit legs included.
+
+        The basis is prefix-closed, so the word of e_i is that of a basis
+        element e_j followed by a letter x, and Delta(e_i) = Delta(e_j)
+        (x (x) 1 + 1 (x) x) in the braided tensor product B (x) B:
+        (a (x) b)(x (x) 1) = sum a x' (x) b' over c(b (x) x) = sum x' (x) b',
+        and (a (x) b)(1 (x) x) = a (x) b x.
+        """
         hit = self._coprod.get(i)
         if hit is None:
-            out = {}
-            full = braided_coproduct(self.V, {self.flat[i]: ONE})
-            for (u, v), c in full.items():
-                for iu, cu in self.vec_of({u: ONE}).items():
-                    for iv, cv in self.vec_of({v: ONE}).items():
-                        add_term(out, (iu, iv), c * cu * cv)
-            self._coprod[i] = hit = out
+            word = self.flat[i]
+            if not word:
+                hit = {(i, i): ONE}
+            else:
+                x = self.index[word[-1:]]
+                hit = {}
+                for (a, b), c in self.coprod(self.index[word[:-1]]).items():
+                    for (xb, bx), cb in self.braid(b, x).items():
+                        for k, cm in self.mult(a, xb).items():
+                            add_term(hit, (k, bx), c * cb * cm)
+                    for k, cm in self.mult(b, x).items():
+                        add_term(hit, (a, k), c * cm)
+            self._coprod[i] = hit
         return hit
 
     def braid(self, i, j):

@@ -20,6 +20,17 @@ number of minimal relations of degree d, dim M_d for M = I/(T+ I + I T+)
 (Anick, Trans. AMS 1986). A fully reduced echelon whose pivot is its largest
 key is fixed by its row space, so the order changes no rule.
 
+An overlap word w of degree d whose interior w[1:-1] holds a lead is
+skipped: this is Buchberger's chain criterion (EUROSAM 1979) in the free
+algebra, as in Mora's paper. Let l1 be the prefix of w, l2 its suffix, and
+l3 a lead at [a, b) with 1 <= a and b <= d - 1. Rewriting w at l1 and at
+l2 differ by the sum of the differences at l1 and l3 and at l3 and l2;
+each is an ambiguity at a proper subword of w, between disjoint leads,
+which resolves trivially, or an overlap of degree below d, which is
+resolved. So the kept S-polynomials of degree d, reduced by the rules below
+d, already span what the skipped one adds, with or without the relations of
+degree d, and neither the rules nor the minimal counts change.
+
 Leads are interreduced, so a word whose prefix word[:-1] is normal can only
 have a lead as a suffix. A word shorter than the degree being completed
 reduces by final rules, so its normal form nf(nf(word[:-1]) a) is memoized
@@ -30,6 +41,12 @@ becomes nf(w[:-1]) a if w[:-1] is reducible, else its suffix lead is
 replaced by its tail, else w is normal. Every step yields smaller words, so
 each word of a row is expanded once, with its summed coefficient, and a
 word whose coefficients cancel is never expanded.
+
+Normal words are counted by the automaton of the leads: its states are the
+proper prefixes of leads, and its transitions follow suffix links, as in
+Aho-Corasick (Comm. ACM 1975). A transition that completes a lead is dead,
+which is exact because the leads are interreduced: no lead, and no proper
+prefix of a lead, has another lead as a suffix.
 
 Inside this module a word is one int, its code. With b = rank.bit_length()
 bits per letter, letter a is the digit a + 1 and the first letter is the most
@@ -216,19 +233,49 @@ class RewriteSystem:
 
     # -- completion --------------------------------------------------------
 
+    def _holds_lead(self, code):
+        """Whether the word of a code below _final has a lead as a subword.
+
+        Its prefixes are tested shortest first: known normal ones are passed
+        over, the others are looked up in _nf or scanned for a suffix lead,
+        and those found normal join _normal.
+        """
+        normal = self._normal
+        bits, n = self._bits, self._length(code)
+        for k in range(n - 1, -1, -1):
+            prefix = code >> bits * k
+            if prefix in normal:
+                continue
+            if prefix in self._nf or self._suffix_lead(prefix) is not None:
+                return True
+            normal.add(prefix)
+        return False
+
     def _s_polynomials(self, d):
-        """Differences of the two rewrites of every overlap word of length d."""
-        bits, rules, index = self._bits, self._rules, self._index
+        """Differences of the two rewrites of every overlap word of length d
+        whose interior, the word without its first and last letters, holds no
+        lead; the others are resolved below d (the module docstring says why)."""
+        bits, rules, index, normal = self._bits, self._rules, self._index, self._normal
+        masks = [(1 << bits * k) - 1 for k in range(d)]  # masks[k] keeps the last k letters
+        interior = masks[d - 2] if d > 2 else 0
         for l1, t1 in rules.items():
-            n1 = self._length(l1)
+            n1 = -(-l1.bit_length() // bits)  # self._length(l1), inlined in this hot loop
             shift = bits * (d - n1)  # l1 is followed by a rest of d - n1 letters
             rest_mask = (1 << shift) - 1
+            # a lead inside is no subword of l1 or l2: it holds the k shared
+            # letters and the one before and after them, which needs
+            # k + 2 <= n1 and k + 2 <= n2, that is k <= n1 - 2 and n1 <= d - 2
+            inside = n1 - 2 if n1 <= d - 2 else 0
             for k in range(1, n1):
                 # l2, of d - n1 + k letters, starts with the last k letters of l1
                 n2 = d - n1 + k
                 head = l1 >> bits * k << bits * n2
-                for l2 in index.get((l1 & (1 << bits * k) - 1, n2), ()):
+                for l2 in index.get((l1 & masks[k], n2), ()):
                     rest = l2 & rest_mask
+                    if k <= inside:
+                        middle = (l1 << shift | rest) >> bits & interior
+                        if middle not in normal and self._holds_lead(middle):
+                            continue
                     row = {t << shift | rest: c for t, c in t1.items()}
                     for t, c in rules[l2].items():
                         add_term(row, head | t, -c)
@@ -285,25 +332,37 @@ class RewriteSystem:
     # -- counting ----------------------------------------------------------
 
     def normal_word_counts(self):
-        """Irreducible words per degree up to the bound, via a suffix automaton.
+        """Irreducible words per degree up to the bound, via the automaton of
+        the leads, built with suffix links as in Aho-Corasick.
 
-        A state is the longest suffix of a normal word that is a proper
-        prefix of a lead; a letter that completes a lead leads nowhere.
+        A state is the longest suffix of a normal word that is a proper prefix
+        of a lead; the root is the empty word. States are walked in code
+        order, shorter first. delta(s, a) is s a if that is a state, dead if
+        it is a lead, and else back = delta(link(s), a), the root when s is
+        the root; the link of a state s a, its longest proper suffix that is
+        a state, is that same back.
         """
-        bits = self._bits
-        prefixes = {0} | {
-            lead >> bits * i for lead in self._rules for i in range(1, self._length(lead))
-        }
-        states = sorted(prefixes)
+        bits, rules = self._bits, self._rules
+        states = sorted({0} | {
+            lead >> bits * i for lead in rules for i in range(1, self._length(lead))
+        })
         index = {s: i for i, s in enumerate(states)}
-        trans = []  # state -> next state per live letter
-        for s in states:
-            trans.append([])
+        link = [0] * len(states)
+        delta = []  # state -> next state per letter, None where a lead completes
+        for si, s in enumerate(states):
+            row = []
             for a in range(1, self.rank + 1):
                 t = s << bits | a
-                if self._suffix_lead(t) is None:
-                    suffixes = (t & (1 << bits * k) - 1 for k in range(self._length(t), -1, -1))
-                    trans[-1].append(index[next(u for u in suffixes if u in prefixes)])
+                back = delta[link[si]][a - 1] if s else 0
+                if t in rules:
+                    row.append(None)
+                elif t in index:
+                    row.append(index[t])
+                    link[index[t]] = back
+                else:
+                    row.append(back)
+            delta.append(row)
+        trans = [[t for t in row if t is not None] for row in delta]
         counts = [0] * len(states)
         counts[index[0]] = 1
         out = [1]

@@ -3,13 +3,17 @@
 Objects are q-matrices; reflections act through the bicharacter
 chi(alpha, beta) = prod q_ij^(a_i b_j) on Z^theta. A breadth-first walk
 over reflection-equivalent matrices collects positive roots as images of
-the simple roots under composed reflections. Cartan matrices are computed
-here and nowhere else; the initial object's travels with the root data.
+the simple roots under composed reflections. Every q-matrix of the walk is
+[chi(alpha_j, alpha_k)] for the images alpha_j of its simple roots at V, so
+the walk evaluates each chi value once, from a memo, and computes Cartan
+data once per diagram (q_ii, q_ij q_ji), on which they alone depend.
+Cartan matrices are computed here and nowhere else; the initial object's
+travels with the root data.
 """
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Optional
 
 from .braided import (
@@ -49,24 +53,6 @@ def cartan_matrix(V, cap=DEFAULT_CARTAN_CAP):
     return cmat
 
 
-def reflect_qmatrix(V, i, crow):
-    """q-matrix of the i-th reflection: q'_jk = chi(s_i a_j, s_i a_k), where
-    crow is row i of the Cartan matrix."""
-    theta = V.rank
-
-    def s_i(j):
-        alpha = [0] * theta
-        alpha[j] = 1
-        alpha[i] -= crow[j]
-        return tuple(alpha)
-
-    images = [s_i(j) for j in range(theta)]
-    return tuple(
-        tuple(bichar_eval(V, images[j], images[k]) for k in range(theta))
-        for j in range(theta)
-    )
-
-
 @dataclass
 class RootSystemData:
     finite: bool
@@ -89,20 +75,27 @@ class RootSystemData:
 def enumerate_roots(V, cap=DEFAULT_CARTAN_CAP, object_cap=DEFAULT_OBJECT_CAP):
     """Walk the reflection groupoid from V and collect the root data.
 
-    Objects are the q-matrices reached by reflections, numbered as found;
-    each object's Cartan matrix, Cartan-vertex flags and reflections are
-    computed once. A state is (object number, M), where the integer matrix M
-    sends the object's simple roots back to degrees at the initial object.
-    Roots of the initial object are the columns of all visited M (both
-    signs). The walk is declared infinite past object_cap objects, or at an
+    A state is (object number, columns): column j is M a_j, where the integer
+    matrix M sends the object's simple roots back to degrees at the initial
+    object. Objects are the q-matrices reached by reflections, numbered as
+    found. Every state of an object has q-matrix [chi(M a_j, M a_k)], chi the
+    bicharacter of V, so an object's reflected q-matrices are read off the
+    columns of M s_i through one memo of chi values per walk; its Cartan
+    matrix and Cartan-vertex flags depend only on the diagram (q_ii,
+    q_ij q_ji) and are computed once per diagram. Roots of the initial
+    object are all visited columns (both signs). The walk is declared
+    infinite past object_cap objects or 1000 * object_cap states, or at an
     object with a Cartan integer undefined within cap.
     """
     theta = V.rank
     start = V.qmatrix
-    ident = tuple(tuple(1 if r == c else 0 for c in range(theta)) for r in range(theta))
+    ident = tuple(tuple(1 if r == c else 0 for r in range(theta)) for c in range(theta))
     numbers = {start: 0}  # q-matrix -> object number
     qmatrices = [start]
-    reflected = {}  # object number -> (Cartan matrix, Cartan-vertex flags, reflected q-matrices)
+    chi = {}  # (alpha, beta) -> chi(alpha, beta)
+    by_diagram = {}  # diagram -> (Cartan matrix, Cartan-vertex flags)
+    cartan_data = {}  # object number -> (Cartan matrix, Cartan-vertex flags)
+    images = {}  # object number -> reflected q-matrices
     queue = deque([(0, ident)])
     seen_states = {(0, ident)}
     roots = set()
@@ -111,40 +104,57 @@ def enumerate_roots(V, cap=DEFAULT_CARTAN_CAP, object_cap=DEFAULT_OBJECT_CAP):
     def not_finite():
         return RootSystemData(False, [], [], len(numbers), None, None)
 
+    def qmatrix_at(cols):
+        rows = []
+        for alpha in cols:
+            row = []
+            for beta in cols:
+                value = chi.get((alpha, beta))
+                if value is None:
+                    value = chi[alpha, beta] = bichar_eval(V, alpha, beta)
+                row.append(value)
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    def reflect(cols, i, crow):
+        """Columns of M s_i from those of M, as s_i a_j = a_j - c_ij a_i."""
+        ci = cols[i]
+        return tuple(
+            tuple(-x for x in ci) if j == i else tuple(x - crow[j] * y for x, y in zip(cols[j], ci))
+            for j in range(theta)
+        )
+
     while queue:
-        obj, M = queue.popleft()
-        if obj not in reflected:
-            W = build_diagonal(qmatrices[obj])
-            try:
-                cmat = cartan_matrix(W, cap)
-            except ValueError:
-                return not_finite()
-            reflected[obj] = (
-                cmat,
-                [is_cartan_vertex(W, j, cmat[j]) for j in range(theta)],
-                [reflect_qmatrix(W, i, cmat[i]) for i in range(theta)],
+        obj, cols = queue.popleft()
+        if obj not in cartan_data:
+            qm = qmatrices[obj]
+            diagram = (
+                tuple(qm[i][i] for i in range(theta)),
+                tuple(qm[i][j] * qm[j][i] for i, j in combinations(range(theta), 2)),
             )
-        cmat, flags, images = reflected[obj]
-        for j in range(theta):
-            col = tuple(M[r][j] for r in range(theta))
+            if diagram not in by_diagram:
+                W = build_diagonal(qm)
+                try:
+                    cmat = cartan_matrix(W, cap)
+                except ValueError:
+                    return not_finite()
+                by_diagram[diagram] = (cmat, [is_cartan_vertex(W, j, cmat[j]) for j in range(theta)])
+            cartan_data[obj] = by_diagram[diagram]
+        cmat, flags = cartan_data[obj]
+        for col, flag in zip(cols, flags):
             roots.add(col)
-            if flags[j]:
+            if flag:
                 cartan.add(col)
-        for i, (crow, qm2) in enumerate(zip(cmat, images)):
-            # columns of M compose: new simple a_j at qm2 maps to M(s_i a_j)
-            M2 = tuple(
-                tuple(
-                    M[r][j] - crow[j] * M[r][i] if j != i else -M[r][i]
-                    for j in range(theta)
-                )
-                for r in range(theta)
-            )
+        moved = [reflect(cols, i, crow) for i, crow in enumerate(cmat)]
+        if obj not in images:
+            images[obj] = [qmatrix_at(cols2) for cols2 in moved]
+        for qm2, cols2 in zip(images[obj], moved):
             if qm2 not in numbers:
                 if len(numbers) >= object_cap:
                     return not_finite()
                 numbers[qm2] = len(qmatrices)
                 qmatrices.append(qm2)
-            state = (numbers[qm2], M2)
+            state = (numbers[qm2], cols2)
             if state not in seen_states:
                 # morphism count of a finite groupoid is bounded; bail out
                 # instead of walking an infinite Weyl groupoid forever
@@ -159,7 +169,7 @@ def enumerate_roots(V, cap=DEFAULT_CARTAN_CAP, object_cap=DEFAULT_OBJECT_CAP):
     cartan_pos = sorted(
         {r if all(x >= 0 for x in r) else tuple(-x for x in r) for r in cartan}
     )
-    cmat, flags, _ = reflected[0]
+    cmat, flags = cartan_data[0]
     return RootSystemData(True, positive, cartan_pos, len(numbers), cmat, flags)
 
 

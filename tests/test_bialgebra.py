@@ -10,7 +10,7 @@ from nicholsalg.cli import _finite_bialgebra
 from nicholsalg.configs import load_shipped
 from nicholsalg.cyclo import one, rational, zeta
 from nicholsalg.fk import build_fk_space, fk_bialgebra
-from nicholsalg.tensoralg import ideal_component, monomial
+from nicholsalg.tensoralg import braided_coproduct, ideal_component, monomial
 from nicholsalg import bialgebra
 from nicholsalg.bialgebra import (
     GradedBialgebraData,
@@ -300,3 +300,38 @@ def test_actions_computed_once(name, monkeypatch):
     calls.clear()
     assert actions() == first
     assert calls == []
+
+
+# -- the coproduct by letter recursion against the 2^n expansion -------------
+
+def coprod_oracle(B, i):
+    """Delta(e_i) expanded over all 2^n splittings of its word in T(V), each
+    leg then reduced to the basis."""
+    out = {}
+    for (u, v), c in braided_coproduct(B.V, {B.flat[i]: one()}).items():
+        for iu, cu in B.vec_of({u: one()}).items():
+            for iv, cv in B.vec_of({v: one()}).items():
+                add_term(out, (iu, iv), c * cu * cv)
+    return out
+
+
+# every shipped config whose quotient cohomology builds at its default budget
+FINITE_QUOTIENTS = [
+    "fk3", "a2_cartan_zeta3", "a2_super", "b2",
+    "rank1_m1", "rank1_zeta3", "rank1_zeta4", "rank1_zeta6",
+]
+
+
+@pytest.mark.parametrize("name", FINITE_QUOTIENTS)
+def test_coproduct_matches_expansion(name):
+    B = _built(name)
+    assert [B.coprod(i) for i in range(B.dim)] == [coprod_oracle(B, i) for i in range(B.dim)]
+
+
+def test_fk4_coproduct_matches_expansion():
+    # the whole fk4 quotient (dim 576, top degree 12); the expansion of its
+    # words up to degree 7 keeps the test under a second
+    B, _ = fk_bialgebra(4, 13)
+    low = [i for i in range(B.dim) if B.degree(i) <= 7]
+    assert len(low) == 437
+    assert [B.coprod(i) for i in low] == [coprod_oracle(B, i) for i in low]

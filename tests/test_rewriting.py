@@ -16,8 +16,8 @@ from nicholsalg.cyclo import CycNumber, one, rational, zeta
 from nicholsalg.fk import build_fk_space, fk_relations
 from nicholsalg.tensoralg import degree, monomial, nichols_dims
 from nicholsalg.relations import generate_relations
-from nicholsalg.linalg import row_axpy, sparse_rank
-from nicholsalg.rewriting import rewrite_dims
+from nicholsalg.linalg import Echelon, row_axpy, sparse_rank
+from nicholsalg.rewriting import RewriteSystem, rewrite_dims
 from nicholsalg.weyl import enumerate_roots
 
 import rewriting_oracle
@@ -369,13 +369,105 @@ def random_system(rng, rank):
     return rels
 
 
-@pytest.mark.parametrize("seed", range(15))
-def test_engine_matches_oracle_on_random_systems(seed):
-    """Ranks 1-5 and 15-16: letter codes of 1 to 5 bits; at rank 15 the last
-    letter is the all-ones digit."""
+def seeded_system(seed):
+    """(rng, rank, relations, degree bound) of the random system of a seed
+    below 15: ranks 1-5 and 15-16, so letter codes of 1 to 5 bits; at rank
+    15 the last letter is the all-ones digit."""
     rng = random.Random(seed)
     if seed < 10:
         rank, high = seed % 5 + 1, rng.choice([6, 7, 8])
     else:
         rank, high = 15 + seed % 2, 4
-    assert_engines_agree(rank, random_system(rng, rank), rng.randrange(2, high), high, rng)
+    return rng, rank, random_system(rng, rank), high
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_engine_matches_oracle_on_random_systems(seed):
+    rng, rank, rels, high = seeded_system(seed)
+    assert_engines_agree(rank, rels, rng.randrange(2, high), high, rng)
+
+
+# -- the chain criterion: overlaps with a lead inside are skipped ------------
+
+def completion_without_criterion(monkeypatch, rank, relations, top):
+    """Complete with every overlap reduced. Returns the system and, per
+    degree, the S-polynomials (coded) that the criterion keeps and those it
+    skips, each with its reduction by the rules below that degree."""
+    holds_lead, s_polynomials = RewriteSystem._holds_lead, RewriteSystem._s_polynomials
+    verdicts, by_degree = [], {}
+
+    def recording(self, code):
+        verdicts.append(holds_lead(self, code))
+        return False
+
+    def sorted_by_verdict(self, d):
+        kept, skipped = by_degree.setdefault(d, ([], []))
+        rows = s_polynomials(self, d)
+        while True:
+            tested = len(verdicts)  # a row is yielded right after its test, if any
+            row = next(rows, None)
+            if row is None:
+                return
+            inside = len(verdicts) > tested and verdicts[-1]
+            (skipped if inside else kept).append((row, self._reduce(row)))
+            yield row
+
+    with monkeypatch.context() as m:
+        m.setattr(RewriteSystem, "_holds_lead", recording)
+        m.setattr(RewriteSystem, "_s_polynomials", sorted_by_verdict)
+        dims, rs = rewrite_dims(rank, relations, top)
+    return dims, rs, by_degree
+
+
+def assert_criterion_sound(monkeypatch, rank, relations, top):
+    """The criterion changes no output, and each skipped S-polynomial lies in
+    the span of the kept ones of its degree and in the ideal; returns the
+    numbers of S-polynomial rows without and with the criterion."""
+    dims, rs = rewrite_dims(rank, relations, top)
+    all_dims, everything, by_degree = completion_without_criterion(
+        monkeypatch, rank, relations, top
+    )
+    assert (all_dims, everything.rules, everything.minimal) == (dims, rs.rules, rs.minimal)
+    assert everything.normal_word_counts() == rs.normal_word_counts()
+    for kept, skipped in by_degree.values():
+        ech = Echelon()
+        for _, reduced in kept:
+            ech.add(reduced)
+        for row, reduced in skipped:
+            assert ech.contains(reduced)
+            assert rs._reduce(row) == {}
+    rows = sum(len(kept) + len(skipped) for kept, skipped in by_degree.values())
+    return rows, sum(len(kept) for kept, _ in by_degree.values())
+
+
+# S-polynomial rows through degree 16 without and with the criterion
+CATALOG_ROWS = {
+    "a2_cartan_zeta3": (17, 8),
+    "a2_super": (10, 7),
+    "b2": (18, 11),
+    "rank3_square": (24, 20),
+    "rank3_super_a3": (41, 25),
+    "rank3_triangle": (44, 35),
+    "rank1_zeta6": (5, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_ROWS))
+def test_chain_criterion_on_catalogs(monkeypatch, name):
+    V, elems = catalog(name)
+    assert assert_criterion_sound(monkeypatch, V.rank, elems, 16) == CATALOG_ROWS[name]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_chain_criterion_skips_no_fk_overlap(monkeypatch, n):
+    rows, kept = assert_criterion_sound(monkeypatch, build_fk_space(n).rank, fk_relations(n), 8)
+    assert rows == kept > 0
+
+
+def test_chain_criterion_on_random_systems(monkeypatch):
+    skipped = 0
+    for seed in range(15):
+        _, rank, rels, high = seeded_system(seed)
+        rows, kept = assert_criterion_sound(monkeypatch, rank, rels, high)
+        skipped += rows - kept
+    assert skipped > 0

@@ -1,16 +1,19 @@
 """Reflection groupoid walks and root enumeration."""
 
 import random
+from collections import Counter
+from itertools import combinations
+
+import pytest
 
 from nicholsalg import weyl
 from nicholsalg.braided import build_diagonal, is_cartan_vertex
+from nicholsalg.configs import load_shipped, shipped_config_names
 from nicholsalg.cyclo import one, rational, zeta
-from nicholsalg.weyl import (
-    bichar_eval,
-    cartan_matrix,
-    enumerate_roots,
-    reflect_qmatrix,
-)
+from nicholsalg.weyl import bichar_eval, cartan_matrix, enumerate_roots
+
+import weyl_oracle
+from weyl_oracle import reflect_qmatrix
 
 
 def a2_cartan():
@@ -66,18 +69,72 @@ def test_bichar_eval_additivity():
     assert lhs == bichar_eval(V, (1, 1), c)
 
 
-def test_each_object_reflected_once(monkeypatch):
-    calls = []
+# the seven configs of the perfbench rewriting workload
+REWRITE_CONFIGS = [
+    "a2_cartan_zeta3", "a2_super", "b2",
+    "rank3_square", "rank3_super_a3", "rank3_triangle", "rank1_zeta6",
+]
 
-    def counting(V, i, *args):
-        calls.append((V.qmatrix, i))
-        return reflect_qmatrix(V, i, *args)
 
-    monkeypatch.setattr(weyl, "reflect_qmatrix", counting)
-    rs = enumerate_roots(a2_cartan())
+def diagram_key(V):
+    pairs = combinations(range(V.rank), 2)
+    return tuple(V.q(i, i) for i in range(V.rank)), tuple(V.qtilde(i, j) for i, j in pairs)
+
+
+def test_each_chi_value_and_diagram_computed_once(monkeypatch):
+    """Every chi(alpha, beta) is evaluated at most once per walk, and every
+    diagram gets at most one Cartan matrix."""
+    evals, diagrams = [], []
+
+    def counting_chi(V, alpha, beta):
+        evals.append((alpha, beta))
+        return bichar_eval(V, alpha, beta)
+
+    def counting_cartan(V, *args, **kwargs):
+        diagrams.append(diagram_key(V))
+        return cartan_matrix(V, *args, **kwargs)
+
+    monkeypatch.setattr(weyl, "bichar_eval", counting_chi)
+    monkeypatch.setattr(weyl, "cartan_matrix", counting_cartan)
+    total = Counter()
+    for name in REWRITE_CONFIGS:
+        cfg = load_shipped(name)
+        evals.clear()
+        diagrams.clear()
+        rs = enumerate_roots(
+            cfg.space(), cap=cfg.budgets["cartan_cap"], object_cap=cfg.budgets["object_cap"]
+        )
+        assert rs.finite
+        assert len(evals) == len(set(evals)), name
+        assert len(diagrams) == len(set(diagrams)) <= rs.objects, name
+        total.update(chi=len(evals), cartan=len(diagrams))
+    # the oracle walk makes 1,609 evaluations and 69 Cartan matrices
+    assert total == Counter(chi=349, cartan=19)
+
+
+def assert_walks_agree(V, **caps):
+    rs, oracle = enumerate_roots(V, **caps), weyl_oracle.enumerate_roots(V, **caps)
+    for field in ("finite", "positive_roots", "cartan_roots", "objects", "cartan", "cartan_vertices"):
+        assert getattr(rs, field) == getattr(oracle, field), (field, V.qmatrix)
+    return rs
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in shipped_config_names() if load_shipped(n).kind == "diagonal"]
+)
+def test_walk_matches_oracle_on_shipped_configs(name):
+    cfg = load_shipped(name)
+    rs = assert_walks_agree(
+        cfg.space(), cap=cfg.budgets["cartan_cap"], object_cap=cfg.budgets["object_cap"]
+    )
     assert rs.finite
-    assert len(calls) == len(set(calls))
-    assert len(calls) <= 2 * rs.objects
+
+
+def test_walk_matches_oracle_on_not_finite_inputs():
+    affine = build_diagonal([[zeta(3), zeta(3)], [one(), zeta(3)]])
+    assert not assert_walks_agree(affine, object_cap=1).finite
+    undefined = build_diagonal([[rational(2), rational(3)], [one(), rational(-1)]])
+    assert not assert_walks_agree(undefined).finite
 
 
 def test_undefined_cartan_integer_is_not_finite():
@@ -122,11 +179,12 @@ def _seeded_braidings(seed, count):
 
 def test_root_data_carries_the_cartan_matrix():
     # a walk that does not close stops at 1000 * object_cap states, so a low
-    # cap keeps the non-finite inputs cheap; the invariant holds at any cap
+    # cap keeps the non-finite inputs cheap; the invariant holds at any cap.
+    # Each walk also equals the oracle walk.
     finite = 0
     for N, exps in _seeded_braidings(15, 60):
         V = build_diagonal([[zeta(N, e) for e in row] for row in exps])
-        rs = enumerate_roots(V, object_cap=8)
+        rs = assert_walks_agree(V, object_cap=8)
         if not rs.finite:
             assert rs.cartan is None and rs.cartan_vertices is None, (N, exps)
             continue
