@@ -1,10 +1,11 @@
 """Finite graded braided bialgebras presented as T(V)/(relations).
 
 The basis in each degree is the set of irreducible words of a completed
-rewriting system; multiplication is concatenate-and-reduce, the coproduct
-is pushed down from the tensor algebra one letter at a time (legal once
-the relation span is checked to be a coideal), and the braiding descends
-word by word.
+rewriting system; multiplication is concatenate-and-reduce, the braiding
+descends word by word, and the coproduct is pushed down one letter at a
+time, Delta(w x) = Delta(w)(x (x) 1 + 1 (x) x) in B (x) B. That is exact
+once the braiding descends to T(V)/I (checked per relation by from_nichols
+through braiding_descends), and the coideal test uses the same step.
 
 A bialgebra can carry a category structure: a (group, character)-style
 label per basis element plus, for nonabelian gradings, explicit action
@@ -16,9 +17,9 @@ from itertools import product
 
 from .braided import braid_word_blocks
 from .cyclo import ONE
-from .linalg import Echelon, add_term, row_axpy, sparse_rank
+from .linalg import add_term, row_axpy
 from .rewriting import rewrite_dims
-from .tensoralg import braided_coproduct, ideal_component
+from .tensoralg import NicholsDegree, braided_coproduct, ideal_component
 
 
 class CategoryStructure:
@@ -97,9 +98,6 @@ class GradedBialgebraData:
             out[idx] = c
         return out
 
-    def counit(self, i):
-        return ONE if i == self.unit else None
-
     # -- structure constants -----------------------------------------------
 
     def mult(self, i, j):
@@ -114,11 +112,8 @@ class GradedBialgebraData:
     def coprod(self, i):
         """Coproduct as {(left index, right index): coeff}, unit legs included.
 
-        The basis is prefix-closed, so the word of e_i is that of a basis
-        element e_j followed by a letter x, and Delta(e_i) = Delta(e_j)
-        (x (x) 1 + 1 (x) x) in the braided tensor product B (x) B:
-        (a (x) b)(x (x) 1) = sum a x' (x) b' over c(b (x) x) = sum x' (x) b',
-        and (a (x) b)(1 (x) x) = a (x) b x.
+        The basis is prefix-closed, so e_i = e_j x for a basis element e_j
+        and a letter x, and Delta(e_i) = times_primitive(Delta(e_j), x).
         """
         hit = self._coprod.get(i)
         if hit is None:
@@ -126,16 +121,24 @@ class GradedBialgebraData:
             if not word:
                 hit = {(i, i): ONE}
             else:
-                x = self.index[word[-1:]]
-                hit = {}
-                for (a, b), c in self.coprod(self.index[word[:-1]]).items():
-                    for (xb, bx), cb in self.braid(b, x).items():
-                        for k, cm in self.mult(a, xb).items():
-                            add_term(hit, (k, bx), c * cb * cm)
-                    for k, cm in self.mult(b, x).items():
-                        add_term(hit, (a, k), c * cm)
+                prefix = self.coprod(self.index[word[:-1]])
+                hit = self.times_primitive(prefix, self.index[word[-1:]])
             self._coprod[i] = hit
         return hit
+
+    def times_primitive(self, delta, x):
+        """delta (x (x) 1 + 1 (x) x) in the braided tensor product B (x) B, for
+        delta = {(a, b): coeff} and x a degree-1 index: (a (x) b)(x (x) 1) =
+        sum a x' (x) b' over c(b (x) x) = sum x' (x) b', (a (x) b)(1 (x) x) =
+        a (x) b x."""
+        out = {}
+        for (a, b), c in delta.items():
+            for (xb, bx), cb in self.braid(b, x).items():
+                for k, cm in self.mult(a, xb).items():
+                    add_term(out, (k, bx), c * cb * cm)
+            for k, cm in self.mult(b, x).items():
+                add_term(out, (a, k), c * cm)
+        return out
 
     def braid(self, i, j):
         """c(e_i (x) e_j) as {(k, l): coeff}."""
@@ -248,27 +251,6 @@ class GradedBialgebraData:
             self._coact_right[t] = hit
         return hit
 
-    def check_all(self):
-        return check_bialgebra_axioms(
-            self.dim, self.unit, self.mult, self.coprod, self.braid, ONE
-        )
-
-    # -- derived data ------------------------------------------------------
-
-    def primitive_dims(self):
-        """Dimension of the primitive space per degree."""
-        out = [0] * (self.top_degree + 1)
-        for d in range(1, self.top_degree + 1):
-            cols = [self.index[w] for w in self.basis[d]]
-            rows = {}
-            for i in cols:
-                for (a, b), c in self.coprod(i).items():
-                    if a == self.unit or b == self.unit:
-                        continue
-                    rows.setdefault((a, b), {})[i] = c
-            out[d] = len(cols) - sparse_rank(rows.values())
-        return out
-
 
 # -- axiom checks ------------------------------------------------------------
 # The structure constants come in as callables returning sparse dicts, so the
@@ -347,32 +329,57 @@ def check_bialgebra_axioms(dim, unit, mult, coprod, braid, unit_value):
     }
 
 
-def biideal_witness(V, rs, relations):
+def braiding_descends(V, rel):
+    """Whether all words w of rel give one c(w (x) x_a) = coeff x_a' (x) w per
+    letter a; then c maps I (x) V into V (x) I, so it descends to T(V)/I."""
+    return all(
+        len({braid_word_blocks(V, w, (a,))[:2] for w in rel}) <= 1 for a in range(V.rank)
+    )
+
+
+def biideal_witness(B, relations):
     """First relation whose pushed coproduct fails to vanish, or None.
 
     The relation span generates a coideal iff (pi (x) pi)Delta kills every
-    generator; rs must already reduce each generator to zero.
+    generator. (pi (x) pi)Delta of a word is folded letter by letter through
+    times_primitive, with a memo per word prefix (B.coprod on basis words);
+    the leftover is keyed by normal words.
     """
+    letters = [B.vec_of({(a,): ONE}) for a in range(B.V.rank)]
+    memo = {}
+
+    def delta(word):
+        if word in B.index:
+            return B.coprod(B.index[word])
+        hit = memo.get(word)
+        if hit is None:
+            hit = memo[word] = {}
+            for x, c in letters[word[-1]].items():
+                row_axpy(hit, c, B.times_primitive(delta(word[:-1]), x))
+        return hit
+
     for rel in relations:
-        if rs.reduce(rel):
+        if B.rs.reduce(rel):
             return rel, "relation does not reduce to zero"
         leftover = {}
-        for (u, v), c in braided_coproduct(V, rel).items():
-            for wu, cu in rs.reduce({u: ONE}).items():
-                for wv, cv in rs.reduce({v: ONE}).items():
-                    add_term(leftover, (wu, wv), c * cu * cv)
+        for w, c in rel.items():
+            row_axpy(leftover, c, delta(w))
         if leftover:
-            return rel, leftover
+            return rel, {(B.flat[a], B.flat[b]): c for (a, b), c in leftover.items()}
     return None
 
 
 def from_nichols(V, relations, max_degree):
     """Finite graded bialgebra T(V)/(relations), basis and structure constants.
 
-    Raises if the quotient is not visibly finite within max_degree or if
-    the relation span fails the coideal test (witness attached).
+    Raises if the braiding does not descend through a relation, if the
+    quotient is not visibly finite within max_degree or if the relation
+    span fails the coideal test (witness attached).
     """
     relations = list(relations)
+    for rel in relations:
+        if not braiding_descends(V, rel):
+            raise ValueError(f"braiding does not descend through relation {rel}")
     dims, rs = rewrite_dims(V.rank, relations, max_degree)
     if dims[-1] != 0:
         raise ValueError(
@@ -396,10 +403,11 @@ def from_nichols(V, relations, max_degree):
         if len(level) != dims[d]:
             raise RuntimeError(f"basis count mismatch at degree {d}")
         basis.append(level)
-    bad = biideal_witness(V, rs, relations)
+    B = GradedBialgebraData(V, rs, basis)
+    bad = biideal_witness(B, relations)
     if bad is not None:
         raise ValueError(f"relation span is not a coideal: witness {bad}")
-    return GradedBialgebraData(V, rs, basis)
+    return B
 
 
 def attach_diagonal_category(B, realization):
@@ -477,34 +485,26 @@ def compose_perm(p, q):
 def nichols_ideal_biideal_check(V):
     """Coproduct closure of the symmetrizer-kernel ideal in low degrees.
 
-    For each degree d <= 4 and each kernel basis element r, checks
-    that every middle component of the braided coproduct of r lies in
-    I (x) T + T (x) I. Returns (True, None) or (False, witness).
+    For each degree d <= 4 and each kernel basis element r, checks that
+    every middle component of the braided coproduct of r lies in
+    I (x) T + T (x) I, that is, that project_a (x) project_b kills it: the
+    kernel of NicholsDegree.project in degree a is I_a. Returns (True, None)
+    or (False, (d, (a, b))).
     """
-    ideal = {d: ideal_component(V, d) for d in range(2, 5)}
-    echelons = {}
-
-    def split_echelon(a, b):
-        """Echelon form of I_a (x) T_b + T_a (x) I_b, built once per split."""
-        ech = echelons.get((a, b))
-        if ech is None:
-            ech = echelons[(a, b)] = Echelon()
-            for ie in ideal.get(a, []):
-                for v in product(range(V.rank), repeat=b):
-                    ech.add({(u, v): c for u, c in ie.items()})
-            for u in product(range(V.rank), repeat=a):
-                for je in ideal.get(b, []):
-                    ech.add({(u, v): c for v, c in je.items()})
-        return ech
-
-    for d, kernel in ideal.items():
-        for r in kernel:
+    layers = [NicholsDegree(V)]
+    for _ in range(3):
+        layers.append(NicholsDegree(V, layers[-1]))
+    for d in range(2, 5):
+        for r in ideal_component(V, d):
             by_split = {}
-            cop = braided_coproduct(V, r)
-            for (u, v), c in cop.items():
+            for (u, v), c in braided_coproduct(V, r).items():
                 if u and v:
-                    by_split.setdefault((len(u), len(v)), {})[(u, v)] = c
-            for (a, b), comp in by_split.items():
-                if not split_echelon(a, b).contains(comp):
-                    return False, (d, (a, b))
+                    image = by_split.setdefault((len(u), len(v)), {})
+                    pv = layers[len(v)].project(v)
+                    for pu, cu in layers[len(u)].project(u).items():
+                        for key, cv in pv.items():
+                            add_term(image, (pu, key), c * cu * cv)
+            for split, image in by_split.items():
+                if image:
+                    return False, (d, split)
     return True, None

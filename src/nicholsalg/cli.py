@@ -314,7 +314,7 @@ def _load_bicharacter(path):
 def cmd_twist(args):
     beta = _load_bicharacter(args.bicharacter)
     sigma, beta_sigma = scheunert_cocycle(beta)
-    ok, witness = check_cocycle_random(sigma, seed=args.seed)
+    ok, witness = check_cocycle_random(sigma)
     results = {
         "sigma": [[format_cyc(v) for v in row] for row in sigma.values],
         "beta_sigma": [[format_cyc(v) for v in row] for row in beta_sigma.values],
@@ -392,11 +392,11 @@ def cmd_selfcheck(args):
             warnings += warn
             ok_all = False
             continue
-        ok, w = total_square_check(B, seed=args.seed)
+        ok, w = total_square_check(B)
         square[name] = ok
         ok_all = ok_all and ok
     Bfk, _ = fk_bialgebra(3)
-    ok, w = total_square_check(Bfk, seed=args.seed, entries=6)
+    ok, w = total_square_check(Bfk, entries=6)
     square["fk3"] = ok
     ok_all = ok_all and ok
     results["total_differential_squares_to_zero"] = square
@@ -451,13 +451,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, config=False, seed=False, help=""):
+    def add(name, config=False, help=""):
         p = sub.add_parser(name, help=help)
         if config:
             p.add_argument("--config", required=True, help="shipped config name or JSON path")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        if seed:
-            p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         return p
 
     add("diagram", config=True, help="vertex/edge labels and Cartan data")
@@ -474,7 +472,7 @@ def build_parser():
     p.add_argument("--ell", type=int, help="single homogeneity degree")
     p = add("epsilon", config=True, help="H2_eps versus Hom(M, U)")
     p.add_argument("--max-degree", type=int)
-    p = add("twist", seed=True, help="Scheunert cocycle and sign twist of a bicharacter")
+    p = add("twist", help="Scheunert cocycle and sign twist of a bicharacter")
     p.add_argument("--bicharacter", required=True, help="bicharacter JSON path")
     p = add("lie-check", help="braided Lie axioms on a shipped example")
     p.add_argument("--example", choices=sorted(LIE_EXAMPLES), required=True)
@@ -486,7 +484,7 @@ def build_parser():
     p.add_argument("--max-degree", type=int)
     p.add_argument("--rigidity", action="store_true")
     p.add_argument("--symmetrizer", action="store_true", help="cross-check via symmetrizer ranks")
-    add("selfcheck", seed=True, help="invariant suite over the shipped configs")
+    add("selfcheck", help="invariant suite over the shipped configs")
     return parser
 
 

@@ -363,11 +363,6 @@ def cyc_order(z):
     return None
 
 
-def is_primitive_root(z, order):
-    """Membership in the set of primitive roots of unity of the given order."""
-    return cyc_order(z) == order
-
-
 # -- text form ------------------------------------------------------------
 
 def format_cyc(z):

@@ -40,15 +40,6 @@ def degree(element):
     return degs.pop() if degs else None
 
 
-def braiding_operator(V, element, pos):
-    """Apply the braiding at tensor slots (pos, pos+1); pure, monomial."""
-    out = {}
-    for w, c in element.items():
-        coeff, nw = apply_braiding_word(V, w, pos)
-        add_term(out, nw, coeff * c)
-    return out
-
-
 def braided_commutator(V, a, b):
     """[a, b]_c = a b - m(c(a (x) b)) in T(V)."""
     out = concat(a, b)
@@ -211,12 +202,6 @@ def braided_coproduct(V, element):
         for key, coeff in terms.items():
             add_term(out, key, coeff * c)
     return out
-
-
-def reduced_coproduct(V, element):
-    """Coproduct with the (x (x) 1) and (1 (x) x) terms removed."""
-    full = braided_coproduct(V, element)
-    return {k: v for k, v in full.items() if k[0] and k[1]}
 
 
 def root_vector_word(V, alpha):

@@ -6,22 +6,23 @@ from itertools import chain
 import pytest
 
 from nicholsalg.braided import build_diagonal
-from nicholsalg.cli import _finite_bialgebra
+from nicholsalg.cli import _catalog_elements, _finite_bialgebra
 from nicholsalg.configs import load_shipped
-from nicholsalg.cyclo import one, rational, zeta
-from nicholsalg.fk import build_fk_space, fk_bialgebra
+from nicholsalg.cyclo import ONE, one, rational, zeta
+from nicholsalg.fk import build_fk_space, fk_bialgebra, fk_relations
 from nicholsalg.tensoralg import braided_coproduct, ideal_component, monomial
 from nicholsalg import bialgebra
 from nicholsalg.bialgebra import (
     GradedBialgebraData,
     attach_diagonal_category,
     biideal_witness,
+    check_bialgebra_axioms,
     from_nichols,
     nichols_ideal_biideal_check,
 )
 from nicholsalg.relations import canonical_realization
 from nicholsalg.rewriting import rewrite_dims
-from nicholsalg.linalg import Echelon, add_term, row_axpy
+from nicholsalg.linalg import add_term, row_axpy, sparse_rank
 
 
 def rank1_algebra(N):
@@ -43,23 +44,42 @@ def test_truncated_line_structure():
     assert cop[(0, x2)] == one() and cop[(x2, 0)] == one()
 
 
+def axioms(B):
+    return check_bialgebra_axioms(B.dim, B.unit, B.mult, B.coprod, B.braid, ONE)
+
+
 def test_axioms_hold():
     for N in (2, 3, 4):
         _, B = rank1_algebra(N)
-        report = B.check_all()
+        report = axioms(B)
         assert all(ok for ok, _ in report.values()), (N, report)
+
+
+def primitive_dims(B):
+    """Dimension of the primitive space per degree."""
+    out = [0] * (B.top_degree + 1)
+    for d in range(1, B.top_degree + 1):
+        cols = [B.index[w] for w in B.basis[d]]
+        rows = {}
+        for i in cols:
+            for (a, b), c in B.coprod(i).items():
+                if a == B.unit or b == B.unit:
+                    continue
+                rows.setdefault((a, b), {})[i] = c
+        out[d] = len(cols) - sparse_rank(rows.values())
+    return out
 
 
 def test_primitive_dims_rank1():
     _, B = rank1_algebra(3)
-    assert B.primitive_dims() == [0, 1, 0]
+    assert primitive_dims(B) == [0, 1, 0]
 
 
 def test_fk3_primitives_and_dims():
     B, _ = fk_bialgebra(3)
     assert B.dims() == [1, 3, 4, 3, 1]
-    assert B.primitive_dims() == [0, 3, 0, 0, 0]
-    report = B.check_all()
+    assert primitive_dims(B) == [0, 3, 0, 0, 0]
+    report = axioms(B)
     assert all(ok for ok, _ in report.values()), report
 
 
@@ -89,9 +109,11 @@ def test_biideal_witness_reports_leftover():
     V = build_diagonal([[rational(2)]])
     rels = [monomial((0, 0))]
     _, rs = rewrite_dims(1, rels, 4)
-    bad = biideal_witness(V, rs, rels)
+    B = GradedBialgebraData(V, rs, [[()], [(0,)]])
     # x^2 with q generic: Delta(x^2) has (1+q) x (x) x, not in the ideal
-    assert bad is not None
+    leftover = {((0,), (0,)): rational(3)}
+    assert biideal_witness(B, rels) == (rels[0], leftover)
+    assert biideal_witness_oracle(V, rs, rels) == (rels[0], leftover)
 
 
 def test_nichols_ideal_is_biideal():
@@ -101,19 +123,14 @@ def test_nichols_ideal_is_biideal():
         assert ok, (name, witness)
 
 
-def test_biideal_check_builds_one_echelon_per_split(monkeypatch):
-    built = []
+def test_biideal_check_rejects_a_non_ideal_element(monkeypatch):
+    # x1 x2 is no element of the Nichols ideal: its (1, 1) component
+    # x1 (x) x2 + c(x1 (x) x2) projects to a nonzero element of B^1 (x) B^1
+    def fake_ideal(V, d):
+        return [monomial((0, 1))] if d == 2 else []
 
-    class CountingEchelon(Echelon):
-        def __init__(self):
-            super().__init__()
-            built.append(self)
-
-    monkeypatch.setattr(bialgebra, "Echelon", CountingEchelon)
-    ok, witness = nichols_ideal_biideal_check(build_fk_space(3))
-    assert ok, witness
-    # degree <= 4 has the splits (a, b) with a + b <= 4 and a, b >= 1
-    assert 0 < len(built) <= 6
+    monkeypatch.setattr(bialgebra, "ideal_component", fake_ideal)
+    assert nichols_ideal_biideal_check(build_fk_space(3)) == (False, (2, (1, 1)))
 
 
 def test_braid_tensor_matches_category():
@@ -335,3 +352,94 @@ def test_fk4_coproduct_matches_expansion():
     low = [i for i in range(B.dim) if B.degree(i) <= 7]
     assert len(low) == 437
     assert [B.coprod(i) for i in low] == [coprod_oracle(B, i) for i in low]
+
+
+# -- the coideal check by letter recursion against the 2^n expansion ----------
+
+def biideal_witness_oracle(V, rs, relations):
+    """The coideal check in T(V) (x) T(V): every relation word expanded over
+    all 2^n splittings, each leg then reduced to normal words."""
+    for rel in relations:
+        if rs.reduce(rel):
+            return rel, "relation does not reduce to zero"
+        leftover = {}
+        for (u, v), c in braided_coproduct(V, rel).items():
+            for wu, cu in rs.reduce({u: one()}).items():
+                for wv, cv in rs.reduce({v: one()}).items():
+                    add_term(leftover, (wu, wv), c * cu * cv)
+        if leftover:
+            return rel, leftover
+    return None
+
+
+def _quotient_relations(name, max_degree=None):
+    """(V, relations, B) for a shipped config or fk<n>, built afresh."""
+    if name.startswith("fk"):
+        n = int(name[2:])
+        B, rels = fk_bialgebra(n, max_degree or 5)
+        return B.V, rels, B
+    cfg = load_shipped(name)
+    V = cfg.space()
+    rels, _ = _catalog_elements(cfg, V)
+    return V, rels, from_nichols(V, rels, max_degree or cfg.budgets["max_degree"])
+
+
+@pytest.mark.parametrize(
+    "name, max_degree",
+    [(name, None) for name in FINITE_QUOTIENTS]
+    + [("rank3_super_a3", 17), ("rank3_triangle", 19), ("fk4", 13)],
+)
+def test_coideal_check_matches_expansion(name, max_degree):
+    V, rels, B = _quotient_relations(name, max_degree)
+    assert biideal_witness(B, rels) is None
+    assert biideal_witness_oracle(V, B.rs, rels) is None
+
+
+def test_relation_the_braiding_does_not_respect_rejected():
+    # c(x1 x2 (x) x1) = q11 q21 x1 (x) x1 x2 = 10 x1 (x) x1 x2, but
+    # c(x2 x2 (x) x1) = q21^2 x1 (x) x2 x2 = 25 x1 (x) x2 x2
+    V = build_diagonal([[rational(2), rational(3)], [rational(5), rational(7)]])
+    rel = {(0, 1): one(), (1, 1): -one()}
+    with pytest.raises(ValueError, match="braiding does not descend"):
+        from_nichols(V, [rel], 4)
+
+
+def test_shipped_relations_respect_the_braiding():
+    for name in FINITE_QUOTIENTS[1:] + ["rank3_square", "rank3_super_a3", "rank3_triangle"]:
+        cfg = load_shipped(name)
+        V = cfg.space()
+        rels, _ = _catalog_elements(cfg, V)
+        assert all(bialgebra.braiding_descends(V, r) for r in rels), name
+    for n in (3, 4, 5):
+        V = build_fk_space(n)
+        assert all(bialgebra.braiding_descends(V, r) for r in fk_relations(n)), n
+
+
+@pytest.mark.parametrize("q, leftover", [(-1, None), (2, {((0,), (0,)): rational(3)})])
+def test_coideal_check_through_a_letter_outside_the_basis(q, leftover):
+    # x1 = x2 leaves x2 out of the basis, so the fold uses pi(x2) = x1
+    V = build_diagonal([[rational(q)] * 2] * 2)
+    rels = [{(0,): one(), (1,): -one()}, monomial((0, 0))]
+    _, rs = rewrite_dims(2, rels, 4)
+    B = GradedBialgebraData(V, rs, [[()], [(0,)]])
+    expected = None if leftover is None else (rels[1], leftover)
+    assert biideal_witness(B, rels) == expected
+    assert biideal_witness_oracle(V, rs, rels) == expected
+    if leftover is None:
+        assert from_nichols(V, rels, 4).dims() == [1, 1]
+
+
+def test_coideal_check_through_a_letter_of_two_terms():
+    # x3 = x1 + 2 x2 over the exterior algebra on x1, x2 (all q = -1):
+    # the fold uses pi(x3) = x1 + 2 x2
+    V = build_diagonal([[rational(-1)] * 3] * 3)
+    rels = [
+        {(2,): one(), (0,): -one(), (1,): -rational(2)},
+        monomial((0, 0)),
+        monomial((1, 1)),
+        {(0, 1): one(), (1, 0): one()},
+    ]
+    B = from_nichols(V, rels, 4)
+    assert B.dims() == [1, 2, 1] and len(B.vec_of({(2,): one()})) == 2
+    assert biideal_witness(B, rels) is None
+    assert biideal_witness_oracle(V, B.rs, rels) is None

@@ -17,7 +17,6 @@ from nicholsalg.braided import (
 )
 from nicholsalg.cyclo import one, rational, zeta
 from nicholsalg.fk import build_fk_space
-from nicholsalg.tensoralg import braiding_operator, monomial
 from nicholsalg.weyl import cartan_matrix
 
 
@@ -28,19 +27,15 @@ def test_build_rejects_zero_entry():
 
 def test_diagonal_braiding_action():
     V = build_diagonal([[rational(2), zeta(3)], [one(), rational(-1)]])
-    el = monomial((0, 1))
-    out = braiding_operator(V, el, 0)
-    assert out == {(1, 0): zeta(3)}
+    assert apply_braiding_word(V, (0, 1), 0) == (zeta(3), (1, 0))
 
 
 def test_braiding_positions():
     # position is 0-based: pos acts on slots (pos, pos+1)
     V = build_diagonal([[rational(-1), zeta(5)], [one(), rational(-1)]])
-    el = monomial((0, 0, 1))
-    out = braiding_operator(V, el, 1)
-    assert out == {(0, 1, 0): zeta(5)}
+    assert apply_braiding_word(V, (0, 0, 1), 1) == (zeta(5), (0, 1, 0))
     with pytest.raises(ValueError):
-        braiding_operator(V, el, 2)
+        apply_braiding_word(V, (0, 0, 1), 2)
 
 
 small_roots = st.sampled_from(

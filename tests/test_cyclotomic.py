@@ -12,7 +12,6 @@ from nicholsalg.cyclo import (
     cyc_order,
     cyclotomic_poly,
     format_cyc,
-    is_primitive_root,
     one,
     parse_cyc,
     rational,
@@ -43,8 +42,8 @@ def test_orders():
     assert cyc_order(zeta(3)) == 3
     assert cyc_order(zeta(12, 4)) == 3
     assert cyc_order(rational(2)) is None
-    assert is_primitive_root(zeta(4), 4)
-    assert not is_primitive_root(zeta(4) ** 2, 4)
+    assert cyc_order(zeta(4)) == 4
+    assert not cyc_order(zeta(4) ** 2) == 4
 
 
 def test_mixed_order_arithmetic():
