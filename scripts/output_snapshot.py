@@ -72,6 +72,9 @@ def commands(bicharacter_path, undefined_path, affine_path):
     out.append(("cohomology-a2_cartan_zeta3-9-ell0",
                 ["cohomology", "--config", "a2_cartan_zeta3", "--max-degree", "9",
                  "--ell", "0"]))  # W11
+    # 32 negative ells with no unknowns: the cost is in enumerating the unknowns
+    out.append(("cohomology-rank3_super_a3-17",
+                ["cohomology", "--config", "rank3_super_a3", "--max-degree", "17"]))
     out.append(("twist", ["twist", "--bicharacter", bicharacter_path]))
     for ex in LIE_EXAMPLES:
         out.append((f"lie-check-{ex}", ["lie-check", "--example", ex]))

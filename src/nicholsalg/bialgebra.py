@@ -13,7 +13,7 @@ matrices. Cohomology computations constrain all maps to be morphisms for
 this structure.
 """
 
-from itertools import product
+from itertools import accumulate, product
 
 from .braided import braid_word_blocks
 from .cyclo import ONE
@@ -64,6 +64,10 @@ class GradedBialgebraData:
         self._act_right = {}
         self._coact_left = {}
         self._coact_right = {}
+        self._walks = {}  # (n, graded, category) -> state graph of positive n-tuples
+        self._transposes = {}  # slices of mult, the coactions and the action, read by output
+        self._group_act = {}  # (generator, tuple) -> {tuple: coeff}
+        self._starts = [0, *accumulate(map(len, basis_by_degree))]  # first index per degree
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -85,8 +89,62 @@ class GradedBialgebraData:
         """Indices of the augmentation ideal basis."""
         return [i for i in range(self.dim) if self.degrees[i] > 0]
 
-    def positive_tuples(self, p):
-        return list(product(self.positive(), repeat=p))
+    # -- positive tuples ----------------------------------------------------
+    # The state of a tuple is its degree (0 for every tuple if not graded) and
+    # its label, folded as CategoryStructure.tuple_label does (None without a
+    # category). The graph of states is built once per length.
+
+    def _walk(self, n, graded):
+        """(kind per positive index, [{(state, kind): next state}] per leg, end states)."""
+        key = (n, graded, self.category)
+        if key not in self._walks:
+            cat = self.category
+            kind = {i: (self.degrees[i] * graded, cat and cat.labels[i]) for i in self.positive()}
+            steps, reach = [], {(0, cat and cat.label_unit)}
+            for _ in range(n):
+                steps.append({
+                    (st, k): (st[0] + k[0], cat and cat.label_mul(st[1], k[1]))
+                    for st in reach
+                    for k in set(kind.values())
+                })
+                reach = set(steps[-1].values())
+            self._walks[key] = kind, steps, reach
+        return self._walks[key]
+
+    def tuple_states(self, n, graded=True):
+        """The (degree, label) states of the positive n-tuples."""
+        return self._walk(n, graded)[2]
+
+    def tuples(self, n, wanted, graded=True):
+        """[(tuple, state)] over the positive n-tuples whose state is wanted,
+        in product order. A prefix is extended only while some completion of
+        it is wanted, so no other tuple is visited."""
+        kind, steps, reach = self._walk(n, graded)
+        alive = [reach.intersection(wanted)]
+        for step in reversed(steps):
+            alive.append({st for (st, k), nxt in step.items() if nxt in alive[-1]})
+        level = [((), st) for st in alive.pop()]
+        for step in steps:
+            ok = alive.pop()
+            level = [
+                (t + (i,), nxt)
+                for t, st in level
+                for i, k in kind.items()
+                if (nxt := step[st, k]) in ok
+            ]
+        return level
+
+    def tuples_of_degree(self, n, d):
+        """The positive n-tuples of degree d, in product order."""
+        if n == 1:
+            inside = 0 < d < len(self.basis)
+            return [(i,) for i in range(self._starts[d], self._starts[d + 1])] if inside else []
+        return [
+            (i,) + t
+            for i in self.positive()
+            if self.degrees[i] < d
+            for t in self.tuples_of_degree(n - 1, d - self.degrees[i])
+        ]
 
     def vec_of(self, word_support):
         """Reduce a {word: coeff} element to basis coordinates."""
@@ -108,6 +166,18 @@ class GradedBialgebraData:
             hit = self.vec_of({self.flat[i] + self.flat[j]: ONE})
             self._mult[key] = hit
         return hit
+
+    def mult_sources(self, j):
+        """[(x, y, coeff)] over positive x, y whose product has coeff at e_j:
+        the transpose of mult, built per degree of j on first use."""
+        d = self.degrees[j]
+        table = self._transposes.get(("mult", d))
+        if table is None:
+            table = self._transposes["mult", d] = {}
+            for x, y in self.tuples_of_degree(2, d):
+                for k, c in self.mult(x, y).items():
+                    table.setdefault(k, []).append((x, y, c))
+        return table.get(j, ())
 
     def coprod(self, i):
         """Coproduct as {(left index, right index): coeff}, unit legs included.
@@ -203,12 +273,13 @@ class GradedBialgebraData:
             self._act_right[key] = hit
         return hit
 
-    def coact_left(self, t):
+    def coact_left(self, t, keep=True):
         """Left coaction B^(x)p -> B (x) (B+)^(x)p: {(j, t'): coeff}.
 
         Only the terms whose tensor side t' has every leg positive are kept:
         the cochain faces act on (B+)^(x)p, and the unit is the one basis
         element of degree 0. A unit leg is skipped as soon as it is split off.
+        Memoized unless keep is false; shorter tuples are memoized always.
         """
         hit = self._coact_left.get(t)
         if hit is None:
@@ -225,10 +296,11 @@ class GradedBialgebraData:
                             c = c1 * c0 * cb
                             for k, cm in self.mult(a1, h).items():
                                 add_term(hit, (k, (a2p,) + r), c * cm)
-            self._coact_left[t] = hit
+            if keep:
+                self._coact_left[t] = hit
         return hit
 
-    def coact_right(self, t):
+    def coact_right(self, t, keep=True):
         """Right coaction B^(x)p -> (B+)^(x)p (x) B: {(t', j): coeff}.
 
         As coact_left, only terms with every leg of t' positive are kept.
@@ -248,17 +320,59 @@ class GradedBialgebraData:
                             c = c1 * c0 * cb
                             for k, cm in self.mult(h, b2).items():
                                 add_term(hit, (f + (b1p,), k), c * cm)
-            self._coact_right[t] = hit
+            if keep:
+                self._coact_right[t] = hit
         return hit
+
+    def coaction_sources(self, side, s2):
+        """(s, j, coeff) over the positive tuples s whose coaction on side
+        "left" ("right") has the term j (x) s2 (s2 (x) j) with that coeff.
+        The transpose is built per length and degree of s on first use, from
+        coactions not memoized beside it; deg s = deg s2 + deg j."""
+        p, e = len(s2), sum(self.degrees[i] for i in s2)
+        coact = self.coact_left if side == "left" else self.coact_right
+        for d in range(e, min(e + self.top_degree, p * self.top_degree) + 1):
+            table = self._transposes.get((side, p, d))
+            if table is None:
+                table = self._transposes[side, p, d] = {}
+                for s in self.tuples_of_degree(p, d):
+                    for key, c in coact(s, keep=False).items():
+                        j, t = key if side == "left" else key[::-1]
+                        table.setdefault(t, []).append((s, j, c))
+            yield from table.get(s2, ())
+
+    # -- the action of a category's generators on tuples --------------------
+
+    def tensor_action(self, g, t):
+        """Action generator g of the category on the tuple t, legwise: {t': coeff}."""
+        hit = self._group_act.get((g, t))
+        if hit is None:
+            hit = {} if t else {(): ONE}
+            if t:
+                row = self.category.action_gens[g][t[-1]]
+                for front, c in self.tensor_action(g, t[:-1]).items():
+                    for j, cm in row.items():
+                        add_term(hit, front + (j,), c * cm)
+            self._group_act[g, t] = hit
+        return hit
+
+    def action_sources(self, g, t):
+        """The positive tuples s whose image under generator g has a term at t."""
+        table = self._transposes.get(("action", g))
+        if table is None:
+            table = self._transposes["action", g] = {}
+            for x in self.positive():
+                for j in self.category.action_gens[g][x]:
+                    table.setdefault(j, []).append(x)
+        return product(*(table.get(j, ()) for j in t))
 
 
 # -- axiom checks ------------------------------------------------------------
-# The structure constants come in as callables returning sparse dicts, so the
-# same checks verify a quotient bialgebra (values in Q(zeta_n)) and its
-# first-order deformations (values in k[t]/(t^(r+1))).
 
 
 def check_associativity(dim, mult):
+    """(True, None), or (False, (i, j, k)) for the first basis triple where
+    mult, a callable returning sparse dicts, is not associative."""
     for i, j, k in product(range(dim), repeat=3):
         acc = {}
         for a, c in mult(i, j).items():
@@ -268,65 +382,6 @@ def check_associativity(dim, mult):
         if acc:
             return False, (i, j, k)
     return True, None
-
-
-def check_coassociativity(dim, coprod):
-    for i in range(dim):
-        acc = {}
-        for (a, b), c in coprod(i).items():
-            for (a1, a2), ca in coprod(a).items():
-                add_term(acc, (a1, a2, b), c * ca)
-            for (b1, b2), cb in coprod(b).items():
-                add_term(acc, (a, b1, b2), -(c * cb))
-        if acc:
-            return False, i
-    return True, None
-
-
-def check_unit_counit(dim, unit, mult, coprod, unit_value):
-    for i in range(dim):
-        expected = {i: unit_value}
-        if mult(unit, i) != expected:
-            return False, ("unit-left", i)
-        if mult(i, unit) != expected:
-            return False, ("unit-right", i)
-        left = {}
-        right = {}
-        for (a, b), c in coprod(i).items():
-            if a == unit:
-                add_term(left, b, c)
-            if b == unit:
-                add_term(right, a, c)
-        if left != expected or right != expected:
-            return False, ("counit", i)
-    return True, None
-
-
-def check_compatibility(dim, mult, coprod, braid):
-    """Delta m = (m (x) m)(id (x) c (x) id)(Delta (x) Delta) on basis pairs."""
-    for i, j in product(range(dim), repeat=2):
-        acc = {}
-        for k, c in mult(i, j).items():
-            row_axpy(acc, c, coprod(k))
-        for (a, b), c1 in coprod(i).items():
-            for (s, t), c2 in coprod(j).items():
-                for (sp, bp), cb in braid(b, s).items():
-                    for u, cu in mult(a, sp).items():
-                        for v, cv in mult(bp, t).items():
-                            add_term(acc, (u, v), -(c1 * c2 * cb * cu * cv))
-        if acc:
-            return False, (i, j)
-    return True, None
-
-
-def check_bialgebra_axioms(dim, unit, mult, coprod, braid, unit_value):
-    """{axiom: (ok, witness)}; the witness is the first failing basis instance."""
-    return {
-        "associativity": check_associativity(dim, mult),
-        "coassociativity": check_coassociativity(dim, coprod),
-        "unit_counit": check_unit_counit(dim, unit, mult, coprod, unit_value),
-        "compatibility": check_compatibility(dim, mult, coprod, braid),
-    }
 
 
 def braiding_descends(V, rel):
@@ -489,13 +544,14 @@ def nichols_ideal_biideal_check(V):
     every middle component of the braided coproduct of r lies in
     I (x) T + T (x) I, that is, that project_a (x) project_b kills it: the
     kernel of NicholsDegree.project in degree a is I_a. Returns (True, None)
-    or (False, (d, (a, b))).
+    or (False, (d, (a, b))). One chain of NicholsDegree layers serves both
+    the kernels and the projections.
     """
     layers = [NicholsDegree(V)]
     for _ in range(3):
         layers.append(NicholsDegree(V, layers[-1]))
     for d in range(2, 5):
-        for r in ideal_component(V, d):
+        for r in ideal_component(V, d, layers[d - 1]):
             by_split = {}
             for (u, v), c in braided_coproduct(V, r).items():
                 if u and v:

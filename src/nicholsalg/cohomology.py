@@ -7,6 +7,12 @@ computed per homogeneity degree l from exact ranks of the cocycle and
 coboundary systems, with all maps constrained to be morphisms for the
 attached category structure.
 
+Each system costs in proportion to its unknowns, not to the number of basis
+tuples: map_unknowns enumerates only the (degree, label) buckets where a
+source meets a target, each face is built from its input entries through
+transposes of mult and of the coactions that B keeps, and the equivariance
+rows visit only the sources the unknowns reach.
+
 The coboundary dimension B comes first. Computing it checks that every
 coboundary satisfies every cocycle row, and raises if one does not, so
 B <= Z is proven and the n cocycle rows have rank at most n - B. Their
@@ -30,8 +36,16 @@ from .linalg import Echelon, add_term, nullspace, row_axpy, sparse_rank
 #
 # A cochain (B+)^p -> (B+)^q is stored on its entries (s, t): s a p-tuple and t
 # a q-tuple of basis indices. Each face is a sparse matrix over entries, given
-# as a stream of (output entry, input entry, coeff) over the input entries it
-# is handed; with none it yields nothing and touches no structure table.
+# as a stream of (output entry, input entry, coeff) built from the input
+# entries it is handed; with none it yields nothing and touches no structure
+# table. For an input (s', t):
+# - the outer Hochschild faces put a positive basis element a in front of or
+#   behind s' and act on t by a;
+# - the inner Hochschild faces replace a leg j of s' by each pair (x, y) whose
+#   product has a term at j, read from B.mult_sources (the transpose of mult);
+# - the outer coalgebra faces read the sources s whose coaction has a term at
+#   s' from B.coaction_sources (the transposes of coact_left and coact_right);
+# - the inner coalgebra faces split a leg of t by its coproduct.
 
 
 def _by_source(keys):
@@ -43,40 +57,37 @@ def _by_source(keys):
     return by_src
 
 
-def _dh_entries(B, keys, p):
+def _dh_entries(B, keys):
     """Matrix entries of the Hochschild face on (p, q)-cochain entries."""
-    look = _by_source(keys)
-    if not look:
-        return
-    for s in B.positive_tuples(p + 1):
-        for inp in look.get(s[1:], ()):
-            for t2, c in B.act_left(s[0], inp[1]).items():
-                yield (s, t2), inp, c
+    pos = B.positive()
+    for s2, inputs in _by_source(keys).items():
+        p = len(s2)
+        for a in pos:
+            for inp in inputs:
+                for t2, c in B.act_left(a, inp[1]).items():
+                    yield ((a,) + s2, t2), inp, c
+                for t2, c in B.act_right(inp[1], a).items():
+                    yield (s2 + (a,), t2), inp, c if p % 2 else -c
         for i in range(1, p + 1):
-            for j, cm in B.mult(s[i - 1], s[i]).items():
-                for inp in look.get(s[: i - 1] + (j,) + s[i + 1 :], ()):
+            for x, y, cm in B.mult_sources(s2[i - 1]):
+                s = s2[: i - 1] + (x, y) + s2[i:]
+                for inp in inputs:
                     yield (s, inp[1]), inp, -cm if i % 2 else cm
-        for inp in look.get(s[:p], ()):
-            for t2, c in B.act_right(inp[1], s[p]).items():
-                yield (s, t2), inp, c if p % 2 else -c
 
 
-def _dc_entries(B, keys, p):
+def _dc_entries(B, keys):
     """Matrix entries of the coalgebra face on (p, q)-cochain entries."""
-    look = _by_source(keys)
-    if not look:
-        return
-    for s in B.positive_tuples(p):
-        for (j0, s2), c in B.coact_left(s).items():
-            for inp in look.get(s2, ()):
+    for s2, inputs in _by_source(keys).items():
+        for s, j0, c in B.coaction_sources("left", s2):
+            for inp in inputs:
                 yield (s, (j0,) + inp[1]), inp, c
-        for inp in look.get(s, ()):
+        for inp in inputs:
             t = inp[1]
             for j in range(1, len(t) + 1):
                 for (a, b), c in B.coprod(t[j - 1]).items():
-                    yield (s, t[: j - 1] + (a, b) + t[j:]), inp, -c if j % 2 else c
-        for (s2, j0), c in B.coact_right(s).items():
-            for inp in look.get(s2, ()):
+                    yield (s2, t[: j - 1] + (a, b) + t[j:]), inp, -c if j % 2 else c
+        for s, j0, c in B.coaction_sources("right", s2):
+            for inp in inputs:
                 t = inp[1]
                 yield (s, t + (j0,)), inp, -c if len(t) % 2 == 0 else c
 
@@ -86,75 +97,60 @@ def _rows(entries):
     rows = {}
     for out, inp, c in entries:
         add_term(rows.setdefault(out, {}), inp, c)
-    for key in [key for key, row in rows.items() if not row]:
-        del rows[key]
-    return rows
+    return {key: row for key, row in rows.items() if row}
 
 
-def dh_apply(B, keys, p):
-    """Hochschild face on (p, q)-cochain entries, as rows over those entries."""
-    return _rows(_dh_entries(B, keys, p))
+def dh_apply(B, keys):
+    """Hochschild face on cochain entries, as rows over those entries."""
+    return _rows(_dh_entries(B, keys))
 
 
-def dc_apply(B, keys, p):
-    """Coalgebra-type face on (p, q)-cochain entries, as rows over them."""
-    return _rows(_dc_entries(B, keys, p))
+def dc_apply(B, keys):
+    """Coalgebra-type face on cochain entries, as rows over them."""
+    return _rows(_dc_entries(B, keys))
 
 
 # -- morphism constraints ----------------------------------------------------
 
 
 def map_unknowns(B, p, q, ell=None):
-    """Entries (s, t) of a morphism (B+)^p -> (B+)^q, of degree ell if given."""
-
-    def degree(tup, shift=0):
-        return None if ell is None else sum(B.degree(i) for i in tup) + shift
-
+    """Entries (s, t) of a morphism (B+)^p -> (B+)^q, of degree ell if given:
+    s and t have the same label, and deg t = deg s + ell. Sources and targets are
+    enumerated only in the (degree, label) buckets that both reach, so an
+    ell with no such bucket enumerates nothing. Sources run in product
+    order, each with its targets in product order."""
+    graded, shift = ell is not None, ell or 0
+    ends = B.tuple_states(q, graded)
+    match = {(d, lab) for d, lab in B.tuple_states(p, graded) if (d + shift, lab) in ends}
     targets = {}
-    for t in B.positive_tuples(q):
-        targets.setdefault(degree(t), []).append(t)
-    cat = B.category
-    labels = {}
-
-    def label(tup):
-        if tup not in labels:
-            labels[tup] = cat.tuple_label(tup)
-        return labels[tup]
-
-    out = []
-    for s in B.positive_tuples(p):
-        for t in targets.get(degree(s, ell), ()):
-            if cat is None or label(t) == label(s):
-                out.append((s, t))
-    return out
+    for t, (d, lab) in B.tuples(q, {(d + shift, lab) for d, lab in match}, graded):
+        targets.setdefault((d - shift, lab), []).append(t)
+    return [(s, t) for s, st in B.tuples(p, match, graded) for t in targets[st]]
 
 
-def _tensor_action(B, mat, tup):
-    states = {(): ONE}
-    for i in tup:
-        nxt = {}
-        for partial, c in states.items():
-            for j, cm in mat[i].items():
-                add_term(nxt, partial + (j,), c * cm)
-        states = nxt
-    return states
+def equivariance_rows(B, unknowns):
+    """Rows forcing a map on the given entries to commute with the group action.
 
-
-def equivariance_rows(B, unknowns, p):
-    """Rows forcing a map on the given entries to commute with the group action."""
+    For each generator g the rows at a source s say g.f(s) = f(g.s); they
+    are empty unless s or a term of g.s is a source of an unknown, so only
+    those s are visited, in product order.
+    """
     cat = B.category
     if cat is None or not cat.action_gens or not unknowns:
         return []
     by_src = _by_source(unknowns)
     rows = []
-    for mat in cat.action_gens:
-        for s in B.positive_tuples(p):
+    for g in range(len(cat.action_gens)):
+        sources = set(by_src)
+        for s2 in by_src:
+            sources.update(B.action_sources(g, s2))
+        for s in sorted(sources):
             per_t = {}
-            for s2, c in _tensor_action(B, mat, s).items():
+            for s2, c in B.tensor_action(g, s).items():
                 for key in by_src.get(s2, ()):
                     add_term(per_t.setdefault(key[1], {}), key, c)
             for key in by_src.get(s, ()):
-                for t2, c in _tensor_action(B, mat, key[1]).items():
+                for t2, c in B.tensor_action(g, key[1]).items():
                     add_term(per_t.setdefault(t2, {}), key, -c)
             rows.extend(r for r in per_t.values() if r)
     return rows
@@ -169,7 +165,7 @@ def _coboundary_rank(B, hU, faces, allowed, cocycle_rows):
     on ker E, that is, lie in the row space of E.
     """
     ech = Echelon()
-    for row in equivariance_rows(B, hU, 1):
+    for row in equivariance_rows(B, hU):
         ech.add(row)
     rank_e = ech.rank
     if any(key not in allowed and not ech.contains(row) for key, row in faces.items()):
@@ -205,8 +201,8 @@ def truncated_H2(B, ell):
 
     hU = map_unknowns(B, 1, 1, ell)
     # the coboundary of h is (dh h, -dc h); f and g entries differ in shape
-    faces = dh_apply(B, hU, 1)
-    for key, row in dc_apply(B, hU, 1).items():
+    faces = dh_apply(B, hU)
+    for key, row in dc_apply(B, hU).items():
         faces[key] = {k: -c for k, c in row.items()}
     dim_b = _coboundary_rank(B, hU, faces, set(fU) | set(gU), cocycle_rows)
     n = len(fU) + len(gU)
@@ -218,13 +214,13 @@ def _cocycle_rows(B, fU, gU):
     """Equations on the f/g entries: associativity (dh f), coassociativity
     (dc g) and compatibility (dc f + dh g), then equivariance; the face rows
     come first because they bring the cocycle echelon to its bound sooner."""
-    rows = list(dh_apply(B, fU, 2).values())
-    rows += dc_apply(B, gU, 1).values()
-    compat = dc_apply(B, fU, 2)
-    for key, row in dh_apply(B, gU, 1).items():
+    rows = list(dh_apply(B, fU).values())
+    rows += dc_apply(B, gU).values()
+    compat = dc_apply(B, fU)
+    for key, row in dh_apply(B, gU).items():
         row_axpy(compat.setdefault(key, {}), ONE, row)
     rows += (row for row in compat.values() if row)
-    return rows + equivariance_rows(B, fU, 2) + equivariance_rows(B, gU, 1)
+    return rows + equivariance_rows(B, fU) + equivariance_rows(B, gU)
 
 
 # -- total differential selfcheck -------------------------------------------
@@ -237,11 +233,11 @@ def tot_differential(B, comps):
         if not F:
             continue
         dh = out.setdefault((p + 1, q), {})
-        for key, inp, c in _dh_entries(B, F, p):
+        for key, inp, c in _dh_entries(B, F):
             add_term(dh, key, F[inp] * c)
         signed = {k: -v for k, v in F.items()} if p % 2 else F
         dc = out.setdefault((p, q + 1), {})
-        for key, inp, c in _dc_entries(B, signed, p):
+        for key, inp, c in _dc_entries(B, signed):
             add_term(dc, key, signed[inp] * c)
     return out
 
@@ -256,7 +252,7 @@ def random_cochain(B, p, q, rng, entries=12):
     cat = B.category
     keys = map_unknowns(B, p, q)
     if cat is not None and cat.action_gens:
-        basis = [vec for _, vec in nullspace(equivariance_rows(B, keys, p), keys)]
+        basis = [vec for _, vec in nullspace(equivariance_rows(B, keys), keys)]
         rng.shuffle(basis)
         out = {}
         for vec in basis[:entries]:
@@ -303,9 +299,9 @@ def epsilon_H2(B):
     n - B; where H2_eps is nonzero, every row is eliminated.
     """
     fU = map_unknowns(B, 2, 0)
-    rows = list(dh_apply(B, fU, 2).values()) + equivariance_rows(B, fU, 2)
+    rows = list(dh_apply(B, fU).values()) + equivariance_rows(B, fU)
     tU = map_unknowns(B, 1, 0)
-    dim_b = _coboundary_rank(B, tU, dh_apply(B, tU, 1), set(fU), rows)
+    dim_b = _coboundary_rank(B, tU, dh_apply(B, tU), set(fU), rows)
     dim_z = len(fU) - sparse_rank(rows, bound=len(fU) - dim_b)
     return {"Z": dim_z, "B": dim_b, "H": dim_z - dim_b}
 
@@ -318,23 +314,15 @@ def kernel_M(B):
     B.rs.minimal.
     """
     max_degree = 2 * B.top_degree
-    cat = B.category
-    pos = B.positive()
-    deg = {i: B.degree(i) for i in pos}
-    by_degree = {}  # the last leg of a pair or triple runs over one of these, in pos order
-    for i in pos:
-        by_degree.setdefault(deg[i], []).append(i)
     dims = {}
     blocks = {}
     for d in range(2, max_degree + 1):
-        pairs = [(i, j) for i in pos for j in by_degree.get(d - deg[i], ())]
-        if not pairs:
+        by_label = {}
+        for pair, (_, lab) in B.tuples(2, [st for st in B.tuple_states(2) if st[0] == d]):
+            by_label.setdefault(lab, []).append(pair)
+        if not by_label:
             dims[d] = 0
             continue
-        by_label = {}
-        for p in pairs:
-            lab = cat.tuple_label(p) if cat else None
-            by_label.setdefault(lab, []).append(p)
         kvecs = []  # (vec over pairs, free pair, label)
         for lab, plist in by_label.items():
             rows = {}
@@ -344,16 +332,14 @@ def kernel_M(B):
             for free, vec in nullspace(rows.values(), plist):
                 kvecs.append((vec, free, lab))
         wrows = []
-        for x in pos:
-            for a in pos:
-                for y in by_degree.get(d - deg[x] - deg[a], ()):
-                    row = {}
-                    for j, c in B.mult(x, a).items():
-                        add_term(row, (j, y), c)
-                    for j, c in B.mult(a, y).items():
-                        add_term(row, (x, j), -c)
-                    if row:
-                        wrows.append(row)
+        for x, a, y in B.tuples_of_degree(3, d):
+            row = {}
+            for j, c in B.mult(x, a).items():
+                add_term(row, (j, y), c)
+            for j, c in B.mult(a, y).items():
+                add_term(row, (x, j), -c)
+            if row:
+                wrows.append(row)
         dims[d] = len(kvecs) - sparse_rank(wrows)
         blocks[d] = {"K": kvecs, "W": wrows}
     return {"dims": dims, "blocks": blocks}
@@ -378,11 +364,11 @@ def hom_M_dim(B, mdata):
 
         action_rows = []
         if cat and cat.action_gens:
-            for mat in cat.action_gens:
+            for g in range(len(cat.action_gens)):
                 for a, (vec, free, lab) in enumerate(kvecs):
                     img = {}
                     for pair, c in vec.items():
-                        for pair2, cp in _tensor_action(B, mat, pair).items():
+                        for pair2, cp in B.tensor_action(g, pair).items():
                             add_term(img, pair2, c * cp)
                     row = coords(img)
                     add_term(row, a, -ONE)

@@ -2,10 +2,9 @@
 
 Bicharacters on finitely generated abelian groups, the basis-ordered
 bilinear cocycle that twists a skew-symmetric bicharacter with +-1 diagonal
-into a sign bicharacter, cocycle twists of graded algebras, the three
-braided Lie axioms, braided commutators, and filtered dimensions of the
-universal envelope U_c(L) compared against the Nichols dimensions of the
-underlying braided space.
+into a sign bicharacter, the three braided Lie axioms, braided commutators,
+and filtered dimensions of the universal envelope U_c(L) compared against
+the Nichols dimensions of the underlying braided space.
 """
 
 import random
@@ -146,20 +145,6 @@ class GradedAlgebraData:
                 if self.degrees[k] != want:
                     return False, (i, j, k)
         return True, None
-
-
-def twist_algebra(A, sigma):
-    """sigma-twist: m_sigma(a, b) = sigma(deg a, deg b) m(a, b)."""
-    ok, bad = A.check_homogeneous()
-    if not ok:
-        raise ValueError(f"multiplication not homogeneous at {bad}")
-    mult = {
-        (i, j): {
-            k: sigma(A.degrees[i], A.degrees[j]) * c for k, c in out.items()
-        }
-        for (i, j), out in A.mult.items()
-    }
-    return GradedAlgebraData(A.degrees, mult, A.names)
 
 
 @dataclass
@@ -336,36 +321,6 @@ def enveloping_dims(L, max_degree):
     V = build_diagonal(qmatrix)
     nich = nichols_dims(V, max_degree)
     return {"filtered": filtered, "gr": gr, "nichols": nich}
-
-
-def sign_twist_report(L):
-    """Twist the braiding to signs and re-check the braided Lie axioms.
-
-    Returns sigma, the sign bicharacter beta_sigma, the twisted bracket
-    data, its axiom report, and the dimension of the even part (generators
-    g with beta(g, g) = 1); a zero even part is the purely odd case of the
-    symmetric-braiding dichotomy.
-    """
-    sigma, beta_sigma = scheunert_cocycle(L.beta)
-    bracket = {
-        (i, j): {
-            k: sigma(L.degrees[i], L.degrees[j]) * c for k, c in out.items()
-        }
-        for (i, j), out in L.bracket.items()
-    }
-    twisted = BraidedLieData(L.degrees, beta_sigma, bracket, L.names)
-    report = check_braided_lie(twisted)
-    even = sum(
-        1 for d in L.degrees if L.beta(d, d) == one()
-    )
-    return {
-        "sigma": sigma,
-        "beta_sigma": beta_sigma,
-        "twisted": twisted,
-        "report": report,
-        "even_dim": even,
-        "purely_odd": even == 0,
-    }
 
 
 # -- shipped examples --------------------------------------------------------

@@ -161,14 +161,16 @@ def nichols_dims(V, max_degree):
     return dims
 
 
-def ideal_component(V, degree):
-    """Basis of ker S_degree as elements of T(V)."""
+def ideal_component(V, degree, prev=None):
+    """Basis of ker S_degree as elements of T(V); prev, if given, is the
+    NicholsDegree of degree - 1 in a chain the caller already holds."""
     if degree <= 1:
         return []
     blocks = _word_blocks(V, degree)
-    prev = NicholsDegree(V)
-    for _ in range(degree - 1):
-        prev = NicholsDegree(V, prev)
+    if prev is None:
+        prev = NicholsDegree(V)
+        for _ in range(degree - 1):
+            prev = NicholsDegree(V, prev)
     basis = []
     for block in blocks:
         # equations indexed by image coordinate: sum_w E[key][w] x_w = 0

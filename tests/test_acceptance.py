@@ -30,10 +30,11 @@ from nicholsalg.liealg import (
     enveloping_dims,
     heisenberg_flip,
     scheunert_cocycle,
-    sign_twist_report,
     superline,
 )
 from nicholsalg.configs import load_shipped, shipped_config_names
+
+from twist_helpers import sign_twist_report
 
 
 def report(num, ok, detail):

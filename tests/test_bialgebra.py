@@ -1,7 +1,7 @@
 """Finite graded bialgebras presented by rewriting."""
 
 from argparse import Namespace
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 
@@ -10,19 +10,20 @@ from nicholsalg.cli import _catalog_elements, _finite_bialgebra
 from nicholsalg.configs import load_shipped
 from nicholsalg.cyclo import ONE, one, rational, zeta
 from nicholsalg.fk import build_fk_space, fk_bialgebra, fk_relations
-from nicholsalg.tensoralg import braided_coproduct, ideal_component, monomial
+from nicholsalg.tensoralg import NicholsDegree, braided_coproduct, ideal_component, monomial
 from nicholsalg import bialgebra
 from nicholsalg.bialgebra import (
     GradedBialgebraData,
     attach_diagonal_category,
     biideal_witness,
-    check_bialgebra_axioms,
     from_nichols,
     nichols_ideal_biideal_check,
 )
 from nicholsalg.relations import canonical_realization
 from nicholsalg.rewriting import rewrite_dims
 from nicholsalg.linalg import add_term, row_axpy, sparse_rank
+
+from cocycle_helpers import check_bialgebra_axioms
 
 
 def rank1_algebra(N):
@@ -126,11 +127,26 @@ def test_nichols_ideal_is_biideal():
 def test_biideal_check_rejects_a_non_ideal_element(monkeypatch):
     # x1 x2 is no element of the Nichols ideal: its (1, 1) component
     # x1 (x) x2 + c(x1 (x) x2) projects to a nonzero element of B^1 (x) B^1
-    def fake_ideal(V, d):
+    def fake_ideal(V, d, prev):
         return [monomial((0, 1))] if d == 2 else []
 
     monkeypatch.setattr(bialgebra, "ideal_component", fake_ideal)
     assert nichols_ideal_biideal_check(build_fk_space(3)) == (False, (2, (1, 1)))
+
+
+def test_biideal_check_builds_one_chain(monkeypatch):
+    # layers 0-3 serve the kernels of degrees 2-4 and every projection
+    V = load_shipped("rank3_triangle").space()
+    built = []
+    init = NicholsDegree.__init__
+
+    def counting(self, V, prev=None):
+        built.append(0 if prev is None else len(prev.basis[0]) + 1)
+        init(self, V, prev)
+
+    monkeypatch.setattr(NicholsDegree, "__init__", counting)
+    assert nichols_ideal_biideal_check(V) == (True, None)
+    assert built == [0, 1, 2, 3]
 
 
 def test_braid_tensor_matches_category():
@@ -252,7 +268,7 @@ def _reference_coactions(B, t):
 
 
 def _short_tuples(B):
-    return list(chain([()], B.positive_tuples(1), B.positive_tuples(2)))
+    return list(chain([()], product(B.positive(), repeat=1), product(B.positive(), repeat=2)))
 
 
 @pytest.mark.parametrize("name", ["fk3", "a2_super", "line4"])
@@ -291,7 +307,7 @@ def _count_mult(monkeypatch):
 def test_coactions_computed_once(name, monkeypatch):
     B = _built(name)
     calls = _count_mult(monkeypatch)
-    tuples = list(chain(B.positive_tuples(2), B.positive_tuples(3)))
+    tuples = list(chain(product(B.positive(), repeat=2), product(B.positive(), repeat=3)))
 
     def coactions():
         return [(B.coact_left(t), B.coact_right(t)) for t in tuples]
@@ -307,7 +323,7 @@ def test_coactions_computed_once(name, monkeypatch):
 def test_actions_computed_once(name, monkeypatch):
     B = _built(name)
     calls = _count_mult(monkeypatch)
-    pairs = [(i, t) for i in B.positive() for t in B.positive_tuples(2)]
+    pairs = [(i, t) for i in B.positive() for t in product(B.positive(), repeat=2)]
 
     def actions():
         return [(B.act_left(i, t), B.act_right(t, i)) for i, t in pairs]

@@ -14,11 +14,11 @@ from nicholsalg.liealg import (
     enveloping_dims,
     heisenberg_flip,
     scheunert_cocycle,
-    sign_twist_report,
     sl2_flip,
     superline,
-    twist_algebra,
 )
+
+from twist_helpers import sign_twist_report, twist_algebra
 
 
 def test_trivially_signed_needs_no_twist():
