@@ -5,7 +5,10 @@ rewriting system; multiplication is concatenate-and-reduce, the braiding
 descends word by word, and the coproduct is pushed down one letter at a
 time, Delta(w x) = Delta(w)(x (x) 1 + 1 (x) x) in B (x) B. That is exact
 once the braiding descends to T(V)/I (checked per relation by from_nichols
-through braiding_descends), and the coideal test uses the same step.
+through braiding_descends), and the coideal test uses the same step. The
+braiding has Yetter-Drinfeld form, c(x (x) y) = x_(-1).y (x) x_(0), with
+each basis word homogeneous for the coaction: the left leg passes to the
+right unchanged, so braid keeps only the leg that moves.
 
 A bialgebra can carry a category structure: a (group, character)-style
 label per basis element plus, for nonabelian gradings, explicit action
@@ -37,12 +40,6 @@ class CategoryStructure:
         self.label_mul = label_mul
         self.label_unit = label_unit
         self.action_gens = action_gens
-
-    def tuple_label(self, idx_tuple):
-        lab = self.label_unit
-        for i in idx_tuple:
-            lab = self.label_mul(lab, self.labels[i])
-        return lab
 
 
 class GradedBialgebraData:
@@ -91,8 +88,8 @@ class GradedBialgebraData:
 
     # -- positive tuples ----------------------------------------------------
     # The state of a tuple is its degree (0 for every tuple if not graded) and
-    # its label, folded as CategoryStructure.tuple_label does (None without a
-    # category). The graph of states is built once per length.
+    # its label, the product of its legs' labels under label_mul (None without
+    # a category). The graph of states is built once per length.
 
     def _walk(self, n, graded):
         """(kind per positive index, [{(state, kind): next state}] per leg, end states)."""
@@ -199,28 +196,24 @@ class GradedBialgebraData:
     def times_primitive(self, delta, x):
         """delta (x (x) 1 + 1 (x) x) in the braided tensor product B (x) B, for
         delta = {(a, b): coeff} and x a degree-1 index: (a (x) b)(x (x) 1) =
-        sum a x' (x) b' over c(b (x) x) = sum x' (x) b', (a (x) b)(1 (x) x) =
+        sum a x' (x) b over c(b (x) x) = sum x' (x) b, (a (x) b)(1 (x) x) =
         a (x) b x."""
         out = {}
         for (a, b), c in delta.items():
-            for (xb, bx), cb in self.braid(b, x).items():
+            for xb, cb in self.braid(b, x).items():
                 for k, cm in self.mult(a, xb).items():
-                    add_term(out, (k, bx), c * cb * cm)
+                    add_term(out, (k, b), c * cb * cm)
             for k, cm in self.mult(b, x).items():
                 add_term(out, (a, k), c * cm)
         return out
 
     def braid(self, i, j):
-        """c(e_i (x) e_j) as {(k, l): coeff}."""
-        key = (i, j)
-        hit = self._braid.get(key)
+        """c(e_i (x) e_j) = sum coeff e_k (x) e_i as {k: coeff} (module doc)."""
+        hit = self._braid.get((i, j))
         if hit is None:
-            coeff, right, left = braid_word_blocks(self.V, self.flat[i], self.flat[j])
-            out = {}
-            for ir, cr in self.vec_of({right: ONE}).items():
-                for il, cl in self.vec_of({left: ONE}).items():
-                    add_term(out, (ir, il), coeff * cr * cl)
-            self._braid[key] = hit = out
+            coeff, right, _ = braid_word_blocks(self.V, self.flat[i], self.flat[j])
+            hit = {k: coeff * c for k, c in self.vec_of({right: ONE}).items()}
+            self._braid[i, j] = hit
         return hit
 
     # -- tensor power structure --------------------------------------------
@@ -240,10 +233,10 @@ class GradedBialgebraData:
                 hit = {}
                 head, rest = t[0], t[1:]
                 for (a1, a2), c0 in self.coprod(i).items():
-                    for (h, a2p), cb in self.braid(a2, head).items():
-                        tail = self.act_left(a2p, rest)
-                        if not tail:
-                            continue
+                    tail = self.act_left(a2, rest)
+                    if not tail:
+                        continue
+                    for h, cb in self.braid(a2, head).items():
                         for k, cm in self.mult(a1, h).items():
                             c = c0 * cb * cm
                             for r, cr in tail.items():
@@ -262,11 +255,11 @@ class GradedBialgebraData:
                 hit = {}
                 front, last = t[:-1], t[-1]
                 for (b1, b2), c0 in self.coprod(i).items():
-                    for (b1p, h), cb in self.braid(last, b1).items():
+                    for b1p, cb in self.braid(last, b1).items():
                         front_acted = self.act_right(front, b1p)
                         if not front_acted:
                             continue
-                        for k, cm in self.mult(h, b2).items():
+                        for k, cm in self.mult(last, b2).items():
                             c = c0 * cb * cm
                             for f, cf in front_acted.items():
                                 add_term(hit, f + (k,), c * cf)
@@ -292,10 +285,10 @@ class GradedBialgebraData:
                     for (a1, a2), c0 in self.coprod(head).items():
                         if a2 == self.unit:
                             continue
-                        for (h, a2p), cb in self.braid(a2, j).items():
+                        for h, cb in self.braid(a2, j).items():
                             c = c1 * c0 * cb
                             for k, cm in self.mult(a1, h).items():
-                                add_term(hit, (k, (a2p,) + r), c * cm)
+                                add_term(hit, (k, (a2,) + r), c * cm)
             if keep:
                 self._coact_left[t] = hit
         return hit
@@ -316,9 +309,9 @@ class GradedBialgebraData:
                     for (b1, b2), c0 in self.coprod(last).items():
                         if b1 == self.unit:
                             continue
-                        for (b1p, h), cb in self.braid(j, b1).items():
+                        for b1p, cb in self.braid(j, b1).items():
                             c = c1 * c0 * cb
-                            for k, cm in self.mult(h, b2).items():
+                            for k, cm in self.mult(j, b2).items():
                                 add_term(hit, (f + (b1p,), k), c * cm)
             if keep:
                 self._coact_right[t] = hit

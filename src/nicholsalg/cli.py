@@ -303,17 +303,17 @@ def cmd_epsilon(args):
     return (0 if eh["H"] == hm and not apart else 1), cfg, results, warnings
 
 
-def _load_bicharacter(path):
+def _twist_of_file(path):
+    """scheunert_cocycle of a bicharacter file; one it cannot twist is a ConfigError."""
     values, orders, skew = parse_bicharacter(read_json(path))
     try:
-        return AbelianBicharacter(values, orders, skew=skew)
+        return scheunert_cocycle(AbelianBicharacter(values, orders, skew=skew))
     except ValueError as e:
         raise ConfigError(f"bicharacter: {e}") from e
 
 
 def cmd_twist(args):
-    beta = _load_bicharacter(args.bicharacter)
-    sigma, beta_sigma = scheunert_cocycle(beta)
+    sigma, beta_sigma = _twist_of_file(args.bicharacter)
     ok, witness = check_cocycle_random(sigma)
     results = {
         "sigma": [[format_cyc(v) for v in row] for row in sigma.values],

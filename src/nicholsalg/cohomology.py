@@ -1,11 +1,13 @@
 """Bialgebra cohomology of finite graded braided bialgebras, in fixed degrees.
 
 Cochains are maps (B+)^p -> (B+)^q stored entrywise on basis tuples. The
-Hochschild-type and coalgebra-type faces act through the regular (co)module
-structure of the braided tensor powers; the truncated second cohomology is
-computed per homogeneity degree l from exact ranks of the cocycle and
-coboundary systems, with all maps constrained to be morphisms for the
-attached category structure.
+Hochschild-type and coalgebra-type faces dh and dc act through the regular
+(co)module structure of the braided tensor powers, and the total
+differential of the Gerstenhaber-Schack double complex is d = dh + (-1)^p dc,
+its sign placed only by _signed. The truncated second cohomology is computed
+per homogeneity degree l from exact ranks of the cocycle and coboundary
+systems of d, with all maps constrained to be morphisms for the attached
+category structure.
 
 Each system costs in proportion to its unknowns, not to the number of basis
 tuples: map_unknowns enumerates only the (degree, label) buckets where a
@@ -18,11 +20,9 @@ coboundary satisfies every cocycle row, and raises if one does not, so
 B <= Z is proven and the n cocycle rows have rank at most n - B. Their
 echelon stops at that rank: reaching it gives Z = B exactly, with the rest
 of the rows left unread; otherwise every row is eliminated, as a full rank
-would.
-
-Also here: the augmentation-cocycle cohomology H2_eps, computed the same
-way, and its comparison with Hom(M, U) for M the kernel of multiplication
-on B+ (x)_B B+.
+would. One routine, _h2, does this for truncated_H2 (the face d) and for
+the augmentation-cocycle cohomology H2_eps (the face dh), which is compared
+with Hom(M, U) for M the kernel of multiplication on B+ (x)_B B+.
 """
 
 import random
@@ -35,10 +35,12 @@ from .linalg import Echelon, add_term, nullspace, row_axpy, sparse_rank
 # -- cochain faces ----------------------------------------------------------
 #
 # A cochain (B+)^p -> (B+)^q is stored on its entries (s, t): s a p-tuple and t
-# a q-tuple of basis indices. Each face is a sparse matrix over entries, given
-# as a stream of (output entry, input entry, coeff) built from the input
-# entries it is handed; with none it yields nothing and touches no structure
-# table. For an input (s', t):
+# a q-tuple of basis indices. dh and dc below carry the signs of their own
+# alternating face sums; the sign (-1)^p of dc in d is added only by _signed,
+# in d_apply and tot_differential. Each of dh and dc is a sparse matrix over
+# entries, given as a stream of (output entry, input entry, coeff) built from
+# the input entries it is handed; with none it yields nothing and touches no
+# structure table. For an input (s', t):
 # - the outer Hochschild faces put a positive basis element a in front of or
 #   behind s' and act on t by a;
 # - the inner Hochschild faces replace a leg j of s' by each pair (x, y) whose
@@ -108,6 +110,21 @@ def dh_apply(B, keys):
 def dc_apply(B, keys):
     """Coalgebra-type face on cochain entries, as rows over them."""
     return _rows(_dc_entries(B, keys))
+
+
+def _signed(F):
+    """(-1)^p F over cochain entries, p the source length: the sign of dc in d."""
+    return {key: -c if len(key[0]) % 2 else c for key, c in F.items()}
+
+
+def d_apply(B, keys):
+    """Total differential d = dh + (-1)^p dc on cochain entries, as rows over
+    them. An output entry's dh inputs and dc inputs lie in different (p, q)
+    slices, so its two rows merge without cancelling."""
+    rows = dh_apply(B, keys)
+    for key, row in dc_apply(B, keys).items():
+        rows.setdefault(key, {}).update(_signed(row))
+    return rows
 
 
 # -- morphism constraints ----------------------------------------------------
@@ -182,107 +199,78 @@ def _coboundary_rank(B, hU, faces, allowed, cocycle_rows):
     return ech.rank - rank_e
 
 
-# -- truncated second cohomology --------------------------------------------
+# -- second cohomology --------------------------------------------------------
+
+
+def _cocycle_rows(B, unknowns, face):
+    """The face rows on the entries unknowns, then equivariance: face rows
+    bring the cocycle echelon to its bound sooner."""
+    return list(face(B, unknowns).values()) + equivariance_rows(B, unknowns)
+
+
+def _h2(B, zU, bU, face):
+    """{Z, B, H} of the morphism cocycles of face on the entries zU modulo the
+    face of the morphisms on the entries bU, B first (module doc)."""
+    rows = _cocycle_rows(B, zU, face)
+    dim_b = _coboundary_rank(B, bU, face(B, bU), set(zU), rows)
+    dim_z = len(zU) - sparse_rank(rows, bound=len(zU) - dim_b)
+    return {"Z": dim_z, "B": dim_b, "H": dim_z - dim_b}
 
 
 def truncated_H2(B, ell):
     """dims of the degree-l cocycle pair space, coboundaries and quotient.
 
     Pairs (f, g) with f: (B+)^2 -> B+ and g: B+ -> (B+)^2, both morphisms
-    of degree l, subject to the associativity, coassociativity and
-    compatibility conditions; coboundaries come from morphisms h: B+ -> B+.
-    The cocycle rows are ranked only up to n - B, n the number of f/g
-    entries: _coboundary_rank has checked every row against every
-    coboundary, so B <= Z, and reaching that rank means Z = B.
+    of degree l, with d(f, g) = 0: associativity (dh f), coassociativity
+    (dc g) and compatibility (dc f + dh g). Coboundaries are d h for
+    morphisms h: B+ -> B+ of degree l.
     """
-    fU = map_unknowns(B, 2, 1, ell)
-    gU = map_unknowns(B, 1, 2, ell)
-    cocycle_rows = _cocycle_rows(B, fU, gU)
-
-    hU = map_unknowns(B, 1, 1, ell)
-    # the coboundary of h is (dh h, -dc h); f and g entries differ in shape
-    faces = dh_apply(B, hU)
-    for key, row in dc_apply(B, hU).items():
-        faces[key] = {k: -c for k, c in row.items()}
-    dim_b = _coboundary_rank(B, hU, faces, set(fU) | set(gU), cocycle_rows)
-    n = len(fU) + len(gU)
-    dim_z = n - sparse_rank(cocycle_rows, bound=n - dim_b)
-    return {"Z": dim_z, "B": dim_b, "H": dim_z - dim_b}
-
-
-def _cocycle_rows(B, fU, gU):
-    """Equations on the f/g entries: associativity (dh f), coassociativity
-    (dc g) and compatibility (dc f + dh g), then equivariance; the face rows
-    come first because they bring the cocycle echelon to its bound sooner."""
-    rows = list(dh_apply(B, fU).values())
-    rows += dc_apply(B, gU).values()
-    compat = dc_apply(B, fU)
-    for key, row in dh_apply(B, gU).items():
-        row_axpy(compat.setdefault(key, {}), ONE, row)
-    rows += (row for row in compat.values() if row)
-    return rows + equivariance_rows(B, fU) + equivariance_rows(B, gU)
+    pairs = map_unknowns(B, 2, 1, ell) + map_unknowns(B, 1, 2, ell)
+    return _h2(B, pairs, map_unknowns(B, 1, 1, ell), d_apply)
 
 
 # -- total differential selfcheck -------------------------------------------
 
 
-def tot_differential(B, comps):
-    """One step of the total differential on {(p, q): cochain} components."""
+def tot_differential(B, F):
+    """d F = dh F + dc _signed(F) for a cochain F = {entry (s, t): coeff}."""
     out = {}
-    for (p, q), F in comps.items():
-        if not F:
-            continue
-        dh = out.setdefault((p + 1, q), {})
-        for key, inp, c in _dh_entries(B, F):
-            add_term(dh, key, F[inp] * c)
-        signed = {k: -v for k, v in F.items()} if p % 2 else F
-        dc = out.setdefault((p, q + 1), {})
-        for key, inp, c in _dc_entries(B, signed):
-            add_term(dc, key, signed[inp] * c)
+    for key, inp, c in _dh_entries(B, F):
+        add_term(out, key, F[inp] * c)
+    signed = _signed(F)
+    for key, inp, c in _dc_entries(B, signed):
+        add_term(out, key, signed[inp] * c)
     return out
 
 
 def random_cochain(B, p, q, rng, entries=12):
-    """Random morphism cochain: label-matched entries, equivariant if needed.
+    """Random morphism cochain: a combination of up to entries shuffled basis vectors.
 
     The total differential squares to zero only on morphisms of the category
     (naturality of the braiding enters the crossed outer-face identities),
     so random tests must sample from the morphism space.
     """
-    cat = B.category
     keys = map_unknowns(B, p, q)
-    if cat is not None and cat.action_gens:
-        basis = [vec for _, vec in nullspace(equivariance_rows(B, keys), keys)]
-        rng.shuffle(basis)
-        out = {}
-        for vec in basis[:entries]:
-            c = rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-            for key, v in vec.items():
-                add_term(out, key, v * c)
-        return out
-    rng.shuffle(keys)
-    return {
-        key: rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-        for key in keys[:entries]
-    }
+    basis = [vec for _, vec in nullspace(equivariance_rows(B, keys), keys)]
+    rng.shuffle(basis)
+    out = {}
+    for vec in basis[:entries]:
+        c = rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        for key, v in vec.items():
+            add_term(out, key, v * c)
+    return out
 
 
 def total_square_check(B, seed=0, entries=12):
-    """d(d(x)) = 0 for random cochain components at p+q = 2 and p+q = 3."""
+    """d(d(x)) = 0 for random cochains x at p+q = 2 and 3: (True, None) or (False, (p, q))."""
     rng = random.Random(seed)
-    starts = [
-        {(1, 1): random_cochain(B, 1, 1, rng, entries)},
-        {
-            (2, 1): random_cochain(B, 2, 1, rng, entries),
-            (1, 2): random_cochain(B, 1, 2, rng, entries),
-        },
-    ]
-    for comps in starts:
-        once = tot_differential(B, comps)
-        twice = tot_differential(B, once)
-        for (p, q), F in twice.items():
-            if any(not v.is_zero() for v in F.values()):
-                return False, (p, q)
+    low = random_cochain(B, 1, 1, rng, entries)
+    high = {**random_cochain(B, 2, 1, rng, entries), **random_cochain(B, 1, 2, rng, entries)}
+    for F in (low, high):
+        twice = tot_differential(B, tot_differential(B, F))
+        if twice:
+            s, t = next(iter(twice))
+            return False, (len(s), len(t))
     return True, None
 
 
@@ -294,16 +282,9 @@ def epsilon_H2(B):
 
     U is the 0-th tensor power (basis tuple ()), on which B acts through the
     counit, so H2_eps is the q = 0 column of the Hochschild differential:
-    cocycles f: (B+)^2 -> U with dh f = 0, modulo dh t for t: B+ -> U. As in
-    truncated_H2, B comes first and the cocycle rows are ranked only up to
-    n - B; where H2_eps is nonzero, every row is eliminated.
+    cocycles f: (B+)^2 -> U with dh f = 0, modulo dh t for t: B+ -> U.
     """
-    fU = map_unknowns(B, 2, 0)
-    rows = list(dh_apply(B, fU).values()) + equivariance_rows(B, fU)
-    tU = map_unknowns(B, 1, 0)
-    dim_b = _coboundary_rank(B, tU, dh_apply(B, tU), set(fU), rows)
-    dim_z = len(fU) - sparse_rank(rows, bound=len(fU) - dim_b)
-    return {"Z": dim_z, "B": dim_b, "H": dim_z - dim_b}
+    return _h2(B, map_unknowns(B, 2, 0), map_unknowns(B, 1, 0), dh_apply)
 
 
 def kernel_M(B):

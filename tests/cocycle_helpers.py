@@ -10,7 +10,7 @@ check_bialgebra_axioms.
 from itertools import product
 
 from nicholsalg.bialgebra import check_associativity
-from nicholsalg.cohomology import _cocycle_rows, map_unknowns
+from nicholsalg.cohomology import _cocycle_rows, d_apply, map_unknowns
 from nicholsalg.cyclo import CycNumber, ONE, rational
 from nicholsalg.linalg import add_term, nullspace, row_axpy
 
@@ -54,16 +54,17 @@ def check_unit_counit(dim, unit, mult, coprod, unit_value):
 
 
 def check_compatibility(dim, mult, coprod, braid):
-    """Delta m = (m (x) m)(id (x) c (x) id)(Delta (x) Delta) on basis pairs."""
+    """Delta m = (m (x) m)(id (x) c (x) id)(Delta (x) Delta) on basis pairs;
+    braid(b, s) = {s': coeff} for c(e_b (x) e_s) = sum coeff e_s' (x) e_b."""
     for i, j in product(range(dim), repeat=2):
         acc = {}
         for k, c in mult(i, j).items():
             row_axpy(acc, c, coprod(k))
         for (a, b), c1 in coprod(i).items():
             for (s, t), c2 in coprod(j).items():
-                for (sp, bp), cb in braid(b, s).items():
+                for sp, cb in braid(b, s).items():
                     for u, cu in mult(a, sp).items():
-                        for v, cv in mult(bp, t).items():
+                        for v, cv in mult(b, t).items():
                             add_term(acc, (u, v), -(c1 * c2 * cb * cu * cv))
         if acc:
             return False, (i, j)
@@ -84,7 +85,7 @@ def solve_cocycles(B, ell):
     """Basis of the degree-l cocycle pairs as dicts over f/g entries (s, t)."""
     fU = map_unknowns(B, 2, 1, ell)
     gU = map_unknowns(B, 1, 2, ell)
-    return [vec for _, vec in nullspace(_cocycle_rows(B, fU, gU), fU + gU)]
+    return [vec for _, vec in nullspace(_cocycle_rows(B, fU + gU, d_apply), fU + gU)]
 
 
 def check_filtration_vanishing(B, pair_vec, ell, r):

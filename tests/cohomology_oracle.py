@@ -13,6 +13,14 @@ from nicholsalg.cyclo import ONE
 from nicholsalg.linalg import add_term
 
 
+def tuple_label(cat, tup):
+    """The label of a tuple: its legs' labels folded by label_mul."""
+    lab = cat.label_unit
+    for i in tup:
+        lab = cat.label_mul(lab, cat.labels[i])
+    return lab
+
+
 def positive_tuples(B, p):
     return list(product(B.positive(), repeat=p))
 
@@ -84,7 +92,7 @@ def map_unknowns(B, p, q, ell=None):
 
     def label(tup):
         if tup not in labels:
-            labels[tup] = cat.tuple_label(tup)
+            labels[tup] = tuple_label(cat, tup)
         return labels[tup]
 
     out = []

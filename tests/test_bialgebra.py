@@ -154,7 +154,7 @@ def test_braid_tensor_matches_category():
     attach_diagonal_category(B, canonical_realization(V))
     x = B.index[(0,)]
     out = B.braid(x, x)
-    assert out == {(x, x): zeta(3)}
+    assert out == {x: zeta(3)}
 
 
 def _built(name):
@@ -185,8 +185,8 @@ def braid_tensor(B, left, right):
         for vj in right:
             nxt = {}
             for (pv, x), c in states.items():
-                for (k, l), co in B.braid(x, vj).items():
-                    add_term(nxt, (pv + (k,), l), c * co)
+                for k, co in B.braid(x, vj).items():
+                    add_term(nxt, (pv + (k,), x), c * co)
             states = nxt
         for (pv, x), c in states.items():
             add_term(out, (pv, (x,)), c)

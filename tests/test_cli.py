@@ -203,6 +203,10 @@ def test_malformed_bicharacter_names_field(tmp_path, capsys):
         ({"values": [["-1"]], "skew": "yes"}, "skew"),
         ({"cyclotomic_order": 3, "values": [["-1", "zeta3"], ["zeta3", "-1"]], "skew": True},
          "skew-symmetric"),
+        # valid bicharacters that scheunert_cocycle cannot twist
+        ({"cyclotomic_order": 3, "values": [["-1", "zeta3"], ["zeta3", "-1"]]},
+         "skew-symmetric"),
+        ({"cyclotomic_order": 3, "values": [["zeta3", "1"], ["1", "zeta3^2"]]}, "not a sign"),
     ]
     for beta, named in cases:
         path = tmp_path / "beta.json"

@@ -2,27 +2,29 @@
 output-driven oracle in cohomology_oracle.py."""
 
 from collections import Counter
+from itertools import chain
 
 import pytest
 
 import cohomology_oracle as oracle
-from nicholsalg.cohomology import dc_apply, dh_apply, equivariance_rows, map_unknowns
+from nicholsalg.cohomology import d_apply, dc_apply, dh_apply, equivariance_rows, map_unknowns
 from nicholsalg.linalg import Echelon
 from test_cohomology import FINITE_CONFIGS, _finite
 
-# the (p, q) slices whose entries truncated_H2 hands to a face; tot_differential
-# also applies both faces to the p + q = 4 slices its first step makes
+# the (p, q) slices whose entries truncated_H2 hands to d; total_square_check
+# also applies d to the p + q = 4 slices of the first d of its p + q = 3 cochain
 H2_SLICES = [(2, 1), (1, 2), (1, 1)]
 TOT_SLICES = [(3, 1), (2, 2), (1, 3)]
-# all degrees at once: epsilon_H2's slices, then those of random_cochain
+# all degrees at once: epsilon_H2's slices, then the slices of the random
+# cochains that total_square_check draws
 EPSILON_SLICES = [(2, 0), (1, 0)]
 RANDOM_SLICES = [(1, 1), (2, 1), (1, 2)]
 
 
 def _slices(B):
     """(ell, p, q) over every ell of the negative sweep, then ungraded. On
-    the quotients of dim at most 12 also ell 0, the p + q = 4 slices and
-    random_cochain's: elsewhere the oracle would walk every positive
+    the quotients of dim at most 12 also ell 0, the p + q = 4 slices and the
+    random cochains' slices: elsewhere the oracle would walk every positive
     4-tuple, or build the coactions of all 1,225 pairs of b2."""
     small = B.dim <= 12
     out = []
@@ -56,6 +58,11 @@ def test_faces_match_oracle(name):
         assert keys == oracle.map_unknowns(B, p, q, ell), (ell, p, q)
         assert dh_apply(B, keys) == oracle.rows(oracle.dh_entries(B, keys, p)), (ell, p, q)
         assert dc_apply(B, keys) == oracle.rows(oracle.dc_entries(B, keys, p)), (ell, p, q)
+        # d = dh + (-1)^p dc
+        dc = oracle.dc_entries(B, keys, p)
+        signed_dc = ((out, inp, -c if p % 2 else c) for out, inp, c in dc)
+        d_rows = oracle.rows(chain(oracle.dh_entries(B, keys, p), signed_dc))
+        assert d_apply(B, keys) == d_rows, (ell, p, q)
 
 
 def test_equivariance_rows_match_oracle():

@@ -77,7 +77,7 @@ def test_bialgebra_category_action():
     B, _ = fk_bialgebra(3)
     cat = B.category
     # labels multiply like Sym(3); the unit label is the identity permutation
-    assert cat.tuple_label(()) == cat.label_unit
+    assert cat.label_unit == tuple(range(3)) == cat.labels[B.unit]
     for i in range(B.dim):
         for j in range(B.dim):
             lij = cat.label_mul(cat.labels[i], cat.labels[j])
