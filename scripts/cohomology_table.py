@@ -13,7 +13,7 @@ from nicholsalg.bialgebra import attach_diagonal_category, from_nichols
 from nicholsalg.cohomology import epsilon_H2, hom_M_dim, kernel_M, truncated_H2
 from nicholsalg.cyclo import zeta
 from nicholsalg.fk import fk_bialgebra
-from nicholsalg.relations import quotient_realization
+from nicholsalg.relations import realization
 from nicholsalg.tensoralg import monomial
 
 
@@ -21,7 +21,7 @@ def line(N):
     V = build_diagonal([[zeta(N)]])
     rel = monomial((0,) * N)
     B = from_nichols(V, [rel], N + 1)
-    attach_diagonal_category(B, quotient_realization(V, N))
+    attach_diagonal_category(B, realization(V, N))
     return B
 
 

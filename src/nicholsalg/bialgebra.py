@@ -18,7 +18,7 @@ this structure.
 
 from itertools import accumulate, product
 
-from .braided import braid_word_blocks
+from .braided import braid_word_blocks, compose_perm, group_degree
 from .cyclo import ONE
 from .linalg import add_term, row_axpy
 from .rewriting import rewrite_dims
@@ -465,7 +465,6 @@ def attach_diagonal_category(B, realization):
     the character half of the label, so no action generators are stored.
     """
     theta = B.V.rank
-    ngen = len(realization.invariant_factors)
 
     def word_label(w):
         deg = [0] * theta
@@ -474,60 +473,40 @@ def attach_diagonal_category(B, realization):
         return (realization.group_product(deg), realization.char_product(deg))
 
     def label_mul(l1, l2):
-        g = realization.normalize(tuple(a + b for a, b in zip(l1[0], l2[0])))
+        g = realization.group_product(tuple(a + b for a, b in zip(l1[0], l2[0])))
         chi = tuple(a * b for a, b in zip(l1[1], l2[1]))
         return (g, chi)
 
-    unit = (
-        realization.normalize((0,) * ngen),
-        tuple(ONE for _ in range(ngen)),
-    )
+    unit = ((0,) * theta, tuple(ONE for _ in range(theta)))
     labels = [word_label(w) for w in B.flat]
     B.category = CategoryStructure(labels, label_mul, unit)
     return B.category
 
 
-def attach_group_category(B, group_elements, letter_action):
-    """Group-type category data from an explicit action.
+def attach_group_category(B, generators):
+    """Group-type category data, labels from the letters' group degrees.
 
-    group_elements: hashable labels with B.V.group_degrees per letter;
-    letter_action(gamma, t) -> (t', coeff) for each group element gamma and
-    letter t. Action matrices on the whole basis extend letterwise and are
-    reduced to normal form.
+    generators: letter indices g whose group degrees generate the group;
+    g acts on a letter t as the braiding does, x_t -> scal[g][t] x_act[g][t].
+    Action matrices on the whole basis extend letterwise and are reduced to
+    normal form.
     """
-    degs = B.V.group_degrees
-    unit = tuple(range(len(degs[0])))
-
-    def word_label(w):
-        lab = unit
-        for t in w:
-            lab = compose_perm(lab, degs[t])
-        return lab
-
-    labels = [word_label(w) for w in B.flat]
-
+    V = B.V
+    labels = [group_degree(V.group_degrees, w) for w in B.flat]
     action_gens = []
-    for gamma in group_elements:
+    for g in generators:
+        act, scal = V.act[g], V.scal[g]
         mat = []
         for w in B.flat:
             coeff = ONE
-            img = []
             for t in w:
-                t2, c = letter_action(gamma, t)
-                coeff = coeff * c
-                img.append(t2)
-            vec = {
-                k: coeff * c for k, c in B.vec_of({tuple(img): ONE}).items()
-            }
-            mat.append(vec)
+                coeff = coeff * scal[t]
+            img = tuple(act[t] for t in w)
+            mat.append({k: coeff * c for k, c in B.vec_of({img: ONE}).items()})
         action_gens.append(mat)
+    unit = tuple(range(len(V.group_degrees[0])))
     B.category = CategoryStructure(labels, compose_perm, unit, action_gens)
     return B.category
-
-
-def compose_perm(p, q):
-    """(p . q)[i] = p[q[i]]."""
-    return tuple(p[q[i]] for i in range(len(p)))
 
 
 def nichols_ideal_biideal_check(V):

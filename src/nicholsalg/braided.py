@@ -5,6 +5,10 @@ Both supported kinds act on basis vectors monomially:
 Diagonal braidings have act[i][j] = j and scal[i][j] = q_ij; group-type
 braidings (sign-twisted conjugation over a group) carry a group degree per
 basis vector and an explicit action table.
+
+The grading data the rest of the package reads lives here too: the
+bicharacter of a q-matrix on Z^theta, and the group degree of a word of a
+group-type space.
 """
 
 from dataclasses import dataclass
@@ -60,6 +64,31 @@ def build_diagonal(qmatrix):
     act = tuple(tuple(range(theta)) for _ in range(theta))
     scal = tuple(rows[i] for i in range(theta))
     return BraidedSpace(kind="diagonal", basis=basis, act=act, scal=scal, qmatrix=tuple(rows))
+
+
+def bichar(values, alpha, beta):
+    """prod_{i,j} values_ij^(alpha_i beta_j), skipping zero exponents."""
+    out = one()
+    for i, a in enumerate(alpha):
+        if not a:
+            continue
+        for j, b in enumerate(beta):
+            if b:
+                out = out * values[i][j] ** (a * b)
+    return out
+
+
+def compose_perm(p, q):
+    """(p . q)[i] = p[q[i]]."""
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def group_degree(group_degrees, word):
+    """Group degree of a basis word: the product of its letters' permutations."""
+    g = tuple(range(len(group_degrees[0])))
+    for letter in word:
+        g = compose_perm(g, group_degrees[letter])
+    return g
 
 
 def build_group_type(basis, act, scal, group_degrees):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .braided import build_diagonal
 from .cyclo import parse_cyc, zeta
-from .relations import canonical_realization, quotient_realization
+from .relations import realization
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "configs")
 
@@ -47,23 +47,13 @@ class RunConfig:
             V = self.space()
         spec = self.realization_spec or {"kind": "canonical"}
         if spec["kind"] == "canonical":
-            real = canonical_realization(V)
-        elif spec["kind"] == "quotient":
-            real = quotient_realization(V, spec["order"])
-        else:
+            return realization(V)
+        if spec["kind"] != "quotient":
             raise ConfigError(f"realization.kind: unknown value {spec['kind']!r}")
-        _validate_realization(V, real)
-        return real
-
-
-def _validate_realization(V, real):
-    for i in range(V.rank):
-        for j in range(V.rank):
-            val = real.char_value(real.chi[j], real.g[i])
-            if not (val - V.q(i, j)).is_zero():
-                raise ConfigError(
-                    f"realization: chi_{j}(g_{i}) = {val} != q_{i}{j}"
-                )
+        try:
+            return realization(V, spec["order"])
+        except ValueError as e:
+            raise ConfigError(f"realization.order: {e}") from e
 
 
 def parse_config(data, name=None):
@@ -119,7 +109,7 @@ def parse_config(data, name=None):
         qmatrix=q,
         realization_spec=real,
     )
-    cfg.realization()  # validates chi_j(g_i) = q_ij
+    cfg.realization()  # validates q_ij^order = 1
     return cfg
 
 

@@ -8,8 +8,8 @@ with chi(s, (ij)) = 1 if s(i) < s(j) and -1 otherwise.
 
 from itertools import combinations
 
-from .bialgebra import attach_group_category, compose_perm, from_nichols
-from .braided import build_group_type, check_braid_equation
+from .bialgebra import attach_group_category, from_nichols
+from .braided import build_group_type, check_braid_equation, compose_perm, group_degree
 from .cyclo import rational
 from .rewriting import rewrite_dims
 
@@ -100,12 +100,7 @@ def fk_dims_rewriting(n, max_degree):
 def group_degree_of(group_degrees, element):
     """Group degree of a homogeneous tensor element, given the permutation
     of each letter (V.group_degrees); None if mixed."""
-    degs = set()
-    for w in element:
-        g = tuple(range(len(group_degrees[0])))
-        for letter in w:
-            g = compose_perm(g, group_degrees[letter])
-        degs.add(g)
+    degs = {group_degree(group_degrees, w) for w in element}
     if len(degs) != 1:
         return None
     return degs.pop()
@@ -123,15 +118,8 @@ def fk_bialgebra(n, max_degree=5):
     rels = fk_relations(n)
     B = from_nichols(V, rels, max_degree)
     pairs = transpositions(n)
-    index = {p: k for k, p in enumerate(pairs)}
-    gens = [(i, i + 1) for i in range(1, n)]
-
-    def letter_action(gamma, t):
-        gp = _perm_of(gamma, n)
-        conj = compose_perm(compose_perm(gp, _perm_of(pairs[t], n)), gp)
-        return index[_pair_of(conj)], rational(fk_chi(gp, pairs[t]))
-
-    attach_group_category(B, gens, letter_action)
+    # Sym(n) is generated by the adjacent transpositions (i, i+1)
+    attach_group_category(B, [pairs.index((i, i + 1)) for i in range(1, n)])
     return B, rels
 
 

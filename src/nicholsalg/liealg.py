@@ -7,11 +7,10 @@ and filtered dimensions of the universal envelope U_c(L) compared against
 the Nichols dimensions of the underlying braided space.
 """
 
-import random
 from dataclasses import dataclass
 
 from .bialgebra import check_associativity
-from .braided import build_diagonal
+from .braided import bichar, build_diagonal
 from .cyclo import one, rational
 from .linalg import Echelon, add_term, row_axpy
 from .tensoralg import nichols_dims
@@ -47,26 +46,13 @@ class AbelianBicharacter:
                         raise ValueError(f"not skew-symmetric at ({i},{j})")
 
     def __call__(self, a, b):
-        out = one()
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out = out * self.values[i][j] ** (ai * bj)
-        return out
+        return bichar(self.values, a, b)
 
     def is_sign(self):
         mone = -one()
         return all(
             v == one() or v == mone for row in self.values for v in row
         )
-
-    def cocycle_defect(self, g, h, k):
-        """sigma(g,h)sigma(gh,k) - sigma(h,k)sigma(g,hk); zero for bilinear maps."""
-        gh = tuple(x + y for x, y in zip(g, h))
-        hk = tuple(x + y for x, y in zip(h, k))
-        return self(g, h) * self(gh, k) - self(h, k) * self(g, hk)
 
 
 def scheunert_cocycle(beta):
@@ -76,6 +62,8 @@ def scheunert_cocycle(beta):
     generator. sigma(a_j, a_k) = 1 for j <= k; below the diagonal it is
     chosen so that the twist beta_sigma(g,h) = sigma(h,g)^-1 beta(g,h)
     sigma(g,h) takes the value -1 exactly when both arguments are odd.
+    sigma is bimultiplicative, so every 2-cocycle identity
+    sigma(g,h)sigma(gh,k) = sigma(h,k)sigma(g,hk) holds by construction.
     """
     n = beta.n
     mone = -one()
@@ -108,19 +96,6 @@ def scheunert_cocycle(beta):
         if beta_sigma.values[i][i] != diag[i]:
             raise RuntimeError(f"twist changed the diagonal value at a{i}")
     return sigma, beta_sigma
-
-
-def check_cocycle_random(sigma, trials=1000, seed=0, span=5):
-    """Right-2-cocycle identity on random triples of group elements."""
-    rng = random.Random(seed)
-    for _ in range(trials):
-        g, h, k = (
-            tuple(rng.randint(-span, span) for _ in range(sigma.n))
-            for _ in range(3)
-        )
-        if not sigma.cocycle_defect(g, h, k).is_zero():
-            return False, (g, h, k)
-    return True, None
 
 
 # -- graded algebras and braided Lie data -----------------------------------

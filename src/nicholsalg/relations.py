@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from itertools import combinations, groupby, permutations
 from typing import Optional
 
+from .braided import bichar
 from .cyclo import cyc_order, one
 from .linalg import row_axpy
-from .tensoralg import braided_adjoint_power, braided_commutator, concat, monomial, root_vector_word
+from .tensoralg import braided_commutator, concat, monomial, root_vector_word
 
 ELEMENT_DEGREE_CAP = 12  # skip explicit word realizations above this degree
 
@@ -27,48 +28,32 @@ ELEMENT_DEGREE_CAP = 12  # skip explicit word realizations above this degree
 # -- realizations ----------------------------------------------------------
 
 
+def _unit(theta, k):
+    """The k-th standard basis vector e_k of Z^theta."""
+    return tuple(int(i == k) for i in range(theta))
+
+
 @dataclass(frozen=True)
 class Realization:
-    """Abelian group Gamma with theta marked elements and characters.
+    """The group Z^theta / N Z^theta with g_i = e_i and chi_j(e_i) = q_ij.
 
-    invariant_factors[k] is the order of the k-th generator (0 = infinite);
-    g[i] is an exponent vector; chi[i][k] is the value of the i-th character
-    on the k-th generator.
+    order N = 0 is the free group Z^theta. A group element is an exponent
+    vector reduced mod N, a character the table of its values on e_1, ...,
+    e_theta; chi_j(g_i) = q_ij holds by construction.
     """
 
-    invariant_factors: tuple
-    g: tuple
-    chi: tuple
-
-    @property
-    def rank(self):
-        return len(self.g)
-
-    def normalize(self, vec):
-        return tuple(
-            v % n if n else v for v, n in zip(vec, self.invariant_factors)
-        )
+    qmatrix: tuple
+    order: int = 0
 
     def group_product(self, exponents):
         """g_1^{a_1} ... g_theta^{a_theta} as a normalized exponent vector."""
-        ngen = len(self.invariant_factors)
-        out = [0] * ngen
-        for i, a in enumerate(exponents):
-            for k in range(ngen):
-                out[k] += a * self.g[i][k]
-        return self.normalize(out)
+        N = self.order
+        return tuple(a % N if N else a for a in exponents)
 
     def char_product(self, exponents):
         """Value table of chi_1^{a_1} ... chi_theta^{a_theta}."""
-        ngen = len(self.invariant_factors)
-        out = []
-        for k in range(ngen):
-            v = one()
-            for i, a in enumerate(exponents):
-                if a:
-                    v = v * self.chi[i][k] ** a
-            out.append(v)
-        return tuple(out)
+        theta = len(self.qmatrix)
+        return tuple(bichar(self.qmatrix, _unit(theta, k), exponents) for k in range(theta))
 
     def char_value(self, table, elem):
         v = one()
@@ -78,23 +63,18 @@ class Realization:
         return v
 
 
-def canonical_realization(V):
-    """Free realization over Z^theta with g_i = e_i, chi_j(e_i) = q_ij."""
+def realization(V, order=0):
+    """Realization of V over (Z/order)^theta, or Z^theta for order 0;
+    requires q_ij^order = 1 for all i, j."""
     theta = V.rank
-    g = tuple(tuple(1 if k == i else 0 for k in range(theta)) for i in range(theta))
-    chi = tuple(tuple(V.q(k, j) for k in range(theta)) for j in range(theta))
-    return Realization(invariant_factors=(0,) * theta, g=g, chi=chi)
-
-
-def quotient_realization(V, N):
-    """Realization over (Z/N)^theta; requires q_ij^N = 1 for all i, j."""
-    theta = V.rank
-    for i in range(theta):
-        for j in range(theta):
-            if not (V.q(i, j) ** N).is_one():
-                raise ValueError(f"q[{i}][{j}]^{N} != 1: characters not defined on the quotient")
-    base = canonical_realization(V)
-    return Realization(invariant_factors=(N,) * theta, g=base.g, chi=base.chi)
+    if order:
+        for i in range(theta):
+            for j in range(theta):
+                if not (V.q(i, j) ** order).is_one():
+                    raise ValueError(
+                        f"q[{i}][{j}]^{order} != 1: characters not defined on the quotient"
+                    )
+    return Realization(V.qmatrix, order)
 
 
 # -- relation instances ----------------------------------------------------
@@ -492,7 +472,7 @@ def generate_relations(V, rs):
         if not (q[i][i] ** (1 - cij)).is_one():
             degree = _degree(theta, (i, j), (1 - cij, 1))
             add("quantum_serre", (i, j), degree,
-                lambda: braided_adjoint_power(V, i, 1 - cij, _gen(j)))
+                lambda: _xw(V, (i,) * (1 - cij) + (j,)))
     # simple root powers x_i^{N_i} at non-Cartan vertices
     for i in range(theta):
         N = None if rs.cartan_vertices[i] else d.order(q[i][i])
@@ -544,20 +524,19 @@ def g_chi(real, instance):
 
 def check_prop_gchi(V, real, instances):
     """Per-instance report: does (g_R, chi_R) avoid every (g_t, chi_t)?"""
-    theta = V.rank
+    units = [_unit(V.rank, t) for t in range(V.rank)]
+    generators = [(real.group_product(e), real.char_product(e), e) for e in units]
     reports = []
     for R in instances:
         gR, chiR, scalar = g_chi(real, R)
         clashes = []
         witnesses = {"chi_R(g_R)": scalar}
-        for t in range(theta):
-            gt = real.normalize(real.g[t])
-            chit = real.chi[t]
+        for t, (gt, chit, e) in enumerate(generators):
             if gR == gt and chiR == chit:
                 clashes.append(t)
-            witnesses[f"chi_R(g_{t})chi_{t}(g_R)"] = real.char_value(
-                chiR, real.g[t]
-            ) * real.char_value(chit, gR)
+            witnesses[f"chi_R(g_{t})chi_{t}(g_R)"] = (
+                real.char_value(chiR, e) * real.char_value(chit, gR)
+            )
         reports.append(
             {
                 "instance": R,

@@ -50,15 +50,6 @@ def braided_commutator(V, a, b):
     return out
 
 
-def braided_adjoint_power(V, i, power, target):
-    """(ad_c x_i)^power applied to target."""
-    xi = monomial((i,))
-    out = target
-    for _ in range(power):
-        out = braided_commutator(V, xi, out)
-    return out
-
-
 def _word_blocks(V, degree):
     """Partition basis words of the given degree into symmetrizer-invariant
     blocks (connected components of the braid-group action)."""

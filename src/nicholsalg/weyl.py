@@ -1,12 +1,13 @@
 """Root systems of diagonal braidings via reflections of the q-matrix.
 
 Objects are q-matrices; reflections act through the bicharacter
-chi(alpha, beta) = prod q_ij^(a_i b_j) on Z^theta. A breadth-first walk
-over reflection-equivalent matrices collects positive roots as images of
-the simple roots under composed reflections. Every q-matrix of the walk is
-[chi(alpha_j, alpha_k)] for the images alpha_j of its simple roots at V, so
-the walk evaluates each chi value once, from a memo, and computes Cartan
-data once per diagram (q_ii, q_ij q_ji), on which they alone depend.
+chi(alpha, beta) = prod q_ij^(a_i b_j) on Z^theta (braided.bichar). A
+breadth-first walk over reflection-equivalent matrices collects positive
+roots as images of the simple roots under composed reflections. Every
+q-matrix of the walk is [chi(alpha_j, alpha_k)] for the images alpha_j of
+its simple roots at V, so the walk evaluates each chi value once, from a
+memo, and computes Cartan data once per diagram (q_ii, q_ij q_ji), on which
+they alone depend.
 Cartan matrices are computed here and nowhere else; the initial object's
 travels with the root data.
 """
@@ -18,28 +19,15 @@ from typing import Optional
 
 from .braided import (
     DEFAULT_CARTAN_CAP,
+    bichar,
     build_diagonal,
     cartan_integer,
     cyc_order,
     dynkin_diagram,
     is_cartan_vertex,
 )
-from .cyclo import one
 
 DEFAULT_OBJECT_CAP = 64
-
-
-def bichar_eval(V, alpha, beta):
-    """chi(alpha, beta) = prod_{i,j} q_ij^(alpha_i beta_j)."""
-    out = one()
-    for i, a in enumerate(alpha):
-        if a == 0:
-            continue
-        for j, b in enumerate(beta):
-            if b == 0:
-                continue
-            out = out * V.q(i, j) ** (a * b)
-    return out
 
 
 def cartan_matrix(V, cap=DEFAULT_CARTAN_CAP):
@@ -65,7 +53,7 @@ class RootSystemData:
 
     def root_scalar(self, V, alpha):
         """q_alpha = chi(alpha, alpha)."""
-        return bichar_eval(V, alpha, alpha)
+        return bichar(V.qmatrix, alpha, alpha)
 
     def root_order(self, V, alpha) -> Optional[int]:
         """N_alpha = ord(q_alpha), None if q_alpha is not a root of unity."""
@@ -111,7 +99,7 @@ def enumerate_roots(V, cap=DEFAULT_CARTAN_CAP, object_cap=DEFAULT_OBJECT_CAP):
             for beta in cols:
                 value = chi.get((alpha, beta))
                 if value is None:
-                    value = chi[alpha, beta] = bichar_eval(V, alpha, beta)
+                    value = chi[alpha, beta] = bichar(V.qmatrix, alpha, beta)
                 row.append(value)
             rows.append(tuple(row))
         return tuple(rows)

@@ -19,7 +19,7 @@ from nicholsalg.bialgebra import (
     from_nichols,
     nichols_ideal_biideal_check,
 )
-from nicholsalg.relations import canonical_realization
+from nicholsalg.relations import realization
 from nicholsalg.rewriting import rewrite_dims
 from nicholsalg.linalg import add_term, row_axpy, sparse_rank
 
@@ -151,7 +151,7 @@ def test_biideal_check_builds_one_chain(monkeypatch):
 
 def test_braid_tensor_matches_category():
     V, B = rank1_algebra(3)
-    attach_diagonal_category(B, canonical_realization(V))
+    attach_diagonal_category(B, realization(V))
     x = B.index[(0,)]
     out = B.braid(x, x)
     assert out == {x: zeta(3)}

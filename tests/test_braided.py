@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nicholsalg.braided import (
     apply_braiding_word,
+    bichar,
     build_diagonal,
     cartan_integer,
     check_braid_equation,
@@ -106,6 +107,14 @@ def test_braid_check_matches_words_on_braided_spaces():
     spaces.append(build_diagonal([[zeta(3), zeta(5)], [zeta(5, 4), rational(-1)]]))
     for V in spaces:
         assert check_braid_equation(V) == braid_equation_on_words(V) == (True, None)
+
+
+def test_bichar_additivity():
+    q = build_diagonal([[zeta(3), zeta(3, 2)], [one(), zeta(3)]]).qmatrix
+    a, b, c = (1, 0), (0, 1), (1, 1)
+    assert bichar(q, a, c) * bichar(q, b, c) == bichar(q, (1, 1), c)
+    assert bichar(q, c, a) * bichar(q, c, b) == bichar(q, c, (1, 1))
+    assert bichar(q, (2, -1), (0, 0)) == one()
 
 
 def test_cartan_integers():

@@ -7,8 +7,12 @@ import pytest
 
 from nicholsalg import cli, fk, tensoralg
 from nicholsalg.cli import _finite_bialgebra, build_parser, main
-from nicholsalg.configs import load_shipped, shipped_config_names
+from nicholsalg.configs import load_shipped, parse_bicharacter, shipped_config_names
+from nicholsalg.cyclo import parse_cyc
+from nicholsalg.liealg import AbelianBicharacter
 from nicholsalg.rewriting import RewriteSystem
+
+from twist_helpers import twist_defect
 
 
 def run(capsys, *argv):
@@ -73,6 +77,8 @@ def test_malformed_config_names_field(tmp_path, capsys):
         ("realization", {"kind": "quotient", "order": True}, "realization.order"),
         ("realization", {"kind": "quotient", "order": 0}, "realization.order"),
         ("realization", {"kind": "quotient", "order": -3}, "realization.order"),
+        # zeta3^2 != 1: the characters are not defined on (Z/2)^1
+        ("realization", {"kind": "quotient", "order": 2}, "realization.order"),
         ("kind", "fk", "n"),  # with "n": true below
     ]
     for field, value, named in cases:
@@ -171,7 +177,7 @@ def test_fk_checks_the_braid_equation_once(capsys, monkeypatch):
 
 
 def test_seed_only_where_read():
-    # twist and selfcheck run their randomized checks at the fixed seed 0
+    # selfcheck runs its randomized checks at the fixed seed 0
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     with_seed = {
         name for name, p in sub.choices.items()
@@ -191,7 +197,12 @@ def test_twist_command(tmp_path, capsys):
     code, rep, _ = run_json(capsys, "twist", "--bicharacter", str(path))
     assert code == 0
     assert rep["results"]["beta_sigma_is_sign"]
-    assert rep["results"]["cocycle_identity_random"]
+    values, _, _ = parse_bicharacter(beta)
+    sigma, beta_sigma = (
+        AbelianBicharacter([[parse_cyc(v, ambient_order=5) for v in row] for row in rows])
+        for rows in (rep["results"]["sigma"], rep["results"]["beta_sigma"])
+    )
+    assert twist_defect(AbelianBicharacter(values), sigma, beta_sigma) is None
 
 
 def test_malformed_bicharacter_names_field(tmp_path, capsys):

@@ -12,7 +12,7 @@ from nicholsalg.configs import load_shipped
 from nicholsalg.cyclo import ONE, one, zeta
 from nicholsalg.tensoralg import monomial
 from nicholsalg.bialgebra import attach_diagonal_category, from_nichols
-from nicholsalg.relations import quotient_realization
+from nicholsalg.relations import realization
 from nicholsalg.rewriting import rewrite_dims
 from nicholsalg.fk import fk_bialgebra, fk_relations
 from nicholsalg import cohomology
@@ -48,7 +48,7 @@ def line(N):
     rel = monomial((0,) * N)
     B = from_nichols(V, [rel], N + 1)
     # the Z/N quotient makes the power relation live on a trivial group label
-    attach_diagonal_category(B, quotient_realization(V, N))
+    attach_diagonal_category(B, realization(V, N))
     return B, [rel]
 
 

@@ -1,9 +1,10 @@
 """Quadratic algebras on transpositions with sign-twisted conjugation."""
 
-from nicholsalg.braided import apply_braiding_word, check_braid_equation
+from nicholsalg.braided import apply_braiding_word, check_braid_equation, compose_perm
 from nicholsalg.cyclo import one
 from nicholsalg.tensoralg import ideal_component, nichols_dims
 from nicholsalg.fk import (
+    _perm_of,
     build_fk_space,
     fk_bialgebra,
     fk_chi,
@@ -83,3 +84,25 @@ def test_bialgebra_category_action():
             lij = cat.label_mul(cat.labels[i], cat.labels[j])
             for k in B.mult(i, j):
                 assert cat.labels[k] == lij
+
+
+def test_bialgebra_action_is_conjugation_by_adjacent_transpositions():
+    """action_gens[k] sends each basis word x_{t_1}...x_{t_m} to
+    prod chi(s, t_i) x_{s t_1 s}...x_{s t_m s}, s = (k+1, k+2), in normal form."""
+    n = 3
+    B, _ = fk_bialgebra(n)
+    pairs = transpositions(n)
+    perms = [_perm_of(p, n) for p in pairs]
+    gens = B.category.action_gens
+    assert len(gens) == n - 1
+    for k, mat in enumerate(gens):
+        s = _perm_of((k + 1, k + 2), n)
+        for w, row in zip(B.flat, mat):
+            coeff = one()
+            img = []
+            for t in w:
+                conj = compose_perm(compose_perm(s, perms[t]), s)
+                img.append(perms.index(conj))
+                coeff = coeff * fk_chi(s, pairs[t])
+            want = {b: coeff * c for b, c in B.vec_of({tuple(img): one()}).items()}
+            assert row == want, (k, w)

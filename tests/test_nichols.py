@@ -12,9 +12,9 @@ from nicholsalg.configs import load_shipped
 from nicholsalg.cyclo import one, rational, zeta
 from nicholsalg.fk import build_fk_space
 from nicholsalg.linalg import row_axpy
+from nicholsalg.relations import _xw
 from nicholsalg.tensoralg import (
     NicholsDegree,
-    braided_adjoint_power,
     braided_commutator,
     braided_coproduct,
     embed,
@@ -79,12 +79,11 @@ def test_ideal_component_dimensions():
 
 
 def test_braided_commutator_serre_element():
-    # super A2: (ad x1)^2 x2 lies in the ideal, (ad x1) x2 does not
+    # super A2: (ad x1)^2 x2 = x_112 lies in the ideal, (ad x1) x2 = x_12 does not
     V = build_diagonal([[rational(-1), one()], [zeta(3, 2), zeta(3)]])
-    x2 = monomial((1,))
-    ad2 = braided_adjoint_power(V, 0, 2, x2)
+    ad2 = _xw(V, (0, 0, 1))
     assert is_in_nichols_ideal(V, ad2)
-    assert not is_in_nichols_ideal(V, braided_adjoint_power(V, 0, 1, x2))
+    assert not is_in_nichols_ideal(V, _xw(V, (0, 1)))
 
 
 def test_coproduct_generators_primitive():

@@ -8,11 +8,10 @@ from nicholsalg.cyclo import one, zeta
 from nicholsalg.fk import fk_relations
 from nicholsalg.relations import (
     _FAMILIES,
-    canonical_realization,
     check_prop_gchi,
     g_chi,
     generate_relations,
-    quotient_realization,
+    realization,
     rigidity_verdict,
 )
 from nicholsalg.weyl import enumerate_roots
@@ -25,19 +24,27 @@ def a2_cartan():
 
 def test_canonical_realization_reproduces_qmatrix():
     V = a2_cartan()
-    real = canonical_realization(V)
+    real = realization(V)
+    assert real.order == 0
+    units = [(1, 0), (0, 1)]
     for i in range(2):
         for j in range(2):
-            assert real.char_value(real.chi[j], real.g[i]) == V.q(i, j)
+            g_i = real.group_product(units[i])
+            chi_j = real.char_product(units[j])
+            assert g_i == units[i]
+            assert real.char_value(chi_j, g_i) == V.q(i, j)
+    assert real.group_product((4, -1)) == (4, -1)
 
 
 def test_quotient_realization_requires_divisibility():
     V = a2_cartan()
-    real = quotient_realization(V, 3)
-    assert real.invariant_factors == (3, 3)
-    assert real.normalize((4, -1)) == (1, 2)
+    real = realization(V, 3)
+    assert real.order == 3
+    assert real.group_product((4, -1)) == (1, 2)
+    # chi_1^4 chi_2^-1 on e_1 is q_11^4 q_12^-1
+    assert real.char_product((4, -1))[0] == V.q(0, 0) ** 4 * V.q(0, 1) ** -1
     with pytest.raises(ValueError):
-        quotient_realization(V, 2)
+        realization(V, 2)
 
 
 def test_a2_relation_families():
@@ -119,7 +126,7 @@ def test_gchi_witness_mid_vertex_bracket():
 def test_prop_gchi_reports_shape():
     V = a2_cartan()
     rels = generate_relations(V, enumerate_roots(V))
-    reports = check_prop_gchi(V, canonical_realization(V), rels)
+    reports = check_prop_gchi(V, realization(V), rels)
     assert reports and all(rep["ok"] for rep in reports)
     for rep in reports:
         assert "chi_R(g_R)" in rep["witnesses"]
@@ -135,7 +142,7 @@ def test_rigidity_verdicts():
 
 def test_pre_nichols_filter():
     V = a2_cartan()
-    real = canonical_realization(V)
+    real = realization(V)
     _, reports = rigidity_verdict(V, enumerate_roots(V), real, pre_nichols=True)
     assert all(r["instance"].family != "cartan_root_power" for r in reports)
     verdict, _ = rigidity_verdict(V, enumerate_roots(V), real, pre_nichols=True)
@@ -145,7 +152,7 @@ def test_pre_nichols_filter():
 def test_rigidity_requires_finite_type():
     V = build_diagonal([[zeta(3), zeta(3)], [one(), zeta(3)]])
     with pytest.raises(ValueError):
-        rigidity_verdict(V, enumerate_roots(V, cap=1), canonical_realization(V))
+        rigidity_verdict(V, enumerate_roots(V, cap=1), realization(V))
 
 
 # One case per catalog family, found by a seeded sweep of diagonal

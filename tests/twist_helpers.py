@@ -2,8 +2,11 @@
 
 twist_algebra twists a multiplication by a bicharacter-valued cocycle sigma;
 sign_twist_report twists a braided Lie algebra's braiding to signs with the
-Scheunert cocycle and re-checks the three braided Lie axioms.
+Scheunert cocycle and re-checks the three braided Lie axioms;
+twist_defect checks a twist exactly on generators.
 """
+
+from itertools import product
 
 from nicholsalg.cyclo import one
 from nicholsalg.liealg import (
@@ -26,6 +29,26 @@ def twist_algebra(A, sigma):
         for (i, j), out in A.mult.items()
     }
     return GradedAlgebraData(A.degrees, mult, A.names)
+
+
+def twist_defect(beta, sigma, beta_sigma):
+    """First generator pair or triple where the twist is not exact, or None.
+
+    On generators a_i checks beta_sigma(a_i, a_j) =
+    sigma(a_j, a_i)^-1 beta(a_i, a_j) sigma(a_i, a_j) and
+    sigma(a_i + a_j, a_k) = sigma(a_i, a_k) sigma(a_j, a_k).
+    """
+    n = beta.n
+    a = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    for i, j in product(range(n), repeat=2):
+        twisted = sigma(a[j], a[i]).inverse() * beta(a[i], a[j]) * sigma(a[i], a[j])
+        if beta_sigma(a[i], a[j]) != twisted:
+            return (i, j)
+    for i, j, k in product(range(n), repeat=3):
+        ij = tuple(x + y for x, y in zip(a[i], a[j]))
+        if sigma(ij, a[k]) != sigma(a[i], a[k]) * sigma(a[j], a[k]):
+            return (i, j, k)
+    return None
 
 
 def sign_twist_report(L):

@@ -6,8 +6,8 @@ Cartan matrix per object; tests compare weyl.enumerate_roots with this walk.
 
 from collections import deque
 
-from nicholsalg.braided import DEFAULT_CARTAN_CAP, build_diagonal, is_cartan_vertex
-from nicholsalg.weyl import DEFAULT_OBJECT_CAP, RootSystemData, bichar_eval, cartan_matrix
+from nicholsalg.braided import DEFAULT_CARTAN_CAP, bichar, build_diagonal, is_cartan_vertex
+from nicholsalg.weyl import DEFAULT_OBJECT_CAP, RootSystemData, cartan_matrix
 
 
 def reflect_qmatrix(V, i, crow):
@@ -23,7 +23,7 @@ def reflect_qmatrix(V, i, crow):
 
     images = [s_i(j) for j in range(theta)]
     return tuple(
-        tuple(bichar_eval(V, images[j], images[k]) for k in range(theta))
+        tuple(bichar(V.qmatrix, images[j], images[k]) for k in range(theta))
         for j in range(theta)
     )
 
