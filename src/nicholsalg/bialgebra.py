@@ -19,7 +19,6 @@ this structure.
 from itertools import accumulate, product
 
 from .braided import braid_word_blocks, compose_perm, group_degree
-from .cyclo import ONE
 from .linalg import add_term, row_axpy
 from .rewriting import rewrite_dims
 from .tensoralg import NicholsDegree, braided_coproduct, ideal_component
@@ -160,7 +159,7 @@ class GradedBialgebraData:
         key = (i, j)
         hit = self._mult.get(key)
         if hit is None:
-            hit = self.vec_of({self.flat[i] + self.flat[j]: ONE})
+            hit = self.vec_of({self.flat[i] + self.flat[j]: 1})
             self._mult[key] = hit
         return hit
 
@@ -186,7 +185,7 @@ class GradedBialgebraData:
         if hit is None:
             word = self.flat[i]
             if not word:
-                hit = {(i, i): ONE}
+                hit = {(i, i): 1}
             else:
                 prefix = self.coprod(self.index[word[:-1]])
                 hit = self.times_primitive(prefix, self.index[word[-1:]])
@@ -212,7 +211,7 @@ class GradedBialgebraData:
         hit = self._braid.get((i, j))
         if hit is None:
             coeff, right, _ = braid_word_blocks(self.V, self.flat[i], self.flat[j])
-            hit = {k: coeff * c for k, c in self.vec_of({right: ONE}).items()}
+            hit = {k: coeff * c for k, c in self.vec_of({right: 1}).items()}
             self._braid[i, j] = hit
         return hit
 
@@ -228,7 +227,7 @@ class GradedBialgebraData:
         hit = self._act_left.get(key)
         if hit is None:
             if not t:
-                hit = {(): ONE} if i == self.unit else {}
+                hit = {(): 1} if i == self.unit else {}
             else:
                 hit = {}
                 head, rest = t[0], t[1:]
@@ -250,7 +249,7 @@ class GradedBialgebraData:
         hit = self._act_right.get(key)
         if hit is None:
             if not t:
-                hit = {(): ONE} if i == self.unit else {}
+                hit = {(): 1} if i == self.unit else {}
             else:
                 hit = {}
                 front, last = t[:-1], t[-1]
@@ -277,7 +276,7 @@ class GradedBialgebraData:
         hit = self._coact_left.get(t)
         if hit is None:
             if not t:
-                hit = {(self.unit, ()): ONE}
+                hit = {(self.unit, ()): 1}
             else:
                 hit = {}
                 head, rest = t[0], t[1:]
@@ -301,7 +300,7 @@ class GradedBialgebraData:
         hit = self._coact_right.get(t)
         if hit is None:
             if not t:
-                hit = {((), self.unit): ONE}
+                hit = {((), self.unit): 1}
             else:
                 hit = {}
                 front, last = t[:-1], t[-1]
@@ -340,7 +339,7 @@ class GradedBialgebraData:
         """Action generator g of the category on the tuple t, legwise: {t': coeff}."""
         hit = self._group_act.get((g, t))
         if hit is None:
-            hit = {} if t else {(): ONE}
+            hit = {} if t else {(): 1}
             if t:
                 row = self.category.action_gens[g][t[-1]]
                 for front, c in self.tensor_action(g, t[:-1]).items():
@@ -393,7 +392,7 @@ def biideal_witness(B, relations):
     times_primitive, with a memo per word prefix (B.coprod on basis words);
     the leftover is keyed by normal words.
     """
-    letters = [B.vec_of({(a,): ONE}) for a in range(B.V.rank)]
+    letters = [B.vec_of({(a,): 1}) for a in range(B.V.rank)]
     memo = {}
 
     def delta(word):
@@ -477,7 +476,7 @@ def attach_diagonal_category(B, realization):
         chi = tuple(a * b for a, b in zip(l1[1], l2[1]))
         return (g, chi)
 
-    unit = ((0,) * theta, tuple(ONE for _ in range(theta)))
+    unit = ((0,) * theta, (1,) * theta)
     labels = [word_label(w) for w in B.flat]
     B.category = CategoryStructure(labels, label_mul, unit)
     return B.category
@@ -498,11 +497,11 @@ def attach_group_category(B, generators):
         act, scal = V.act[g], V.scal[g]
         mat = []
         for w in B.flat:
-            coeff = ONE
+            coeff = 1
             for t in w:
                 coeff = coeff * scal[t]
             img = tuple(act[t] for t in w)
-            mat.append({k: coeff * c for k, c in B.vec_of({img: ONE}).items()})
+            mat.append({k: coeff * c for k, c in B.vec_of({img: 1}).items()})
         action_gens.append(mat)
     unit = tuple(range(len(V.group_degrees[0])))
     B.category = CategoryStructure(labels, compose_perm, unit, action_gens)

@@ -24,7 +24,7 @@ class BraidedSpace:
     kind: str  # "diagonal" | "group"
     basis: tuple  # labels
     act: tuple  # act[i][j] -> basis index
-    scal: tuple  # scal[i][j] -> CycNumber
+    scal: tuple  # scal[i][j] -> CycNumber (diagonal) or int +-1 (group type)
     qmatrix: Optional[tuple] = None  # diagonal only
     group_degrees: Optional[tuple] = None  # group only; hashable elements
 
@@ -121,7 +121,7 @@ def braid_word_blocks(V, left, right):
     """
     word = left + right
     a, b = len(left), len(right)
-    coeff = one()
+    coeff = 1
     # move each left-block letter past the right block, innermost first
     for src in range(a - 1, -1, -1):
         for pos in range(src, src + b):

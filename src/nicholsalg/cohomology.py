@@ -28,7 +28,7 @@ with Hom(M, U) for M the kernel of multiplication on B+ (x)_B B+.
 import random
 from fractions import Fraction
 
-from .cyclo import ONE, rational
+from .cyclo import rational
 from .linalg import Echelon, add_term, nullspace, row_axpy, sparse_rank
 
 
@@ -340,7 +340,7 @@ def hom_M_dim(B, mdata):
             return {
                 free_index[f]: pair_vec[f]
                 for f in free_index
-                if f in pair_vec and not pair_vec[f].is_zero()
+                if f in pair_vec and pair_vec[f]
             }
 
         action_rows = []
@@ -352,14 +352,14 @@ def hom_M_dim(B, mdata):
                         for pair2, cp in B.tensor_action(g, pair).items():
                             add_term(img, pair2, c * cp)
                     row = coords(img)
-                    add_term(row, a, -ONE)
+                    add_term(row, a, -1)
                     if row:
                         action_rows.append(row)
         rows = []
         if cat:
             for a, (vec, free, lab) in enumerate(kvecs):
                 if lab != cat.label_unit:
-                    rows.append({a: ONE})
+                    rows.append({a: 1})
         for w in blk["W"]:
             row = coords(w)
             if row:

@@ -5,6 +5,9 @@ reduced modulo the n-th cyclotomic polynomial, stored as integer numerators
 over one positive common denominator in lowest terms (the layout of FLINT's
 fmpq_poly). Equality within one field is equality of that form; the hash is
 shared by equal values of different fields.
+
+Where a whole computation is rational, the kernel's scalars are plain int
+and Fraction rather than elements of Q(zeta_1); inverse() takes all three.
 """
 
 from fractions import Fraction
@@ -341,11 +344,21 @@ def one(n=1):
     return CycNumber.from_rational(1, n)
 
 
-ONE = one()  # shared: CycNumber is never mutated
-
-
 def rational(r, n=1):
     return CycNumber.from_rational(r, n)
+
+
+def inverse(x):
+    """1/x in the field of x: an int or Fraction of Q, or a CycNumber.
+
+    A unit int is its own inverse; other rationals give a Fraction, never a
+    float. Zero raises ZeroDivisionError.
+    """
+    if x.__class__ is CycNumber:
+        return x.inverse()
+    if x == 1 or x == -1:
+        return x
+    return Fraction(1, x)
 
 
 def cyc_order(z):

@@ -4,13 +4,16 @@ Generators x_(ij) for i < j carry group degree (ij); the braiding is
 sign-twisted conjugation,
     c(x_s (x) x_t) = chi(s, t) x_{s t s^-1} (x) x_s,
 with chi(s, (ij)) = 1 if s(i) < s(j) and -1 otherwise.
+
+Every scalar of these braidings and relations is the int 1 or -1, so the
+rewriting, symmetrizer and cohomology kernels run on Python ints here (Q is
+int, with Fraction only where a non-unit pivot forces it; linalg says how).
 """
 
 from itertools import combinations
 
 from .bialgebra import attach_group_category, from_nichols
 from .braided import build_group_type, check_braid_equation, compose_perm, group_degree
-from .cyclo import rational
 from .rewriting import rewrite_dims
 
 
@@ -54,7 +57,7 @@ def build_fk_space(n):
         for b in range(theta):
             conj = compose_perm(compose_perm(sigma, perms[b]), sigma)  # sigma = sigma^-1
             arow.append(index[_pair_of(conj)])
-            srow.append(rational(fk_chi(sigma, pairs[b])))
+            srow.append(fk_chi(sigma, pairs[b]))
         act.append(arow)
         scal.append(srow)
     basis = tuple(f"x{i}{j}" for i, j in pairs)
@@ -76,7 +79,7 @@ def fk_relations(n):
 
     def rel(*terms):
         """sum of sign * x_a x_b over the (sign, a, b); no word repeats."""
-        return {(index[a], index[b]): rational(sign) for sign, a, b in terms}
+        return {(index[a], index[b]): sign for sign, a, b in terms}
 
     rels = [rel((1, p, p)) for p in pairs]
     for i, j, k in combinations(range(1, n + 1), 3):

@@ -1,15 +1,21 @@
-"""Sparse exact linear algebra over cyclotomic fields.
+"""Sparse exact linear algebra over Q and the cyclotomic fields Q(zeta_N).
 
-A sparse vector is a dict {key: CycNumber} with no zero entries. Keys can
+A sparse vector is a dict {key: scalar} with no zero entries. Keys can
 be arbitrary hashable objects (basis words, tensor indices); an explicit
 key order is only needed where nullspaces are extracted. This module is
 the one place that updates and solves such vectors. Echelon.reduce and
 Echelon.add (so also contains, sparse_rank and nullspace) take rows in that
 form and do not test their entries for zero; add_term and row_axpy build
 rows that meet it.
+
+Scalars are used only through the number protocol (+, -, *, ==, and truth
+value as the zero test), so their type decides the arithmetic: Q is int,
+with Fraction only where a non-unit pivot forces it, and Q(zeta_N) is
+cyclo.CycNumber. The one field-dependent step, the inverse of a pivot, is
+cyclo.inverse.
 """
 
-from .cyclo import ONE
+from .cyclo import inverse
 
 
 def add_term(target, key, val):
@@ -17,7 +23,7 @@ def add_term(target, key, val):
     cur = target.get(key)
     if cur is not None:
         val = cur + val
-    if val.is_zero():
+    if not val:
         target.pop(key, None)
     else:
         target[key] = val
@@ -32,7 +38,7 @@ def row_axpy(target, coeff, source):
     for k, v in source.items():
         cur = target.get(k)
         nv = v * coeff if cur is None else cur + v * coeff
-        if nv.is_zero():
+        if not nv:
             target.pop(k, None)
         else:
             target[k] = nv
@@ -64,8 +70,8 @@ class Echelon:
         if not row:
             return row
         col = max(row)
-        if not row[col].is_one():
-            row = row_scale(row, row[col].inverse())
+        if row[col] != 1:
+            row = row_scale(row, inverse(row[col]))
         # back-substitute into the pivot rows that hold col, keeping holders exact
         holders = self.holders
         targets = holders.pop(col, ())
@@ -84,7 +90,7 @@ class Echelon:
                     holders[k].add(pcol)
                     continue
                 nv = cur + v * coeff
-                if nv.is_zero():
+                if not nv:
                     del prow[k]
                     holders[k].discard(pcol)  # col's own row keeps the set non-empty
                 else:
@@ -125,7 +131,7 @@ def nullspace(rows, columns):
     for free in columns:
         if free in ech.pivots:
             continue
-        vec = {free: ONE}
+        vec = {free: 1}
         for pcol, prow in ech.pivots.items():
             c = prow.get(free)
             if c is not None:

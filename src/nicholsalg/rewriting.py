@@ -61,7 +61,6 @@ methods take and return words as tuples, and only this module codes them.
 from heapq import heapify, heappop, heappush
 from types import MappingProxyType
 
-from .cyclo import ONE
 from .linalg import Echelon, add_term, row_axpy
 
 
@@ -184,7 +183,7 @@ class RewriteSystem:
                     row_axpy(res, c, nf[v])
             nf[w] = res
             stack.pop()
-        return {word: ONE} if word in normal else nf[word]
+        return {word: 1} if word in normal else nf[word]
 
     def _reduce(self, elem):
         """Fully reduce {code: coeff}; returns a new dict.
@@ -207,7 +206,7 @@ class RewriteSystem:
         while heap:
             w = -heappop(heap)
             c = pending.pop(w)
-            if c.is_zero():
+            if not c:
                 continue
             head = w >> bits
             if head not in normal and head not in nf:

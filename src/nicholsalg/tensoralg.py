@@ -1,9 +1,10 @@
 """Tensor algebra elements, Nichols algebras degree by degree, Nichols ideal.
 
 An element of T(V) is a linalg sparse vector {word: coeff}: basis words
-(tuples of basis indices) mapped to non-zero cyclotomic scalars. Sums and
-scalings are linalg.row_axpy and row_scale. All braidings in scope are
-monomial, so braid-group lifts act on words one at a time.
+(tuples of basis indices) mapped to non-zero scalars, int or Fraction over Q
+and CycNumber over Q(zeta_N), as linalg says. Sums and scalings are
+linalg.row_axpy and row_scale. All braidings in scope are monomial, so
+braid-group lifts act on words one at a time.
 
 NicholsDegree builds B^1, B^2, ... in turn through the embedding of B^n in
 B^(n-1) (x) V by Delta_(n-1,1) (Grana 2000; Milinski-Schneider 2000): each
@@ -14,13 +15,12 @@ symmetrizer on all theta^n words.
 from itertools import permutations, product
 
 from .braided import apply_braiding_word, braid_word_blocks
-from .cyclo import one
 from .linalg import Echelon, add_term, nullspace
 
 
 def monomial(word):
     """x_word in T(V)."""
-    return {tuple(word): one()}
+    return {tuple(word): 1}
 
 
 def concat(a, b):
@@ -89,7 +89,7 @@ class NicholsDegree:
         self.V, self.prev, self.memo = V, prev, {}
         if prev is None:
             self.basis, self.pivots, self.chains = [()], {()}, {}
-            self.memo[()] = {(): one()}
+            self.memo[()] = {(): 1}
             return
         self.chains = prev.chains
         ech = Echelon()
@@ -127,14 +127,14 @@ def embed(V, prev, word, keys=None):
         rest = word[k + 1 :]
         coeff = chains.get(word[k:])
         if coeff is None:
-            coeff = one()
+            coeff = 1
             scal = V.scal[i]
             for j in rest:
                 coeff = coeff * scal[j]
             chains[word[k:]] = coeff
         act = V.act[i]
         image = prev.project(word[:k] + tuple(act[j] for j in rest))
-        unit = coeff.is_one()
+        unit = coeff == 1
         for p, pc in image.items():
             key = p + (i,)
             if keys is None or key in keys:
@@ -182,7 +182,7 @@ def braided_coproduct(V, element):
     """
     out = {}
     for w, c in element.items():
-        terms = {((), ()): one()}
+        terms = {((), ()): 1}
         for letter in w:
             nxt = {}
             for (u, v), coeff in terms.items():

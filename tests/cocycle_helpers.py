@@ -11,13 +11,13 @@ from itertools import product
 
 from nicholsalg.bialgebra import check_associativity
 from nicholsalg.cohomology import _cocycle_rows, d_apply, map_unknowns
-from nicholsalg.cyclo import CycNumber, ONE, rational
+from nicholsalg.cyclo import rational
 from nicholsalg.linalg import add_term, nullspace, row_axpy
 
 
 # -- axiom checks ------------------------------------------------------------
 # The structure constants come in as callables returning sparse dicts, so the
-# same checks verify a quotient bialgebra (values in Q(zeta_n)) and its
+# same checks verify a quotient bialgebra (values in Q or Q(zeta_n)) and its
 # first-order deformations (values in k[t]/(t^(r+1))).
 
 
@@ -135,22 +135,23 @@ class TruncPoly:
         return TruncPoly(-a for a in self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, CycNumber):
+        if not isinstance(other, TruncPoly):
             return TruncPoly(a * other for a in self.coeffs)
         n = len(self.coeffs)
         out = [rational(0)] * n
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
-                if i + j < n and not b.is_zero():
+                if i + j < n and b:
                     out[i + j] = out[i + j] + a * b
         return TruncPoly(out)
 
     __rmul__ = __mul__
 
-    def is_zero(self):
-        return all(a.is_zero() for a in self.coeffs)
+    def __bool__(self):
+        """Truth value is the zero test, as for the package's scalars."""
+        return any(self.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, TruncPoly) and self.coeffs == other.coeffs
@@ -180,17 +181,17 @@ def first_order_deformation(B, pair_vec, r):
         for k, c in fpart.get((i, j), {}).items():
             cur = out.get(k, TruncPoly.const(rational(0), r))
             out[k] = cur + TruncPoly.tpow(c, r, r)
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        return {k: v for k, v in out.items() if v}
 
     def coprod_t(i):
         out = {p: TruncPoly.tpow(c, 0, r) for p, c in B.coprod(i).items()}
         for p, c in gpart.get(i, {}).items():
             cur = out.get(p, TruncPoly.const(rational(0), r))
             out[p] = cur + TruncPoly.tpow(c, r, r)
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        return {k: v for k, v in out.items() if v}
 
     report = check_bialgebra_axioms(
-        B.dim, B.unit, mult_t, coprod_t, B.braid, TruncPoly.tpow(ONE, 0, r)
+        B.dim, B.unit, mult_t, coprod_t, B.braid, TruncPoly.tpow(1, 0, r)
     )
     tables = {"mult": mult_t, "coprod": coprod_t}
     return tables, report

@@ -9,7 +9,6 @@ two on the same cochain entries.
 
 from itertools import product
 
-from nicholsalg.cyclo import ONE
 from nicholsalg.linalg import add_term
 
 
@@ -104,7 +103,7 @@ def map_unknowns(B, p, q, ell=None):
 
 
 def _tensor_action(mat, tup):
-    states = {(): ONE}
+    states = {(): 1}
     for i in tup:
         nxt = {}
         for partial, c in states.items():

@@ -7,7 +7,6 @@ normal-word counts of the two engines. The module docstring of
 nicholsalg.rewriting describes the algorithm.
 """
 
-from nicholsalg.cyclo import ONE
 from nicholsalg.linalg import Echelon, add_term, row_axpy
 
 
@@ -88,7 +87,7 @@ class RewriteSystem:
             nf[w] = res
             stack.pop()
         nf, normal = memo if len(word) < final else scratch
-        return {word: ONE} if word in normal else nf[word]
+        return {word: 1} if word in normal else nf[word]
 
     def reduce(self, elem):
         """Fully reduce {word: coeff}; returns a new dict."""

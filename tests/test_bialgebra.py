@@ -8,7 +8,7 @@ import pytest
 from nicholsalg.braided import build_diagonal
 from nicholsalg.cli import _catalog_elements, _finite_bialgebra
 from nicholsalg.configs import load_shipped
-from nicholsalg.cyclo import ONE, one, rational, zeta
+from nicholsalg.cyclo import one, rational, zeta
 from nicholsalg.fk import build_fk_space, fk_bialgebra, fk_relations
 from nicholsalg.tensoralg import NicholsDegree, braided_coproduct, ideal_component, monomial
 from nicholsalg import bialgebra
@@ -46,7 +46,7 @@ def test_truncated_line_structure():
 
 
 def axioms(B):
-    return check_bialgebra_axioms(B.dim, B.unit, B.mult, B.coprod, B.braid, ONE)
+    return check_bialgebra_axioms(B.dim, B.unit, B.mult, B.coprod, B.braid, 1)
 
 
 def test_axioms_hold():

@@ -9,7 +9,7 @@ import pytest
 from nicholsalg.braided import build_diagonal
 from nicholsalg.cli import _catalog_elements, _finite_bialgebra
 from nicholsalg.configs import load_shipped
-from nicholsalg.cyclo import ONE, one, zeta
+from nicholsalg.cyclo import one, zeta
 from nicholsalg.tensoralg import monomial
 from nicholsalg.bialgebra import attach_diagonal_category, from_nichols
 from nicholsalg.relations import realization
@@ -245,7 +245,7 @@ def test_non_cocycle_fails_deformation():
 def test_deformation_report_matches_axiom_checks():
     B, _ = line(3)
     _, report = first_order_deformation(B, solve_cocycles(B, 0)[0], 1)
-    axioms = check_bialgebra_axioms(B.dim, B.unit, B.mult, B.coprod, B.braid, ONE)
+    axioms = check_bialgebra_axioms(B.dim, B.unit, B.mult, B.coprod, B.braid, 1)
     assert report.keys() == axioms.keys()
 
 
@@ -393,4 +393,4 @@ def test_truncpoly_arithmetic():
     u = TruncPoly.const(one(), 2)
     prod = (u + t) * (u + (-t))
     assert prod == u + (-(t * t))
-    assert (t * t * t).is_zero()
+    assert not (t * t * t)

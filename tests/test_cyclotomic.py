@@ -12,6 +12,7 @@ from nicholsalg.cyclo import (
     cyc_order,
     cyclotomic_poly,
     format_cyc,
+    inverse,
     one,
     parse_cyc,
     rational,
@@ -99,6 +100,22 @@ def test_rational_factor_matches_lifted_product(n, cs, r):
 def test_zero_inverse_raises():
     with pytest.raises(ZeroDivisionError):
         rational(0).inverse()
+
+
+def test_inverse_stays_in_the_field_of_its_argument():
+    # Q is int and Fraction: a unit int is its own inverse, never a float
+    for x, want, kind in (
+        (1, 1, int),
+        (-1, -1, int),
+        (2, Fraction(1, 2), Fraction),
+        (Fraction(-3, 4), Fraction(-4, 3), Fraction),
+        (zeta(3), zeta(3, 2), CycNumber),
+    ):
+        inv = inverse(x)
+        assert type(inv) is kind and inv == want and x * inv == 1, x
+    for zero in (0, Fraction(0), rational(0)):
+        with pytest.raises(ZeroDivisionError):
+            inverse(zero)
 
 
 def test_equal_values_hash_equal_across_conductors():

@@ -1,11 +1,12 @@
 """Sparse exact linear algebra: echelon form."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from nicholsalg.cyclo import CycNumber, one, rational, zeta
-from nicholsalg.linalg import Echelon, row_axpy, row_scale, sparse_rank
+from nicholsalg.cyclo import CycNumber, inverse, one, rational, zeta
+from nicholsalg.linalg import Echelon, nullspace, row_axpy, row_scale, sparse_rank
 
 
 def count_inverses(monkeypatch):
@@ -58,8 +59,8 @@ class FullScanEchelon(Echelon):
         if not row:
             return row
         col = max(row)
-        if not row[col].is_one():
-            row = row_scale(row, row[col].inverse())
+        if row[col] != 1:
+            row = row_scale(row, inverse(row[col]))
         for prow in self.pivots.values():
             if col in prow:
                 row_axpy(prow, -prow[col], row)
@@ -149,3 +150,47 @@ def test_bounded_rank_pulls_no_row_past_its_bound(seed):
     # a bound above the rank is never reached: every row is read
     for bound in (rank + 1, len(rows) + 5):
         assert sparse_rank(iter(rows), bound=bound) == rank
+
+
+def _random_int_rows(rng, count, width=10):
+    """Random integer rows with entries of size up to 7, and integer
+    combinations of earlier rows, so pivots are seldom units."""
+    rows = []
+    while len(rows) < count:
+        if rows and rng.random() < 0.3:
+            row = {}
+            for old in rng.sample(rows, min(2, len(rows))):
+                row_axpy(row, rng.choice([-3, -2, 2, 5]), old)
+        else:
+            cols = rng.sample(range(width), rng.randint(1, 5))
+            row = {k: rng.choice([-7, -4, -2, -1, 1, 3, 6]) for k in cols}
+        if row:
+            rows.append(row)
+    return rows
+
+
+def _assert_rational(values):
+    for v in values:
+        assert type(v) in (int, Fraction) and v, v
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_integer_rows_match_their_cyclotomic_twins(seed):
+    """Over Q the kernel runs on int and Fraction with the answers it gives
+    on the same rows as CycNumbers of Q(zeta_1), and no float appears."""
+    rows = _random_int_rows(random.Random(seed), 10)
+    twins = [{k: rational(v) for k, v in row.items()} for row in rows]
+    ech, ref = Echelon(), Echelon()
+    for row, twin in zip(rows, twins):
+        assert ech.add(row) == ref.add(twin)
+        for prow in ech.pivots.values():
+            _assert_rational(prow.values())
+    assert ech.pivots == ref.pivots
+    assert any(type(v) is Fraction for prow in ech.pivots.values() for v in prow.values())
+    assert sparse_rank(rows) == sparse_rank(twins) == ech.rank < len(rows)
+    columns = list(range(10))
+    kernel = nullspace(rows, columns)
+    assert kernel and kernel == nullspace(twins, columns)
+    for free, vec in kernel:
+        assert type(vec[free]) is int
+        _assert_rational(vec.values())

@@ -3,6 +3,7 @@
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
 
@@ -293,6 +294,39 @@ def test_unit_lead_needs_no_inverse(monkeypatch):
     assert calls == []
     assert rs.rules[(1, 0)] == {(0, 1): zeta(3)}
 
+
+
+def _rational_twin(rels):
+    """The same relations with every coefficient a CycNumber of Q(zeta_1)."""
+    return [{w: rational(c) for w, c in rel.items()} for rel in rels]
+
+
+def test_fk_rules_keep_int_coefficients():
+    """The FK relations have int coefficients, and so does every rule their
+    completion makes: one CycNumber would bring that arithmetic back into
+    every reduction that reads the rule."""
+    _, rs = rewrite_dims(6, fk_relations(4), 6)
+    assert rs.rules
+    assert all(type(c) is int for tail in rs.rules.values() for c in tail.values())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_fk_completion_matches_its_cyclotomic_twin(n):
+    rank = build_fk_space(n).rank
+    dims, rs = rewrite_dims(rank, fk_relations(n), 6)
+    twin_dims, twin = rewrite_dims(rank, _rational_twin(fk_relations(n)), 6)
+    assert dims == twin_dims and rs.minimal == twin.minimal
+    assert dict(rs.rules) == dict(twin.rules)
+
+
+def test_non_monic_lead_completes_through_fractions():
+    rels = [{(0, 1): 2, (1, 0): -3}, {(0, 0): 1}]
+    dims, rs = rewrite_dims(2, rels, 6)
+    twin_dims, twin = rewrite_dims(2, _rational_twin(rels), 6)
+    assert dims == twin_dims == [1, 2, 2, 2, 2, 2, 2]
+    assert dict(rs.rules) == dict(twin.rules)
+    coeff = rs.rules[(1, 0)][(0, 1)]
+    assert type(coeff) is Fraction and coeff == Fraction(2, 3)
 
 def test_long_words_need_no_recursion():
     """Words longer than the recursion limit reduce as in the oracle."""
