@@ -32,6 +32,11 @@ class CategoryStructure:
     is a list of matrices (vec dicts per basis index) generating the group
     action; for abelian diagonal braidings the action is encoded in the
     labels and action_gens stays None.
+
+    Labels are also interned as small ints: label_table[k] is the label of
+    id k, label_ids[i] the id of labels[i] and unit_id that of label_unit.
+    The tuple-state graphs of B key on the ids, so hashing a state costs
+    the same whatever the labels are made of.
     """
 
     def __init__(self, labels, label_mul, label_unit, action_gens=None):
@@ -39,6 +44,22 @@ class CategoryStructure:
         self.label_mul = label_mul
         self.label_unit = label_unit
         self.action_gens = action_gens
+        self.label_table = []
+        self._ids = {}
+        self.unit_id = self.label_id(label_unit)
+        self.label_ids = [self.label_id(lab) for lab in self.labels]
+
+    def label_id(self, label):
+        """The id of label, interned on first sight."""
+        k = self._ids.get(label)
+        if k is None:
+            k = self._ids[label] = len(self.label_table)
+            self.label_table.append(label)
+        return k
+
+    def mul_ids(self, a, b):
+        """The id of label_mul of the labels of ids a and b."""
+        return self.label_id(self.label_mul(self.label_table[a], self.label_table[b]))
 
 
 class GradedBialgebraData:
@@ -87,28 +108,32 @@ class GradedBialgebraData:
 
     # -- positive tuples ----------------------------------------------------
     # The state of a tuple is its degree (0 for every tuple if not graded) and
-    # its label, the product of its legs' labels under label_mul (None without
-    # a category). The graph of states is built once per length.
+    # the id of its label, the product of its legs' labels under label_mul
+    # (None without a category). The graph of states is built once per
+    # length; labels are folded only while it is built, once per pair of ids.
 
     def _walk(self, n, graded):
         """(kind per positive index, [{(state, kind): next state}] per leg, end states)."""
         key = (n, graded, self.category)
         if key not in self._walks:
             cat = self.category
-            kind = {i: (self.degrees[i] * graded, cat and cat.labels[i]) for i in self.positive()}
-            steps, reach = [], {(0, cat and cat.label_unit)}
+            kind = {i: (self.degrees[i] * graded, cat and cat.label_ids[i]) for i in self.positive()}
+            kinds, steps, reach = set(kind.values()), [], {(0, cat and cat.unit_id)}
+            prod = {}  # label-id products, each folded once per graph
             for _ in range(n):
+                for pair in {(st[1], k[1]) for st in reach for k in kinds}.difference(prod):
+                    prod[pair] = cat and cat.mul_ids(*pair)
                 steps.append({
-                    (st, k): (st[0] + k[0], cat and cat.label_mul(st[1], k[1]))
+                    (st, k): (st[0] + k[0], prod[st[1], k[1]])
                     for st in reach
-                    for k in set(kind.values())
+                    for k in kinds
                 })
                 reach = set(steps[-1].values())
             self._walks[key] = kind, steps, reach
         return self._walks[key]
 
     def tuple_states(self, n, graded=True):
-        """The (degree, label) states of the positive n-tuples."""
+        """The (degree, label id) states of the positive n-tuples."""
         return self._walk(n, graded)[2]
 
     def tuples(self, n, wanted, graded=True):
@@ -396,13 +421,17 @@ def biideal_witness(B, relations):
     memo = {}
 
     def delta(word):
-        if word in B.index:
-            return B.coprod(B.index[word])
-        hit = memo.get(word)
-        if hit is None:
-            hit = memo[word] = {}
-            for x, c in letters[word[-1]].items():
-                row_axpy(hit, c, B.times_primitive(delta(word[:-1]), x))
+        # a loop, not a recursion: a closure that calls itself is a reference
+        # cycle, which would keep B alive after return until the cyclic GC
+        k = len(word)
+        while word[:k] not in B.index and word[:k] not in memo:
+            k -= 1
+        hit = B.coprod(B.index[word[:k]]) if word[:k] in B.index else memo[word[:k]]
+        for j in range(k, len(word)):
+            nxt = memo[word[: j + 1]] = {}
+            for x, c in letters[word[j]].items():
+                row_axpy(nxt, c, B.times_primitive(hit, x))
+            hit = nxt
         return hit
 
     for rel in relations:

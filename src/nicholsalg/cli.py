@@ -371,11 +371,20 @@ def cmd_selfcheck(args):
     results = {}
     ok_all = True
 
-    braid = {}
+    # each shipped space is built once; build_fk_space checks the braid
+    # equation itself and raises RuntimeError where it fails
+    braid, spaces = {}, {}
     for name in shipped_config_names():
         cfg = load_shipped(name)
-        V = cfg.space() if cfg.kind == "diagonal" else build_fk_space(cfg.n)
-        ok, bad = check_braid_equation(V)
+        if cfg.kind == "diagonal":
+            V = cfg.space()
+            ok = check_braid_equation(V)[0]
+        else:
+            try:
+                V, ok = build_fk_space(cfg.n), True
+            except RuntimeError:
+                V, ok = None, False
+        spaces[name] = cfg, V
         braid[name] = ok
         ok_all = ok_all and ok
     results["braid_equation"] = braid
@@ -392,22 +401,17 @@ def cmd_selfcheck(args):
         ok, w = total_square_check(B)
         square[name] = ok
         ok_all = ok_all and ok
-    Bfk, _ = fk_bialgebra(3)
-    ok, w = total_square_check(Bfk, entries=6)
+    Vfk = spaces["fk3"][1]
+    ok = Vfk is not None and total_square_check(fk_bialgebra(3, V=Vfk)[0], entries=6)[0]
     square["fk3"] = ok
     ok_all = ok_all and ok
     results["total_differential_squares_to_zero"] = square
 
     biideal = {}
-    for name in shipped_config_names():
-        cfg = load_shipped(name)
-        if cfg.kind == "fk":
-            if cfg.n > 3:
-                continue  # budget: skip the larger symmetric groups
-            V = build_fk_space(cfg.n)
-        else:
-            V = cfg.space()
-        ok, w = nichols_ideal_biideal_check(V)
+    for name, (cfg, V) in spaces.items():
+        if cfg.kind == "fk" and cfg.n > 3:
+            continue  # budget: skip the larger symmetric groups
+        ok = V is not None and nichols_ideal_biideal_check(V)[0]
         biideal[name] = ok
         ok_all = ok_all and ok
     results["nichols_ideal_biideal"] = biideal

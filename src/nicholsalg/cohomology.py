@@ -23,6 +23,11 @@ of the rows left unread; otherwise every row is eliminated, as a full rank
 would. One routine, _h2, does this for truncated_H2 (the face d) and for
 the augmentation-cocycle cohomology H2_eps (the face dh), which is compared
 with Hom(M, U) for M the kernel of multiplication on B+ (x)_B B+.
+kernel_M spans the relations W of the balanced tensor product from the
+letter-middle relations x.v (x) y - x (x) v.y alone: B is generated in
+degree 1, so for a basis word a'v the relation with middle a'v is the
+letter-middle one at (x.a', v, y) plus the one with middle a' at
+(x, a', v.y), and induction on the degree of the middle gives the rest.
 """
 
 import random
@@ -290,21 +295,30 @@ def epsilon_H2(B):
 def kernel_M(B):
     """M = ker(B+ (x)_B B+ -> B+) degreewise, from structure constants.
 
+    M_d = K_d / W_d: K_d is the kernel of multiplication on the degree-d
+    part of B+ (x) B+, one nullspace per label, and W_d is spanned by the
+    relations x.v (x) y - x (x) v.y with v a letter (a degree-1 basis
+    element). These span all of W_d, the relations with any positive middle
+    a, because B is generated in degree 1: e_a = e_a'.v for a basis word
+    a = a'v, and x.(a'v) (x) y - x (x) (a'v).y is the letter-middle relation
+    at (x.a', v, y) plus the relation with the shorter middle a' at
+    (x, a', v.y); induction on deg a.
+
     Returns {"dims": {degree: dim}, "blocks": per-degree data}. The
     completion that built B counts the same dims from the relations, as
     B.rs.minimal.
     """
-    max_degree = 2 * B.top_degree
+    letters = B.tuples_of_degree(1, 1)
     dims = {}
     blocks = {}
-    for d in range(2, max_degree + 1):
+    for d in range(2, 2 * B.top_degree + 1):
         by_label = {}
         for pair, (_, lab) in B.tuples(2, [st for st in B.tuple_states(2) if st[0] == d]):
             by_label.setdefault(lab, []).append(pair)
         if not by_label:
             dims[d] = 0
             continue
-        kvecs = []  # (vec over pairs, free pair, label)
+        kvecs = []  # (vec over pairs, free pair, label id)
         for lab, plist in by_label.items():
             rows = {}
             for (i, j) in plist:
@@ -313,14 +327,15 @@ def kernel_M(B):
             for free, vec in nullspace(rows.values(), plist):
                 kvecs.append((vec, free, lab))
         wrows = []
-        for x, a, y in B.tuples_of_degree(3, d):
-            row = {}
-            for j, c in B.mult(x, a).items():
-                add_term(row, (j, y), c)
-            for j, c in B.mult(a, y).items():
-                add_term(row, (x, j), -c)
-            if row:
-                wrows.append(row)
+        for x, y in B.tuples_of_degree(2, d - 1):
+            for (v,) in letters:
+                row = {}
+                for j, c in B.mult(x, v).items():
+                    add_term(row, (j, y), c)
+                for j, c in B.mult(v, y).items():
+                    add_term(row, (x, j), -c)
+                if row:
+                    wrows.append(row)
         dims[d] = len(kvecs) - sparse_rank(wrows)
         blocks[d] = {"K": kvecs, "W": wrows}
     return {"dims": dims, "blocks": blocks}
@@ -337,11 +352,9 @@ def hom_M_dim(B, mdata):
         free_index = {free: a for a, (vec, free, lab) in enumerate(kvecs)}
 
         def coords(pair_vec):
-            return {
-                free_index[f]: pair_vec[f]
-                for f in free_index
-                if f in pair_vec and pair_vec[f]
-            }
+            """Coordinates in the K basis of a vector of K: its entries at
+            the free pairs, each basis vector having a 1 at its own."""
+            return {free_index[f]: c for f, c in pair_vec.items() if f in free_index}
 
         action_rows = []
         if cat and cat.action_gens:
@@ -358,7 +371,7 @@ def hom_M_dim(B, mdata):
         rows = []
         if cat:
             for a, (vec, free, lab) in enumerate(kvecs):
-                if lab != cat.label_unit:
+                if lab != cat.unit_id:
                     rows.append({a: 1})
         for w in blk["W"]:
             row = coords(w)

@@ -109,15 +109,17 @@ def group_degree_of(group_degrees, element):
     return degs.pop()
 
 
-def fk_bialgebra(n, max_degree=5):
-    """The finite quadratic algebra as a bialgebra with its Sym(n) category.
+def fk_bialgebra(n, max_degree=5, V=None):
+    """The finite quadratic algebra as a bialgebra with its Sym(n) category,
+    over V = build_fk_space(n), built here unless given.
 
     The basis enumeration needs the completed rewriting system past twice
     the top degree; this is cheap for n = 3 and n = 4 (degree 13, dim 576).
     The n = 3 limit of the command line lies in `cli._finite_bialgebra`,
     because the cohomology on the n = 4 bialgebra is far dearer.
     """
-    V = build_fk_space(n)
+    if V is None:
+        V = build_fk_space(n)
     rels = fk_relations(n)
     B = from_nichols(V, rels, max_degree)
     pairs = transpositions(n)

@@ -176,6 +176,41 @@ def test_fk_checks_the_braid_equation_once(capsys, monkeypatch):
     assert rep["results"]["routes_agree"] and rep["results"]["rigidity"] == "Rigid"
 
 
+def test_selfcheck_checks_each_shipped_space_once(capsys, monkeypatch):
+    calls = []
+    check = fk.check_braid_equation
+
+    def counting(V):
+        calls.append(V.rank)
+        return check(V)
+
+    monkeypatch.setattr(fk, "check_braid_equation", counting)
+    monkeypatch.setattr(cli, "check_braid_equation", counting)
+    code, rep, _ = run_json(capsys, "selfcheck")
+    assert code == 0 and rep["results"]["all_green"]
+    names = shipped_config_names()
+    assert len(calls) == len(names)
+    ranks = [load_shipped(name).space().rank for name in names if not name.startswith("fk")]
+    assert sorted(calls) == sorted(ranks + [3, 6])  # fk3 and fk4 once each
+
+
+def test_selfcheck_reports_a_failed_fk_space(capsys, monkeypatch):
+    build = cli.build_fk_space
+
+    def failing(n):
+        if n == 4:
+            raise RuntimeError("braid equation fails at (0, 1, 2)")
+        return build(n)
+
+    monkeypatch.setattr(cli, "build_fk_space", failing)
+    code, rep, _ = run_json(capsys, "selfcheck")
+    results = rep["results"]
+    assert code == 1 and not results["all_green"]
+    assert results["braid_equation"]["fk4"] is False
+    assert all(ok for name, ok in results["braid_equation"].items() if name != "fk4")
+    assert all(results["nichols_ideal_biideal"].values())
+
+
 def test_seed_only_where_read():
     # selfcheck runs its randomized checks at the fixed seed 0
     sub = next(a for a in build_parser()._actions if a.dest == "command")

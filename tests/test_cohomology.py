@@ -1,6 +1,8 @@
 """Bicomplex cohomology of finite graded braided bialgebras."""
 
+import gc
 import random
+import weakref
 from argparse import Namespace
 from itertools import product
 
@@ -40,7 +42,7 @@ from cocycle_helpers import (
     solve_cocycles,
 )
 from cohomology_oracle import tuple_label
-from kernel_m_oracle import kernel_m_from_words
+from kernel_m_oracle import all_middle_rows, kernel_m_from_words
 
 
 def line(N):
@@ -322,6 +324,64 @@ def _finite(name):
     B, warnings = _finite_bialgebra(load_shipped(name), Namespace(max_degree=None))
     assert B is not None, warnings
     return B
+
+
+@pytest.mark.parametrize("name", FINITE_CONFIGS)
+def test_letter_middle_relations_span_W(monkeypatch, name):
+    """kernel_M spans W_d from the relations with a letter in the middle,
+    never enumerating triples; they have the rank of the relations with
+    every positive middle, and each of those reduces to zero against them."""
+    B = _finite(name)
+    lengths = []
+    tuples_of_degree = B.tuples_of_degree
+
+    def spying(n, d):
+        lengths.append(n)
+        return tuples_of_degree(n, d)
+
+    with monkeypatch.context() as m:
+        m.setattr(B, "tuples_of_degree", spying)
+        blocks = kernel_M(B)["blocks"]
+    assert lengths and 3 not in lengths
+    for d in range(2, 2 * B.top_degree + 1):
+        ech = Echelon()
+        for row in blocks[d]["W"] if d in blocks else ():
+            ech.add(row)
+        every = all_middle_rows(B, d)
+        assert ech.rank == sparse_rank(every), d
+        assert all(ech.contains(row) for row in every), d
+
+
+@pytest.mark.parametrize("name", ["a2_super", "fk3"])
+def test_tuple_states_decode_to_tuple_labels(name):
+    """The state graphs key labels by interned ids; each id decodes through
+    the category's table to the label of its tuple."""
+    B = _finite(name)
+    cat = B.category
+    for graded in (True, False):
+        for n in (1, 2, 3):
+            seen = B.tuples(n, B.tuple_states(n, graded), graded)
+            assert len(seen) == len(B.positive()) ** n
+            for t, (d, lab) in seen:
+                assert type(lab) is int
+                assert cat.label_table[lab] == tuple_label(cat, t), t
+                assert d == (sum(B.degree(i) for i in t) if graded else 0)
+
+
+@pytest.mark.parametrize("name", ["a2_super", "fk3"])
+def test_bialgebra_freed_with_its_last_reference(name):
+    """No reference cycle holds B, so a command's bialgebra and its memo
+    tables are freed when it returns, not at some later cyclic collection."""
+    gc.disable()
+    try:
+        B = _finite(name)
+        hom_M_dim(B, kernel_M(B))
+        truncated_H2(B, -1)
+        ref = weakref.ref(B)
+        del B
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _full_rank_Z(B, ell):
