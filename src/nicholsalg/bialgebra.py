@@ -21,7 +21,15 @@ from itertools import accumulate, product
 from .braided import braid_word_blocks, compose_perm, group_degree
 from .linalg import add_term, row_axpy
 from .rewriting import rewrite_dims
-from .tensoralg import NicholsDegree, braided_coproduct, ideal_component
+
+
+class NotFinite(ValueError):
+    """T(V)/(relations) is not shown finite within the degree budget."""
+
+
+class NotABialgebra(ValueError):
+    """T(V)/(relations) is no braided bialgebra: the braiding does not
+    descend through a relation, or the relation span is not a coideal."""
 
 
 class CategoryStructure:
@@ -448,17 +456,18 @@ def biideal_witness(B, relations):
 def from_nichols(V, relations, max_degree):
     """Finite graded bialgebra T(V)/(relations), basis and structure constants.
 
-    Raises if the braiding does not descend through a relation, if the
-    quotient is not visibly finite within max_degree or if the relation
-    span fails the coideal test (witness attached).
+    Raises NotABialgebra if the braiding does not descend through a
+    relation or if the relation span fails the coideal test (witness
+    attached), and NotFinite if the quotient is not visibly finite within
+    max_degree.
     """
     relations = list(relations)
     for rel in relations:
         if not braiding_descends(V, rel):
-            raise ValueError(f"braiding does not descend through relation {rel}")
+            raise NotABialgebra(f"braiding does not descend through relation {rel}")
     dims, rs = rewrite_dims(V.rank, relations, max_degree)
     if dims[-1] != 0:
-        raise ValueError(
+        raise NotFinite(
             f"quotient not finite within degree {max_degree}: dims {dims}"
         )
     top = max(d for d, n in enumerate(dims) if n)
@@ -482,7 +491,7 @@ def from_nichols(V, relations, max_degree):
     B = GradedBialgebraData(V, rs, basis)
     bad = biideal_witness(B, relations)
     if bad is not None:
-        raise ValueError(f"relation span is not a coideal: witness {bad}")
+        raise NotABialgebra(f"relation span is not a coideal: witness {bad}")
     return B
 
 
@@ -535,32 +544,3 @@ def attach_group_category(B, generators):
     unit = tuple(range(len(V.group_degrees[0])))
     B.category = CategoryStructure(labels, compose_perm, unit, action_gens)
     return B.category
-
-
-def nichols_ideal_biideal_check(V):
-    """Coproduct closure of the symmetrizer-kernel ideal in low degrees.
-
-    For each degree d <= 4 and each kernel basis element r, checks that
-    every middle component of the braided coproduct of r lies in
-    I (x) T + T (x) I, that is, that project_a (x) project_b kills it: the
-    kernel of NicholsDegree.project in degree a is I_a. Returns (True, None)
-    or (False, (d, (a, b))). One chain of NicholsDegree layers serves both
-    the kernels and the projections.
-    """
-    layers = [NicholsDegree(V)]
-    for _ in range(3):
-        layers.append(NicholsDegree(V, layers[-1]))
-    for d in range(2, 5):
-        for r in ideal_component(V, d, layers[d - 1]):
-            by_split = {}
-            for (u, v), c in braided_coproduct(V, r).items():
-                if u and v:
-                    image = by_split.setdefault((len(u), len(v)), {})
-                    pv = layers[len(v)].project(v)
-                    for pu, cu in layers[len(u)].project(u).items():
-                        for key, cv in pv.items():
-                            add_term(image, (pu, key), c * cu * cv)
-            for split, image in by_split.items():
-                if image:
-                    return False, (d, split)
-    return True, None

@@ -30,10 +30,6 @@ letter-middle one at (x.a', v, y) plus the one with middle a' at
 (x, a', v.y), and induction on the degree of the middle gives the rest.
 """
 
-import random
-from fractions import Fraction
-
-from .cyclo import rational
 from .linalg import Echelon, add_term, nullspace, row_axpy, sparse_rank
 
 
@@ -42,7 +38,7 @@ from .linalg import Echelon, add_term, nullspace, row_axpy, sparse_rank
 # A cochain (B+)^p -> (B+)^q is stored on its entries (s, t): s a p-tuple and t
 # a q-tuple of basis indices. dh and dc below carry the signs of their own
 # alternating face sums; the sign (-1)^p of dc in d is added only by _signed,
-# in d_apply and tot_differential. Each of dh and dc is a sparse matrix over
+# in d_apply. Each of dh and dc is a sparse matrix over
 # entries, given as a stream of (output entry, input entry, coeff) built from
 # the input entries it is handed; with none it yields nothing and touches no
 # structure table. For an input (s', t):
@@ -232,51 +228,6 @@ def truncated_H2(B, ell):
     """
     pairs = map_unknowns(B, 2, 1, ell) + map_unknowns(B, 1, 2, ell)
     return _h2(B, pairs, map_unknowns(B, 1, 1, ell), d_apply)
-
-
-# -- total differential selfcheck -------------------------------------------
-
-
-def tot_differential(B, F):
-    """d F = dh F + dc _signed(F) for a cochain F = {entry (s, t): coeff}."""
-    out = {}
-    for key, inp, c in _dh_entries(B, F):
-        add_term(out, key, F[inp] * c)
-    signed = _signed(F)
-    for key, inp, c in _dc_entries(B, signed):
-        add_term(out, key, signed[inp] * c)
-    return out
-
-
-def random_cochain(B, p, q, rng, entries=12):
-    """Random morphism cochain: a combination of up to entries shuffled basis vectors.
-
-    The total differential squares to zero only on morphisms of the category
-    (naturality of the braiding enters the crossed outer-face identities),
-    so random tests must sample from the morphism space.
-    """
-    keys = map_unknowns(B, p, q)
-    basis = [vec for _, vec in nullspace(equivariance_rows(B, keys), keys)]
-    rng.shuffle(basis)
-    out = {}
-    for vec in basis[:entries]:
-        c = rational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-        for key, v in vec.items():
-            add_term(out, key, v * c)
-    return out
-
-
-def total_square_check(B, seed=0, entries=12):
-    """d(d(x)) = 0 for random cochains x at p+q = 2 and 3: (True, None) or (False, (p, q))."""
-    rng = random.Random(seed)
-    low = random_cochain(B, 1, 1, rng, entries)
-    high = {**random_cochain(B, 2, 1, rng, entries), **random_cochain(B, 1, 2, rng, entries)}
-    for F in (low, high):
-        twice = tot_differential(B, tot_differential(B, F))
-        if twice:
-            s, t = next(iter(twice))
-            return False, (len(s), len(t))
-    return True, None
 
 
 # -- epsilon cohomology and Hom(M, U) ---------------------------------------

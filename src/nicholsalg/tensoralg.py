@@ -1,4 +1,4 @@
-"""Tensor algebra elements, Nichols algebras degree by degree, Nichols ideal.
+"""Tensor algebra elements and Nichols algebras degree by degree.
 
 An element of T(V) is a linalg sparse vector {word: coeff}: basis words
 (tuples of basis indices) mapped to non-zero scalars, int or Fraction over Q
@@ -12,10 +12,10 @@ degree costs an echelon of dim B^(n-1) * theta rows, not the quantum
 symmetrizer on all theta^n words.
 """
 
-from itertools import permutations, product
+from itertools import permutations
 
-from .braided import apply_braiding_word, braid_word_blocks
-from .linalg import Echelon, add_term, nullspace
+from .braided import braid_word_blocks
+from .linalg import Echelon, add_term
 
 
 def monomial(word):
@@ -48,30 +48,6 @@ def braided_commutator(V, a, b):
             coeff, nv, nu = braid_word_blocks(V, u, v)
             add_term(out, nv + nu, -(coeff * cu * cv))
     return out
-
-
-def _word_blocks(V, degree):
-    """Partition basis words of the given degree into symmetrizer-invariant
-    blocks (connected components of the braid-group action)."""
-    theta = V.rank
-    seen = set()
-    blocks = []
-    for start in product(range(theta), repeat=degree):
-        if start in seen:
-            continue
-        block = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            w = stack.pop()
-            block.append(w)
-            for pos in range(degree - 1):
-                _, nw = apply_braiding_word(V, w, pos)
-                if nw not in seen:
-                    seen.add(nw)
-                    stack.append(nw)
-        blocks.append(block)
-    return blocks
 
 
 class NicholsDegree:
@@ -150,51 +126,6 @@ def nichols_dims(V, max_degree):
         layer = NicholsDegree(V, layer)
         dims.append(len(layer.basis))
     return dims
-
-
-def ideal_component(V, degree, prev=None):
-    """Basis of ker S_degree as elements of T(V); prev, if given, is the
-    NicholsDegree of degree - 1 in a chain the caller already holds."""
-    if degree <= 1:
-        return []
-    blocks = _word_blocks(V, degree)
-    if prev is None:
-        prev = NicholsDegree(V)
-        for _ in range(degree - 1):
-            prev = NicholsDegree(V, prev)
-    basis = []
-    for block in blocks:
-        # equations indexed by image coordinate: sum_w E[key][w] x_w = 0
-        mat = {}
-        for w in block:
-            for key, c in embed(V, prev, w).items():
-                mat.setdefault(key, {})[w] = c
-        for _, vec in nullspace(list(mat.values()), block):
-            basis.append(vec)
-    return basis
-
-
-def braided_coproduct(V, element):
-    """Coproduct of T(V) with primitive generators, as {(u, v): coeff}.
-
-    Computed by folding letters through the braided-bialgebra rule
-    Delta(ab) = Delta(a) Delta(b) with (a (x) b)(s (x) t) = a c(b (x) s) t.
-    """
-    out = {}
-    for w, c in element.items():
-        terms = {((), ()): 1}
-        for letter in w:
-            nxt = {}
-            for (u, v), coeff in terms.items():
-                # times (x_letter (x) 1): crosses v over the letter
-                cb, nl, nv = braid_word_blocks(V, v, (letter,))
-                add_term(nxt, (u + nl, nv), coeff * cb)
-                # times (1 (x) x_letter): no crossing
-                add_term(nxt, (u, v + (letter,)), coeff)
-            terms = nxt
-        for key, coeff in terms.items():
-            add_term(out, key, coeff * c)
-    return out
 
 
 def root_vector_word(V, alpha):

@@ -4,12 +4,20 @@ The package computes B^n through the embedding B^n -> B^(n-1) (x) V. This
 module keeps the direct route: the quantum symmetrizer S_n on every basis
 word of V^(x)n, via Matsumoto lifts of permutations. It is exponential in
 the degree, so tests use it at small degrees only.
+
+It also holds the Nichols ideal as elements of T(V), the nullspace of the
+package's embedding on each braid-orbit block of words (ideal_component),
+the coproduct of T(V) with primitive generators (braided_coproduct), and
+the theorem that the ideal is a coideal through degree 4
+(nichols_ideal_biideal_check).
 """
 
-from nicholsalg.braided import apply_braiding_word
+from itertools import product
+
+from nicholsalg.braided import apply_braiding_word, braid_word_blocks
 from nicholsalg.cyclo import one
 from nicholsalg.linalg import Echelon, add_term, nullspace, row_axpy
-from nicholsalg.tensoralg import _word_blocks, degree
+from nicholsalg.tensoralg import NicholsDegree, degree, embed
 
 
 def symmetrizer_image_word(V, word, _cache=None):
@@ -96,3 +104,101 @@ def dense_ideal_component(V, degree):
         for _, vec in nullspace(list(mat.values()), block):
             basis.append(vec)
     return basis
+
+
+def _word_blocks(V, degree):
+    """Partition basis words of the given degree into symmetrizer-invariant
+    blocks (connected components of the braid-group action)."""
+    theta = V.rank
+    seen = set()
+    blocks = []
+    for start in product(range(theta), repeat=degree):
+        if start in seen:
+            continue
+        block = []
+        stack = [start]
+        seen.add(start)
+        while stack:
+            w = stack.pop()
+            block.append(w)
+            for pos in range(degree - 1):
+                _, nw = apply_braiding_word(V, w, pos)
+                if nw not in seen:
+                    seen.add(nw)
+                    stack.append(nw)
+        blocks.append(block)
+    return blocks
+
+
+def ideal_component(V, degree, prev=None):
+    """Basis of ker S_degree as elements of T(V); prev, if given, is the
+    NicholsDegree of degree - 1 in a chain the caller already holds."""
+    if degree <= 1:
+        return []
+    blocks = _word_blocks(V, degree)
+    if prev is None:
+        prev = NicholsDegree(V)
+        for _ in range(degree - 1):
+            prev = NicholsDegree(V, prev)
+    basis = []
+    for block in blocks:
+        # equations indexed by image coordinate: sum_w E[key][w] x_w = 0
+        mat = {}
+        for w in block:
+            for key, c in embed(V, prev, w).items():
+                mat.setdefault(key, {})[w] = c
+        for _, vec in nullspace(list(mat.values()), block):
+            basis.append(vec)
+    return basis
+
+
+def braided_coproduct(V, element):
+    """Coproduct of T(V) with primitive generators, as {(u, v): coeff}.
+
+    Computed by folding letters through the braided-bialgebra rule
+    Delta(ab) = Delta(a) Delta(b) with (a (x) b)(s (x) t) = a c(b (x) s) t.
+    """
+    out = {}
+    for w, c in element.items():
+        terms = {((), ()): 1}
+        for letter in w:
+            nxt = {}
+            for (u, v), coeff in terms.items():
+                # times (x_letter (x) 1): crosses v over the letter
+                cb, nl, nv = braid_word_blocks(V, v, (letter,))
+                add_term(nxt, (u + nl, nv), coeff * cb)
+                # times (1 (x) x_letter): no crossing
+                add_term(nxt, (u, v + (letter,)), coeff)
+            terms = nxt
+        for key, coeff in terms.items():
+            add_term(out, key, coeff * c)
+    return out
+
+
+def nichols_ideal_biideal_check(V):
+    """Coproduct closure of the symmetrizer-kernel ideal in low degrees.
+
+    For each degree d <= 4 and each kernel basis element r, checks that
+    every middle component of the braided coproduct of r lies in
+    I (x) T + T (x) I, that is, that project_a (x) project_b kills it: the
+    kernel of NicholsDegree.project in degree a is I_a. Returns (True, None)
+    or (False, (d, (a, b))). One chain of NicholsDegree layers serves both
+    the kernels and the projections.
+    """
+    layers = [NicholsDegree(V)]
+    for _ in range(3):
+        layers.append(NicholsDegree(V, layers[-1]))
+    for d in range(2, 5):
+        for r in ideal_component(V, d, layers[d - 1]):
+            by_split = {}
+            for (u, v), c in braided_coproduct(V, r).items():
+                if u and v:
+                    image = by_split.setdefault((len(u), len(v)), {})
+                    pv = layers[len(v)].project(v)
+                    for pu, cu in layers[len(u)].project(u).items():
+                        for key, cv in pv.items():
+                            add_term(image, (pu, key), c * cu * cv)
+            for split, image in by_split.items():
+                if image:
+                    return False, (d, split)
+    return True, None

@@ -5,7 +5,7 @@ from argparse import Namespace
 
 import pytest
 
-from nicholsalg import cli, fk, tensoralg
+from nicholsalg import cli, cohomology, fk, tensoralg
 from nicholsalg.cli import _finite_bialgebra, build_parser, main
 from nicholsalg.configs import load_shipped, parse_bicharacter, shipped_config_names
 from nicholsalg.cyclo import parse_cyc
@@ -192,6 +192,11 @@ def test_selfcheck_checks_each_shipped_space_once(capsys, monkeypatch):
     assert len(calls) == len(names)
     ranks = [load_shipped(name).space().rank for name in names if not name.startswith("fk")]
     assert sorted(calls) == sorted(ranks + [3, 6])  # fk3 and fk4 once each
+    # d∘d is checked on every degree-ell morphism h: B+ -> B+, at every ell
+    assert all(rep["results"]["total_differential_squares_to_zero"].values())
+    assert rep["results"]["d_squared_h_entries"] == {
+        "rank1_m1": 1, "rank1_zeta3": 2, "rank1_zeta4": 3, "fk3": 21,
+    }
 
 
 def test_selfcheck_reports_a_failed_fk_space(capsys, monkeypatch):
@@ -208,11 +213,58 @@ def test_selfcheck_reports_a_failed_fk_space(capsys, monkeypatch):
     assert code == 1 and not results["all_green"]
     assert results["braid_equation"]["fk4"] is False
     assert all(ok for name, ok in results["braid_equation"].items() if name != "fk4")
-    assert all(results["nichols_ideal_biideal"].values())
+
+
+def test_selfcheck_catches_one_corrupted_face_entry(capsys, monkeypatch):
+    # fk3, basis index 11 its top-degree element: the inner Hochschild face
+    # of the (1, 1) entry 11 -> 11 at the entry (1, 10) -> 11 gets a wrong
+    # coefficient; no other entry of any config changes
+    dh_entries = cohomology._dh_entries
+    hits = []
+
+    def corrupted(B, keys):
+        for out, inp, c in dh_entries(B, keys):
+            if B.dims() == [1, 3, 4, 3, 1] and (out, inp) == (((1, 10), (11,)), ((11,), (11,))):
+                hits.append(c)
+                c = c + 1
+            yield out, inp, c
+
+    monkeypatch.setattr(cohomology, "_dh_entries", corrupted)
+    code, out, err = run(capsys, "selfcheck", "--json")
+    results = json.loads(out)["results"]
+    assert hits and code == 1 and not err
+    assert results["total_differential_squares_to_zero"] == {
+        "rank1_m1": True, "rank1_zeta3": True, "rank1_zeta4": True, "fk3": False,
+    }
+    assert not results["all_green"]
+
+
+# x^2 - x: the braiding does not descend; x^2 on x^3 = 0: Delta(x^2) keeps
+# (1 + q) x (x) x, so the relation span is not a coideal
+@pytest.mark.parametrize(
+    "relation, message",
+    [
+        ({(0, 0): 1, (0,): -1}, "braiding does not descend through relation"),
+        ({(0, 0): 1}, "relation span is not a coideal"),
+    ],
+    ids=["not_descending", "not_coideal"],
+)
+@pytest.mark.parametrize("command", ["cohomology", "epsilon"])
+def test_failed_bialgebra_identity_is_an_error(capsys, monkeypatch, command, relation, message):
+    catalog = cli._catalog_elements
+
+    def with_relation(cfg, V):
+        elems, warnings = catalog(cfg, V)
+        return elems + [relation], warnings
+
+    monkeypatch.setattr(cli, "_catalog_elements", with_relation)
+    code, out, err = run(capsys, command, "--config", "rank1_zeta3", "--json")
+    assert code == 1 and not out
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_seed_only_where_read():
-    # selfcheck runs its randomized checks at the fixed seed 0
+    # selfcheck draws nothing at random: its checks are exact
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     with_seed = {
         name for name, p in sub.choices.items()

@@ -11,26 +11,27 @@ from nicholsalg.cohomology import d_apply, dc_apply, dh_apply, equivariance_rows
 from nicholsalg.linalg import Echelon
 from test_cohomology import FINITE_CONFIGS, _finite
 
-# the (p, q) slices whose entries truncated_H2 hands to d; total_square_check
-# also applies d to the p + q = 4 slices of the first d of its p + q = 3 cochain
+# the (p, q) slices whose entries truncated_H2 hands to d; the d∘d test of
+# test_cohomology also applies d to the p + q = 4 slices of d of its
+# p + q = 3 entries
 H2_SLICES = [(2, 1), (1, 2), (1, 1)]
-TOT_SLICES = [(3, 1), (2, 2), (1, 3)]
-# all degrees at once: epsilon_H2's slices, then the slices of the random
-# cochains that total_square_check draws
+D_SQUARED_SLICES = [(3, 1), (2, 2), (1, 3)]
+# all degrees at once: epsilon_H2's slices, then truncated_H2's slices with
+# every degree in one system
 EPSILON_SLICES = [(2, 0), (1, 0)]
-RANDOM_SLICES = [(1, 1), (2, 1), (1, 2)]
+UNGRADED_SLICES = [(1, 1), (2, 1), (1, 2)]
 
 
 def _slices(B):
     """(ell, p, q) over every ell of the negative sweep, then ungraded. On
     the quotients of dim at most 12 also ell 0, the p + q = 4 slices and the
-    random cochains' slices: elsewhere the oracle would walk every positive
+    ungraded H2 slices: elsewhere the oracle would walk every positive
     4-tuple, or build the coactions of all 1,225 pairs of b2."""
     small = B.dim <= 12
     out = []
     for ell in range(-2 * B.top_degree, 1 if small else 0):
-        out += [(ell, p, q) for p, q in H2_SLICES + (TOT_SLICES if small else [])]
-    return out + [(None, p, q) for p, q in EPSILON_SLICES + (RANDOM_SLICES if small else [])]
+        out += [(ell, p, q) for p, q in H2_SLICES + (D_SQUARED_SLICES if small else [])]
+    return out + [(None, p, q) for p, q in EPSILON_SLICES + (UNGRADED_SLICES if small else [])]
 
 
 def _frozen(row):

@@ -2,7 +2,7 @@
 
 from nicholsalg.braided import apply_braiding_word, check_braid_equation, compose_perm
 from nicholsalg.cyclo import one
-from nicholsalg.tensoralg import ideal_component, nichols_dims
+from nicholsalg.tensoralg import nichols_dims
 from nicholsalg.fk import (
     _perm_of,
     build_fk_space,
@@ -14,6 +14,7 @@ from nicholsalg.fk import (
     group_degree_of,
     transpositions,
 )
+from symmetrizer_oracle import ideal_component
 
 
 def test_chi_rule():

@@ -16,15 +16,15 @@ from nicholsalg.relations import _xw
 from nicholsalg.tensoralg import (
     NicholsDegree,
     braided_commutator,
-    braided_coproduct,
     embed,
-    ideal_component,
     monomial,
     nichols_dims,
 )
 from symmetrizer_oracle import (
+    braided_coproduct,
     dense_ideal_component,
     dense_nichols_dims,
+    ideal_component,
     is_in_nichols_ideal,
     matsumoto_symmetrizer,
     symmetrizer_rank,

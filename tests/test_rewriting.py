@@ -71,7 +71,7 @@ def test_serre_presentation_matches_symmetrizer(q11, q12, q22):
     Rewriting by low-degree ideal generators can only overshoot the
     symmetrizer dims, never undershoot.
     """
-    from nicholsalg.tensoralg import ideal_component
+    from symmetrizer_oracle import ideal_component
 
     V = build_diagonal([[q11, q12], [one(), q22]])
     rels = ideal_component(V, 2) + ideal_component(V, 3)
