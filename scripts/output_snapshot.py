@@ -44,9 +44,11 @@ UNDEFINED_CARTAN = {"rank": 2, "q_values": [["2", "3"], ["1", "-1"]]}
 # [[zeta3, zeta3], [1, zeta3]] has the affine Cartan matrix [[2, -2], [-2, 2]]:
 # its walk never closes and stops at the bound of 1000 * object_cap states
 AFFINE = {"rank": 2, "cyclotomic_order": 3, "q_exponents": [[1, 1], [0, 1]]}
+# entries of three conductors (2, 3 and 4), all read into Q(zeta_12)
+MIXED = {"rank": 2, "cyclotomic_order": 12, "q_values": [["-1", "zeta3"], ["zeta4", "-1"]]}
 
 
-def commands(bicharacter_path, undefined_path, affine_path):
+def commands(bicharacter_path, undefined_path, affine_path, mixed_path):
     """(file name, CLI arguments) for every command in the snapshot."""
     out = []
     for cfg in DIAGONAL:
@@ -59,6 +61,8 @@ def commands(bicharacter_path, undefined_path, affine_path):
     for cmd in ("diagram", "roots", "relations", "rigidity", "rewrite"):
         out.append((f"{cmd}-undefined_cartan", [cmd, "--config", undefined_path]))
     out.append(("roots-affine", ["roots", "--config", affine_path]))
+    for cmd in ("diagram", "roots", "rewrite"):
+        out.append((f"{cmd}-mixed_conductors", [cmd, "--config", mixed_path]))
     for cfg in COHOMOLOGY + ["a2_cartan_zeta3", "b2"]:
         out.append((f"cohomology-{cfg}", ["cohomology", "--config", cfg]))
     for cfg in COHOMOLOGY + ["a2_cartan_zeta3", "b2"]:
@@ -112,7 +116,9 @@ def main(argv=None):
         undefined.write_text(json.dumps(UNDEFINED_CARTAN))
         affine = Path(tmp) / "affine.json"
         affine.write_text(json.dumps(AFFINE))
-        for name, cmd in commands(str(beta), str(undefined), str(affine)):
+        mixed = Path(tmp) / "mixed_conductors.json"
+        mixed.write_text(json.dumps(MIXED))
+        for name, cmd in commands(str(beta), str(undefined), str(affine), str(mixed)):
             proc = subprocess.run(
                 [sys.executable, "-m", "nicholsalg", *cmd, "--json"],
                 env=env, capture_output=True, text=True,

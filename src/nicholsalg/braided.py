@@ -12,9 +12,10 @@ group-type space.
 """
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional
 
-from .cyclo import CycNumber, cyc_order, one, rational
+from .cyclo import CycNumber, cyc_order
 
 DEFAULT_CARTAN_CAP = 50
 
@@ -46,17 +47,25 @@ class BraidedSpace:
 
 
 def build_diagonal(qmatrix):
-    """Braided space with c(x_i (x) x_j) = q_ij x_j (x) x_i."""
+    """Braided space with c(x_i (x) x_j) = q_ij x_j (x) x_i.
+
+    Entries may be int, Fraction or CycNumber. All are lifted once into
+    Q(zeta_N), N the lcm of the entries' conductors (1 if every entry is
+    rational), so the space, and what is computed from it, lies in one field.
+    """
     theta = len(qmatrix)
+    if any(len(row) != theta for row in qmatrix):
+        raise ValueError("q-matrix must be square")
+    N = lcm(*(q.n for row in qmatrix for q in row if isinstance(q, CycNumber)))
     rows = []
     for i, row in enumerate(qmatrix):
-        if len(row) != theta:
-            raise ValueError("q-matrix must be square")
         ents = []
         for j, q in enumerate(row):
             if not isinstance(q, CycNumber):
-                q = rational(q)
-            if q.is_zero():
+                q = CycNumber.from_powers(N, {0: q})
+            elif q.n != N:
+                q = q.lift(N)
+            if not q:
                 raise ValueError(f"q[{i}][{j}] must be nonzero")
             ents.append(q)
         rows.append(tuple(ents))
@@ -68,7 +77,7 @@ def build_diagonal(qmatrix):
 
 def bichar(values, alpha, beta):
     """prod_{i,j} values_ij^(alpha_i beta_j), skipping zero exponents."""
-    out = one()
+    out = 1
     for i, a in enumerate(alpha):
         if not a:
             continue
@@ -164,10 +173,10 @@ def cartan_integer(V, i, j, cap=DEFAULT_CARTAN_CAP):
         raise ValueError("Cartan integer requires i != j")
     qii = V.q(i, i)
     qt = V.qtilde(i, j)
-    power = one()  # q_ii^n
-    qnum = one()  # (n+1)_{q_ii}
+    power = 1  # q_ii^n
+    qnum = 1  # (n+1)_{q_ii}
     for n in range(cap + 1):
-        if qnum.is_zero() or (one() - power * qt).is_zero():
+        if not qnum or power * qt == 1:
             return -n
         power = power * qii
         qnum = qnum + power
@@ -182,7 +191,7 @@ def dynkin_diagram(V):
     for i in range(theta):
         for j in range(i + 1, theta):
             qt = V.qtilde(i, j)
-            if not qt.is_one():
+            if qt != 1:
                 edges[(i, j)] = qt
     return DynkinDiagram(vertices=vertices, edges=edges)
 

@@ -153,7 +153,7 @@ def scalar_matrix(data, field, order, rank=None):
                 v = parse_cyc(str(e), ambient_order=order)
             except Exception as err:
                 raise ConfigError(f"{field}[{i}][{j}]: {err}") from err
-            if v.is_zero():
+            if not v:
                 raise ConfigError(f"{field}[{i}][{j}] is zero")
             out[-1].append(v)
     return tuple(map(tuple, out))

@@ -3,11 +3,13 @@
 Elements are represented by their canonical form: a polynomial in zeta_n
 reduced modulo the n-th cyclotomic polynomial, stored as integer numerators
 over one positive common denominator in lowest terms (the layout of FLINT's
-fmpq_poly). Equality within one field is equality of that form; the hash is
-shared by equal values of different fields.
+fmpq_poly). Equality is equality of that form.
 
-Where a whole computation is rational, the kernel's scalars are plain int
-and Fraction rather than elements of Q(zeta_1); inverse() takes all three.
+A run computes in one field Q(zeta_N): braided.build_diagonal lifts a
+q-matrix into it once, and lift is the one way between fields, so two
+conductors in one operation or == raise ValueError. Rationals are plain int
+and Fraction: they join any field, a rational CycNumber hashes as the int
+or Fraction it equals, and inverse() takes all three.
 """
 
 from fractions import Fraction
@@ -83,10 +85,11 @@ def _canonical(n, num, den):
     return CycNumber(n, tuple(num), den)
 
 
-def _rational(p, q):
-    """The CycNumber p/q of Q(zeta_1) for integers p and q > 0."""
-    g = gcd(p, q) if q != 1 else 1
-    return CycNumber(1, (p,), q) if g == 1 else CycNumber(1, (p // g,), q // g)
+def _embed(n, r):
+    """The int or Fraction r as an element of Q(zeta_n)."""
+    num = [0] * (len(cyclotomic_poly(n)) - 1)
+    num[0] = r.numerator
+    return CycNumber(n, tuple(num), r.denominator)
 
 
 class CycNumber:
@@ -98,13 +101,12 @@ class CycNumber:
     Instances are never mutated.
     """
 
-    __slots__ = ("n", "num", "den", "_hash")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n, num, den=1):
         self.n = n
         self.num = num
         self.den = den
-        self._hash = None
 
     @property
     def coeffs(self):
@@ -112,14 +114,6 @@ class CycNumber:
         return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- construction -----------------------------------------------------
-
-    @staticmethod
-    def from_rational(r, n=1):
-        if not isinstance(r, int):
-            r = Fraction(r)
-        num = [0] * (len(cyclotomic_poly(n)) - 1)
-        num[0] = r.numerator
-        return CycNumber(n, tuple(num), r.denominator)
 
     @staticmethod
     def from_powers(n, powers):
@@ -142,59 +136,39 @@ class CycNumber:
         return _canonical(m, _reduce(m, poly), self.den)
 
     # -- coercion ---------------------------------------------------------
-    # Operands of one field skip _pair; those of Q(zeta_1) also skip the
-    # coefficient lists. Every other operand goes through _pair.
 
     def _pair(self, other):
-        if other.__class__ is CycNumber and other.n == self.n:
-            return self, other
+        """other in the field of self: an int or Fraction joins it, a
+        CycNumber of another conductor raises ValueError, and any other
+        type gives None."""
+        if isinstance(other, CycNumber):
+            if other.n != self.n:
+                raise ValueError(
+                    f"cannot mix Q(zeta_{self.n}) and Q(zeta_{other.n}); lift both into one field"
+                )
+            return other
         if isinstance(other, (int, Fraction)):
-            other = CycNumber.from_rational(other, self.n)
-        elif not isinstance(other, CycNumber):
-            return None, None
-        if self.n == other.n:
-            return self, other
-        m = self.n * other.n // gcd(self.n, other.n)
-        return self.lift(m), other.lift(m)
+            return _embed(self.n, other)
+        return None
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if other.__class__ is CycNumber and other.n == self.n:
-            a, b = self, other
-            if a.n == 1:
-                p, q, r, s = a.num[0], a.den, b.num[0], b.den
-                return _rational(p + r, q) if q == s else _rational(p * s + r * q, q * s)
-        else:
-            a, b = self._pair(other)
-            if a is None:
-                return NotImplemented
-        if a.den == b.den:
-            return _canonical(a.n, [x + y for x, y in zip(a.num, b.num)], a.den)
-        da, db = a.den, b.den
-        return _canonical(a.n, [x * db + y * da for x, y in zip(a.num, b.num)], da * db)
+        b = other if other.__class__ is CycNumber and other.n == self.n else self._pair(other)
+        if b is None:
+            return NotImplemented
+        if self.den == b.den:
+            return _canonical(self.n, [x + y for x, y in zip(self.num, b.num)], self.den)
+        da, db = self.den, b.den
+        return _canonical(self.n, [x * db + y * da for x, y in zip(self.num, b.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.n == 1:
-            return CycNumber(1, (-self.num[0],), self.den)
         return CycNumber(self.n, tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other):
-        if other.__class__ is CycNumber and other.n == self.n:
-            a, b = self, other
-            if a.n == 1:
-                p, q, r, s = a.num[0], a.den, b.num[0], b.den
-                return _rational(p - r, q) if q == s else _rational(p * s - r * q, q * s)
-        else:
-            a, b = self._pair(other)
-            if a is None:
-                return NotImplemented
-        if a.den == b.den:
-            return _canonical(a.n, [x - y for x, y in zip(a.num, b.num)], a.den)
-        da, db = a.den, b.den
-        return _canonical(a.n, [x * db - y * da for x, y in zip(a.num, b.num)], da * db)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -203,8 +177,6 @@ class CycNumber:
         """self * p/q for p/q in lowest terms, q > 0; a factor of exactly 1 returns self."""
         if p == q:
             return self
-        if self.n == 1:
-            return _rational(self.num[0] * p, self.den * q)
         return _canonical(self.n, [x * p for x in self.num], self.den * q)
 
     def __mul__(self, other):
@@ -214,30 +186,25 @@ class CycNumber:
             if isinstance(other, Fraction):
                 return self._scaled(other.numerator, other.denominator)
             return NotImplemented
-        # a factor from Q(zeta_1) scales the other one in its own field;
-        # when both are rational, a left factor of 1 still returns other
-        if self.n == 1 and (other.n != 1 or self.num[0] == self.den):
-            return other._scaled(self.num[0], self.den)
-        if other.n == 1:
-            return self._scaled(other.num[0], other.den)
-        a, b = (self, other) if other.n == self.n else self._pair(other)
+        if other.n != self.n:
+            self._pair(other)  # raises: another conductor
         # integer convolution, then reduction mod Phi_n
-        y = b.num
+        y = other.num
         prod = [0] * (2 * len(y) - 1)
-        for i, x in enumerate(a.num):
+        for i, x in enumerate(self.num):
             if x:
                 for k, c in enumerate(y, i):
                     if c:
                         prod[k] += x * c
-        return _canonical(a.n, _reduce(a.n, prod), a.den * b.den)
+        return _canonical(self.n, _reduce(self.n, prod), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
         n, p = self.n, self.num[0]
-        if self.is_rational():
+        if not any(self.num[1:]):
             return CycNumber(n, (self.den if p > 0 else -self.den,) + self.num[1:], abs(p))
         # x^-1 = N(x)^-1 * prod_{k != 1} sigma_k(x) over Gal(Q(zeta_n)/Q),
         # where sigma_k sends zeta_n to zeta_n^k for k coprime to n
@@ -250,29 +217,22 @@ class CycNumber:
                 conj = _canonical(n, _reduce(n, poly), self.den)
                 rest = conj if rest is None else rest * conj
         norm = self * rest
-        if not norm.is_rational() or norm.is_zero():
+        if any(norm.num[1:]) or not norm:
             raise RuntimeError("Galois norm must be a nonzero rational")
         p = norm.num[0]
         return rest._scaled(norm.den if p > 0 else -norm.den, abs(p))
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * Fraction(1, Fraction(other))
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return a * b.inverse()
+        return self * inverse(other)
 
     def __rtruediv__(self, other):
-        return CycNumber.from_rational(other, self.n) / self
+        return self.inverse() * other
 
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
         if k == 0:
-            return CycNumber.from_rational(1, self.n)
+            return _embed(self.n, 1)
         # square-and-multiply with no product by 1 and no square past the top bit
         result, base = None, self
         while True:
@@ -285,15 +245,6 @@ class CycNumber:
 
     # -- predicates -------------------------------------------------------
 
-    def is_zero(self):
-        return not self.num[0] if self.n == 1 else not any(self.num)
-
-    def is_one(self):
-        return self.den == 1 and self.num[0] == 1 and self.is_rational()
-
-    def is_rational(self):
-        return not any(self.num[1:])
-
     def __bool__(self):
         return any(self.num)
 
@@ -303,29 +254,18 @@ class CycNumber:
         if isinstance(other, (int, Fraction)):
             return (
                 self.num[0] == other.numerator and self.den == other.denominator
-                and self.is_rational()
+                and not any(self.num[1:])
             )
-        if not isinstance(other, CycNumber):
-            return NotImplemented
-        a, b = self._pair(other)
-        return a.num == b.num and a.den == b.den
+        if isinstance(other, CycNumber):
+            self._pair(other)  # raises: another conductor
+        return NotImplemented
 
     def __hash__(self):
-        # The normalised trace Tr(x) / [Q(zeta_n):Q] does not change under
-        # lift, and equals x itself on a rational x. zeta_n^k has order
-        # m = n / gcd(n, k); its conjugates are the roots of Phi_m, whose sum
-        # mu(m) is minus the coefficient below the leading one, and the trace
-        # over Q(zeta_n) counts them d / deg Phi_m times, d = deg Phi_n.
-        if self._hash is None:
-            n, num = self.n, self.num
-            d = len(num)
-            trace = 0
-            for k, c in enumerate(num):
-                if c:
-                    phi = cyclotomic_poly(n // gcd(n, k))
-                    trace -= phi[-2] * c * (d // (len(phi) - 1))
-            self._hash = hash(Fraction(trace, d * self.den))
-        return self._hash
+        # a rational value hashes as the int or Fraction it equals
+        num, den = self.num, self.den
+        if any(num[1:]):
+            return hash((self.n, num, den))
+        return hash(num[0] if den == 1 else Fraction(num[0], den))
 
     def __repr__(self):
         return f"CycNumber({format_cyc(self)!r})"
@@ -338,14 +278,6 @@ def zeta(n, exponent=1):
     if n < 1:
         raise ValueError("cyclotomic order must be >= 1")
     return CycNumber.from_powers(n, {exponent % n: 1})
-
-
-def one(n=1):
-    return CycNumber.from_rational(1, n)
-
-
-def rational(r, n=1):
-    return CycNumber.from_rational(r, n)
 
 
 def inverse(x):
@@ -367,11 +299,11 @@ def cyc_order(z):
     Roots of unity in Q(zeta_n) all lie in the group generated by -1 and
     zeta_n, so the order divides lcm(2, n); only divisors are checked.
     """
-    if z.is_zero():
+    if not z:
         raise ZeroDivisionError("order of zero is undefined")
     bound = z.n if z.n % 2 == 0 else 2 * z.n
     for cand in sorted(d for d in range(1, bound + 1) if bound % d == 0):
-        if (z ** cand).is_one():
+        if z ** cand == 1:
             return cand
     return None
 
@@ -379,15 +311,17 @@ def cyc_order(z):
 # -- text form ------------------------------------------------------------
 
 def format_cyc(z):
-    """Canonical text form, e.g. '1/2 + 3*zeta12^2 - zeta12^5'."""
+    """Canonical text form, e.g. '1/2 + 3*zeta12^2 - zeta12^5'; an int or
+    Fraction prints as the CycNumber of the same value does."""
+    n, coeffs = (z.n, z.coeffs) if isinstance(z, CycNumber) else (1, (Fraction(z),))
     terms = []
-    for k, c in enumerate(z.coeffs):
+    for k, c in enumerate(coeffs):
         if c == 0:
             continue
         if k == 0:
             terms.append((c, str(abs(c))))
             continue
-        base = f"zeta{z.n}" if k == 1 else f"zeta{z.n}^{k}"
+        base = f"zeta{n}" if k == 1 else f"zeta{n}^{k}"
         mag = abs(c)
         terms.append((c, base if mag == 1 else f"{mag}*{base}"))
     if not terms:
@@ -405,36 +339,36 @@ def parse_cyc(text, ambient_order=None):
     """Parse the text form produced by format_cyc, plus bare rationals.
 
     Accepts sums of terms 'r', 'r*zeta{n}^{k}', 'zeta{n}^{k}', 'zeta{n}',
-    each optionally signed. If ambient_order is given the result is lifted
-    into Q(zeta_ambient_order).
+    each optionally signed. Every term is built in Q(zeta_ambient_order),
+    or without an ambient order in Q(zeta_m), m the lcm of the terms'
+    orders; a term whose order does not divide the ambient order raises
+    ValueError.
     """
     text = text.strip()
     if not text:
         raise ValueError("empty cyclotomic literal")
-    tokens = text.replace("- ", "-").replace("+ ", "+").split()
-    total = None
-    for tok in tokens:
+    terms = []  # (n, k, coeff) for coeff * zeta_n^k
+    for tok in text.replace("- ", "-").replace("+ ", "+").split():
         sign = 1
         if tok.startswith("+"):
             tok = tok[1:]
         elif tok.startswith("-"):
             sign, tok = -1, tok[1:]
-        if "zeta" in tok:
-            if "*" in tok:
-                coeff_txt, zpart = tok.split("*", 1)
-                coeff = Fraction(coeff_txt)
-            else:
-                coeff, zpart = Fraction(1), tok
-            body = zpart[4:]
-            if "^" in body:
-                n_txt, k_txt = body.split("^", 1)
-                n, k = int(n_txt), int(k_txt)
-            else:
-                n, k = int(body), 1
-            term = CycNumber.from_powers(n, {k: sign * coeff})
+        if "zeta" not in tok:
+            terms.append((1, 0, sign * Fraction(tok)))
+            continue
+        if "*" in tok:
+            coeff_txt, zpart = tok.split("*", 1)
+            coeff = Fraction(coeff_txt)
         else:
-            term = CycNumber.from_rational(sign * Fraction(tok))
-        total = term if total is None else total + term
-    if ambient_order is not None:
-        total = total.lift(ambient_order)
-    return total
+            coeff, zpart = Fraction(1), tok
+        body = zpart[4:]
+        n_txt, k_txt = body.split("^", 1) if "^" in body else (body, "1")
+        terms.append((int(n_txt), int(k_txt), sign * coeff))
+    m = lcm(*(n for n, _, _ in terms)) if ambient_order is None else ambient_order
+    powers = {}
+    for n, k, c in terms:
+        if m % n:
+            raise ValueError(f"cannot embed Q(zeta_{n}) into Q(zeta_{m})")
+        powers[k * (m // n)] = powers.get(k * (m // n), 0) + c
+    return CycNumber.from_powers(m, powers)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .bialgebra import check_associativity
 from .braided import bichar, build_diagonal
-from .cyclo import one, rational
+from .cyclo import inverse
 from .linalg import Echelon, add_term, row_axpy
 from .tensoralg import nichols_dims
 
@@ -34,25 +34,27 @@ class AbelianBicharacter:
             if ni == 0:
                 continue
             for j in range(self.n):
-                if not (self.values[i][j] ** ni - one()).is_zero():
+                if self.values[i][j] ** ni != 1:
                     raise ValueError(f"beta(a{i},a{j}) not well defined mod order {ni}")
-                if not (self.values[j][i] ** ni - one()).is_zero():
+                if self.values[j][i] ** ni != 1:
                     raise ValueError(f"beta(a{j},a{i}) not well defined mod order {ni}")
         if skew:
-            for i in range(self.n):
-                for j in range(self.n):
-                    p = self.values[i][j] * self.values[j][i]
-                    if not (p - one()).is_zero():
-                        raise ValueError(f"not skew-symmetric at ({i},{j})")
+            _check_symmetric(lambda i, j: values[i][j], self.n, "not skew-symmetric at ({i},{j})")
 
     def __call__(self, a, b):
         return bichar(self.values, a, b)
 
     def is_sign(self):
-        mone = -one()
-        return all(
-            v == one() or v == mone for row in self.values for v in row
-        )
+        return all(v == 1 or v == -1 for row in self.values for v in row)
+
+
+def _check_symmetric(q, n, message):
+    """Raise ValueError(message) at the first (i, j) with q(i, j) q(j, i) != 1;
+    message may name i and j as format fields."""
+    for i in range(n):
+        for j in range(n):
+            if q(i, j) * q(j, i) != 1:
+                raise ValueError(message.format(i=i, j=j))
 
 
 def scheunert_cocycle(beta):
@@ -66,25 +68,21 @@ def scheunert_cocycle(beta):
     sigma(g,h)sigma(gh,k) = sigma(h,k)sigma(g,hk) holds by construction.
     """
     n = beta.n
-    mone = -one()
     diag = [beta.values[i][i] for i in range(n)]
     for i, d in enumerate(diag):
-        if d != one() and d != mone:
+        if d != 1 and d != -1:
             raise ValueError(f"beta(a{i},a{i}) = {d} is not a sign")
-    for i in range(n):
-        for j in range(n):
-            p = beta.values[i][j] * beta.values[j][i]
-            if not (p - one()).is_zero():
-                raise ValueError("beta is not skew-symmetric")
-    sig = [[one() for _ in range(n)] for _ in range(n)]
+    _check_symmetric(lambda i, j: beta.values[i][j], n, "beta is not skew-symmetric")
+    sig = [[1] * n for _ in range(n)]
     for j in range(n):
         for k in range(j + 1, n):
-            eps = mone if diag[j] == mone and diag[k] == mone else one()
-            sig[k][j] = beta.values[j][k] * eps.inverse()
+            # eps = -1 exactly when both generators are odd; it is its own inverse
+            eps = -1 if diag[j] == -1 and diag[k] == -1 else 1
+            sig[k][j] = beta.values[j][k] * eps
     sigma = AbelianBicharacter(sig, beta.orders)
     bs = [
         [
-            sigma.values[j][i].inverse() * beta.values[i][j] * sigma.values[i][j]
+            inverse(sigma.values[j][i]) * beta.values[i][j] * sigma.values[i][j]
             for j in range(n)
         ]
         for i in range(n)
@@ -153,10 +151,7 @@ def check_braided_lie(L):
     {axiom: (ok, witness)}.
     """
     n = L.dim
-    for i in range(n):
-        for j in range(n):
-            if not (L.q(i, j) * L.q(j, i) - one()).is_zero():
-                raise ValueError(f"braiding not symmetric at ({i},{j})")
+    _check_symmetric(L.q, n, "braiding not symmetric at ({i},{j})")
     report = {}
 
     witness = None
@@ -166,7 +161,7 @@ def check_braided_lie(L):
                 x + y for x, y in zip(L.degrees[i], L.degrees[j])
             )
             for k, c in L.bra(i, j).items():
-                if L.degrees[k] != want and not c.is_zero():
+                if L.degrees[k] != want and c:
                     witness = (i, j, k)
     report["compat"] = (witness is None, witness)
 
@@ -190,7 +185,7 @@ def check_braided_lie(L):
         for j in range(n):
             for k in range(n):
                 acc = {}
-                triple, coeff = (i, j, k), one()
+                triple, coeff = (i, j, k), 1
                 for _ in range(3):
                     a, b, c3 = triple
                     for m, cm in L.bra(a, b).items():
@@ -213,10 +208,7 @@ def braided_commutator(A, beta):
     """
     n = A.dim
     q = lambda i, j: beta(A.degrees[i], A.degrees[j])
-    for i in range(n):
-        for j in range(n):
-            if not (q(i, j) * q(j, i) - one()).is_zero():
-                raise ValueError(f"braiding not symmetric at ({i},{j})")
+    _check_symmetric(q, n, "braiding not symmetric at ({i},{j})")
     ok, bad = check_associativity(n, lambda i, j: A.mult.get((i, j), {}))
     if not ok:
         raise ValueError(f"not associative at {bad}")
@@ -253,7 +245,7 @@ def enveloping_dims(L, max_degree):
     rels = []
     for i in range(n):
         for j in range(n):
-            row = {(i, j): one()}
+            row = {(i, j): 1}
             add_term(row, (j, i), -L.q(i, j))
             for k, c in L.bra(i, j).items():
                 add_term(row, (k,), -c)
@@ -303,38 +295,37 @@ def enveloping_dims(L, max_degree):
 
 def heisenberg_flip():
     """3-dim Heisenberg Lie algebra x, y, z with [x, y] = z, flip braiding."""
-    beta = AbelianBicharacter([[one()]])
+    beta = AbelianBicharacter([[1]])
     degs = ((0,), (0,), (0,))
-    bracket = {(0, 1): {2: one()}, (1, 0): {2: -one()}}
+    bracket = {(0, 1): {2: 1}, (1, 0): {2: -1}}
     return BraidedLieData(degs, beta, bracket, ("x", "y", "z"))
 
 
 def superline():
     """1-dim odd space with zero bracket and q = -1."""
-    beta = AbelianBicharacter([[-one()]])
+    beta = AbelianBicharacter([[-1]])
     return BraidedLieData(((1,),), beta, {}, ("x",))
 
 
 def color_pair():
     """x odd of degree e1, y = [x, x] of degree 2 e1, over Z with beta(1,1) = -1."""
-    beta = AbelianBicharacter([[-one()]])
+    beta = AbelianBicharacter([[-1]])
     degs = ((1,), (2,))
-    bracket = {(0, 0): {1: one()}}
+    bracket = {(0, 0): {1: 1}}
     return BraidedLieData(degs, beta, bracket, ("x", "y"))
 
 
 def sl2_flip(scale=None):
     """sl2 with flip braiding; optional asymmetric scaling to break axioms."""
-    beta = AbelianBicharacter([[one()]])
+    beta = AbelianBicharacter([[1]])
     degs = ((0,), (0,), (0,))
-    two = rational(2)
     bracket = {
-        (0, 1): {2: one()},  # [e, f] = h
-        (1, 0): {2: -one()},
-        (2, 0): {0: two},  # [h, e] = 2e
-        (0, 2): {0: -two},
-        (2, 1): {1: -two},  # [h, f] = -2f
-        (1, 2): {1: two},
+        (0, 1): {2: 1},  # [e, f] = h
+        (1, 0): {2: -1},
+        (2, 0): {0: 2},  # [h, e] = 2e
+        (0, 2): {0: -2},
+        (2, 1): {1: -2},  # [h, f] = -2f
+        (1, 2): {1: 2},
     }
     if scale is not None:
         bracket[(0, 1)] = {2: scale}
@@ -348,12 +339,10 @@ def color_triple(q):
     beta(e2, e1) = 1/q. The bracket constants follow from anticommutativity
     and the Jacobi identity for this grading.
     """
-    beta = AbelianBicharacter(
-        [[-one(), q], [q.inverse(), -one()]], skew=True
-    )
+    beta = AbelianBicharacter([[-1, q], [inverse(q), -1]], skew=True)
     degs = ((1, 0), (0, 1), (1, 1))
     bracket = {
-        (0, 1): {2: one()},
-        (1, 0): {2: -q.inverse()},
+        (0, 1): {2: 1},
+        (1, 0): {2: -inverse(q)},
     }
     return BraidedLieData(degs, beta, bracket, ("x", "y", "z"))

@@ -11,8 +11,9 @@ rows that meet it.
 Scalars are used only through the number protocol (+, -, *, ==, and truth
 value as the zero test), so their type decides the arithmetic: Q is int,
 with Fraction only where a non-unit pivot forces it, and Q(zeta_N) is
-cyclo.CycNumber. The one field-dependent step, the inverse of a pivot, is
-cyclo.inverse.
+cyclo.CycNumber of the run's one conductor N, beside which int and Fraction
+entries join the field. The one field-dependent step, the inverse of a
+pivot, is cyclo.inverse.
 """
 
 from .cyclo import inverse

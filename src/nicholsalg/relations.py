@@ -18,7 +18,7 @@ from itertools import combinations, groupby, permutations
 from typing import Optional
 
 from .braided import bichar
-from .cyclo import cyc_order, one
+from .cyclo import cyc_order, inverse
 from .linalg import row_axpy
 from .tensoralg import braided_commutator, concat, monomial, root_vector_word
 
@@ -56,7 +56,7 @@ class Realization:
         return tuple(bichar(self.qmatrix, _unit(theta, k), exponents) for k in range(theta))
 
     def char_value(self, table, elem):
-        v = one()
+        v = 1
         for k, e in enumerate(elem):
             if e:
                 v = v * table[k] ** e
@@ -70,7 +70,7 @@ def realization(V, order=0):
     if order:
         for i in range(theta):
             for j in range(theta):
-                if not (V.q(i, j) ** order).is_one():
+                if V.q(i, j) ** order != 1:
                     raise ValueError(
                         f"q[{i}][{j}]^{order} != 1: characters not defined on the quotient"
                     )
@@ -138,7 +138,7 @@ def _combo(*terms):
 
 def _two_term(V, w, a, b, coef):
     """[[x_w, x_a]_c, x_b]_c - coef [[x_w, x_b]_c, x_a]_c."""
-    return _combo((one(), _br(V, w, a, b)), (-coef, _br(V, w, b, a)))
+    return _combo((1, _br(V, w, a, b)), (-coef, _br(V, w, b, a)))
 
 
 def _degree(theta, indices, copies):
@@ -153,7 +153,7 @@ def _degree(theta, indices, copies):
 
 
 def _m1(z):
-    return (z + one()).is_zero()
+    return z == -1
 
 
 def _only(holds):
@@ -191,11 +191,11 @@ class _GuardData:
 
 def _nested_c3(d, i, j, k):
     q, t = d.q, d.t
-    if not (_m1(q[j][j]) and t[i][k].is_one()):
+    if not (_m1(q[j][j]) and t[i][k] == 1):
         return None
     qii, tij, tjk = q[i][i], t[i][j], t[j][k]
     return _variant(
-        ("i", _m1(qii) and tij ** 2 == tjk.inverse()),
+        ("i", _m1(qii) and tij ** 2 == inverse(tjk)),
         ("ii", _m1(tij) and qii == -(tjk ** 2) and d.order(qii) == 3),
         ("iii", _m1(q[k][k]) and _m1(tjk) and qii == -tij and d.order(qii) == 3),
         ("iv", tij == qii ** -2 and tjk == -(qii ** 3)),
@@ -204,7 +204,7 @@ def _nested_c3(d, i, j, k):
 
 def _distant(d, i, j, k, l):
     """The four-index families need no edges i-k, i-l, j-l."""
-    return d.t[i][k].is_one() and d.t[i][l].is_one() and d.t[j][l].is_one()
+    return d.t[i][k] == 1 and d.t[i][l] == 1 and d.t[j][l] == 1
 
 
 def _f4_nested_pair(d, i, j, k, l):
@@ -212,21 +212,21 @@ def _f4_nested_pair(d, i, j, k, l):
     p = t[i][j] * t[j][k]
     return _only(
         _distant(d, i, j, k, l) and _m1(q[j][j])
-        and q[l][l] == p ** 2 and t[l][k] == (p ** 2).inverse() and q[k][k] == p ** 2
-        and t[j][k] == (p ** 2).inverse() and t[i][j] == p ** 3 and q[i][i] == (p ** 3).inverse()
+        and q[l][l] == p ** 2 and t[l][k] == inverse(p ** 2) and q[k][k] == p ** 2
+        and t[j][k] == inverse(p ** 2) and t[i][j] == p ** 3 and q[i][i] == inverse(p ** 3)
     )
 
 
 def _f4_two_term(d, i, j, k, l):
     q, t = d.q, d.t
     qii = q[i][i]
-    if not (_distant(d, i, j, k, l) and _m1(q[k][k]) and qii == t[i][j].inverse()):
+    if not (_distant(d, i, j, k, l) and _m1(q[k][k]) and qii == inverse(t[i][j])):
         return None
     qjj = q[j][j]
     return _variant(
         ("i", qii == qjj ** 2 and t[k][l] == qjj ** 3
-         and q[l][l] == (qjj ** 3).inverse() and t[j][k] == qjj.inverse()),
-        ("ii", _m1(qjj) and _m1(t[j][k]) and qii == -q[l][l].inverse() and qii == -t[k][l]),
+         and q[l][l] == inverse(qjj ** 3) and t[j][k] == inverse(qjj)),
+        ("ii", _m1(qjj) and _m1(t[j][k]) and qii == -inverse(q[l][l]) and qii == -t[k][l]),
     )
 
 
@@ -247,10 +247,10 @@ def _tower43(d, i, j):
 
 def _triangle(V, d, i, j, k):
     q, t = d.q, d.t
-    coef1 = (one() - t[j][k]) / (q[k][j] * (one() - t[i][k]))
-    coef2 = q[i][j] * (one() - t[j][k])
+    coef1 = (1 - t[j][k]) / (q[k][j] * (1 - t[i][k]))
+    coef2 = q[i][j] * (1 - t[j][k])
     return _combo(
-        (one(), _br(V, (i, j, k))),
+        (1, _br(V, (i, j, k))),
         (-coef1, _br(V, (i, k), j)),
         (-coef2, concat(_gen(j), _xw(V, (i, k)))),
     )
@@ -258,10 +258,10 @@ def _triangle(V, d, i, j, k):
 
 def _three_term_cube_edge(V, d, i, j, k):
     q = d.q
-    c2 = (one() + q[j][j] ** 2) * q[k][j].inverse()
-    c3 = (one() + q[j][j] ** 2) * (one() + q[j][j]) * q[i][j]
+    c2 = (1 + q[j][j] ** 2) * inverse(q[k][j])
+    c3 = (1 + q[j][j] ** 2) * (1 + q[j][j]) * q[i][j]
     return _combo(
-        (one(), _br(V, i, (j, j, k))),
+        (1, _br(V, i, (j, j, k))),
         (-c2, _br(V, (i, j, k), j)),
         (-c3, concat(_gen(j), _xw(V, (i, j, k)))),
     )
@@ -270,7 +270,7 @@ def _three_term_cube_edge(V, d, i, j, k):
 def _double_edge_sum(V, d, i, j, k):
     q = d.q
     return _combo(
-        (one(), _br(V, i, _br(V, (i, j), (i, k)))),
+        (1, _br(V, i, _br(V, (i, j), (i, k)))),
         (q[j][k] * q[i][k] * q[j][i], _br(V, (i, i, k), (i, j))),
         (q[i][j], concat(_xw(V, (i, j)), _xw(V, (i, i, k)))),
     )
@@ -278,28 +278,28 @@ def _double_edge_sum(V, d, i, j, k):
 
 def _two_vertex_mixed(V, d, i, j):
     q, t = d.q, d.t
-    c1 = (one() - t[i][j]) * q[j][j] * q[j][i]
-    c2 = (one() + q[j][j]) * (one() - q[j][j] * t[i][j])
+    c1 = (1 - t[i][j]) * q[j][j] * q[j][i]
+    c2 = (1 + q[j][j]) * (1 - q[j][j] * t[i][j])
     return _combo((c1, _br(V, i, _br(V, (i, j), j))), (-c2, _power(_xw(V, (i, j)), 2)))
 
 
 def _high_root_serre(V, d, i, j):
     qii, tij = d.q[i][i], d.t[i][j]
-    num = one() - qii * tij - qii ** 2 * tij ** 2 * d.q[j][j]
-    den = (one() - qii * tij) * d.q[j][i]
+    num = 1 - qii * tij - qii ** 2 * tij ** 2 * d.q[j][j]
+    den = (1 - qii * tij) * d.q[j][i]
     return _combo(
-        (one(), _br(V, i, _tower(V, i, j, 2))), (-(num / den), _power(_xw(V, (i, i, j)), 2))
+        (1, _br(V, i, _tower(V, i, j, 2))), (-(num / den), _power(_xw(V, (i, i, j)), 2))
     )
 
 
 def _high_power_square(V, d, i, j):
     z, qii = d.t[i][j], d.q[i][i]
-    a = (one() - z) * (one() - qii ** 4 * z ** 3) - (one() - qii * z) * (one() + qii) * qii * z
-    b = (one() - z) * (one() - qii ** 6 * z ** 5) - a * qii * z
-    num = b - (one() + qii) * (one() - qii * z) * (one() + z + qii * z ** 2) * qii ** 6 * z ** 4
+    a = (1 - z) * (1 - qii ** 4 * z ** 3) - (1 - qii * z) * (1 + qii) * qii * z
+    b = (1 - z) * (1 - qii ** 6 * z ** 5) - a * qii * z
+    num = b - (1 + qii) * (1 - qii * z) * (1 + z + qii * z ** 2) * qii ** 6 * z ** 4
     den = a * qii ** 3 * d.q[i][j] ** 2 * d.q[j][i] ** 3
     return _combo(
-        (one(), _br(V, (i, i, j), _tower(V, i, j, 3))), (-(num / den), _power(_tower(V, i, j, 2), 2))
+        (1, _br(V, (i, i, j), _tower(V, i, j, 3))), (-(num / den), _power(_tower(V, i, j, 2), 2))
     )
 
 
@@ -310,23 +310,23 @@ def _high_power_square(V, d, i, j):
 _FAMILIES = [
     # [x_ijk, x_j]_c with a -1 middle vertex
     ("mid_vertex_bracket", (1, 2, 1), lambda d, i, j, k: _only(
-        _m1(d.q[j][j]) and d.t[i][k].is_one()
-        and (d.t[i][j] * d.t[k][j]).is_one() and not _m1(d.t[i][j])
+        _m1(d.q[j][j]) and d.t[i][k] == 1
+        and d.t[i][j] * d.t[k][j] == 1 and not _m1(d.t[i][j])
     ), lambda V, d, i, j, k: _br(V, (i, j, k), j)),
     # [x_iijk, x_ij]_c
     ("double_i_bracket", (3, 2, 1), lambda d, i, j, k: _only(
         d.order(d.q[i][i]) == 3
         and (d.q[i][i] == d.t[i][j] or d.q[i][i] == -d.t[i][j])
-        and d.t[i][k].is_one()
+        and d.t[i][k] == 1
         and (
-            (_m1(d.q[j][j]) and (d.t[i][j] * d.t[j][k]).is_one())
-            or (d.q[j][j].inverse() == d.t[i][j] and d.t[i][j] == d.t[j][k]
+            (_m1(d.q[j][j]) and d.t[i][j] * d.t[j][k] == 1)
+            or (inverse(d.q[j][j]) == d.t[i][j] and d.t[i][j] == d.t[j][k]
                 and not _m1(d.t[i][j]))
         )
     ), lambda V, d, i, j, k: _br(V, (i, i, j, k), (i, j))),
     # triangle relation: all three edges present
     ("triangle", (1, 1, 1), lambda d, i, j, k: _only(
-        not d.t[i][k].is_one() and not d.t[i][j].is_one() and not d.t[j][k].is_one()
+        d.t[i][k] != 1 and d.t[i][j] != 1 and d.t[j][k] != 1
     ), _triangle),
     # [[x_ij, x_ijk]_c, x_j]_c, four guard variants
     ("nested_c3_bracket", (2, 3, 1), _nested_c3,
@@ -334,64 +334,64 @@ _FAMILIES = [
     # [[x_ij, [x_ij, x_ijk]_c]_c, x_j]_c
     ("nested_g3_bracket", (3, 4, 1), lambda d, i, j, k: _only(
         _m1(d.q[i][i]) and _m1(d.q[j][j])
-        and d.t[i][j] ** 3 == d.t[j][k].inverse() and d.t[i][k].is_one()
+        and d.t[i][j] ** 3 == inverse(d.t[j][k]) and d.t[i][k] == 1
     ), lambda V, d, i, j, k: _br(V, (i, j), _br(V, (i, j), (i, j, k)), j)),
     # [[x_ijk, x_j]_c, x_j]_c at a cube-root middle vertex
     ("double_j_bracket", (1, 3, 1), lambda d, i, j, k: _only(
         d.order(d.q[j][j]) == 3 and d.q[j][j] == d.t[i][j] ** 2
-        and d.q[j][j] == d.t[j][k] and d.t[i][k].is_one()
+        and d.q[j][j] == d.t[j][k] and d.t[i][k] == 1
     ), lambda V, d, i, j, k: _br(V, (i, j, k), j, j)),
     # [[x_iij, x_iijk]_c, x_ij]_c, ninth-root chain
     ("ninth_root_chain", (5, 3, 1), lambda d, i, j, k: _only(
         d.order(d.q[j][j]) == 9 and d.q[k][k] == d.q[j][j]
-        and d.t[i][j] == d.q[j][j].inverse() and d.t[j][k] == d.q[j][j].inverse()
-        and d.t[i][k].is_one() and d.q[i][i] == d.q[k][k] ** 6
+        and d.t[i][j] == inverse(d.q[j][j]) and d.t[j][k] == inverse(d.q[j][j])
+        and d.t[i][k] == 1 and d.q[i][i] == d.q[k][k] ** 6
     ), lambda V, d, i, j, k: _br(V, (i, i, j), (i, i, j, k), (i, j))),
     # two-term ninth-root relation
     ("ninth_root_two_term", (1, 2, 2), lambda d, i, j, k: _only(
-        d.order(d.q[i][i]) == 9 and d.t[i][j] == d.q[i][i].inverse()
-        and d.q[j][j] == d.q[i][i] ** 5 and d.t[j][k] == (d.q[i][i] ** 5).inverse()
-        and d.t[i][k].is_one() and d.q[k][k] == d.q[i][i] ** 6
+        d.order(d.q[i][i]) == 9 and d.t[i][j] == inverse(d.q[i][i])
+        and d.q[j][j] == d.q[i][i] ** 5 and d.t[j][k] == inverse(d.q[i][i] ** 5)
+        and d.t[i][k] == 1 and d.q[k][k] == d.q[i][i] ** 6
     ), lambda V, d, i, j, k: _two_term(
-        V, (i, j, k), j, k, (one() + d.t[j][k]).inverse() * d.q[j][k]
+        V, (i, j, k), j, k, inverse(1 + d.t[j][k]) * d.q[j][k]
     )),
     # [[[x_ijk, x_j]_c, x_j]_c, x_j]_c at a fourth-root middle vertex
     ("triple_j_bracket", (1, 4, 1), lambda d, i, j, k: _only(
         d.order(d.q[j][j]) == 4 and d.q[j][j] == d.t[i][j] ** 3
-        and d.q[j][j] == d.t[j][k] and d.t[i][k].is_one()
+        and d.q[j][j] == d.t[j][k] and d.t[i][k] == 1
     ), lambda V, d, i, j, k: _br(V, (i, j, k), j, j, j)),
     # [x_ij, x_ijk]_c
     ("pair_chain_bracket", (2, 2, 1), lambda d, i, j, k: _only(
-        _m1(d.q[i][i]) and _m1(d.t[i][j]) and d.q[j][j] == d.t[j][k].inverse()
-        and not _m1(d.q[j][j]) and d.t[i][k].is_one()
+        _m1(d.q[i][i]) and _m1(d.t[i][j]) and d.q[j][j] == inverse(d.t[j][k])
+        and not _m1(d.q[j][j]) and d.t[i][k] == 1
     ), lambda V, d, i, j, k: _br(V, (i, j), (i, j, k))),
     # three-term relation with cube-root edge
     ("three_term_cube_edge", (1, 2, 1), lambda d, i, j, k: _only(
-        _m1(d.q[i][i]) and _m1(d.q[k][k]) and d.t[i][k].is_one()
+        _m1(d.q[i][i]) and _m1(d.q[k][k]) and d.t[i][k] == 1
         and d.order(d.t[i][j]) == 3 and d.q[j][j] == -d.t[j][k]
         and (d.q[j][j] == d.t[i][j] or d.q[j][j] == -d.t[i][j])
     ), _three_term_cube_edge),
     # [x_i, [x_ij, x_ik]_c]_c + ... with two double edges at i
     ("double_edge_sum", (3, 1, 1), lambda d, i, j, k: _only(
-        d.t[j][k].is_one() and d.order(d.q[i][i]) == 3
+        d.t[j][k] == 1 and d.order(d.q[i][i]) == 3
         and d.q[i][i] == d.t[i][j] and d.q[i][i] == -d.t[i][k]
     ), _double_edge_sum),
     # [x_iijk, x_ijk]_c
     ("rank3_tail_bracket", (3, 2, 2), lambda d, i, j, k: _only(
         _m1(d.q[j][j]) and _m1(d.q[k][k]) and _m1(d.t[j][k])
-        and d.q[i][i] == -d.t[i][j] and d.order(d.q[i][i]) == 3 and d.t[i][k].is_one()
+        and d.q[i][i] == -d.t[i][j] and d.order(d.q[i][i]) == 3 and d.t[i][k] == 1
     ), lambda V, d, i, j, k: _br(V, (i, i, j, k), (i, j, k))),
     # [[[x_ijkl, x_k]_c, x_j]_c, x_k]_c
     ("chain_c4_bracket", (1, 2, 3, 1), lambda d, i, j, k, l: _only(
         _distant(d, i, j, k, l)
-        and (d.q[j][j] * d.t[i][j]).is_one() and (d.q[j][j] * d.t[j][k]).is_one()
+        and d.q[j][j] * d.t[i][j] == 1 and d.q[j][j] * d.t[j][k] == 1
         and _m1(d.q[k][k])
-        and d.t[j][k] ** 2 == d.t[l][k].inverse() and d.t[j][k] ** 2 == d.q[l][l]
+        and d.t[j][k] ** 2 == inverse(d.t[l][k]) and d.t[j][k] ** 2 == d.q[l][l]
     ), lambda V, d, i, j, k, l: _br(V, (i, j, k, l), k, j, k)),
     # [[x_ijk, [x_ijkl, x_k]_c]_c, x_jk]_c
     ("chain_c4_modified", (2, 3, 4, 1), lambda d, i, j, k, l: _only(
         _distant(d, i, j, k, l)
-        and d.t[j][k] == d.t[i][j] and d.t[i][j] == d.q[j][j].inverse()
+        and d.t[j][k] == d.t[i][j] and d.t[i][j] == inverse(d.q[j][j])
         and d.order(d.q[j][j]) in (4, 6) and _m1(d.q[i][i]) and _m1(d.q[k][k])
         and d.t[j][k] ** 3 == d.t[l][k]
     ), lambda V, d, i, j, k, l: _br(V, (i, j, k), _br(V, (i, j, k, l), k), (j, k))),
@@ -400,7 +400,7 @@ _FAMILIES = [
      lambda V, d, i, j, k, l: _br(V, _br(V, (i, j, k), j), _br(V, (i, j, k, l), j), (j, k))),
     # F4-type two-term relation, two guard variants
     ("f4_two_term", (1, 2, 2, 1), _f4_two_term, lambda V, d, i, j, k, l: _two_term(
-        V, (i, j, k, l), j, k, d.q[j][k] * (d.t[i][j].inverse() - d.q[j][j])
+        V, (i, j, k, l), j, k, d.q[j][k] * (inverse(d.t[i][j]) - d.q[j][j])
     )),
     # [x_iij, x_ij]_c with a sixth-root weighted edge
     ("sixth_root_bracket", (3, 2), lambda d, i, j: _only(
@@ -410,7 +410,7 @@ _FAMILIES = [
     # double Serre-type combination
     ("two_vertex_mixed", (2, 2), lambda d, i, j: _only(
         not _m1(d.q[i][i]) and not _m1(d.q[j][j])
-        and not (d.q[i][i] * d.t[i][j]).is_one() and not (d.q[j][j] * d.t[i][j]).is_one()
+        and d.q[i][i] * d.t[i][j] != 1 and d.q[j][j] * d.t[i][j] != 1
     ), _two_vertex_mixed),
     # [x_i, x_{3a_i+2a_j}]_c - coef x_iij^2
     ("high_root_serre", (4, 2), lambda d, i, j: _only(
@@ -422,8 +422,8 @@ _FAMILIES = [
     # [x_iij, x_{3a_i+2a_j}]_c
     ("bracket_iij_tower32", (5, 3), lambda d, i, j: _only(
         d.is_root((i, j), (3, 2)) and not d.is_root((i, j), (5, 3))
-        and not (d.q[i][i] ** 3 * d.t[i][j]).is_one()
-        and not (d.q[i][i] ** 4 * d.t[i][j]).is_one()
+        and d.q[i][i] ** 3 * d.t[i][j] != 1
+        and d.q[i][i] ** 4 * d.t[i][j] != 1
     ), lambda V, d, i, j: _br(V, (i, i, j), _tower(V, i, j, 2))),
     # vanishing of the degree-(5,4) bracket tower
     ("tower54_vanishes", (5, 4), lambda d, i, j: _only(
@@ -469,7 +469,7 @@ def generate_relations(V, rs):
     # quantum Serre relations (ad_c x_i)^{1-c_ij} x_j
     for i, j in permutations(range(theta), 2):
         cij = d.c[i][j]
-        if not (q[i][i] ** (1 - cij)).is_one():
+        if q[i][i] ** (1 - cij) != 1:
             degree = _degree(theta, (i, j), (1 - cij, 1))
             add("quantum_serre", (i, j), degree,
                 lambda: _xw(V, (i,) * (1 - cij) + (j,)))
@@ -484,7 +484,7 @@ def generate_relations(V, rs):
             continue
         asymmetric = (
             k for k in range(theta)
-            if k not in (i, j) and not ((t[i][k] ** 2).is_one() and (t[j][k] ** 2).is_one())
+            if k not in (i, j) and not (t[i][k] ** 2 == 1 and t[j][k] ** 2 == 1)
         )
         k = next(asymmetric, None)
         if k is not None:

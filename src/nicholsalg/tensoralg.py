@@ -1,8 +1,9 @@
 """Tensor algebra elements and Nichols algebras degree by degree.
 
 An element of T(V) is a linalg sparse vector {word: coeff}: basis words
-(tuples of basis indices) mapped to non-zero scalars, int or Fraction over Q
-and CycNumber over Q(zeta_N), as linalg says. Sums and scalings are
+(tuples of basis indices) mapped to non-zero scalars of the field of V, int
+or Fraction over Q and CycNumber of V's one conductor N (int and Fraction
+join it) over Q(zeta_N), as linalg says. Sums and scalings are
 linalg.row_axpy and row_scale. All braidings in scope are monomial, so
 braid-group lifts act on words one at a time.
 

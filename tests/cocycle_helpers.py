@@ -11,7 +11,6 @@ from itertools import product
 
 from nicholsalg.bialgebra import check_associativity
 from nicholsalg.cohomology import _cocycle_rows, d_apply, map_unknowns
-from nicholsalg.cyclo import rational
 from nicholsalg.linalg import add_term, nullspace, row_axpy
 
 
@@ -119,11 +118,11 @@ class TruncPoly:
 
     @staticmethod
     def const(c, r):
-        return TruncPoly((c,) + (rational(0),) * r)
+        return TruncPoly((c,) + (0,) * r)
 
     @staticmethod
     def tpow(c, k, r):
-        coeffs = [rational(0)] * (r + 1)
+        coeffs = [0] * (r + 1)
         if k <= r:
             coeffs[k] = c
         return TruncPoly(coeffs)
@@ -138,7 +137,7 @@ class TruncPoly:
         if not isinstance(other, TruncPoly):
             return TruncPoly(a * other for a in self.coeffs)
         n = len(self.coeffs)
-        out = [rational(0)] * n
+        out = [0] * n
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -179,14 +178,14 @@ def first_order_deformation(B, pair_vec, r):
     def mult_t(i, j):
         out = {k: TruncPoly.tpow(c, 0, r) for k, c in B.mult(i, j).items()}
         for k, c in fpart.get((i, j), {}).items():
-            cur = out.get(k, TruncPoly.const(rational(0), r))
+            cur = out.get(k, TruncPoly.const(0, r))
             out[k] = cur + TruncPoly.tpow(c, r, r)
         return {k: v for k, v in out.items() if v}
 
     def coprod_t(i):
         out = {p: TruncPoly.tpow(c, 0, r) for p, c in B.coprod(i).items()}
         for p, c in gpart.get(i, {}).items():
-            cur = out.get(p, TruncPoly.const(rational(0), r))
+            cur = out.get(p, TruncPoly.const(0, r))
             out[p] = cur + TruncPoly.tpow(c, r, r)
         return {k: v for k, v in out.items() if v}
 

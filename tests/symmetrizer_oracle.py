@@ -15,7 +15,6 @@ the theorem that the ideal is a coideal through degree 4
 from itertools import product
 
 from nicholsalg.braided import apply_braiding_word, braid_word_blocks
-from nicholsalg.cyclo import one
 from nicholsalg.linalg import Echelon, add_term, nullspace, row_axpy
 from nicholsalg.tensoralg import NicholsDegree, degree, embed
 
@@ -35,14 +34,14 @@ def symmetrizer_image_word(V, word, _cache=None):
 def _symmetrize(V, word, cache):
     n = len(word)
     if n <= 1:
-        return {word: one()}
+        return {word: 1}
     hit = cache.get(word)
     if hit is not None:
         return hit
     out = {}
     # chain k moves the letter at slot k to the last slot (k = n-1: identity)
     for k in range(n):
-        coeff = one()
+        coeff = 1
         w = word
         for pos in range(k, n - 1):
             c, w = apply_braiding_word(V, w, pos)

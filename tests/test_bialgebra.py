@@ -8,7 +8,7 @@ import pytest
 from nicholsalg.braided import build_diagonal
 from nicholsalg.cli import _catalog_elements, _finite_bialgebra
 from nicholsalg.configs import load_shipped, shipped_config_names
-from nicholsalg.cyclo import one, rational, zeta
+from nicholsalg.cyclo import zeta
 from nicholsalg.fk import build_fk_space, fk_bialgebra, fk_relations
 from nicholsalg.tensoralg import NicholsDegree, monomial
 from nicholsalg import bialgebra
@@ -39,11 +39,11 @@ def test_truncated_line_structure():
     assert B.top_degree == 2
     x = B.index[(0,)]
     x2 = B.index[(0, 0)]
-    assert B.mult(x, x) == {x2: one()}
+    assert B.mult(x, x) == {x2: 1}
     assert B.mult(x2, x) == {}
     cop = B.coprod(x2)
-    assert cop[(x, x)] == one() + zeta(3)
-    assert cop[(0, x2)] == one() and cop[(x2, 0)] == one()
+    assert cop[(x, x)] == 1 + zeta(3)
+    assert cop[(0, x2)] == 1 and cop[(x2, 0)] == 1
 
 
 def axioms(B):
@@ -101,19 +101,19 @@ def test_category_labels_multiplicative():
 
 def test_non_coideal_rejected():
     # x^2 - x is not homogeneous-compatible with the coproduct
-    V = build_diagonal([[rational(2)]])
-    rel = {(0, 0): one(), (0,): -one()}
+    V = build_diagonal([[2]])
+    rel = {(0, 0): 1, (0,): -1}
     with pytest.raises(ValueError):
         from_nichols(V, [rel], 4)
 
 
 def test_biideal_witness_reports_leftover():
-    V = build_diagonal([[rational(2)]])
+    V = build_diagonal([[2]])
     rels = [monomial((0, 0))]
     _, rs = rewrite_dims(1, rels, 4)
     B = GradedBialgebraData(V, rs, [[()], [(0,)]])
     # x^2 with q generic: Delta(x^2) has (1+q) x (x) x, not in the ideal
-    leftover = {((0,), (0,)): rational(3)}
+    leftover = {((0,), (0,)): 3}
     assert biideal_witness(B, rels) == (rels[0], leftover)
     assert biideal_witness_oracle(V, rs, rels) == (rels[0], leftover)
 
@@ -179,11 +179,11 @@ def _built(name):
 def braid_tensor(B, left, right):
     """c_{B^a, B^b} on basis tuples: {(right', left'): coeff}."""
     if not left or not right:
-        return {(right, left): one()}
+        return {(right, left): 1}
     out = {}
     if len(left) == 1:
         # cross the single letter over the right block, left to right
-        states = {((), left[0]): one()}
+        states = {((), left[0]): 1}
         for vj in right:
             nxt = {}
             for (pv, x), c in states.items():
@@ -202,7 +202,7 @@ def braid_tensor(B, left, right):
 def mult_tensor(B, t1, t2):
     """Product in the braided tensor-power algebra B^(x)q."""
     if not t1:
-        return {(): one()}
+        return {(): 1}
     out = {}
     for (v1p, urestp), cb in braid_tensor(B, t1[1:], t2[:1]).items():
         for k0, c0 in B.mult(t1[0], v1p[0]).items():
@@ -214,8 +214,8 @@ def mult_tensor(B, t1, t2):
 def iter_coprod(B, i, q):
     """Iterated coproduct Delta^(q): B -> B^(x)q on a basis element."""
     if q == 0:
-        return {(): one()} if i == B.unit else {}
-    out = {(i,): one()}
+        return {(): 1} if i == B.unit else {}
+    out = {(i,): 1}
     for _ in range(q - 1):
         nxt = {}
         for t, c in out.items():
@@ -228,7 +228,7 @@ def iter_coprod(B, i, q):
 def coprod_tensor(B, t):
     """Coproduct of the braided tensor-power coalgebra B^(x)q."""
     if not t:
-        return {((), ()): one()}
+        return {((), ()): 1}
     out = {}
     for (a, b), c0 in B.coprod(t[0]).items():
         for (t1, t2), c1 in coprod_tensor(B, t[1:]).items():
@@ -239,7 +239,7 @@ def coprod_tensor(B, t):
 
 def mprod(B, t):
     """Iterated product of a basis tuple: {index: coeff}."""
-    out = {B.unit: one()}
+    out = {B.unit: 1}
     for i in t:
         nxt = {}
         for j, c in out.items():
@@ -343,9 +343,9 @@ def coprod_oracle(B, i):
     """Delta(e_i) expanded over all 2^n splittings of its word in T(V), each
     leg then reduced to the basis."""
     out = {}
-    for (u, v), c in braided_coproduct(B.V, {B.flat[i]: one()}).items():
-        for iu, cu in B.vec_of({u: one()}).items():
-            for iv, cv in B.vec_of({v: one()}).items():
+    for (u, v), c in braided_coproduct(B.V, {B.flat[i]: 1}).items():
+        for iu, cu in B.vec_of({u: 1}).items():
+            for iv, cv in B.vec_of({v: 1}).items():
                 add_term(out, (iu, iv), c * cu * cv)
     return out
 
@@ -382,8 +382,8 @@ def biideal_witness_oracle(V, rs, relations):
             return rel, "relation does not reduce to zero"
         leftover = {}
         for (u, v), c in braided_coproduct(V, rel).items():
-            for wu, cu in rs.reduce({u: one()}).items():
-                for wv, cv in rs.reduce({v: one()}).items():
+            for wu, cu in rs.reduce({u: 1}).items():
+                for wv, cv in rs.reduce({v: 1}).items():
                     add_term(leftover, (wu, wv), c * cu * cv)
         if leftover:
             return rel, leftover
@@ -416,8 +416,8 @@ def test_coideal_check_matches_expansion(name, max_degree):
 def test_relation_the_braiding_does_not_respect_rejected():
     # c(x1 x2 (x) x1) = q11 q21 x1 (x) x1 x2 = 10 x1 (x) x1 x2, but
     # c(x2 x2 (x) x1) = q21^2 x1 (x) x2 x2 = 25 x1 (x) x2 x2
-    V = build_diagonal([[rational(2), rational(3)], [rational(5), rational(7)]])
-    rel = {(0, 1): one(), (1, 1): -one()}
+    V = build_diagonal([[2, 3], [5, 7]])
+    rel = {(0, 1): 1, (1, 1): -1}
     with pytest.raises(ValueError, match="braiding does not descend"):
         from_nichols(V, [rel], 4)
 
@@ -433,11 +433,11 @@ def test_shipped_relations_respect_the_braiding():
         assert all(bialgebra.braiding_descends(V, r) for r in fk_relations(n)), n
 
 
-@pytest.mark.parametrize("q, leftover", [(-1, None), (2, {((0,), (0,)): rational(3)})])
+@pytest.mark.parametrize("q, leftover", [(-1, None), (2, {((0,), (0,)): 3})])
 def test_coideal_check_through_a_letter_outside_the_basis(q, leftover):
     # x1 = x2 leaves x2 out of the basis, so the fold uses pi(x2) = x1
-    V = build_diagonal([[rational(q)] * 2] * 2)
-    rels = [{(0,): one(), (1,): -one()}, monomial((0, 0))]
+    V = build_diagonal([[q] * 2] * 2)
+    rels = [{(0,): 1, (1,): -1}, monomial((0, 0))]
     _, rs = rewrite_dims(2, rels, 4)
     B = GradedBialgebraData(V, rs, [[()], [(0,)]])
     expected = None if leftover is None else (rels[1], leftover)
@@ -450,14 +450,14 @@ def test_coideal_check_through_a_letter_outside_the_basis(q, leftover):
 def test_coideal_check_through_a_letter_of_two_terms():
     # x3 = x1 + 2 x2 over the exterior algebra on x1, x2 (all q = -1):
     # the fold uses pi(x3) = x1 + 2 x2
-    V = build_diagonal([[rational(-1)] * 3] * 3)
+    V = build_diagonal([[-1] * 3] * 3)
     rels = [
-        {(2,): one(), (0,): -one(), (1,): -rational(2)},
+        {(2,): 1, (0,): -1, (1,): -2},
         monomial((0, 0)),
         monomial((1, 1)),
-        {(0, 1): one(), (1, 0): one()},
+        {(0, 1): 1, (1, 0): 1},
     ]
     B = from_nichols(V, rels, 4)
-    assert B.dims() == [1, 2, 1] and len(B.vec_of({(2,): one()})) == 2
+    assert B.dims() == [1, 2, 1] and len(B.vec_of({(2,): 1})) == 2
     assert biideal_witness(B, rels) is None
     assert biideal_witness_oracle(V, B.rs, rels) is None

@@ -8,7 +8,7 @@ import pytest
 from nicholsalg import cli, cohomology, fk, tensoralg
 from nicholsalg.cli import _finite_bialgebra, build_parser, main
 from nicholsalg.configs import load_shipped, parse_bicharacter, shipped_config_names
-from nicholsalg.cyclo import parse_cyc
+from nicholsalg.cyclo import CycNumber, parse_cyc
 from nicholsalg.liealg import AbelianBicharacter
 from nicholsalg.rewriting import RewriteSystem
 
@@ -90,6 +90,35 @@ def test_malformed_config_names_field(tmp_path, capsys):
         assert code == 1, named
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert named in err
+
+
+def test_entry_outside_the_config_field_is_an_error(tmp_path, capsys):
+    path = tmp_path / "zeta5.json"
+    path.write_text(json.dumps({"rank": 1, "cyclotomic_order": 3, "q_values": [["zeta5"]]}))
+    code, _, err = run(capsys, "diagram", "--config", str(path))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "q_values[0][0]" in err and "zeta_5" in err
+
+
+@pytest.mark.parametrize("argv, conductor", [
+    (["cohomology", "--config", "a2_super", "--ell", "-1"], 6),
+    (["rewrite", "--config", "b2", "--max-degree", "8"], 6),
+    (["pbw", "--example", "color_triple"], 5),
+])
+def test_one_field_per_run(capsys, monkeypatch, argv, conductor):
+    """Every CycNumber a command makes lies in the one field of its input."""
+    seen = set()
+    init = CycNumber.__init__
+
+    def recording(self, n, num, den=1):
+        seen.add(n)
+        init(self, n, num, den)
+
+    monkeypatch.setattr(CycNumber, "__init__", recording)
+    code, _, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert seen == {conductor}
 
 
 def test_config_echo_round_trip(tmp_path, capsys):

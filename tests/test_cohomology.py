@@ -10,7 +10,7 @@ import pytest
 from nicholsalg.braided import build_diagonal
 from nicholsalg.cli import _catalog_elements, _finite_bialgebra
 from nicholsalg.configs import load_shipped
-from nicholsalg.cyclo import one, zeta
+from nicholsalg.cyclo import zeta
 from nicholsalg.tensoralg import monomial
 from nicholsalg.bialgebra import attach_diagonal_category, from_nichols
 from nicholsalg.relations import realization
@@ -259,7 +259,7 @@ def test_non_cocycle_fails_deformation():
     B, _ = line(3)
     x = B.index[(0,)]
     x2 = B.index[(0, 0)]
-    fake = {((x, x), (x2,)): one()}
+    fake = {((x, x), (x2,)): 1}
     _, report = first_order_deformation(B, fake, 1)
     assert not all(ok for ok, _ in report.values())
     assert report["compatibility"] == (False, (1, 1))
@@ -461,8 +461,8 @@ def test_epsilon_cohomology_matches_hom():
 
 
 def test_truncpoly_arithmetic():
-    t = TruncPoly.tpow(one(), 1, 2)
-    u = TruncPoly.const(one(), 2)
+    t = TruncPoly.tpow(1, 1, 2)
+    u = TruncPoly.const(1, 2)
     prod = (u + t) * (u + (-t))
     assert prod == u + (-(t * t))
     assert not (t * t * t)

@@ -13,44 +13,53 @@ from nicholsalg.cyclo import (
     cyclotomic_poly,
     format_cyc,
     inverse,
-    one,
     parse_cyc,
-    rational,
     zeta,
 )
 
 
+def in_field(n, r):
+    """The int or Fraction r as a CycNumber of Q(zeta_n)."""
+    return CycNumber.from_powers(n, {0: r})
+
+
 def test_field_identities():
     z = zeta(12)
-    assert (z ** 12 - one()).is_zero()
-    assert not (z ** 6 - one()).is_zero()
-    assert (z * z.inverse() - one()).is_zero()
-    a = rational(Fraction(3, 7)) + zeta(5, 2)
-    assert ((a * a.inverse()) - one()).is_zero()
+    assert not (z ** 12 - 1)
+    assert z ** 6 - 1
+    assert not (z * inverse(z) - 1)
+    a = Fraction(3, 7) + zeta(5, 2)
+    assert not (a * inverse(a) - 1)
 
 
 def test_minimal_polynomial_collapses():
     # zeta6 satisfies x^2 - x + 1 = 0
     z = zeta(6)
-    assert (z * z - z + one()).is_zero()
+    assert not (z * z - z + 1)
     # zeta4^2 = -1
-    assert (zeta(4) ** 2 + one()).is_zero()
+    assert not (zeta(4) ** 2 + 1)
 
 
 def test_orders():
-    assert cyc_order(one()) == 1
-    assert cyc_order(rational(-1)) == 2
+    assert cyc_order(in_field(1, 1)) == 1
+    assert cyc_order(in_field(1, -1)) == 2
     assert cyc_order(zeta(3)) == 3
     assert cyc_order(zeta(12, 4)) == 3
-    assert cyc_order(rational(2)) is None
+    assert cyc_order(in_field(1, 2)) is None
     assert cyc_order(zeta(4)) == 4
     assert not cyc_order(zeta(4) ** 2) == 4
 
 
 def test_mixed_order_arithmetic():
-    # zeta3 * zeta4 is a primitive 12th root
-    p = zeta(3) * zeta(4)
+    # zeta3 * zeta4 is a primitive 12th root, once both are lifted into Q(zeta_12)
+    p = zeta(3).lift(12) * zeta(4).lift(12)
     assert cyc_order(p) == 12
+    assert p == zeta(12, 7)
+    # two conductors never meet implicitly: the error names both
+    for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b,
+               lambda a, b: a / b, lambda a, b: a == b):
+        with pytest.raises(ValueError, match=r"zeta_3.*zeta_4"):
+            op(zeta(3), zeta(4))
 
 
 def test_parse_format_fixed_points():
@@ -59,17 +68,28 @@ def test_parse_format_fixed_points():
         assert parse_cyc(format_cyc(v)) == v
 
 
+def test_parse_builds_every_term_in_one_field():
+    assert parse_cyc("zeta3 + zeta4") == zeta(12, 4) + zeta(12, 3)
+    assert parse_cyc("-1 + zeta4", ambient_order=12).n == 12
+    assert parse_cyc("zeta6^2", ambient_order=12) == zeta(12, 4)
+    with pytest.raises(ValueError, match=r"zeta_5.*zeta_3"):
+        parse_cyc("zeta5", ambient_order=3)
+
+
+def test_format_of_a_rational_matches_its_cycnumber():
+    for r in (0, 1, -1, 7, Fraction(1, 2), Fraction(-3, 4)):
+        for n in (1, 4, 12):
+            assert format_cyc(r) == format_cyc(in_field(n, r))
+
+
 coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 
 
 @given(st.integers(1, 12), st.lists(coeff, min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_format_parse_roundtrip(n, cs):
-    v = sum(
-        (rational(c) * zeta(n, k) for k, c in enumerate(cs)),
-        rational(0),
-    )
-    assert parse_cyc(format_cyc(v)) == v
+    v = sum((c * zeta(n, k) for k, c in enumerate(cs)), 0)
+    assert parse_cyc(format_cyc(v), ambient_order=v.n) == v
 
 
 @given(st.integers(1, 10), st.integers(0, 9), st.integers(0, 9))
@@ -79,9 +99,9 @@ def test_root_multiplication(n, a, b):
 
 
 def test_unit_factor_returns_the_other_operand():
-    for x in (zeta(3) + rational(Fraction(2, 5)), rational(Fraction(-3, 4))):
-        assert x * one() is x
-        assert one() * x is x
+    for x in (zeta(3) + Fraction(2, 5), in_field(3, Fraction(-3, 4))):
+        assert x * 1 is x
+        assert 1 * x is x
 
 
 cyc_orders = st.sampled_from([3, 4, 5, 6, 8, 12])
@@ -91,15 +111,15 @@ rationals = st.one_of(st.sampled_from([0, 1, -1]), coeff)
 @given(cyc_orders, st.lists(coeff, min_size=1, max_size=12), rationals)
 @settings(max_examples=60, deadline=None)
 def test_rational_factor_matches_lifted_product(n, cs, r):
-    a = sum((rational(c) * zeta(n, k) for k, c in enumerate(cs)), rational(0, n))
-    lifted = a * rational(r).lift(n)
-    for prod in (a * rational(r), rational(r) * a):
+    a = sum((c * zeta(n, k) for k, c in enumerate(cs)), in_field(n, 0))
+    lifted = a * in_field(n, r)
+    for prod in (a * r, r * a):
         assert (prod.n, prod.coeffs) == (lifted.n, lifted.coeffs)
 
 
 def test_zero_inverse_raises():
     with pytest.raises(ZeroDivisionError):
-        rational(0).inverse()
+        in_field(3, 0).inverse()
 
 
 def test_inverse_stays_in_the_field_of_its_argument():
@@ -113,18 +133,24 @@ def test_inverse_stays_in_the_field_of_its_argument():
     ):
         inv = inverse(x)
         assert type(inv) is kind and inv == want and x * inv == 1, x
-    for zero in (0, Fraction(0), rational(0)):
+    for zero in (0, Fraction(0), in_field(3, 0)):
         with pytest.raises(ZeroDivisionError):
             inverse(zero)
 
 
 def test_equal_values_hash_equal_across_conductors():
-    same = [zeta(3), zeta(6) ** 2, parse_cyc("zeta12^4"), zeta(3).lift(12)]
+    """Values from several conductors, lifted into one field, compare and
+    hash alike; a rational value hashes as the int or Fraction it equals."""
+    same = [zeta(3).lift(12), (zeta(6) ** 2).lift(12), parse_cyc("zeta12^4"),
+            parse_cyc("zeta3", ambient_order=12)]
     assert all(v == same[0] for v in same)
     assert len({hash(v) for v in same}) == 1
     assert len(set(same)) == 1
-    assert hash(rational(Fraction(-3, 4)).lift(12)) == hash(Fraction(-3, 4))
-    assert hash(rational(5).lift(9)) == hash(5)
+    for r in (5, -1, 0, Fraction(-3, 4)):
+        for n in (1, 9, 12):
+            assert hash(in_field(n, r)) == hash(r) and in_field(n, r) == r
+    # a category label mixes the int unit with characters of the field
+    assert {(1, zeta(6)): "label"}[(in_field(6, 1), zeta(6))] == "label"
 
 
 def test_cyclotomic_poly_degrees_and_phi_105():
@@ -175,7 +201,7 @@ def assert_canonical(x, n, ref):
     assert all(type(c) is int for c in x.num) and type(x.den) is int
     assert x.den >= 1 and gcd(x.den, *x.num) == 1
     if not any(ref):
-        assert x.den == 1 and x.is_zero()
+        assert x.den == 1 and not x
     assert list(x.coeffs) == ref
 
 
@@ -193,28 +219,14 @@ def elements(draw, n=None):
 
 @st.composite
 def element_pairs(draw):
-    """Two elements: of any two conductors, of one conductor, or both in
-    Q(zeta_1) (where denominators other than 1 are common), a third each."""
+    """Two elements: of any two conductors (lifted to their lcm before they
+    meet), of one conductor, or both in Q(zeta_1) (where denominators other
+    than 1 are common), a third each."""
     kind = draw(st.sampled_from(["mixed", "same", "rational"]))
     if kind == "mixed":
         return draw(elements()), draw(elements())
     n = 1 if kind == "rational" else draw(kernel_orders)
     return draw(elements(n)), draw(elements(n))
-
-
-def ref_trace(n, coeffs):
-    """Tr(x) / [Q(zeta_n):Q] for x = sum coeffs[k] zeta_n^k, summing the
-    Galois conjugates zeta_n^(jk), gcd(j, n) = 1, in the reference field."""
-    units = [j for j in range(1, n + 1) if gcd(j, n) == 1]
-    total = Fraction(0)
-    for k, c in enumerate(coeffs):
-        conj = [0] * n
-        for j in units:
-            conj[j * k % n] += 1
-        orbit = ref_reduce(n, conj)
-        assert not any(orbit[1:])  # a sum over a Galois orbit is rational
-        total += c * orbit[0]
-    return total / len(units)
 
 
 @given(element_pairs())
@@ -227,22 +239,25 @@ def test_kernel_matches_fraction_reference(pair):
     assert_canonical(a, na, own)
     m = lcm(na, nb)
     ra, rb = ref_lift(na, pa, m), ref_lift(nb, pb, m)
-    assert_canonical(a.lift(m), m, ra)
-    assert hash(a.lift(m)) == hash(a)
-    assert_canonical(a + b, m, [x + y for x, y in zip(ra, rb)])
-    assert_canonical(a - b, m, [x - y for x, y in zip(ra, rb)])
-    assert_canonical(a * b, m, ref_mul(m, ra, rb))
+    if na != nb:
+        for op in (lambda x, y: x + y, lambda x, y: x * y, lambda x, y: x == y):
+            with pytest.raises(ValueError):
+                op(a, b)
+    la, lb = a.lift(m), b.lift(m)
+    assert_canonical(la, m, ra)
+    assert_canonical(la + lb, m, [x + y for x, y in zip(ra, rb)])
+    assert_canonical(la - lb, m, [x - y for x, y in zip(ra, rb)])
+    assert_canonical(la * lb, m, ref_mul(m, ra, rb))
     assert_canonical(-a, na, [-x for x in own])
-    assert (a == b) == (ra == rb) and (a != b) == (ra != rb)
-    assert a.is_zero() == (not any(own))
-    assert a.is_one() == (own == [1] + [0] * (len(own) - 1))
-    # the hash is that of the normalised trace, in every field holding a
-    trace = ref_trace(na, own)
-    assert hash(a) == hash(trace)
+    assert (la == lb) == (ra == rb) and (la != lb) == (ra != rb)
+    assert (not a) == (not any(own))
+    assert (a == 1) == (own == [1] + [0] * (len(own) - 1))
+    # a rational value hashes as its Fraction, so alike in every field
+    if not any(own[1:]):
+        assert hash(a) == hash(own[0]) == hash(la)
     same = CycNumber.from_powers(m, dict(enumerate(ra)))
-    assert same == a.lift(m) and hash(same) == hash(a)
-    assert ref_trace(m, ra) == trace
-    if not b.is_zero():
+    assert same == la and hash(same) == hash(la)
+    if b:
         inv = b.inverse()
         assert_canonical(inv, nb, list(inv.coeffs))
         one_ref = [Fraction(1)] + [Fraction(0)] * (len(inv.num) - 1)
@@ -252,7 +267,7 @@ def test_kernel_matches_fraction_reference(pair):
     power = one_ref
     for k in range(7):
         assert_canonical(a ** k, na, power)
-        if 1 <= k <= 2 and not a.is_zero():
+        if 1 <= k <= 2 and a:
             inv = a ** -k
             assert_canonical(inv, na, list(inv.coeffs))
             assert ref_mul(na, list(inv.coeffs), power) == one_ref

@@ -2,7 +2,7 @@
 
 import pytest
 
-from nicholsalg.cyclo import one, rational, zeta
+from nicholsalg.cyclo import inverse, zeta
 from nicholsalg.liealg import (
     AbelianBicharacter,
     GradedAlgebraData,
@@ -21,19 +21,19 @@ from twist_helpers import sign_twist_report, twist_algebra, twist_defect
 
 
 def test_trivially_signed_needs_no_twist():
-    beta = AbelianBicharacter([[-one()]])
+    beta = AbelianBicharacter([[-1]])
     sigma, bs = scheunert_cocycle(beta)
-    assert sigma.values == [[one()]]
-    assert bs.values == [[-one()]]
+    assert sigma.values == [[1]]
+    assert bs.values == [[-1]]
 
 
 def test_two_generator_twist():
     q = zeta(5)
-    beta = AbelianBicharacter([[-one(), q], [q.inverse(), -one()]], skew=True)
+    beta = AbelianBicharacter([[-1, q], [inverse(q), -1]], skew=True)
     sigma, bs = scheunert_cocycle(beta)
     # both generators odd: sigma(e2, e1) = beta(e1, e2) / (-1) = -q
     assert sigma.values[1][0] == -q
-    assert bs.values[0][1] == -one() and bs.values[1][0] == -one()
+    assert bs.values[0][1] == -1 and bs.values[1][0] == -1
     assert bs.is_sign()
 
 
@@ -45,11 +45,11 @@ def test_nonsign_diagonal_rejected():
 
 def test_twist_exact_on_generators():
     q = zeta(7, 3)
-    beta = AbelianBicharacter([[-one(), q], [q.inverse(), one()]], skew=True)
+    beta = AbelianBicharacter([[-1, q], [inverse(q), 1]], skew=True)
     sigma, bs = scheunert_cocycle(beta)
     assert twist_defect(beta, sigma, bs) is None
     # the trivial sigma does not twist beta into beta_sigma
-    other = AbelianBicharacter([[one(), one()], [one(), one()]])
+    other = AbelianBicharacter([[1, 1], [1, 1]])
     assert twist_defect(beta, other, bs) == (0, 1)
 
 
@@ -61,7 +61,7 @@ def test_axioms_on_examples():
 
 
 def test_scaled_sl2_fails_with_witness():
-    rep = check_braided_lie(sl2_flip(scale=rational(3)))
+    rep = check_braided_lie(sl2_flip(scale=3))
     ok_anti, wit = rep["anticomm"]
     assert not ok_anti and wit is not None
     assert not rep["jacobi"][0]
@@ -69,24 +69,24 @@ def test_scaled_sl2_fails_with_witness():
 
 def test_commutator_of_matrix_algebra():
     # 2x2 matrix units with trivial grading and flip braiding give gl2
-    beta = AbelianBicharacter([[one()]])
+    beta = AbelianBicharacter([[1]])
     units = [(0, 0), (0, 1), (1, 0), (1, 1)]
     mult = {}
     for i, (a, b) in enumerate(units):
         for j, (c, d) in enumerate(units):
             if b == c:
-                mult[(i, j)] = {units.index((a, d)): one()}
+                mult[(i, j)] = {units.index((a, d)): 1}
     A = GradedAlgebraData(((0,),) * 4, mult)
     L = braided_commutator(A, beta)
     rep = check_braided_lie(L)
     assert all(ok for ok, _ in rep.values()), rep
     e, f = units.index((0, 1)), units.index((1, 0))
-    assert L.bra(e, f) == {0: one(), 3: -one()}
+    assert L.bra(e, f) == {0: 1, 3: -1}
 
 
 def test_commutator_rejects_bad_braiding():
     beta = AbelianBicharacter([[zeta(3)]])
-    mult = {(0, 0): {0: one()}}
+    mult = {(0, 0): {0: 1}}
     A = GradedAlgebraData(((1,),), mult)
     with pytest.raises(ValueError):
         braided_commutator(A, beta)
@@ -94,8 +94,8 @@ def test_commutator_rejects_bad_braiding():
 
 def test_commutator_rejects_non_associative_algebra():
     # (x x) x = y x = x but x (x x) = x y = 0
-    beta = AbelianBicharacter([[one()]])
-    mult = {(0, 0): {1: one()}, (1, 0): {0: one()}}
+    beta = AbelianBicharacter([[1]])
+    mult = {(0, 0): {1: 1}, (1, 0): {0: 1}}
     A = GradedAlgebraData(((0,), (0,)), mult)
     with pytest.raises(ValueError, match=r"not associative at \(0, 0, 0\)"):
         braided_commutator(A, beta)
@@ -106,7 +106,7 @@ def test_twist_round_trip():
     out = sign_twist_report(L)
     sigma = out["sigma"]
     inv = AbelianBicharacter(
-        [[v.inverse() for v in row] for row in sigma.values], sigma.orders
+        [[inverse(v) for v in row] for row in sigma.values], sigma.orders
     )
     mult = {k: dict(v) for k, v in out["twisted"].bracket.items()}
     A = GradedAlgebraData(L.degrees, mult, L.names)

@@ -8,7 +8,7 @@ twist_defect checks a twist exactly on generators.
 
 from itertools import product
 
-from nicholsalg.cyclo import one
+from nicholsalg.cyclo import inverse
 from nicholsalg.liealg import (
     BraidedLieData,
     GradedAlgebraData,
@@ -41,7 +41,7 @@ def twist_defect(beta, sigma, beta_sigma):
     n = beta.n
     a = [tuple(int(i == k) for i in range(n)) for k in range(n)]
     for i, j in product(range(n), repeat=2):
-        twisted = sigma(a[j], a[i]).inverse() * beta(a[i], a[j]) * sigma(a[i], a[j])
+        twisted = inverse(sigma(a[j], a[i])) * beta(a[i], a[j]) * sigma(a[i], a[j])
         if beta_sigma(a[i], a[j]) != twisted:
             return (i, j)
     for i, j, k in product(range(n), repeat=3):
@@ -69,7 +69,7 @@ def sign_twist_report(L):
     twisted = BraidedLieData(L.degrees, beta_sigma, bracket, L.names)
     report = check_braided_lie(twisted)
     even = sum(
-        1 for d in L.degrees if L.beta(d, d) == one()
+        1 for d in L.degrees if L.beta(d, d) == 1
     )
     return {
         "sigma": sigma,
