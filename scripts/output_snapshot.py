@@ -61,7 +61,7 @@ def commands(bicharacter_path, undefined_path, affine_path, mixed_path):
     for cmd in ("diagram", "roots", "relations", "rigidity", "rewrite"):
         out.append((f"{cmd}-undefined_cartan", [cmd, "--config", undefined_path]))
     out.append(("roots-affine", ["roots", "--config", affine_path]))
-    for cmd in ("diagram", "roots", "rewrite"):
+    for cmd in ("diagram", "roots", "relations", "rigidity", "rewrite"):
         out.append((f"{cmd}-mixed_conductors", [cmd, "--config", mixed_path]))
     for cfg in COHOMOLOGY + ["a2_cartan_zeta3", "b2"]:
         out.append((f"cohomology-{cfg}", ["cohomology", "--config", cfg]))
@@ -94,6 +94,8 @@ def commands(bicharacter_path, undefined_path, affine_path, mixed_path):
     out.append(("nichols-rank3_triangle-16",
                 ["nichols", "--config", "rank3_triangle", "--max-degree", "16"]))
     out.append(("fk-n3-rigidity", ["fk", "--n", "3", "--rigidity"]))
+    # the 17 relations of FK4 through the group-degree criterion
+    out.append(("fk-n4-rigidity", ["fk", "--n", "4", "--max-degree", "4", "--rigidity"]))
     # FK completion past n = 4: the fk tasks of the perfbench rewriting workload, and W12
     for n, top in ((5, 8), (6, 6), (6, 8)):
         out.append((f"fk-n{n}-{top}", ["fk", "--n", str(n), "--max-degree", str(top)]))

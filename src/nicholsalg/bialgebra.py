@@ -10,15 +10,16 @@ braiding has Yetter-Drinfeld form, c(x (x) y) = x_(-1).y (x) x_(0), with
 each basis word homogeneous for the coaction: the left leg passes to the
 right unchanged, so braid keeps only the leg that moves.
 
-A bialgebra can carry a category structure: a (group, character)-style
-label per basis element plus, for nonabelian gradings, explicit action
-matrices. Cohomology computations constrain all maps to be morphisms for
-this structure.
+A bialgebra can carry a category structure: a label per basis element, its
+word's label under a braided.Grading ((group, character) pairs for diagonal
+braidings, permutations for group type), plus, for nonabelian gradings,
+explicit action matrices. Cohomology computations constrain all maps to be
+morphisms for this structure.
 """
 
-from itertools import accumulate, product
+from itertools import product
 
-from .braided import braid_word_blocks, compose_perm, group_degree
+from .braided import braid_word_blocks, group_grading
 from .linalg import add_term, row_axpy
 from .rewriting import rewrite_dims
 
@@ -44,7 +45,8 @@ class CategoryStructure:
     Labels are also interned as small ints: label_table[k] is the label of
     id k, label_ids[i] the id of labels[i] and unit_id that of label_unit.
     The tuple-state graphs of B key on the ids, so hashing a state costs
-    the same whatever the labels are made of.
+    the same whatever the labels are made of, and mul_ids folds each pair of
+    ids once per category.
     """
 
     def __init__(self, labels, label_mul, label_unit, action_gens=None):
@@ -54,6 +56,7 @@ class CategoryStructure:
         self.action_gens = action_gens
         self.label_table = []
         self._ids = {}
+        self._products = {}  # (id, id) -> id
         self.unit_id = self.label_id(label_unit)
         self.label_ids = [self.label_id(lab) for lab in self.labels]
 
@@ -67,7 +70,12 @@ class CategoryStructure:
 
     def mul_ids(self, a, b):
         """The id of label_mul of the labels of ids a and b."""
-        return self.label_id(self.label_mul(self.label_table[a], self.label_table[b]))
+        k = self._products.get((a, b))
+        if k is None:
+            k = self._products[a, b] = self.label_id(
+                self.label_mul(self.label_table[a], self.label_table[b])
+            )
+        return k
 
 
 class GradedBialgebraData:
@@ -92,7 +100,6 @@ class GradedBialgebraData:
         self._walks = {}  # (n, graded, category) -> state graph of positive n-tuples
         self._transposes = {}  # slices of mult, the coactions and the action, read by output
         self._group_act = {}  # (generator, tuple) -> {tuple: coeff}
-        self._starts = [0, *accumulate(map(len, basis_by_degree))]  # first index per degree
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -118,7 +125,8 @@ class GradedBialgebraData:
     # The state of a tuple is its degree (0 for every tuple if not graded) and
     # the id of its label, the product of its legs' labels under label_mul
     # (None without a category). The graph of states is built once per
-    # length; labels are folded only while it is built, once per pair of ids.
+    # length; labels are folded only while it is built, through the
+    # category's mul_ids, so each pair of ids once per category.
 
     def _walk(self, n, graded):
         """(kind per positive index, [{(state, kind): next state}] per leg, end states)."""
@@ -127,12 +135,9 @@ class GradedBialgebraData:
             cat = self.category
             kind = {i: (self.degrees[i] * graded, cat and cat.label_ids[i]) for i in self.positive()}
             kinds, steps, reach = set(kind.values()), [], {(0, cat and cat.unit_id)}
-            prod = {}  # label-id products, each folded once per graph
             for _ in range(n):
-                for pair in {(st[1], k[1]) for st in reach for k in kinds}.difference(prod):
-                    prod[pair] = cat and cat.mul_ids(*pair)
                 steps.append({
-                    (st, k): (st[0] + k[0], prod[st[1], k[1]])
+                    (st, k): (st[0] + k[0], cat and cat.mul_ids(st[1], k[1]))
                     for st in reach
                     for k in kinds
                 })
@@ -165,15 +170,7 @@ class GradedBialgebraData:
 
     def tuples_of_degree(self, n, d):
         """The positive n-tuples of degree d, in product order."""
-        if n == 1:
-            inside = 0 < d < len(self.basis)
-            return [(i,) for i in range(self._starts[d], self._starts[d + 1])] if inside else []
-        return [
-            (i,) + t
-            for i in self.positive()
-            if self.degrees[i] < d
-            for t in self.tuples_of_degree(n - 1, d - self.degrees[i])
-        ]
+        return [t for t, _ in self.tuples(n, [st for st in self.tuple_states(n) if st[0] == d])]
 
     def vec_of(self, word_support):
         """Reduce a {word: coeff} element to basis coordinates."""
@@ -495,52 +492,27 @@ def from_nichols(V, relations, max_degree):
     return B
 
 
-def attach_diagonal_category(B, realization):
-    """Label each basis word by its (group, character) degree.
+def attach_diagonal_category(B, grading):
+    """Label each basis word by its (group, character) degree under grading,
+    a realization (relations.realization).
 
     For abelian gradings the group action is diagonal and fully captured by
     the character half of the label, so no action generators are stored.
     """
-    theta = B.V.rank
-
-    def word_label(w):
-        deg = [0] * theta
-        for t in w:
-            deg[t] += 1
-        return (realization.group_product(deg), realization.char_product(deg))
-
-    def label_mul(l1, l2):
-        g = realization.group_product(tuple(a + b for a, b in zip(l1[0], l2[0])))
-        chi = tuple(a * b for a, b in zip(l1[1], l2[1]))
-        return (g, chi)
-
-    unit = ((0,) * theta, (1,) * theta)
-    labels = [word_label(w) for w in B.flat]
-    B.category = CategoryStructure(labels, label_mul, unit)
+    labels = [grading.label(w) for w in B.flat]
+    B.category = CategoryStructure(labels, grading.mul, grading.unit)
     return B.category
 
 
 def attach_group_category(B, generators):
-    """Group-type category data, labels from the letters' group degrees.
+    """Group-type category data, labels the group degrees of the basis words.
 
-    generators: letter indices g whose group degrees generate the group;
-    g acts on a letter t as the braiding does, x_t -> scal[g][t] x_act[g][t].
-    Action matrices on the whole basis extend letterwise and are reduced to
-    normal form.
+    generators: letter indices g whose group degrees generate the group; g
+    acts on the basis as the braiding by x_g does, e_j -> c(x_g (x) e_j)
+    = g.e_j (x) x_g, which B.braid gives in normal form.
     """
-    V = B.V
-    labels = [group_degree(V.group_degrees, w) for w in B.flat]
-    action_gens = []
-    for g in generators:
-        act, scal = V.act[g], V.scal[g]
-        mat = []
-        for w in B.flat:
-            coeff = 1
-            for t in w:
-                coeff = coeff * scal[t]
-            img = tuple(act[t] for t in w)
-            mat.append({k: coeff * c for k, c in B.vec_of({img: 1}).items()})
-        action_gens.append(mat)
-    unit = tuple(range(len(V.group_degrees[0])))
-    B.category = CategoryStructure(labels, compose_perm, unit, action_gens)
+    grading = group_grading(B.V.group_degrees)
+    labels = [grading.label(w) for w in B.flat]
+    action_gens = [[B.braid(B.index[(g,)], j) for j in range(B.dim)] for g in generators]
+    B.category = CategoryStructure(labels, grading.mul, grading.unit, action_gens)
     return B.category

@@ -7,8 +7,9 @@ braidings (sign-twisted conjugation over a group) carry a group degree per
 basis vector and an explicit action table.
 
 The grading data the rest of the package reads lives here too: the
-bicharacter of a q-matrix on Z^theta, and the group degree of a word of a
-group-type space.
+bicharacter of a q-matrix on Z^theta, and Grading, the one fold of letter
+labels into the label of a word (the group degree of a group-type space,
+the (g, chi) pair of a realization in relations).
 """
 
 from dataclasses import dataclass
@@ -92,12 +93,31 @@ def compose_perm(p, q):
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def group_degree(group_degrees, word):
-    """Group degree of a basis word: the product of its letters' permutations."""
-    g = tuple(range(len(group_degrees[0])))
-    for letter in word:
-        g = compose_perm(g, group_degrees[letter])
-    return g
+class Grading:
+    """Labels of words in a monoid: letter i has the label letters[i], and a
+    word the product of its letters' labels under mul, from unit."""
+
+    def __init__(self, letters, mul, unit):
+        self.letters = tuple(letters)
+        self.mul = mul
+        self.unit = unit
+
+    def label(self, word):
+        lab = self.unit
+        for letter in word:
+            lab = self.mul(lab, self.letters[letter])
+        return lab
+
+    def element_label(self, element):
+        """The label all words of a {word: coeff} element share, or None."""
+        labs = {self.label(w) for w in element}
+        return labs.pop() if len(labs) == 1 else None
+
+
+def group_grading(group_degrees):
+    """Words of a group-type space graded by the product of their letters'
+    permutations (V.group_degrees)."""
+    return Grading(group_degrees, compose_perm, tuple(range(len(group_degrees[0]))))
 
 
 def build_group_type(basis, act, scal, group_degrees):

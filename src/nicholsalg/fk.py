@@ -3,7 +3,9 @@
 Generators x_(ij) for i < j carry group degree (ij); the braiding is
 sign-twisted conjugation,
     c(x_s (x) x_t) = chi(s, t) x_{s t s^-1} (x) x_s,
-with chi(s, (ij)) = 1 if s(i) < s(j) and -1 otherwise.
+with chi(s, (ij)) = 1 if s(i) < s(j) and -1 otherwise. A word's group
+degree is its label under braided.group_grading, read by both the category
+of fk_bialgebra and fk_rigidity.
 
 Every scalar of these braidings and relations is the int 1 or -1, so the
 rewriting, symmetrizer and cohomology kernels run on Python ints here (Q is
@@ -13,7 +15,7 @@ int, with Fraction only where a non-unit pivot forces it; linalg says how).
 from itertools import combinations
 
 from .bialgebra import attach_group_category, from_nichols
-from .braided import build_group_type, check_braid_equation, compose_perm, group_degree
+from .braided import build_group_type, check_braid_equation, compose_perm, group_grading
 from .rewriting import rewrite_dims
 
 
@@ -100,15 +102,6 @@ def fk_dims_rewriting(n, max_degree):
     return dims
 
 
-def group_degree_of(group_degrees, element):
-    """Group degree of a homogeneous tensor element, given the permutation
-    of each letter (V.group_degrees); None if mixed."""
-    degs = {group_degree(group_degrees, w) for w in element}
-    if len(degs) != 1:
-        return None
-    return degs.pop()
-
-
 def fk_bialgebra(n, max_degree=5, V=None):
     """The finite quadratic algebra as a bialgebra with its Sym(n) category,
     over V = build_fk_space(n), built here unless given.
@@ -132,22 +125,17 @@ def fk_rigidity(n):
     """Deformation rigidity by group-degree bookkeeping.
 
     Each defining relation is group-homogeneous; a first-order deformation
-    lowering a relation to degree one would need its group degree to equal
-    that of some generator, i.e. be a transposition. Squares have identity
-    degree, mixed relations a 3-cycle, disjoint commutators a double
-    transposition, so no relation qualifies.
+    lowering a relation to degree one would need its group degree (its label
+    under braided.group_grading) to equal that of some generator, i.e. be a
+    transposition. Squares have identity degree, mixed relations a 3-cycle,
+    disjoint commutators a double transposition, so no relation qualifies.
     """
-    perms = [_perm_of(p, n) for p in transpositions(n)]
-    gens = set(perms)
+    grading = group_grading([_perm_of(p, n) for p in transpositions(n)])
     details = []
-    ok = True
     for rel in fk_relations(n):
-        g = group_degree_of(perms, rel)
+        g = grading.element_label(rel)
         if g is None:
-            ok = False
             details.append(("inhomogeneous", rel))
-            continue
-        if g in gens:
-            ok = False
+        elif g in grading.letters:
             details.append(("generator-degree relation", rel))
-    return ("Rigid" if ok else "NotDecided"), details
+    return ("NotDecided" if details else "Rigid"), details

@@ -8,8 +8,9 @@ exact guard on the q-matrix (and sometimes on the root set), and a builder of
 its tensor element from iterated braided commutators
 x_{i1...ik} = [x_{i1}, x_{i2...ik}]_c.
 
-Realizations attach group/character data (g_R, chi_R) to each relation; the
-rigidity criterion asks that no relation shares its (g, chi) pair with a
+A realization grades words by (group, character) pairs, as a
+braided.Grading; the pair (g_R, chi_R) of a relation is the label of its
+degree, and the rigidity criterion asks that no relation shares it with a
 generator.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations, groupby, permutations
 from typing import Optional
 
-from .braided import bichar
+from .braided import Grading
 from .cyclo import cyc_order, inverse
 from .linalg import row_axpy
 from .tensoralg import braided_commutator, concat, monomial, root_vector_word
@@ -28,44 +29,23 @@ ELEMENT_DEGREE_CAP = 12  # skip explicit word realizations above this degree
 # -- realizations ----------------------------------------------------------
 
 
-def _unit(theta, k):
-    """The k-th standard basis vector e_k of Z^theta."""
-    return tuple(int(i == k) for i in range(theta))
-
-
-@dataclass(frozen=True)
-class Realization:
-    """The group Z^theta / N Z^theta with g_i = e_i and chi_j(e_i) = q_ij.
-
-    order N = 0 is the free group Z^theta. A group element is an exponent
-    vector reduced mod N, a character the table of its values on e_1, ...,
-    e_theta; chi_j(g_i) = q_ij holds by construction.
-    """
-
-    qmatrix: tuple
-    order: int = 0
-
-    def group_product(self, exponents):
-        """g_1^{a_1} ... g_theta^{a_theta} as a normalized exponent vector."""
-        N = self.order
-        return tuple(a % N if N else a for a in exponents)
-
-    def char_product(self, exponents):
-        """Value table of chi_1^{a_1} ... chi_theta^{a_theta}."""
-        theta = len(self.qmatrix)
-        return tuple(bichar(self.qmatrix, _unit(theta, k), exponents) for k in range(theta))
-
-    def char_value(self, table, elem):
-        v = 1
-        for k, e in enumerate(elem):
-            if e:
-                v = v * table[k] ** e
-        return v
+def char_value(chi, g):
+    """chi(g) for a character given by its value table on e_1, ..., e_theta."""
+    v = 1
+    for k, e in enumerate(g):
+        if e:
+            v = v * chi[k] ** e
+    return v
 
 
 def realization(V, order=0):
-    """Realization of V over (Z/order)^theta, or Z^theta for order 0;
-    requires q_ij^order = 1 for all i, j."""
+    """Words graded by (g, chi) over Z^theta / N Z^theta, N = order (Z^theta
+    for order 0); requires q_ij^N = 1 for all i, j.
+
+    A group element is an exponent vector reduced mod N, a character its
+    value table on e_1, ..., e_theta. Letter i has g_i = e_i and chi_i with
+    chi_i(g_k) = q_ki; mul adds exponents and multiplies value tables.
+    """
     theta = V.rank
     if order:
         for i in range(theta):
@@ -74,7 +54,18 @@ def realization(V, order=0):
                     raise ValueError(
                         f"q[{i}][{j}]^{order} != 1: characters not defined on the quotient"
                     )
-    return Realization(V.qmatrix, order)
+
+    def mul(a, b):
+        g = tuple(x + y for x, y in zip(a[0], b[0]))
+        return tuple(x % order for x in g) if order else g, tuple(x * y for x, y in zip(a[1], b[1]))
+
+    unit = ((0,) * theta, (1,) * theta)
+    # folded from the unit, so that e_i is reduced mod N; column i of q is chi_i
+    letters = [
+        mul(unit, (tuple(int(k == i) for k in range(theta)), col))
+        for i, col in enumerate(zip(*V.qmatrix))
+    ]
+    return Grading(letters, mul, unit)
 
 
 # -- relation instances ----------------------------------------------------
@@ -516,27 +507,21 @@ def _reject_duplicates(instances):
 
 
 def g_chi(real, instance):
-    """(g_R, chi_R table, scalar chi_R(g_R)) for a relation instance."""
-    gR = real.group_product(instance.degree)
-    chiR = real.char_product(instance.degree)
-    return gR, chiR, real.char_value(chiR, gR)
+    """(g_R, chi_R table, scalar chi_R(g_R)) for a relation instance: the
+    label of a word of its degree under the realization real."""
+    gR, chiR = real.label([i for i, a in enumerate(instance.degree) for _ in range(a)])
+    return gR, chiR, char_value(chiR, gR)
 
 
-def check_prop_gchi(V, real, instances):
-    """Per-instance report: does (g_R, chi_R) avoid every (g_t, chi_t)?"""
-    units = [_unit(V.rank, t) for t in range(V.rank)]
-    generators = [(real.group_product(e), real.char_product(e), e) for e in units]
+def check_prop_gchi(real, instances):
+    """Per-instance report: which letters share the label (g_R, chi_R)?"""
     reports = []
     for R in instances:
         gR, chiR, scalar = g_chi(real, R)
-        clashes = []
+        clashes = [t for t, lab in enumerate(real.letters) if lab == (gR, chiR)]
         witnesses = {"chi_R(g_R)": scalar}
-        for t, (gt, chit, e) in enumerate(generators):
-            if gR == gt and chiR == chit:
-                clashes.append(t)
-            witnesses[f"chi_R(g_{t})chi_{t}(g_R)"] = (
-                real.char_value(chiR, e) * real.char_value(chit, gR)
-            )
+        for t, (gt, chit) in enumerate(real.letters):
+            witnesses[f"chi_R(g_{t})chi_{t}(g_R)"] = char_value(chiR, gt) * char_value(chit, gR)
         reports.append(
             {
                 "instance": R,
@@ -560,7 +545,7 @@ def rigidity_verdict(V, rs, real, pre_nichols=False):
     instances = generate_relations(V, rs)
     if pre_nichols:
         instances = [r for r in instances if r.family != "cartan_root_power"]
-    reports = check_prop_gchi(V, real, instances)
+    reports = check_prop_gchi(real, instances)
     failing = [rep for rep in reports if not rep["ok"]]
     verdict = "Rigid" if not failing else "NotDecided"
     return verdict, reports

@@ -102,7 +102,7 @@ def test_criterion_5_grading_pair_avoidance():
         cfg = load_shipped(name)
         V = cfg.space()
         real = cfg.realization(V)
-        reports = check_prop_gchi(V, real, generate_relations(V, enumerate_roots(V)))
+        reports = check_prop_gchi(real, generate_relations(V, enumerate_roots(V)))
         ok = ok and all(r["ok"] for r in reports)
     # scalar witnesses on the two rank-3 families
     cfg = load_shipped("rank3_square")

@@ -5,7 +5,7 @@ from itertools import chain, product
 
 import pytest
 
-from nicholsalg.braided import build_diagonal
+from nicholsalg.braided import bichar, build_diagonal
 from nicholsalg.cli import _catalog_elements, _finite_bialgebra
 from nicholsalg.configs import load_shipped, shipped_config_names
 from nicholsalg.cyclo import zeta
@@ -97,6 +97,28 @@ def test_category_labels_multiplicative():
             lij = cat.label_mul(cat.labels[i], cat.labels[j])
             for k in B.mult(i, j):
                 assert cat.labels[k] == lij
+
+
+def _diagonal_config_names():
+    return [n for n in shipped_config_names() if load_shipped(n).kind == "diagonal"]
+
+
+@pytest.mark.parametrize("name", _diagonal_config_names())
+def test_category_labels_match_multidegree_formula(name):
+    """Each basis word of multidegree a is labelled (a mod N, (chi(e_k))_k),
+    chi(e_k) = prod_i q_ki^(a_i). The labels read only the basis words, so
+    the basis here is every word of T(V) through degree 6."""
+    cfg = load_shipped(name)
+    V = cfg.space()
+    N = (cfg.realization_spec or {}).get("order", 0)
+    words = [list(product(range(V.rank), repeat=d)) for d in range(7)]
+    B = bialgebra.GradedBialgebraData(V, None, words)
+    attach_diagonal_category(B, cfg.realization(V))
+    units = [tuple(int(i == k) for i in range(V.rank)) for k in range(V.rank)]
+    for w, label in zip(B.flat, B.category.labels):
+        a = [w.count(i) for i in range(V.rank)]
+        g = tuple(x % N for x in a) if N else tuple(a)
+        assert label == (g, tuple(bichar(V.qmatrix, e, a) for e in units)), (name, w)
 
 
 def test_non_coideal_rejected():

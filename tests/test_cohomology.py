@@ -131,7 +131,7 @@ def test_map_unknowns_labels_each_tuple_once(monkeypatch, name):
         B, _ = _finite_bialgebra(load_shipped(name), Namespace(max_degree=None))
     cat = B.category
     label_mul = cat.label_mul
-    folds = []
+    folds, every_fold = [], []
 
     def counting(l1, l2):
         folds.append((l1, l2))
@@ -143,13 +143,15 @@ def test_map_unknowns_labels_each_tuple_once(monkeypatch, name):
             expected = _map_unknowns_reference(B, p, q, ell)
             folds.clear()
             assert cohomology.map_unknowns(B, p, q, ell) == expected, (ell, p, q)
-            # the first (p, q) of each grading builds the state graphs of
-            # lengths 1 and 2, folding labels there and not per tuple; later
-            # ells reuse them
-            if (p, q) == (2, 1) and ell in (None, 0):
+            every_fold += folds
+            # the first (p, q) builds the ungraded state graphs of lengths 1
+            # and 2, folding labels there and not per tuple; the graded graphs
+            # built at ell = 0 find every product already folded
+            if (p, q) == (2, 1) and ell is None:
                 assert folds, (ell, p, q)
             else:
                 assert folds == [], (ell, p, q)
+    assert len(every_fold) == len(set(every_fold))
 
 
 STRUCTURE_TABLES = (

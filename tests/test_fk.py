@@ -1,6 +1,12 @@
 """Quadratic algebras on transpositions with sign-twisted conjugation."""
 
-from nicholsalg.braided import apply_braiding_word, check_braid_equation, compose_perm
+from nicholsalg import fk
+from nicholsalg.braided import (
+    apply_braiding_word,
+    check_braid_equation,
+    compose_perm,
+    group_grading,
+)
 from nicholsalg.tensoralg import nichols_dims
 from nicholsalg.fk import (
     _perm_of,
@@ -10,7 +16,6 @@ from nicholsalg.fk import (
     fk_dims_rewriting,
     fk_relations,
     fk_rigidity,
-    group_degree_of,
     transpositions,
 )
 from symmetrizer_oracle import ideal_component
@@ -64,14 +69,24 @@ def test_hilbert_series_palindromic():
 
 def test_relations_group_homogeneous():
     V = build_fk_space(4)
+    grading = group_grading(V.group_degrees)
     for rel in fk_relations(4):
-        assert group_degree_of(V.group_degrees, rel) is not None
+        assert grading.element_label(rel) is not None
 
 
 def test_rigidity_bookkeeping():
     for n in (3, 4, 10):
         verdict, details = fk_rigidity(n)
         assert verdict == "Rigid" and not details, n
+
+
+def test_rigidity_flags_generator_degree_and_inhomogeneous_relations(monkeypatch):
+    catalog = fk.fk_relations
+    extra = [{(0,): 1}, {(0, 0): 1, (0, 1): 1}]
+    monkeypatch.setattr(fk, "fk_relations", lambda n: catalog(n) + extra)
+    verdict, details = fk_rigidity(3)
+    assert verdict == "NotDecided"
+    assert details == [("generator-degree relation", extra[0]), ("inhomogeneous", extra[1])]
 
 
 def test_bialgebra_category_action():

@@ -5,9 +5,12 @@ import pytest
 from nicholsalg.braided import build_diagonal
 from nicholsalg.configs import load_shipped, shipped_config_names
 from nicholsalg.cyclo import zeta
+from nicholsalg import relations
 from nicholsalg.fk import fk_relations
 from nicholsalg.relations import (
     _FAMILIES,
+    RelationInstance,
+    char_value,
     check_prop_gchi,
     g_chi,
     generate_relations,
@@ -25,24 +28,27 @@ def a2_cartan():
 def test_canonical_realization_reproduces_qmatrix():
     V = a2_cartan()
     real = realization(V)
-    assert real.order == 0
     units = [(1, 0), (0, 1)]
     for i in range(2):
+        g_i, _ = real.label((i,))
+        assert g_i == units[i]
         for j in range(2):
-            g_i = real.group_product(units[i])
-            chi_j = real.char_product(units[j])
-            assert g_i == units[i]
-            assert real.char_value(chi_j, g_i) == V.q(i, j)
-    assert real.group_product((4, -1)) == (4, -1)
+            _, chi_j = real.label((j,))
+            assert char_value(chi_j, g_i) == V.q(i, j)
+    assert real.label((0, 0, 0, 0, 1, 1, 1))[0] == (4, 3)
 
 
 def test_quotient_realization_requires_divisibility():
     V = a2_cartan()
     real = realization(V, 3)
-    assert real.order == 3
-    assert real.group_product((4, -1)) == (1, 2)
-    # chi_1^4 chi_2^-1 on e_1 is q_11^4 q_12^-1
-    assert real.char_product((4, -1))[0] == V.q(0, 0) ** 4 * V.q(0, 1) ** -1
+    for i in range(2):
+        g_i, _ = real.label((i,))
+        for j in range(2):
+            assert char_value(real.label((j,))[1], g_i) == V.q(i, j)
+    g, chi = real.label((0, 0, 0, 0, 1, 1))
+    assert g == (1, 2)
+    # chi_1^4 chi_2^2 on e_1 is q_11^4 q_12^2
+    assert chi[0] == V.q(0, 0) ** 4 * V.q(0, 1) ** 2
     with pytest.raises(ValueError):
         realization(V, 2)
 
@@ -126,10 +132,25 @@ def test_gchi_witness_mid_vertex_bracket():
 def test_prop_gchi_reports_shape():
     V = a2_cartan()
     rels = generate_relations(V, enumerate_roots(V))
-    reports = check_prop_gchi(V, realization(V), rels)
+    reports = check_prop_gchi(realization(V), rels)
     assert reports and all(rep["ok"] for rep in reports)
     for rep in reports:
         assert "chi_R(g_R)" in rep["witnesses"]
+
+
+def test_relation_of_a_generator_label_clashes(monkeypatch):
+    """In (Z/3)^2 a relation of degree (4, 0) has the label of x_1, so the
+    criterion decides nothing once such a relation is in the catalog."""
+    V = build_diagonal([[zeta(3), 1], [1, zeta(3)]])
+    real = realization(V, 3)
+    clash = RelationInstance("clash", (0,), (4, 0))
+    [rep] = check_prop_gchi(real, [clash])
+    assert rep["clashes"] == [0] and not rep["ok"]
+    catalog = relations.generate_relations
+    monkeypatch.setattr(relations, "generate_relations", lambda V, rs: catalog(V, rs) + [clash])
+    verdict, reports = rigidity_verdict(V, enumerate_roots(V), real)
+    assert verdict == "NotDecided"
+    assert [rep["instance"] for rep in reports if not rep["ok"]] == [clash]
 
 
 def test_rigidity_verdicts():
