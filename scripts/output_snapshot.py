@@ -89,10 +89,17 @@ def commands(bicharacter_path, undefined_path, affine_path, mixed_path):
                 ["fk", "--n", "4", "--max-degree", "6", "--symmetrizer"]))
     for cfg in RANK3:
         out.append((f"nichols-{cfg}-9", ["nichols", "--config", cfg, "--max-degree", "9"]))
-    # degrees 12 and 16 of the embedding route, far past any dense word count
+    # degrees 12 and 16 of the Nichols recursion, far past any dense word count
     out.append(("fk-n4-symmetrizer-default", ["fk", "--n", "4", "--symmetrizer"]))
     out.append(("nichols-rank3_triangle-16",
                 ["nichols", "--config", "rank3_triangle", "--max-degree", "16"]))
+    # top degree + 1 of two rank-3 configs (W16), and FK5's Nichols dimensions (W14)
+    out.append(("nichols-rank3_triangle-19",
+                ["nichols", "--config", "rank3_triangle", "--max-degree", "19"]))
+    out.append(("nichols-rank3_super_a3-17",
+                ["nichols", "--config", "rank3_super_a3", "--max-degree", "17"]))
+    out.append(("fk-n5-symmetrizer-7",
+                ["fk", "--n", "5", "--max-degree", "7", "--symmetrizer"]))
     out.append(("fk-n3-rigidity", ["fk", "--n", "3", "--rigidity"]))
     # the 17 relations of FK4 through the group-degree criterion
     out.append(("fk-n4-rigidity", ["fk", "--n", "4", "--max-degree", "4", "--rigidity"]))

@@ -7,10 +7,17 @@ join it) over Q(zeta_N), as linalg says. Sums and scalings are
 linalg.row_axpy and row_scale. All braidings in scope are monomial, so
 braid-group lifts act on words one at a time.
 
-NicholsDegree builds B^1, B^2, ... in turn through the embedding of B^n in
-B^(n-1) (x) V by Delta_(n-1,1) (Grana 2000; Milinski-Schneider 2000): each
-degree costs an echelon of dim B^(n-1) * theta rows, not the quantum
-symmetrizer on all theta^n words.
+NicholsDegree builds B^1, B^2, ... in turn by the coproduct recursion in
+the braided tensor product B (x) B,
+
+    Delta_(n-1,1)(b x) = b (x) x + sum c scal[y][x] (p act[y][x]) (x) y,
+
+over the terms c p (x) y of Delta_(n-2,1)(b); p act[y][x] is a word b' x'
+of degree n-1, so its normal form is already known. Delta_(n-1,1) is
+injective on B^n (Grana 2000; Milinski-Schneider 2000), so a word b x is a
+basis word exactly when its row is independent of the rows before it, and
+otherwise its row reduces to its rule. Each degree costs an echelon of
+dim B^(n-1) * theta rows, not the quantum symmetrizer on all theta^n words.
 """
 
 from itertools import permutations
@@ -52,71 +59,44 @@ def braided_commutator(V, a, b):
 
 
 class NicholsDegree:
-    """Degree n of the Nichols algebra, embedded in B^(n-1) (x) V.
+    """Degree n of the Nichols algebra: its basis words, rows and rules.
 
-    basis holds the words b x (b in the basis of degree n-1, x a letter)
-    whose images were independent; they span B^n because J^(n-1) V lies in
-    J^n. pivots are the pivot columns of the fully reduced echelon of those
-    images, so project(u), the image of u restricted to pivots, gives the
-    coordinates of u in B^n. Degree 0 is NicholsDegree(V); it creates the
-    chains memo of embed, which every later degree shares.
+    The candidates are the words b x, b in the basis of degree n-1 and x a
+    letter, in that order; they span B^n because J^(n-1) V lies in J^n.
+    rows[w] is Delta_(n-1,1)(w) of a basis word w, keyed by p + (y,) for
+    its term p (x) x_y. nf[w] writes each candidate w in the basis words of
+    degree n: {w: 1} for a basis word, its rule otherwise. Degree 0 is
+    NicholsDegree(V).
     """
 
     def __init__(self, V, prev=None):
-        self.V, self.prev, self.memo = V, prev, {}
         if prev is None:
-            self.basis, self.pivots, self.chains = [()], {()}, {}
-            self.memo[()] = {(): 1}
+            self.basis, self.rows, self.nf = [()], {(): {}}, {(): {(): 1}}
             return
-        self.chains = prev.chains
+        self.basis, self.rows, self.nf = [], {}, {}
         ech = Echelon()
-        self.basis = []
         for b in prev.basis:
+            brow = prev.rows[b]
             for x in range(V.rank):
-                if ech.add(embed(V, prev, b + (x,))):
-                    self.basis.append(b + (x,))
-        self.pivots = set(ech.pivots)
-
-    def project(self, word):
-        hit = self.memo.get(word)
-        if hit is None:
-            hit = self.memo[word] = embed(self.V, self.prev, word, self.pivots)
-        return hit
-
-
-def embed(V, prev, word, keys=None):
-    """Image of a basis word of degree n in B^(n-1) (x) V, keyed by words.
-
-    The quantum symmetrizer factors as S_n = (S_(n-1) (x) id) T_n, where T_n
-    sums the descending crossing chains (chain k moves the letter at slot k
-    to the last slot). Composing T_n with prev.project (x) id instead keeps
-    the kernel, ker S_n, with rows of dim B^(n-1) * theta columns at most.
-
-    prev.chains maps a word w to the scalar of chain 0 on w, the product of
-    scal[w[0]][j] over j in w[1:]; chain k of word is chains[word[k:]], and
-    its letters after slot k are act[word[k]][j]. If keys is given, only the
-    image entries at those keys are summed.
-    """
-    out = {}
-    chains = prev.chains
-    for k, i in enumerate(word):
-        # x_i crosses the letters after it: c(x_i (x) x_j) = scal x_act (x) x_i
-        rest = word[k + 1 :]
-        coeff = chains.get(word[k:])
-        if coeff is None:
-            coeff = 1
-            scal = V.scal[i]
-            for j in rest:
-                coeff = coeff * scal[j]
-            chains[word[k:]] = coeff
-        act = V.act[i]
-        image = prev.project(word[:k] + tuple(act[j] for j in rest))
-        unit = coeff == 1
-        for p, pc in image.items():
-            key = p + (i,)
-            if keys is None or key in keys:
-                add_term(out, key, pc if unit else pc * coeff)
-    return out
+                # (b (x) 1 + Delta_(n-2,1)(b))(x (x) 1 + 1 (x) x) in B (x) B
+                w = b + (x,)
+                row = {w: 1}
+                for key, c in brow.items():
+                    y = key[-1]
+                    c = c * V.scal[y][x]
+                    for q, d in prev.nf[key[:-1] + (V.act[y][x],)].items():
+                        add_term(row, q + (y,), c * d)
+                # basis row i carries the tag column (-1 - i,), below every word,
+                # so what a dependent row keeps after reduction spells its rule
+                red = ech.reduce(row)
+                if red and max(red)[0] >= 0:
+                    red[(-1 - len(self.basis),)] = 1
+                    ech.add(red)
+                    self.basis.append(w)
+                    self.rows[w] = row
+                    self.nf[w] = {w: 1}
+                else:
+                    self.nf[w] = {self.basis[-1 - k[0]]: -c for k, c in red.items()}
 
 
 def nichols_dims(V, max_degree):

@@ -1,14 +1,16 @@
 """Dense quantum symmetrizer: the test oracle for Nichols dimensions and ideals.
 
-The package computes B^n through the embedding B^n -> B^(n-1) (x) V. This
-module keeps the direct route: the quantum symmetrizer S_n on every basis
-word of V^(x)n, via Matsumoto lifts of permutations. It is exponential in
-the degree, so tests use it at small degrees only.
+The package computes B^n by the coproduct recursion of NicholsDegree, whose
+rules write each word b x in basis words. This module keeps the direct
+route: the quantum symmetrizer S_n on every basis word of V^(x)n, via
+Matsumoto lifts of permutations. It is exponential in the degree, so tests
+use it at small degrees only.
 
-It also holds the Nichols ideal as elements of T(V), the nullspace of the
-package's embedding on each braid-orbit block of words (ideal_component),
-the coproduct of T(V) with primitive generators (braided_coproduct), and
-the theorem that the ideal is a coideal through degree 4
+It also holds the normal form of a word in B read from the package's rules
+(normal_form), the Nichols ideal as elements of T(V), the nullspace of that
+normal form on each braid-orbit block of words (ideal_component), the
+coproduct of T(V) with primitive generators (braided_coproduct), and the
+theorem that the ideal is a coideal through degree 4
 (nichols_ideal_biideal_check).
 """
 
@@ -16,7 +18,7 @@ from itertools import product
 
 from nicholsalg.braided import apply_braiding_word, braid_word_blocks
 from nicholsalg.linalg import Echelon, add_term, nullspace, row_axpy
-from nicholsalg.tensoralg import NicholsDegree, degree, embed
+from nicholsalg.tensoralg import NicholsDegree, degree
 
 
 def symmetrizer_image_word(V, word, _cache=None):
@@ -129,22 +131,42 @@ def _word_blocks(V, degree):
     return blocks
 
 
-def ideal_component(V, degree, prev=None):
-    """Basis of ker S_degree as elements of T(V); prev, if given, is the
-    NicholsDegree of degree - 1 in a chain the caller already holds."""
+def nichols_layers(V, top):
+    """The chain of NicholsDegree layers of degrees 0 through top."""
+    layers = [NicholsDegree(V)]
+    for _ in range(top):
+        layers.append(NicholsDegree(V, layers[-1]))
+    return layers
+
+
+def normal_form(layers, word):
+    """A word of T(V) in the basis words of B, its letters folded one at a
+    time through the rules layers[k].nf of each degree k."""
+    out = {(): 1}
+    for k, x in enumerate(word, 1):
+        rules, nxt = layers[k].nf, {}
+        for u, c in out.items():
+            for v, d in rules[u + (x,)].items():
+                add_term(nxt, v, c * d)
+        out = nxt
+    return out
+
+
+def ideal_component(V, degree, layers=None):
+    """Basis of ker S_degree as elements of T(V); layers, if given, is a
+    chain of NicholsDegree layers through at least degree that the caller
+    already holds."""
     if degree <= 1:
         return []
     blocks = _word_blocks(V, degree)
-    if prev is None:
-        prev = NicholsDegree(V)
-        for _ in range(degree - 1):
-            prev = NicholsDegree(V, prev)
+    if layers is None:
+        layers = nichols_layers(V, degree)
     basis = []
     for block in blocks:
-        # equations indexed by image coordinate: sum_w E[key][w] x_w = 0
+        # equations indexed by basis word of B: sum_w nf[key][w] x_w = 0
         mat = {}
         for w in block:
-            for key, c in embed(V, prev, w).items():
+            for key, c in normal_form(layers, w).items():
                 mat.setdefault(key, {})[w] = c
         for _, vec in nullspace(list(mat.values()), block):
             basis.append(vec)
@@ -179,24 +201,22 @@ def nichols_ideal_biideal_check(V):
 
     For each degree d <= 4 and each kernel basis element r, checks that
     every middle component of the braided coproduct of r lies in
-    I (x) T + T (x) I, that is, that project_a (x) project_b kills it: the
-    kernel of NicholsDegree.project in degree a is I_a. Returns (True, None)
-    or (False, (d, (a, b))). One chain of NicholsDegree layers serves both
-    the kernels and the projections.
+    I (x) T + T (x) I, that is, that normal_form (x) normal_form kills it:
+    the kernel of normal_form in degree a is I_a. Returns (True, None) or
+    (False, (d, (a, b))). One chain of NicholsDegree layers serves both the
+    kernels and the normal forms.
     """
-    layers = [NicholsDegree(V)]
-    for _ in range(3):
-        layers.append(NicholsDegree(V, layers[-1]))
+    layers = nichols_layers(V, 4)
     for d in range(2, 5):
-        for r in ideal_component(V, d, layers[d - 1]):
+        for r in ideal_component(V, d, layers):
             by_split = {}
             for (u, v), c in braided_coproduct(V, r).items():
                 if u and v:
                     image = by_split.setdefault((len(u), len(v)), {})
-                    pv = layers[len(v)].project(v)
-                    for pu, cu in layers[len(u)].project(u).items():
-                        for key, cv in pv.items():
-                            add_term(image, (pu, key), c * cu * cv)
+                    nv = normal_form(layers, v)
+                    for pu, cu in normal_form(layers, u).items():
+                        for pv, cv in nv.items():
+                            add_term(image, (pu, pv), c * cu * cv)
             for split, image in by_split.items():
                 if image:
                     return False, (d, split)

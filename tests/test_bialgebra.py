@@ -159,7 +159,7 @@ def test_biideal_check_rejects_a_non_ideal_element(monkeypatch):
 
 
 def test_biideal_check_builds_one_chain(monkeypatch):
-    # layers 0-3 serve the kernels of degrees 2-4 and every projection
+    # layers 0-4 serve the kernels of degrees 2-4 and every normal form
     V = load_shipped("rank3_triangle").space()
     built = []
     init = NicholsDegree.__init__
@@ -170,7 +170,7 @@ def test_biideal_check_builds_one_chain(monkeypatch):
 
     monkeypatch.setattr(NicholsDegree, "__init__", counting)
     assert nichols_ideal_biideal_check(V) == (True, None)
-    assert built == [0, 1, 2, 3]
+    assert built == [0, 1, 2, 3, 4]
 
 
 def test_braid_tensor_matches_category():

@@ -466,7 +466,7 @@ def test_rigidity_honours_object_cap(tmp_path, capsys):
 
 
 def test_fk4_symmetrizer_at_default_degree(capsys):
-    # degree 12 has 6^12 words; the embedding route never enumerates them
+    # degree 12 has 6^12 words; the Nichols recursion never enumerates them
     code, rep, _ = run_json(capsys, "fk", "--n", "4", "--symmetrizer")
     assert code == 0
     assert rep["results"]["routes_agree"] is True

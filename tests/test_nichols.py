@@ -7,19 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nicholsalg.braided import apply_braiding_word, build_diagonal
+from nicholsalg.braided import build_diagonal
 from nicholsalg.configs import load_shipped
 from nicholsalg.cyclo import inverse, zeta
 from nicholsalg.fk import build_fk_space
-from nicholsalg.linalg import row_axpy
+from nicholsalg.linalg import add_term, row_axpy
 from nicholsalg.relations import _xw
-from nicholsalg.tensoralg import (
-    NicholsDegree,
-    braided_commutator,
-    embed,
-    monomial,
-    nichols_dims,
-)
+from nicholsalg.tensoralg import braided_commutator, monomial, nichols_dims
 from symmetrizer_oracle import (
     braided_coproduct,
     dense_ideal_component,
@@ -27,6 +21,8 @@ from symmetrizer_oracle import (
     ideal_component,
     is_in_nichols_ideal,
     matsumoto_symmetrizer,
+    nichols_layers,
+    normal_form,
     symmetrizer_rank,
 )
 
@@ -154,35 +150,34 @@ def test_embedding_route_matches_dense_symmetrizer(V, top):
         pytest.param(build_fk_space(4), id="fk4"),
     ],
 )
-def test_pivot_projection_and_chain_memo(V):
-    layers = [NicholsDegree(V)]
-    for _ in range(5):
-        layers.append(NicholsDegree(V, layers[-1]))
-    chains = layers[0].chains
-    assert all(layer.chains is chains for layer in layers)
-    for layer in layers[1:-1]:
-        assert layer.memo, layer
-        for u, image in layer.memo.items():
-            full = embed(V, layer.prev, u)
-            assert image == {p: c for p, c in full.items() if p in layer.pivots}, u
-    assert chains
-    for w, scalar in chains.items():
-        # chain 0 moves the first letter to the last slot
-        coeff, moved = 1, w
-        for pos in range(len(w) - 1):
-            c, moved = apply_braiding_word(V, moved, pos)
-            coeff = coeff * c
-        assert scalar == coeff, w
-        assert moved == tuple(V.act[w[0]][j] for j in w[1:]) + w[:1], w
+def test_rows_are_coproducts_and_rules_lie_in_the_ideal(V):
+    layers = nichols_layers(V, 5)
+    cache = {}
+    for n, layer in enumerate(layers[1:], 1):
+        for w, row in layer.rows.items():
+            # the (n-1, 1) part of the coproduct of T(V), left legs in basis words
+            expected = {}
+            for (u, v), c in braided_coproduct(V, {w: 1}).items():
+                if len(v) == 1:
+                    for q, d in normal_form(layers, u).items():
+                        add_term(expected, q + v, c * d)
+            assert row == expected, w
+        for w, rule in layer.nf.items():
+            assert is_in_nichols_ideal(V, row_axpy({w: 1}, -1, rule), _cache=cache), w
+        assert len(layer.nf) == len(layers[n - 1].basis) * V.rank
 
 
 def test_high_degree_dims():
     # the values of the dense symmetrizer route, past the snapshot's degree 6
     assert nichols_dims(build_fk_space(4), 6) == [1, 6, 19, 42, 71, 96, 106]
     expected = {
-        "rank3_triangle": [1, 3, 6, 11, 18, 27, 35, 42, 48, 50],
-        "rank3_super_a3": [1, 3, 6, 10, 14, 18, 21, 23, 24, 23],
-        "rank3_square": [1, 3, 6, 10, 14, 18, 21, 23, 24, 24],
+        "rank3_triangle": ([1, 3, 6, 11, 18, 27, 35, 42, 48, 50], 18, 432),
+        "rank3_super_a3": ([1, 3, 6, 10, 14, 18, 21, 23, 24, 23], 16, 216),
+        "rank3_square": ([1, 3, 6, 10, 14, 18, 21, 23, 24, 24], 31, 576),
     }
-    for name, dims in expected.items():
-        assert nichols_dims(load_shipped(name).space(), 9) == dims, name
+    for name, (low, top, total) in expected.items():
+        dims = nichols_dims(load_shipped(name).space(), top + 1)
+        assert dims[:10] == low, name
+        assert (sum(dims), dims[top + 1]) == (total, 0), name
+        # Poincare duality of a finite Nichols algebra
+        assert dims[: top + 1] == dims[top::-1], name
