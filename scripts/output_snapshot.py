@@ -98,6 +98,9 @@ def commands(bicharacter_path, undefined_path, affine_path, mixed_path):
                 ["nichols", "--config", "rank3_triangle", "--max-degree", "19"]))
     out.append(("nichols-rank3_super_a3-17",
                 ["nichols", "--config", "rank3_super_a3", "--max-degree", "17"]))
+    # top degree + 1 of rank3_square: the longest chain of Nichols layers
+    out.append(("nichols-rank3_square-32",
+                ["nichols", "--config", "rank3_square", "--max-degree", "32"]))
     out.append(("fk-n5-symmetrizer-7",
                 ["fk", "--n", "5", "--max-degree", "7", "--symmetrizer"]))
     out.append(("fk-n3-rigidity", ["fk", "--n", "3", "--rigidity"]))

@@ -123,7 +123,8 @@ def nullspace(rows, columns):
     columns is the full ordered list of column keys. Returns one pair
     (free column, vector) per non-pivot column, in column order; the vector
     has coefficient 1 at its free column and spans, with the others,
-    {v : row . v = 0 for all rows}.
+    {v : row . v = 0 for all rows}. It reads the free column's entries off
+    the pivot rows that hold it.
     """
     ech = Echelon()
     for row in rows:
@@ -133,9 +134,7 @@ def nullspace(rows, columns):
         if free in ech.pivots:
             continue
         vec = {free: 1}
-        for pcol, prow in ech.pivots.items():
-            c = prow.get(free)
-            if c is not None:
-                vec[pcol] = -c
+        for pcol in ech.holders.get(free, ()):
+            vec[pcol] = -ech.pivots[pcol][free]
         basis.append((free, vec))
     return basis

@@ -16,14 +16,16 @@ over the terms c p (x) y of Delta_(n-2,1)(b); p act[y][x] is a word b' x'
 of degree n-1, so its normal form is already known. Delta_(n-1,1) is
 injective on B^n (Grana 2000; Milinski-Schneider 2000), so a word b x is a
 basis word exactly when its row is independent of the rows before it, and
-otherwise its row reduces to its rule. Each degree costs an echelon of
-dim B^(n-1) * theta rows, not the quantum symmetrizer on all theta^n words.
+otherwise its row is a sum of earlier basis rows, its rule. A row's keys
+are words b x too, so the rows form a square matrix M, and one echelon of
+M transposed has the basis as its pivot columns and the rules as its
+kernel: no symmetrizer on all theta^n words.
 """
 
 from itertools import permutations
 
 from .braided import braid_word_blocks
-from .linalg import Echelon, add_term
+from .linalg import add_term, nullspace
 
 
 def monomial(word):
@@ -63,40 +65,46 @@ class NicholsDegree:
 
     The candidates are the words b x, b in the basis of degree n-1 and x a
     letter, in that order; they span B^n because J^(n-1) V lies in J^n.
-    rows[w] is Delta_(n-1,1)(w) of a basis word w, keyed by p + (y,) for
-    its term p (x) x_y. nf[w] writes each candidate w in the basis words of
-    degree n: {w: 1} for a basis word, its rule otherwise. Degree 0 is
-    NicholsDegree(V).
+    Candidate j is basis word j // theta of degree n-1 then letter j % theta,
+    so a term q (x) x_y of Delta_(n-1,1) is keyed by candidate q theta + y.
+    rows[i] is Delta_(n-1,1)(basis[i]) so keyed, and nf[j] writes candidate
+    j as {basis index: coeff}. Degree 0 is NicholsDegree(V).
     """
 
     def __init__(self, V, prev=None):
         if prev is None:
-            self.basis, self.rows, self.nf = [()], {(): {}}, {(): {(): 1}}
+            self.basis, self.rows, self.nf = [()], [{}], [{0: 1}]
             return
-        self.basis, self.rows, self.nf = [], {}, {}
-        ech = Echelon()
-        for b in prev.basis:
-            brow = prev.rows[b]
-            for x in range(V.rank):
+        theta, scal, act = V.rank, V.scal, V.act
+        rows, cols = [], {}
+        for brow in prev.rows:
+            for x in range(theta):
                 # (b (x) 1 + Delta_(n-2,1)(b))(x (x) 1 + 1 (x) x) in B (x) B
-                w = b + (x,)
-                row = {w: 1}
+                j = len(rows)
+                row = {j: 1}
                 for key, c in brow.items():
-                    y = key[-1]
-                    c = c * V.scal[y][x]
-                    for q, d in prev.nf[key[:-1] + (V.act[y][x],)].items():
-                        add_term(row, q + (y,), c * d)
-                # basis row i carries the tag column (-1 - i,), below every word,
-                # so what a dependent row keeps after reduction spells its rule
-                red = ech.reduce(row)
-                if red and max(red)[0] >= 0:
-                    red[(-1 - len(self.basis),)] = 1
-                    ech.add(red)
-                    self.basis.append(w)
-                    self.rows[w] = row
-                    self.nf[w] = {w: 1}
-                else:
-                    self.nf[w] = {self.basis[-1 - k[0]]: -c for k, c in red.items()}
+                    y = key % theta
+                    c = c * scal[y][x]
+                    for q, d in prev.nf[key - y + act[y][x]].items():
+                        add_term(row, q * theta + y, c * d)
+                rows.append(row)
+                for k, c in row.items():
+                    cols.setdefault(k, {})[-j] = c
+        # M^T keys candidate j as -j, so its pivots, the largest keys, are the
+        # candidates independent of those before them, and the kernel vector
+        # of each free -j is j's rule; popitem frees M^T as the echelon fills
+        rules = dict(nullspace((cols.popitem()[1] for _ in range(len(cols))),
+                               range(0, -len(rows), -1)))
+        self.basis, self.rows, self.nf, index = [], [], [], {}
+        for j, row in enumerate(rows):
+            rule = rules.get(-j)
+            if rule is None:
+                index[-j] = len(self.basis)
+                self.nf.append({len(self.basis): 1})
+                self.basis.append(prev.basis[j // theta] + (j % theta,))
+                self.rows.append(row)
+            else:
+                self.nf.append({index[k]: -c for k, c in rule.items() if k != -j})
 
 
 def nichols_dims(V, max_degree):

@@ -1,17 +1,17 @@
 """Dense quantum symmetrizer: the test oracle for Nichols dimensions and ideals.
 
 The package computes B^n by the coproduct recursion of NicholsDegree, whose
-rules write each word b x in basis words. This module keeps the direct
-route: the quantum symmetrizer S_n on every basis word of V^(x)n, via
-Matsumoto lifts of permutations. It is exponential in the degree, so tests
-use it at small degrees only.
+rules write each candidate b x, keyed by its integer index, in the basis of
+B^n. This module keeps the direct route: the quantum symmetrizer S_n on
+every basis word of V^(x)n, via Matsumoto lifts of permutations. It is
+exponential in the degree, so tests use it at small degrees only.
 
-It also holds the normal form of a word in B read from the package's rules
-(normal_form), the Nichols ideal as elements of T(V), the nullspace of that
-normal form on each braid-orbit block of words (ideal_component), the
-coproduct of T(V) with primitive generators (braided_coproduct), and the
-theorem that the ideal is a coideal through degree 4
-(nichols_ideal_biideal_check).
+It also holds the normal form of a word in B, as {basis index: coeff}, read
+from the package's rules (normal_form), the Nichols ideal as elements of
+T(V), the nullspace of that normal form on each braid-orbit block of words
+(ideal_component), the coproduct of T(V) with primitive generators
+(braided_coproduct), and the theorem that the ideal is a coideal through
+degree 4 (nichols_ideal_biideal_check).
 """
 
 from itertools import product
@@ -140,13 +140,16 @@ def nichols_layers(V, top):
 
 
 def normal_form(layers, word):
-    """A word of T(V) in the basis words of B, its letters folded one at a
-    time through the rules layers[k].nf of each degree k."""
-    out = {(): 1}
+    """A word of T(V) in the basis of B, as {basis index: coeff} in degree
+    len(word): its letters are folded one at a time through the rules
+    layers[k].nf of each degree k, where u followed by letter x is candidate
+    u * theta + x of degree k."""
+    theta = len(layers[1].nf)
+    out = {0: 1}
     for k, x in enumerate(word, 1):
         rules, nxt = layers[k].nf, {}
         for u, c in out.items():
-            for v, d in rules[u + (x,)].items():
+            for v, d in rules[u * theta + x].items():
                 add_term(nxt, v, c * d)
         out = nxt
     return out
@@ -163,7 +166,7 @@ def ideal_component(V, degree, layers=None):
         layers = nichols_layers(V, degree)
     basis = []
     for block in blocks:
-        # equations indexed by basis word of B: sum_w nf[key][w] x_w = 0
+        # equations indexed by basis element of B: sum_w nf[key][w] x_w = 0
         mat = {}
         for w in block:
             for key, c in normal_form(layers, w).items():

@@ -128,6 +128,29 @@ def test_indexed_add_matches_full_scan(N, seed):
         assert ech.holders == _holders_from_rows(ech.pivots)
 
 
+@pytest.mark.parametrize("N", [3, 6])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_nullspace_reads_the_full_scan_kernel(N, seed):
+    """Each free column's vector, read off the rows that hold it, is the one
+    a scan over every pivot row of the reference echelon gives."""
+    rows, cancelling = _random_rows(random.Random(seed), N, 40)
+    assert cancelling
+    ref, columns, frees = FullScanEchelon(), list(range(12)), 0
+    for i, row in enumerate(rows, 1):
+        ref.add(dict(row))
+        expected = []
+        for free in columns:
+            if free not in ref.pivots:
+                vec = {free: 1}
+                for pcol, prow in ref.pivots.items():
+                    if free in prow:
+                        vec[pcol] = -prow[free]
+                expected.append((free, vec))
+        assert nullspace(rows[:i], columns) == expected, i
+        frees += sum(len(vec) > 1 for _, vec in expected)
+    assert frees
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_bounded_rank_pulls_no_row_past_its_bound(seed):
     rows, _ = _random_rows(random.Random(seed), 6, 30)

@@ -152,19 +152,47 @@ def test_embedding_route_matches_dense_symmetrizer(V, top):
 )
 def test_rows_are_coproducts_and_rules_lie_in_the_ideal(V):
     layers = nichols_layers(V, 5)
-    cache = {}
-    for n, layer in enumerate(layers[1:], 1):
-        for w, row in layer.rows.items():
-            # the (n-1, 1) part of the coproduct of T(V), left legs in basis words
+    theta, cache = V.rank, {}
+    for prev, layer in zip(layers, layers[1:]):
+        assert len(layer.rows) == len(layer.basis)
+        for w, row in zip(layer.basis, layer.rows):
+            # the (n-1, 1) part of the coproduct of T(V), left legs in basis
+            # indices: q (x) x_y is key q * theta + y
             expected = {}
             for (u, v), c in braided_coproduct(V, {w: 1}).items():
                 if len(v) == 1:
                     for q, d in normal_form(layers, u).items():
-                        add_term(expected, q + v, c * d)
+                        add_term(expected, q * theta + v[0], c * d)
             assert row == expected, w
-        for w, rule in layer.nf.items():
-            assert is_in_nichols_ideal(V, row_axpy({w: 1}, -1, rule), _cache=cache), w
-        assert len(layer.nf) == len(layers[n - 1].basis) * V.rank
+        assert len(layer.nf) == len(prev.basis) * theta
+        for j, rule in enumerate(layer.nf):
+            w = prev.basis[j // theta] + (j % theta,)
+            in_basis = {layer.basis[i]: c for i, c in rule.items()}
+            assert is_in_nichols_ideal(V, row_axpy({w: 1}, -1, in_basis), _cache=cache), w
+
+
+@pytest.mark.parametrize(
+    "name, top",
+    [("rank3_triangle", 19), ("fk4", 13), ("rank3_square", 32)],
+)
+def test_bases_are_greedy(name, top):
+    """The basis of each degree is the candidates whose rows are independent
+    of the rows before them: a basis candidate's rule is itself, and a
+    dependent candidate's rule names only earlier basis candidates."""
+    V = build_fk_space(4) if name == "fk4" else load_shipped(name).space()
+    layers = nichols_layers(V, top)
+    assert not layers[-1].basis
+    for prev, layer in zip(layers, layers[1:]):
+        cands = [b + (x,) for b in prev.basis for x in range(V.rank)]
+        at = {w: j for j, w in enumerate(cands)}
+        picked = [at[w] for w in layer.basis]
+        assert picked == sorted(picked)
+        position = {j: i for i, j in enumerate(picked)}
+        for j, rule in enumerate(layer.nf):
+            if j in position:
+                assert rule == {position[j]: 1}, (len(cands[j]), j)
+            else:
+                assert all(picked[i] < j for i in rule), (len(cands[j]), j)
 
 
 def test_high_degree_dims():
