@@ -3,8 +3,10 @@
 
 Each command runs as ``python -m nicholsalg <args> --json`` against the
 ``src/`` of the checkout this script lives in. Its stdout is written to
-``<out>/<name>.json`` and every exit code to ``<out>/exit_codes.txt``. Two
-checkouts print identical outputs when their snapshots do not differ:
+``<out>/<name>.json`` and every exit code to ``<out>/exit_codes.txt``; each
+command's exit code and wall seconds go to stderr only, so the files hold no
+timing. Two checkouts print identical outputs when their snapshots do not
+differ:
 
     python3 scripts/output_snapshot.py --out before/
     python3 scripts/output_snapshot.py --out after/    # in the other checkout
@@ -17,6 +19,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -76,6 +79,8 @@ def commands(bicharacter_path, undefined_path, affine_path, mixed_path):
     out.append(("cohomology-a2_cartan_zeta3-9-ell0",
                 ["cohomology", "--config", "a2_cartan_zeta3", "--max-degree", "9",
                  "--ell", "0"]))  # W11
+    # the largest Q(zeta_6) system the package answers
+    out.append(("cohomology-b2-ell0", ["cohomology", "--config", "b2", "--ell", "0"]))  # W15
     # 32 negative ells with no unknowns: the cost is in enumerating the unknowns
     out.append(("cohomology-rank3_super_a3-17",
                 ["cohomology", "--config", "rank3_super_a3", "--max-degree", "17"]))
@@ -131,13 +136,15 @@ def main(argv=None):
         mixed = Path(tmp) / "mixed_conductors.json"
         mixed.write_text(json.dumps(MIXED))
         for name, cmd in commands(str(beta), str(undefined), str(affine), str(mixed)):
+            start = time.perf_counter()
             proc = subprocess.run(
                 [sys.executable, "-m", "nicholsalg", *cmd, "--json"],
                 env=env, capture_output=True, text=True,
             )
+            wall = time.perf_counter() - start
             (out / f"{name}.json").write_text(proc.stdout)
             codes.append(f"{name} {proc.returncode}\n")
-            print(f"{name}: exit {proc.returncode}", file=sys.stderr)
+            print(f"{name}: exit {proc.returncode} in {wall:.2f} s", file=sys.stderr)
     (out / "exit_codes.txt").write_text("".join(codes))
     return 0
 

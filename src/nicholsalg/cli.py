@@ -342,10 +342,20 @@ def cmd_fk(args):
     V = build_fk_space(args.n)  # checks the braid equation, once per command
     dims = fk_dims_rewriting(args.n, max_degree)
     results = {"n": args.n, "dims": dims, "total": sum(dims)}
+    warnings, wrong = [], []
     if args.symmetrizer:
         sdims = nichols_dims(V, max_degree)
         results["symmetrizer_dims"] = sdims
         results["routes_agree"] = sdims == dims
+        apart = [d for d, (s, r) in enumerate(zip(sdims, dims)) if s != r]
+        # B(V) is a quotient of the quadratic algebra, equal to it for n <= 5
+        # (open for n >= 6), so a symmetrizer dim above the rewriting dim is
+        # always wrong, and any difference is for n <= 5
+        wrong = [d for d in apart if args.n <= 5 or sdims[d] > dims[d]]
+        if apart:
+            d = (wrong or apart)[0]
+            warnings.append(f"dim routes disagree at degree {d}: {sdims[d]} from the "
+                            f"symmetrizer, {dims[d]} from rewriting")
     if args.rigidity:
         verdict, details = fk_rigidity(args.n)
         results["rigidity"] = verdict
@@ -354,7 +364,7 @@ def cmd_fk(args):
     code = 0
     if args.rigidity and results.get("rigidity") != "Rigid":
         code = 2
-    return code, None, results, []
+    return (1 if wrong else code), None, results, warnings
 
 
 def cmd_selfcheck(args):

@@ -1,9 +1,10 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
 Elements are represented by their canonical form: a polynomial in zeta_n
-reduced modulo the n-th cyclotomic polynomial, stored as integer numerators
-over one positive common denominator in lowest terms (the layout of FLINT's
-fmpq_poly). Equality is equality of that form.
+reduced modulo the n-th cyclotomic polynomial Phi_n, stored as integer
+numerators over one positive common denominator in lowest terms (the layout
+of FLINT's fmpq_poly). Equality is equality of that form. A product calls the
+field's straight-line kernel, generated from Phi_n on its first product.
 
 A run computes in one field Q(zeta_N): braided.build_diagonal lifts a
 q-matrix into it once, and lift is the one way between fields, so two
@@ -41,15 +42,15 @@ def cyclotomic_poly(n):
 
 @lru_cache(maxsize=None)
 def _reduction_table(n):
-    """(d, rows) with d = deg Phi_n and rows[k - d] the sparse integer form
-    ((i, c), ...) of zeta^k in the canonical basis, for d <= k < max(n, 2d - 1).
+    """(d, rows) with d = deg Phi_n and rows[k] the sparse integer form
+    ((i, c), ...) of zeta^k in the canonical basis, for 0 <= k < max(n, 2d - 1).
 
     That range covers every exponent below n and every exponent of a product
     of two canonical forms.
     """
     phi = cyclotomic_poly(n)
     d = len(phi) - 1
-    rows = []
+    rows = [((k, 1),) for k in range(d)]
     # zeta^d = -(phi_0 + phi_1 zeta + ... + phi_{d-1} zeta^{d-1}); Phi_n is monic
     cur = [-c for c in phi[:d]]
     for _ in range(d, max(n, 2 * d - 1)):
@@ -63,16 +64,36 @@ def _reduction_table(n):
     return d, tuple(rows)
 
 
-def _reduce(n, poly):
-    """Canonical integer coefficients of sum poly[k] zeta_n^k (list, low first)."""
+_KERNELS = {}  # conductor n -> _kernel(n)
+
+
+def _kernel(n):
+    """The product of two canonical numerator tuples of Q(zeta_n): a straight-line
+    function generated on the field's first product and kept in _KERNELS. Each
+    t_k of the convolution, k >= d = deg Phi_n, is folded by _reduction_table(n)."""
     d, rows = _reduction_table(n)
-    out = poly[:d]
-    for k in range(d, len(poly)):
-        c = poly[k]
-        if c:
-            for i, r in rows[k - d]:
-                out[i] += c * r
-    return out
+    conv = [" + ".join(f"a{j}*b{k - j}" for j in range(max(0, k - d + 1), min(k, d - 1) + 1))
+            for k in range(2 * d - 1)]
+    out = conv[:d]
+    for k in range(d, 2 * d - 1):
+        for i, c in rows[k]:
+            out[i] += f" {'-' if c < 0 else '+'} {'' if abs(c) == 1 else f'{abs(c)}*'}t{k}"
+    a, b = (", ".join(f"{x}{j}" for j in range(d)) for x in "ab")
+    temps = "".join(f"    t{k} = {conv[k]}\n" for k in range(d, 2 * d - 1))
+    namespace = {}
+    exec(f"def _mul_zeta{n}(a, b):\n    {a}, = a\n    {b}, = b\n{temps}"
+         f"    return ({', '.join(out)},)\n", namespace)
+    return _KERNELS.setdefault(n, namespace[f"_mul_zeta{n}"])
+
+
+def _reduce(n, terms):
+    """Canonical integer coefficients of sum c zeta_n^k over (k, c) in terms, 0 <= k < n."""
+    d, rows = _reduction_table(n)
+    out = [0] * d
+    for k, c in terms:
+        for i, r in rows[k]:
+            out[i] += c * r
+    return tuple(out)
 
 
 def _canonical(n, num, den):
@@ -87,9 +108,7 @@ def _canonical(n, num, den):
 
 def _embed(n, r):
     """The int or Fraction r as an element of Q(zeta_n)."""
-    num = [0] * (len(cyclotomic_poly(n)) - 1)
-    num[0] = r.numerator
-    return CycNumber(n, tuple(num), r.denominator)
+    return CycNumber(n, (r.numerator,) + (0,) * (len(cyclotomic_poly(n)) - 2), r.denominator)
 
 
 class CycNumber:
@@ -120,10 +139,8 @@ class CycNumber:
         """Build sum of coeff * zeta_n^k from {k: coeff}, reducing mod Phi_n."""
         terms = [(k % n, Fraction(c)) for k, c in powers.items() if c]
         den = lcm(*(c.denominator for _, c in terms))
-        poly = [0] * n
-        for k, c in terms:
-            poly[k] += c.numerator * (den // c.denominator)
-        return _canonical(n, _reduce(n, poly), den)
+        num = _reduce(n, [(k, c.numerator * (den // c.denominator)) for k, c in terms])
+        return _canonical(n, num, den)
 
     def lift(self, m):
         """Embed into Q(zeta_m); requires n | m (zeta_n maps to zeta_m^(m/n))."""
@@ -131,9 +148,8 @@ class CycNumber:
             return self
         if m % self.n != 0:
             raise ValueError(f"cannot embed Q(zeta_{self.n}) into Q(zeta_{m})")
-        poly = [0] * m
-        poly[:: m // self.n] = self.num + (0,) * (self.n - len(self.num))
-        return _canonical(m, _reduce(m, poly), self.den)
+        terms = [(j * (m // self.n), c) for j, c in enumerate(self.num)]
+        return _canonical(m, _reduce(m, terms), self.den)
 
     # -- coercion ---------------------------------------------------------
 
@@ -186,17 +202,12 @@ class CycNumber:
             if isinstance(other, Fraction):
                 return self._scaled(other.numerator, other.denominator)
             return NotImplemented
-        if other.n != self.n:
+        n = self.n
+        if other.n != n:
             self._pair(other)  # raises: another conductor
-        # integer convolution, then reduction mod Phi_n
-        y = other.num
-        prod = [0] * (2 * len(y) - 1)
-        for i, x in enumerate(self.num):
-            if x:
-                for k, c in enumerate(y, i):
-                    if c:
-                        prod[k] += x * c
-        return _canonical(self.n, _reduce(self.n, prod), self.den * other.den)
+        num = (_KERNELS.get(n) or _kernel(n))(self.num, other.num)
+        den = self.den * other.den
+        return CycNumber(n, num) if den == 1 else _canonical(n, num, den)
 
     __rmul__ = __mul__
 
@@ -206,15 +217,12 @@ class CycNumber:
         n, p = self.n, self.num[0]
         if not any(self.num[1:]):
             return CycNumber(n, (self.den if p > 0 else -self.den,) + self.num[1:], abs(p))
-        # x^-1 = N(x)^-1 * prod_{k != 1} sigma_k(x) over Gal(Q(zeta_n)/Q),
-        # where sigma_k sends zeta_n to zeta_n^k for k coprime to n
+        # x^-1 = rest / (x * rest), rest the product of the Galois conjugates
+        # sigma_k(num), sigma_k(zeta_n) = zeta_n^k for 1 < k < n coprime to n
         rest = None
         for k in range(2, n):
             if gcd(k, n) == 1:
-                poly = [0] * n
-                for j, c in enumerate(self.num):
-                    poly[j * k % n] += c
-                conj = _canonical(n, _reduce(n, poly), self.den)
+                conj = CycNumber(n, _reduce(n, [(j * k % n, c) for j, c in enumerate(self.num)]))
                 rest = conj if rest is None else rest * conj
         norm = self * rest
         if any(norm.num[1:]) or not norm:
@@ -314,25 +322,14 @@ def format_cyc(z):
     """Canonical text form, e.g. '1/2 + 3*zeta12^2 - zeta12^5'; an int or
     Fraction prints as the CycNumber of the same value does."""
     n, coeffs = (z.n, z.coeffs) if isinstance(z, CycNumber) else (1, (Fraction(z),))
-    terms = []
+    out = ""
     for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if k == 0:
-            terms.append((c, str(abs(c))))
-            continue
-        base = f"zeta{n}" if k == 1 else f"zeta{n}^{k}"
-        mag = abs(c)
-        terms.append((c, base if mag == 1 else f"{mag}*{base}"))
-    if not terms:
-        return "0"
-    out = []
-    for i, (c, text) in enumerate(terms):
-        if i == 0:
-            out.append(("-" if c < 0 else "") + text)
-        else:
-            out.append(("- " if c < 0 else "+ ") + text)
-    return " ".join(out)
+        if c:
+            mag = "" if k and abs(c) == 1 else str(abs(c))
+            base = "" if k == 0 else f"zeta{n}" if k == 1 else f"zeta{n}^{k}"
+            out += (" - " if c < 0 else " + ") if out else ("-" if c < 0 else "")
+            out += mag + ("*" if mag and base else "") + base
+    return out or "0"
 
 
 def parse_cyc(text, ambient_order=None):
@@ -364,6 +361,8 @@ def parse_cyc(text, ambient_order=None):
             coeff, zpart = Fraction(1), tok
         body = zpart[4:]
         n_txt, k_txt = body.split("^", 1) if "^" in body else (body, "1")
+        if int(n_txt) < 1:
+            raise ValueError(f"cyclotomic order must be >= 1 in {tok!r}")
         terms.append((int(n_txt), int(k_txt), sign * coeff))
     m = lcm(*(n for n, _, _ in terms)) if ambient_order is None else ambient_order
     powers = {}

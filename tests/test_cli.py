@@ -101,6 +101,16 @@ def test_entry_outside_the_config_field_is_an_error(tmp_path, capsys):
     assert "q_values[0][0]" in err and "zeta_5" in err
 
 
+@pytest.mark.parametrize("literal", ["zeta0", "zeta-6"])
+def test_zeta_order_below_one_is_an_error(tmp_path, capsys, literal):
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps({"rank": 1, "cyclotomic_order": 6, "q_values": [[literal]]}))
+    code, _, err = run(capsys, "nichols", "--config", str(path))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "q_values[0][0]" in err and repr(literal) in err
+
+
 @pytest.mark.parametrize("argv, conductor", [
     (["cohomology", "--config", "a2_super", "--ell", "-1"], 6),
     (["rewrite", "--config", "b2", "--max-degree", "8"], 6),
@@ -384,6 +394,24 @@ def test_epsilon_compares_dim_m_past_degree_5(capsys, monkeypatch):
     assert code == 1
     assert rep["results"]["identity_holds"]
     assert "degree 6" in rep["warnings"][0]
+
+
+@pytest.mark.parametrize("n, step, code", [(4, 1, 1), (4, -1, 1), (6, 1, 1), (6, -1, 0)])
+def test_fk_routes_must_agree(capsys, monkeypatch, n, step, code):
+    """The quadratic algebra maps onto B(V), and is B(V) for n <= 5: a
+    symmetrizer dim above the rewriting dim is an error for every n, one
+    below it only for n <= 5."""
+    def off_at_degree_3(V, max_degree):
+        dims = list(fk.fk_dims_rewriting(n, max_degree))
+        dims[3] += step
+        return dims
+
+    monkeypatch.setattr(cli, "nichols_dims", off_at_degree_3)
+    got, rep, _ = run_json(capsys, "fk", "--n", str(n), "--max-degree", "4", "--symmetrizer")
+    assert got == code and rep["results"]["routes_agree"] is False
+    assert len(rep["warnings"]) == 1 and "degree 3" in rep["warnings"][0], rep["warnings"]
+    dims = rep["results"]["dims"]
+    assert f"{dims[3] + step} from the symmetrizer, {dims[3]} from rewriting" in rep["warnings"][0]
 
 
 def test_cohomology_single_degree(capsys):

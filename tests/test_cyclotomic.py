@@ -1,6 +1,8 @@
 """Exact cyclotomic arithmetic."""
 
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 import pytest
@@ -74,6 +76,11 @@ def test_parse_builds_every_term_in_one_field():
     assert parse_cyc("zeta6^2", ambient_order=12) == zeta(12, 4)
     with pytest.raises(ValueError, match=r"zeta_5.*zeta_3"):
         parse_cyc("zeta5", ambient_order=3)
+    # a zeta order below 1 names the term, with or without an ambient order
+    for text in ("zeta0", "zeta-6", "1 + 2*zeta-6^5"):
+        for ambient in (None, 6):
+            with pytest.raises(ValueError, match=r"order must be >= 1 in '.*zeta(0|-6)"):
+                parse_cyc(text, ambient_order=ambient)
 
 
 def test_format_of_a_rational_matches_its_cycnumber():
@@ -272,6 +279,21 @@ def test_kernel_matches_fraction_reference(pair):
             assert_canonical(inv, na, list(inv.coeffs))
             assert ref_mul(na, list(inv.coeffs), power) == one_ref
         power = ref_mul(na, power, own)
+
+
+def test_kernel_on_every_conductor():
+    """Every product kernel of n in 1..60, and of n = 105, whose Phi has
+    coefficients -2, against the Fraction reference: zero, one, and seeded
+    operands over denominator 1 and above 1, in every pair."""
+    rng = random.Random(33)
+    for n in [*range(1, 61), 105]:
+        d = len(cyclotomic_poly(n)) - 1
+        polys = [[0] * d, [1] + [0] * (d - 1)]
+        for den in (1, 6, rng.randint(2, 30)):
+            polys.append([Fraction(rng.randint(-30, 30), den) for _ in range(d)])
+        xs = [(CycNumber.from_powers(n, dict(enumerate(p))), p) for p in polys]
+        for (a, pa), (b, pb) in combinations_with_replacement(xs, 2):
+            assert_canonical(a * b, n, ref_mul(n, pa, pb))
 
 
 @given(elements())
