@@ -84,6 +84,9 @@ def commands(bicharacter_path, undefined_path, affine_path, mixed_path):
     # 32 negative ells with no unknowns: the cost is in enumerating the unknowns
     out.append(("cohomology-rank3_super_a3-17",
                 ["cohomology", "--config", "rank3_super_a3", "--max-degree", "17"]))
+    # top degree + 1 of rank3_square, whose catalog lacks an element
+    out.append(("cohomology-rank3_square-32-ell-1",
+                ["cohomology", "--config", "rank3_square", "--max-degree", "32", "--ell", "-1"]))
     out.append(("twist", ["twist", "--bicharacter", bicharacter_path]))
     for ex in LIE_EXAMPLES:
         out.append((f"lie-check-{ex}", ["lie-check", "--example", ex]))

@@ -1,14 +1,17 @@
-"""Finite graded braided bialgebras presented as T(V)/(relations).
+"""Finite graded braided bialgebras: the Nichols algebra B(V) by its layers.
 
-The basis in each degree is the set of irreducible words of a completed
-rewriting system; multiplication is concatenate-and-reduce, the braiding
-descends word by word, and the coproduct is pushed down one letter at a
-time, Delta(w x) = Delta(w)(x (x) 1 + 1 (x) x) in B (x) B. That is exact
-once the braiding descends to T(V)/I (checked per relation by from_nichols
-through braiding_descends), and the coideal test uses the same step. The
-braiding has Yetter-Drinfeld form, c(x (x) y) = x_(-1).y (x) x_(0), with
-each basis word homogeneous for the coaction: the left leg passes to the
-right unchanged, so braid keeps only the leg that moves.
+from_nichols reads B(V) off the tensoralg.NicholsDegree layers. The basis
+is the layers' basis words, one flat index each; it is prefix-closed, and
+the layer above e_k writes each word e_k x_a in the basis. So a product
+e_i e_j folds the letters of e_j's word into e_i one at a time, and any word
+of T(V) folds into the unit the same way, with no rewriting system. The
+Nichols ideal is a Hopf ideal (Andruskiewitsch-Schneider, MSRI Publ. 43,
+2002), so the braiding descends to B and the coproduct is pushed down one
+letter at a time, Delta(w x) = Delta(w)(x (x) 1 + 1 (x) x) in B (x) B, with
+no coideal test. The braiding has Yetter-Drinfeld form, c(x (x) y) =
+x_(-1).y (x) x_(0), with each basis word homogeneous for the coaction: the
+left leg passes to the right unchanged, so braid keeps only the leg that
+moves.
 
 A bialgebra can carry a category structure: a label per basis element, its
 word's label under a braided.Grading ((group, character) pairs for diagonal
@@ -21,16 +24,11 @@ from itertools import product
 
 from .braided import braid_word_blocks, group_grading
 from .linalg import add_term, row_axpy
-from .rewriting import rewrite_dims
+from .tensoralg import NicholsDegree
 
 
 class NotFinite(ValueError):
-    """T(V)/(relations) is not shown finite within the degree budget."""
-
-
-class NotABialgebra(ValueError):
-    """T(V)/(relations) is no braided bialgebra: the braiding does not
-    descend through a relation, or the relation span is not a coideal."""
+    """B(V) is not shown finite within the degree budget."""
 
 
 class CategoryStructure:
@@ -79,12 +77,19 @@ class CategoryStructure:
 
 
 class GradedBialgebraData:
-    """Structure constants of a finite graded quotient bialgebra."""
+    """Structure constants of a finite graded bialgebra generated in degree 1.
 
-    def __init__(self, V, rs, basis_by_degree):
+    basis_by_degree holds the basis words per degree, degree 0 first, each
+    degree's words b x in the order of their prefixes b, so flat indices are
+    contiguous per degree. nf[k theta + a] writes the word of e_k followed
+    by letter a as {flat index: coeff}, theta = V.rank; it is the
+    concatenation of the layers' nf from degree 1 through top + 1.
+    """
+
+    def __init__(self, V, basis_by_degree, nf):
         self.V = V
-        self.rs = rs
         self.basis = basis_by_degree  # words per degree, degree 0 first
+        self.nf = nf
         self.flat = [w for level in basis_by_degree for w in level]
         self.index = {w: i for i, w in enumerate(self.flat)}
         self.degrees = [len(w) for w in self.flat]
@@ -172,25 +177,39 @@ class GradedBialgebraData:
         """The positive n-tuples of degree d, in product order."""
         return [t for t, _ in self.tuples(n, [st for st in self.tuple_states(n) if st[0] == d])]
 
-    def vec_of(self, word_support):
-        """Reduce a {word: coeff} element to basis coordinates."""
+    def _times_letter(self, vec, a):
+        """vec x_a in the basis, for vec = {index: coeff}."""
+        out, nf, theta = {}, self.nf, self.V.rank
+        for k, c in vec.items():
+            row_axpy(out, c, nf[k * theta + a])
+        return out
+
+    def vec_of(self, element):
+        """Basis coordinates of a {word: coeff} element of T(V): each word's
+        letters folded into the unit."""
         out = {}
-        for w, c in self.rs.reduce(dict(word_support)).items():
-            idx = self.index.get(w)
-            if idx is None:
-                raise RuntimeError(f"normal word {w} missing from the basis")
-            out[idx] = c
+        for w, c in element.items():
+            vec = {self.unit: 1}
+            for a in w:
+                if not 0 <= a < self.V.rank:
+                    raise ValueError(f"letter {a} is outside the alphabet of rank {self.V.rank}")
+                vec = self._times_letter(vec, a)
+            row_axpy(out, c, vec)
         return out
 
     # -- structure constants -----------------------------------------------
 
     def mult(self, i, j):
-        """Product of basis elements as {index: coeff}."""
-        key = (i, j)
-        hit = self._mult.get(key)
+        """Product of basis elements as {index: coeff}: the last letter of
+        e_j folded into e_i times the prefix of e_j."""
+        hit = self._mult.get((i, j))
         if hit is None:
-            hit = self.vec_of({self.flat[i] + self.flat[j]: 1})
-            self._mult[key] = hit
+            word = self.flat[j]
+            if word:
+                hit = self._times_letter(self.mult(i, self.index[word[:-1]]), word[-1])
+            else:
+                hit = {i: 1}
+            self._mult[i, j] = hit
         return hit
 
     def mult_sources(self, j):
@@ -241,7 +260,7 @@ class GradedBialgebraData:
         hit = self._braid.get((i, j))
         if hit is None:
             coeff, right, _ = braid_word_blocks(self.V, self.flat[i], self.flat[j])
-            hit = {k: coeff * c for k, c in self.vec_of({right: 1}).items()}
+            hit = self.vec_of({right: coeff})
             self._braid[i, j] = hit
         return hit
 
@@ -406,90 +425,20 @@ def check_associativity(dim, mult):
     return True, None
 
 
-def braiding_descends(V, rel):
-    """Whether all words w of rel give one c(w (x) x_a) = coeff x_a' (x) w per
-    letter a; then c maps I (x) V into V (x) I, so it descends to T(V)/I."""
-    return all(
-        len({braid_word_blocks(V, w, (a,))[:2] for w in rel}) <= 1 for a in range(V.rank)
-    )
-
-
-def biideal_witness(B, relations):
-    """First relation whose pushed coproduct fails to vanish, or None.
-
-    The relation span generates a coideal iff (pi (x) pi)Delta kills every
-    generator. (pi (x) pi)Delta of a word is folded letter by letter through
-    times_primitive, with a memo per word prefix (B.coprod on basis words);
-    the leftover is keyed by normal words.
-    """
-    letters = [B.vec_of({(a,): 1}) for a in range(B.V.rank)]
-    memo = {}
-
-    def delta(word):
-        # a loop, not a recursion: a closure that calls itself is a reference
-        # cycle, which would keep B alive after return until the cyclic GC
-        k = len(word)
-        while word[:k] not in B.index and word[:k] not in memo:
-            k -= 1
-        hit = B.coprod(B.index[word[:k]]) if word[:k] in B.index else memo[word[:k]]
-        for j in range(k, len(word)):
-            nxt = memo[word[: j + 1]] = {}
-            for x, c in letters[word[j]].items():
-                row_axpy(nxt, c, B.times_primitive(hit, x))
-            hit = nxt
-        return hit
-
-    for rel in relations:
-        if B.rs.reduce(rel):
-            return rel, "relation does not reduce to zero"
-        leftover = {}
-        for w, c in rel.items():
-            row_axpy(leftover, c, delta(w))
-        if leftover:
-            return rel, {(B.flat[a], B.flat[b]): c for (a, b), c in leftover.items()}
-    return None
-
-
-def from_nichols(V, relations, max_degree):
-    """Finite graded bialgebra T(V)/(relations), basis and structure constants.
-
-    Raises NotABialgebra if the braiding does not descend through a
-    relation or if the relation span fails the coideal test (witness
-    attached), and NotFinite if the quotient is not visibly finite within
-    max_degree.
-    """
-    relations = list(relations)
-    for rel in relations:
-        if not braiding_descends(V, rel):
-            raise NotABialgebra(f"braiding does not descend through relation {rel}")
-    dims, rs = rewrite_dims(V.rank, relations, max_degree)
-    if dims[-1] != 0:
-        raise NotFinite(
-            f"quotient not finite within degree {max_degree}: dims {dims}"
-        )
-    top = max(d for d, n in enumerate(dims) if n)
-    if max_degree < 2 * top:
-        # complete far enough that any product of two basis words reduces
-        rs.extend(2 * top)
-        dims = rs.normal_word_counts()
-        if any(dims[top + 1 :]):
-            raise RuntimeError(f"quotient grew past degree {top} on re-completion: {dims}")
-    basis = [[()]]
-    for d in range(1, top + 1):
-        level = []
-        for w in basis[d - 1]:
-            for a in range(V.rank):
-                cand = w + (a,)
-                if rs.suffix_lead(cand) is None:
-                    level.append(cand)
-        if len(level) != dims[d]:
-            raise RuntimeError(f"basis count mismatch at degree {d}")
-        basis.append(level)
-    B = GradedBialgebraData(V, rs, basis)
-    bad = biideal_witness(B, relations)
-    if bad is not None:
-        raise NotABialgebra(f"relation span is not a coideal: witness {bad}")
-    return B
+def from_nichols(V, max_degree):
+    """The Nichols algebra B(V) with its structure constants, from the
+    NicholsDegree layers; NotFinite if B(V) has a word of degree max_degree."""
+    layer, basis, nf = NicholsDegree(V), [], []
+    while layer.basis:
+        basis.append(layer.basis)
+        if len(basis) > max_degree:
+            dims = [len(level) for level in basis]
+            raise NotFinite(f"quotient not finite within degree {max_degree}: dims {dims}")
+        layer = NicholsDegree(V, layer)
+        # the layer's basis indices count from 0, its flat ones past every lower degree
+        start = sum(map(len, basis))
+        nf += ({start + q: c for q, c in row.items()} for row in layer.nf)
+    return GradedBialgebraData(V, basis, nf)
 
 
 def attach_diagonal_category(B, grading):

@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 
-from .bialgebra import NotABialgebra, NotFinite, attach_diagonal_category, from_nichols
+from .bialgebra import NotFinite, attach_diagonal_category, from_nichols
 from .braided import check_braid_equation
 from .cohomology import epsilon_H2, hom_M_dim, kernel_M, map_unknowns, truncated_H2
 from .configs import (
@@ -217,33 +217,46 @@ def cmd_rewrite(args):
     return 0, cfg, {"dims": dims, "total": sum(dims)}, warnings
 
 
+class NotInIdeal(ValueError):
+    """A defining relation that does not vanish in B(V)."""
+
+
 def _finite_bialgebra(cfg, args):
-    """Build the finite quotient with its category; None if budget hit. A
-    quotient that is no bialgebra raises NotABialgebra."""
+    """(B, relations, warnings): B = B(V) with its category, read off the
+    Nichols layers, and the relations meant to present it, the catalog's
+    explicit elements or fk_relations; B is None if a budget is hit.
+
+    The relations are the checked route: each must vanish in B, else
+    NotInIdeal names it.
+    """
     max_degree = _max_degree(args, cfg.budgets["max_degree"])
     if cfg.kind == "fk":
         if cfg.n != 3:
-            return None, [f"bialgebra construction limited to n = 3, got {cfg.n}"]
+            return None, None, [f"bialgebra construction limited to n = 3, got {cfg.n}"]
         try:
-            B, _ = fk_bialgebra(3, max_degree)
+            B, rels = fk_bialgebra(3, max_degree)
         except NotFinite as e:
-            return None, [f"budget: {e}"]
-        return B, []
-    V = cfg.space()
-    elems, warnings = _catalog_elements(cfg, V)
-    if elems is None:
-        return None, warnings
-    try:
-        B = from_nichols(V, elems, max_degree)
-    except NotFinite as e:
-        return None, warnings + [f"budget: {e}"]
-    attach_diagonal_category(B, cfg.realization(V))
-    return B, warnings
+            return None, None, [f"budget: {e}"]
+        warnings = []
+    else:
+        V = cfg.space()
+        rels, warnings = _catalog_elements(cfg, V)
+        if rels is None:
+            return None, None, warnings
+        try:
+            B = from_nichols(V, max_degree)
+        except NotFinite as e:
+            return None, None, warnings + [f"budget: {e}"]
+        attach_diagonal_category(B, cfg.realization(V))
+    for rel in rels:
+        if B.vec_of(rel):
+            raise NotInIdeal(f"relation is not in the Nichols ideal: {rel}")
+    return B, rels, warnings
 
 
 def cmd_cohomology(args):
     cfg = resolve_config(args.config)
-    B, warnings = _finite_bialgebra(cfg, args)
+    B, _, warnings = _finite_bialgebra(cfg, args)
     if B is None:
         return 2, cfg, {}, warnings
     if args.ell is not None:
@@ -267,13 +280,13 @@ def cmd_cohomology(args):
 
 def cmd_epsilon(args):
     cfg = resolve_config(args.config)
-    B, warnings = _finite_bialgebra(cfg, args)
+    B, rels, warnings = _finite_bialgebra(cfg, args)
     if B is None:
         return 2, cfg, {}, warnings
     md = kernel_M(B)
-    # the completion's count of minimal relations; from_nichols completes
-    # through 2 * top, so it covers every degree of md["dims"]
-    minimal = B.rs.minimal
+    # the relations' own count of minimal relations, the second route to
+    # dim M; completed through 2 * top, it covers every degree of md["dims"]
+    minimal = rewrite_dims(B.V.rank, rels, 2 * B.top_degree)[1].minimal
     eh = epsilon_H2(B)
     hm = hom_M_dim(B, md)
     results = {
@@ -399,7 +412,7 @@ def cmd_selfcheck(args):
         if cfg.kind == "fk":
             B = fk_bialgebra(3, V=V)[0] if V is not None else None
         else:
-            B, warn = _finite_bialgebra(cfg, args)
+            B, _, warn = _finite_bialgebra(cfg, args)
             warnings += warn
         ok, count = B is not None, 0
         if ok:
@@ -495,7 +508,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         code, cfg, results, warnings = COMMANDS[args.command](args)
-    except (ConfigError, NotABialgebra) as e:
+    except (ConfigError, NotInIdeal) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (OSError, json.JSONDecodeError) as e:

@@ -255,9 +255,10 @@ def kernel_M(B):
     at (x.a', v, y) plus the relation with the shorter middle a' at
     (x, a', v.y); induction on deg a.
 
-    Returns {"dims": {degree: dim}, "blocks": per-degree data}. The
-    completion that built B counts the same dims from the relations, as
-    B.rs.minimal.
+    Returns {"dims": {degree: dim}, "blocks": per-degree data}. Completing
+    the relations that present B through degree 2 top counts the same dims
+    from words alone, as RewriteSystem.minimal; cli.cmd_epsilon compares
+    the two.
     """
     letters = B.tuples_of_degree(1, 1)
     dims = {}

@@ -103,22 +103,22 @@ def fk_dims_rewriting(n, max_degree):
 
 
 def fk_bialgebra(n, max_degree=5, V=None):
-    """The finite quadratic algebra as a bialgebra with its Sym(n) category,
-    over V = build_fk_space(n), built here unless given.
+    """The Nichols algebra of V = build_fk_space(n), built here unless given,
+    as a bialgebra with its Sym(n) category, and fk_relations(n).
 
-    The basis enumeration needs the completed rewriting system past twice
-    the top degree; this is cheap for n = 3 and n = 4 (degree 13, dim 576).
-    The n = 3 limit of the command line lies in `cli._finite_bialgebra`,
-    because the cohomology on the n = 4 bialgebra is far dearer.
+    The quadratic algebra is B(V) for n <= 5, so each of its relations
+    vanishes in B; the command line checks that. The layers of B are cheap
+    for n = 3 and n = 4 (degree 13, dim 576). The n = 3 limit of the command
+    line lies in `cli._finite_bialgebra`, because the cohomology on the
+    n = 4 bialgebra is far dearer.
     """
     if V is None:
         V = build_fk_space(n)
-    rels = fk_relations(n)
-    B = from_nichols(V, rels, max_degree)
+    B = from_nichols(V, max_degree)
     pairs = transpositions(n)
     # Sym(n) is generated by the adjacent transpositions (i, i+1)
     attach_group_category(B, [pairs.index((i, i + 1)) for i in range(1, n)])
-    return B, rels
+    return B, fk_relations(n)
 
 
 def fk_rigidity(n):

@@ -34,13 +34,12 @@ degree d, and neither the rules nor the minimal counts change.
 Leads are interreduced, so a word whose prefix word[:-1] is normal can only
 have a lead as a suffix. A word shorter than the degree being completed
 reduces by final rules, so its normal form nf(nf(word[:-1]) a) is memoized
-for good; once completion is done every word is memoized this way, which is
-what keeps the many reductions of bialgebra's products fast. The words of
-the degree being completed are reduced largest first, one step per word: w
-becomes nf(w[:-1]) a if w[:-1] is reducible, else its suffix lead is
-replaced by its tail, else w is normal. Every step yields smaller words, so
-each word of a row is expanded once, with its summed coefficient, and a
-word whose coefficients cancel is never expanded.
+for good; once completion is done every word is memoized this way. The
+words of the degree being completed are reduced largest first, one step per
+word: w becomes nf(w[:-1]) a if w[:-1] is reducible, else its suffix lead
+is replaced by its tail, else w is normal. Every step yields smaller
+words, so each word of a row is expanded once, with its summed coefficient,
+and a word whose coefficients cancel is never expanded.
 
 Normal words are counted by the automaton of the leads: its states are the
 proper prefixes of leads, and its transitions follow suffix links, as in
@@ -78,7 +77,6 @@ class RewriteSystem:
         self._final = float("inf")  # codes below this reduce by final rules
         self._nf = {}  # reducible final code -> normal form
         self._normal = {0}  # irreducible final codes
-        self._relations = {}  # {degree: [coded relations]} last passed to complete
 
     # -- word codes --------------------------------------------------------
 
@@ -113,11 +111,6 @@ class RewriteSystem:
             {self._decode(lead): self._decode_row(tail) for lead, tail in self._rules.items()}
         )
 
-    def suffix_lead(self, word):
-        """The lead that ends word, or None; the only redex if word[:-1] is normal."""
-        lead = self._suffix_lead(self._encode(word))
-        return None if lead is None else self._decode(lead)
-
     def normal_form_word(self, word):
         """Normal form of a word as {normal word: coeff}."""
         return self._decode_row(self._normal_form(self._encode(word)))
@@ -129,6 +122,8 @@ class RewriteSystem:
     # -- reduction ---------------------------------------------------------
 
     def _suffix_lead(self, code):
+        """The lead that ends the word of code, or None; the only redex if
+        its prefix is normal."""
         rules = self._rules
         for least, mask in self._suffixes:
             if code < least:
@@ -286,12 +281,10 @@ class RewriteSystem:
 
         Overlaps are resolved, and minimal relations counted, up to the
         degree bound; relations above it are still interreduced into rules,
-        so none is dropped. The degrees already counted in minimal are final
-        and skipped, which is how extend resumes.
+        so none is dropped.
         """
-        self._relations = relations
         bits = self._bits
-        for d in range(len(self.minimal) + 1, max([self.max_degree, *relations]) + 1):
+        for d in range(1, max([self.max_degree, *relations]) + 1):
             self._final = 1 << bits * (d - 1)  # the least code of length d
             ech = Echelon()  # its pivots are the leads of degree d
             if d <= self.max_degree:
@@ -309,24 +302,6 @@ class RewriteSystem:
                 for k in range(1, d):
                     self._index.setdefault((lead >> bits * (d - k), d), []).append(lead)
         self._final = float("inf")
-
-    def extend(self, max_degree):
-        """Raise the degree bound of a completed system and resume its completion.
-
-        Degrees up to the old bound are final. The rules above it were
-        interreduced from the relations alone, without S-polynomials, so
-        they and the normal forms of words longer than the old bound are
-        dropped and computed again.
-        """
-        old = self.max_degree
-        bound = 1 << self._bits * old  # codes of the words of length <= old lie below
-        self._rules = {lead: tail for lead, tail in self._rules.items() if lead < bound}
-        self._suffixes = [(least, mask) for least, mask in self._suffixes if least < bound]
-        self._index = {key: leads for key, leads in self._index.items() if key[1] <= old}
-        self._nf = {w: nf for w, nf in self._nf.items() if w < bound}
-        self._normal = {w for w in self._normal if w < bound}
-        self.max_degree = max_degree
-        self.complete(self._relations)
 
     # -- counting ----------------------------------------------------------
 

@@ -23,7 +23,6 @@ class RewriteSystem:
         self._final = float("inf")  # words shorter than this reduce by final rules
         self._nf = {}  # reducible final word -> normal form
         self._normal = {()}  # irreducible final words
-        self._relations = {}  # {degree: [relations]} last passed to complete
 
     # -- reduction ---------------------------------------------------------
 
@@ -116,11 +115,9 @@ class RewriteSystem:
 
         Overlaps are resolved, and minimal relations counted, up to the
         degree bound; relations above it are still interreduced into rules,
-        so none is dropped. The degrees already counted in minimal are final
-        and skipped, which is how extend resumes.
+        so none is dropped.
         """
-        self._relations = relations
-        for d in range(len(self.minimal) + 1, max([self.max_degree, *relations]) + 1):
+        for d in range(1, max([self.max_degree, *relations]) + 1):
             self._final = d
             ech = Echelon()  # its pivots are the leads of degree d
             if d <= self.max_degree:
@@ -138,23 +135,6 @@ class RewriteSystem:
                 for k in range(1, d):
                     self._index.setdefault((lead[:k], d), []).append(lead)
         self._final = float("inf")
-
-    def extend(self, max_degree):
-        """Raise the degree bound of a completed system and resume its completion.
-
-        Degrees up to the old bound are final. The rules above it were
-        interreduced from the relations alone, without S-polynomials, so
-        they and the normal forms of words longer than the old bound are
-        dropped and computed again.
-        """
-        old = self.max_degree
-        self.rules = {lead: tail for lead, tail in self.rules.items() if len(lead) <= old}
-        self._lens = [k for k in self._lens if k <= old]
-        self._index = {key: leads for key, leads in self._index.items() if key[1] <= old}
-        self._nf = {w: nf for w, nf in self._nf.items() if len(w) <= old}
-        self._normal = {w for w in self._normal if len(w) <= old}
-        self.max_degree = max_degree
-        self.complete(self._relations)
 
     # -- counting ----------------------------------------------------------
 

@@ -44,7 +44,7 @@ def report(num, ok, detail):
 def line_algebra(N):
     V = build_diagonal([[zeta(N)]])
     rel = monomial((0,) * N)
-    B = from_nichols(V, [rel], N + 1)
+    B = from_nichols(V, N + 1)
     attach_diagonal_category(B, realization(V, N))
     return B, [rel]
 

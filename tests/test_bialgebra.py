@@ -1,36 +1,30 @@
-"""Finite graded bialgebras presented by rewriting."""
+"""Finite graded braided bialgebras read off the Nichols layers."""
 
 from argparse import Namespace
 from itertools import chain, product
 
 import pytest
 
-from nicholsalg.braided import bichar, build_diagonal
+from nicholsalg.braided import bichar, braid_word_blocks, build_diagonal
 from nicholsalg.cli import _catalog_elements, _finite_bialgebra
 from nicholsalg.configs import load_shipped, shipped_config_names
 from nicholsalg.cyclo import zeta
 from nicholsalg.fk import build_fk_space, fk_bialgebra, fk_relations
 from nicholsalg.tensoralg import NicholsDegree, monomial
 from nicholsalg import bialgebra
-from nicholsalg.bialgebra import (
-    GradedBialgebraData,
-    attach_diagonal_category,
-    biideal_witness,
-    from_nichols,
-)
+from nicholsalg.bialgebra import GradedBialgebraData, attach_diagonal_category, from_nichols
 from nicholsalg.relations import realization
 from nicholsalg.rewriting import rewrite_dims
 from nicholsalg.linalg import add_term, row_axpy, sparse_rank
 
 import symmetrizer_oracle
 from cocycle_helpers import check_bialgebra_axioms
-from symmetrizer_oracle import braided_coproduct, ideal_component, nichols_ideal_biideal_check
+from symmetrizer_oracle import braided_coproduct, nichols_ideal_biideal_check
 
 
 def rank1_algebra(N):
     V = build_diagonal([[zeta(N)]])
-    rels = [monomial((0,) * N)]
-    return V, from_nichols(V, rels, N + 1)
+    return V, from_nichols(V, N + 1)
 
 
 def test_truncated_line_structure():
@@ -44,6 +38,10 @@ def test_truncated_line_structure():
     cop = B.coprod(x2)
     assert cop[(x, x)] == 1 + zeta(3)
     assert cop[(0, x2)] == 1 and cop[(x2, 0)] == 1
+    # a letter outside the alphabet would index another word's normal form
+    for letter in (1, -1):
+        with pytest.raises(ValueError, match=f"letter {letter} is outside the alphabet of rank 1"):
+            B.vec_of({(0, letter): 1})
 
 
 def axioms(B):
@@ -88,8 +86,7 @@ def test_fk3_primitives_and_dims():
 def test_category_labels_multiplicative():
     cfg = load_shipped("a2_super")
     V = cfg.space()
-    rels = ideal_component(V, 2) + ideal_component(V, 3) + ideal_component(V, 4)
-    B = from_nichols(V, rels, cfg.budgets["max_degree"])
+    B = from_nichols(V, cfg.budgets["max_degree"])
     attach_diagonal_category(B, cfg.realization(V))
     cat = B.category
     for i in range(B.dim):
@@ -112,7 +109,7 @@ def test_category_labels_match_multidegree_formula(name):
     V = cfg.space()
     N = (cfg.realization_spec or {}).get("order", 0)
     words = [list(product(range(V.rank), repeat=d)) for d in range(7)]
-    B = bialgebra.GradedBialgebraData(V, None, words)
+    B = bialgebra.GradedBialgebraData(V, words, [])
     attach_diagonal_category(B, cfg.realization(V))
     units = [tuple(int(i == k) for i in range(V.rank)) for k in range(V.rank)]
     for w, label in zip(B.flat, B.category.labels):
@@ -121,23 +118,12 @@ def test_category_labels_match_multidegree_formula(name):
         assert label == (g, tuple(bichar(V.qmatrix, e, a) for e in units)), (name, w)
 
 
-def test_non_coideal_rejected():
-    # x^2 - x is not homogeneous-compatible with the coproduct
-    V = build_diagonal([[2]])
-    rel = {(0, 0): 1, (0,): -1}
-    with pytest.raises(ValueError):
-        from_nichols(V, [rel], 4)
-
-
 def test_biideal_witness_reports_leftover():
     V = build_diagonal([[2]])
     rels = [monomial((0, 0))]
     _, rs = rewrite_dims(1, rels, 4)
-    B = GradedBialgebraData(V, rs, [[()], [(0,)]])
     # x^2 with q generic: Delta(x^2) has (1+q) x (x) x, not in the ideal
-    leftover = {((0,), (0,)): 3}
-    assert biideal_witness(B, rels) == (rels[0], leftover)
-    assert biideal_witness_oracle(V, rs, rels) == (rels[0], leftover)
+    assert biideal_witness_oracle(V, rs, rels) == (rels[0], {((0,), (0,)): 3})
 
 
 @pytest.mark.parametrize("name", shipped_config_names())
@@ -394,7 +380,21 @@ def test_fk4_coproduct_matches_expansion():
     assert [B.coprod(i) for i in low] == [coprod_oracle(B, i) for i in low]
 
 
-# -- the coideal check by letter recursion against the 2^n expansion ----------
+# -- the catalog quotient is a braided bialgebra, and it is B(V) ---------------
+# The package builds B(V) from the Nichols layers alone. The catalog (or
+# fk_relations), completed through 2 top as cmd_epsilon completes it, is the
+# second route: the braiding descends through each relation, the relations
+# span a coideal, and the completion's normal forms give B's structure
+# constants.
+
+
+def braiding_descends(V, rel):
+    """Whether all words w of rel give one c(w (x) x_a) = coeff x_a' (x) w per
+    letter a; then c maps I (x) V into V (x) I, so it descends to T(V)/I."""
+    return all(
+        len({braid_word_blocks(V, w, (a,))[:2] for w in rel}) <= 1 for a in range(V.rank)
+    )
+
 
 def biideal_witness_oracle(V, rs, relations):
     """The coideal check in T(V) (x) T(V): every relation word expanded over
@@ -412,16 +412,15 @@ def biideal_witness_oracle(V, rs, relations):
     return None
 
 
-def _quotient_relations(name, max_degree=None):
-    """(V, relations, B) for a shipped config or fk<n>, built afresh."""
+def _catalog_completion(name, max_degree=None):
+    """(B, relations, rs) for a shipped config or fk<n>: B(V), the relations
+    that present it and their completion through 2 top."""
     if name.startswith("fk"):
-        n = int(name[2:])
-        B, rels = fk_bialgebra(n, max_degree or 5)
-        return B.V, rels, B
-    cfg = load_shipped(name)
-    V = cfg.space()
-    rels, _ = _catalog_elements(cfg, V)
-    return V, rels, from_nichols(V, rels, max_degree or cfg.budgets["max_degree"])
+        B, rels = fk_bialgebra(int(name[2:]), max_degree or 5)
+    else:
+        B, rels, _ = _finite_bialgebra(load_shipped(name), Namespace(max_degree=max_degree))
+    _, rs = rewrite_dims(B.V.rank, rels, 2 * B.top_degree)
+    return B, rels, rs
 
 
 @pytest.mark.parametrize(
@@ -430,18 +429,12 @@ def _quotient_relations(name, max_degree=None):
     + [("rank3_super_a3", 17), ("rank3_triangle", 19), ("fk4", 13)],
 )
 def test_coideal_check_matches_expansion(name, max_degree):
-    V, rels, B = _quotient_relations(name, max_degree)
-    assert biideal_witness(B, rels) is None
-    assert biideal_witness_oracle(V, B.rs, rels) is None
-
-
-def test_relation_the_braiding_does_not_respect_rejected():
-    # c(x1 x2 (x) x1) = q11 q21 x1 (x) x1 x2 = 10 x1 (x) x1 x2, but
-    # c(x2 x2 (x) x1) = q21^2 x1 (x) x2 x2 = 25 x1 (x) x2 x2
-    V = build_diagonal([[2, 3], [5, 7]])
-    rel = {(0, 1): 1, (1, 1): -1}
-    with pytest.raises(ValueError, match="braiding does not descend"):
-        from_nichols(V, [rel], 4)
+    """The catalog quotient is a braided bialgebra: the braiding descends
+    through each relation, and the 2^n expansion of each relation's
+    coproduct vanishes on normal words."""
+    B, rels, rs = _catalog_completion(name, max_degree)
+    assert all(braiding_descends(B.V, r) for r in rels)
+    assert biideal_witness_oracle(B.V, rs, rels) is None
 
 
 def test_shipped_relations_respect_the_braiding():
@@ -449,37 +442,34 @@ def test_shipped_relations_respect_the_braiding():
         cfg = load_shipped(name)
         V = cfg.space()
         rels, _ = _catalog_elements(cfg, V)
-        assert all(bialgebra.braiding_descends(V, r) for r in rels), name
+        assert all(braiding_descends(V, r) for r in rels), name
     for n in (3, 4, 5):
         V = build_fk_space(n)
-        assert all(bialgebra.braiding_descends(V, r) for r in fk_relations(n)), n
+        assert all(braiding_descends(V, r) for r in fk_relations(n)), n
 
 
-@pytest.mark.parametrize("q, leftover", [(-1, None), (2, {((0,), (0,)): 3})])
-def test_coideal_check_through_a_letter_outside_the_basis(q, leftover):
-    # x1 = x2 leaves x2 out of the basis, so the fold uses pi(x2) = x1
-    V = build_diagonal([[q] * 2] * 2)
-    rels = [{(0,): 1, (1,): -1}, monomial((0, 0))]
-    _, rs = rewrite_dims(2, rels, 4)
-    B = GradedBialgebraData(V, rs, [[()], [(0,)]])
-    expected = None if leftover is None else (rels[1], leftover)
-    assert biideal_witness(B, rels) == expected
-    assert biideal_witness_oracle(V, rs, rels) == expected
-    if leftover is None:
-        assert from_nichols(V, rels, 4).dims() == [1, 1]
+@pytest.mark.parametrize(
+    "name, max_degree", [(name, None) for name in FINITE_QUOTIENTS] + [("rank3_super_a3", 17)]
+)
+def test_structure_constants_match_catalog_completion(monkeypatch, name, max_degree):
+    """Every product and braiding of two basis elements, folded through the
+    layers, is the catalog completion's normal form of the same words."""
+    B, _, rs = _catalog_completion(name, max_degree)
+    # B.braid and the check below braid each pair of words once between them
+    braided_pairs = {}
 
+    def blocks(V, left, right):
+        if (left, right) not in braided_pairs:
+            braided_pairs[left, right] = braid_word_blocks(V, left, right)
+        return braided_pairs[left, right]
 
-def test_coideal_check_through_a_letter_of_two_terms():
-    # x3 = x1 + 2 x2 over the exterior algebra on x1, x2 (all q = -1):
-    # the fold uses pi(x3) = x1 + 2 x2
-    V = build_diagonal([[-1] * 3] * 3)
-    rels = [
-        {(2,): 1, (0,): -1, (1,): -2},
-        monomial((0, 0)),
-        monomial((1, 1)),
-        {(0, 1): 1, (1, 0): 1},
-    ]
-    B = from_nichols(V, rels, 4)
-    assert B.dims() == [1, 2, 1] and len(B.vec_of({(2,): 1})) == 2
-    assert biideal_witness(B, rels) is None
-    assert biideal_witness_oracle(V, B.rs, rels) is None
+    monkeypatch.setattr(bialgebra, "braid_word_blocks", blocks)
+
+    def flat(element):
+        return {B.index[w]: c for w, c in rs.reduce(element).items()}
+
+    for i, j in product(range(B.dim), repeat=2):
+        assert B.mult(i, j) == flat({B.flat[i] + B.flat[j]: 1}), (name, i, j)
+        braided = B.braid(i, j)
+        coeff, right, _ = blocks(B.V, B.flat[i], B.flat[j])
+        assert braided == flat({right: coeff}), (name, i, j)

@@ -278,18 +278,16 @@ def test_selfcheck_catches_one_corrupted_face_entry(capsys, monkeypatch):
     assert not results["all_green"]
 
 
-# x^2 - x: the braiding does not descend; x^2 on x^3 = 0: Delta(x^2) keeps
-# (1 + q) x (x) x, so the relation span is not a coideal
+# neither x^2 - x (through which the braiding does not descend) nor x^2 (whose
+# span is no coideal, Delta(x^2) keeping (1 + q) x (x) x) vanishes in B(V) of
+# rank1_zeta3, where x^3 = 0 is the only relation
 @pytest.mark.parametrize(
-    "relation, message",
-    [
-        ({(0, 0): 1, (0,): -1}, "braiding does not descend through relation"),
-        ({(0, 0): 1}, "relation span is not a coideal"),
-    ],
+    "relation",
+    [{(0, 0): 1, (0,): -1}, {(0, 0): 1}],
     ids=["not_descending", "not_coideal"],
 )
 @pytest.mark.parametrize("command", ["cohomology", "epsilon"])
-def test_failed_bialgebra_identity_is_an_error(capsys, monkeypatch, command, relation, message):
+def test_failed_bialgebra_identity_is_an_error(capsys, monkeypatch, command, relation):
     catalog = cli._catalog_elements
 
     def with_relation(cfg, V):
@@ -299,7 +297,7 @@ def test_failed_bialgebra_identity_is_an_error(capsys, monkeypatch, command, rel
     monkeypatch.setattr(cli, "_catalog_elements", with_relation)
     code, out, err = run(capsys, command, "--config", "rank1_zeta3", "--json")
     assert code == 1 and not out
-    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert err == f"error: relation is not in the Nichols ideal: {relation}\n"
 
 
 def test_seed_only_where_read():
@@ -449,18 +447,30 @@ def test_cohomology_warns_on_dropped_relation(capsys):
     assert "no explicit element for cartan_root_power ((1, 2, 1),)" in rep["warnings"]
 
 
+def test_rank3_square_answers_without_its_dropped_relation(capsys):
+    # B(V) (dim 576, top 31) comes from the Nichols layers; the catalog lacks
+    # the element above, so its quotient never closes and gave a false budget
+    code, rep, _ = run_json(
+        capsys, "cohomology", "--config", "rank3_square", "--max-degree", "32", "--ell", "-1"
+    )
+    assert code == 0
+    assert rep["results"]["H2_by_degree"] == {"-1": {"Z": 0, "B": 0, "H": 0}}
+    assert sum(rep["results"]["dims"]) == 576 and len(rep["results"]["dims"]) == 32
+    assert rep["warnings"] == ["no explicit element for cartan_root_power ((1, 2, 1),)"]
+
+
 def test_fk3_bialgebra_honours_max_degree(capsys):
     for command in (["cohomology", "--ell", "-1"], ["epsilon"]):
         code, rep, _ = run_json(capsys, *command, "--config", "fk3", "--max-degree", "1")
         assert code == 2, command
-        assert rep["warnings"][0].startswith("budget: "), command
+        assert rep["warnings"] == ["budget: quotient not finite within degree 1: dims [1, 3]"]
     code, rep, _ = run_json(capsys, "cohomology", "--config", "fk3", "--ell", "-1")
     assert code == 0
     assert rep["results"]["dims"] == [1, 3, 4, 3, 1]
 
 
 def test_b2_finite_at_shipped_budget():
-    B, warnings = _finite_bialgebra(load_shipped("b2"), Namespace(max_degree=None))
+    B, _, warnings = _finite_bialgebra(load_shipped("b2"), Namespace(max_degree=None))
     assert B is not None, warnings
     assert B.dims() == [1, 2, 3, 4, 5, 6, 5, 4, 3, 2, 1]
 

@@ -8,14 +8,14 @@ from itertools import product
 import pytest
 
 from nicholsalg.braided import build_diagonal
-from nicholsalg.cli import _catalog_elements, _finite_bialgebra
+from nicholsalg.cli import _finite_bialgebra
 from nicholsalg.configs import load_shipped
 from nicholsalg.cyclo import zeta
 from nicholsalg.tensoralg import monomial
 from nicholsalg.bialgebra import attach_diagonal_category, from_nichols
 from nicholsalg.relations import realization
 from nicholsalg.rewriting import rewrite_dims
-from nicholsalg.fk import fk_bialgebra, fk_relations
+from nicholsalg.fk import fk_bialgebra
 from nicholsalg import cohomology
 from nicholsalg.cohomology import (
     _cocycle_rows,
@@ -44,7 +44,7 @@ from kernel_m_oracle import all_middle_rows, kernel_m_from_words
 def line(N):
     V = build_diagonal([[zeta(N)]])
     rel = monomial((0,) * N)
-    B = from_nichols(V, [rel], N + 1)
+    B = from_nichols(V, N + 1)
     # the Z/N quotient makes the power relation live on a trivial group label
     attach_diagonal_category(B, realization(V, N))
     return B, [rel]
@@ -74,7 +74,7 @@ def test_nonzero_cocycle_spaces_pinned(name, ell, expected):
     elif name == "line3":
         B, _ = line(3)
     else:
-        B, _ = _finite_bialgebra(load_shipped(name), Namespace(max_degree=None))
+        B, _, _ = _finite_bialgebra(load_shipped(name), Namespace(max_degree=None))
     out = truncated_H2(B, ell)
     assert (out["Z"], out["B"], out["H"]) == expected
 
@@ -128,7 +128,7 @@ def test_map_unknowns_labels_each_tuple_once(monkeypatch, name):
     if name == "fk3":
         B, _ = fk_bialgebra(3)
     else:
-        B, _ = _finite_bialgebra(load_shipped(name), Namespace(max_degree=None))
+        B, _, _ = _finite_bialgebra(load_shipped(name), Namespace(max_degree=None))
     cat = B.category
     label_mul = cat.label_mul
     folds, every_fold = [], []
@@ -164,7 +164,7 @@ def test_no_face_work_without_unknowns(monkeypatch):
     # every negative ell of the rank-3 quotient at its top degree + 1 has no
     # unknowns: no structure table is read there
     for name, max_degree, ells in [("a2_super", None, (-1,)), ("rank3_super_a3", 17, (-1, -16))]:
-        B, _ = _finite_bialgebra(load_shipped(name), Namespace(max_degree=max_degree))
+        B, _, _ = _finite_bialgebra(load_shipped(name), Namespace(max_degree=max_degree))
         calls = []
 
         def counting(name, method):
@@ -283,19 +283,21 @@ def test_filtration_implications():
 
 
 def test_kernel_M_two_routes_agree():
-    B, _ = line(3)
+    B, rels = line(3)
     out = kernel_M(B)
+    minimal = rewrite_dims(1, rels, 2 * B.top_degree)[1].minimal
     for d in range(2, 2 * B.top_degree + 1):
-        assert out["dims"].get(d, 0) == B.rs.minimal[d], (d, out)
+        assert out["dims"].get(d, 0) == minimal[d], (d, out)
     assert out["dims"][3] == 1
 
 
 def test_kernel_M_fk3():
-    B, _ = fk_bialgebra(3)
+    B, rels = fk_bialgebra(3)
     out = kernel_M(B)
     assert out["dims"][2] == 5
+    minimal = rewrite_dims(B.V.rank, rels, 2 * B.top_degree)[1].minimal
     for d in range(2, 2 * B.top_degree + 1):
-        assert out["dims"].get(d, 0) == B.rs.minimal[d]
+        assert out["dims"].get(d, 0) == minimal[d]
 
 
 # the shipped configs whose bialgebra the command line builds at its budget
@@ -309,42 +311,20 @@ FINITE_CONFIGS = [
 def test_completion_counts_dim_M(name):
     """The completion's minimal relations are dim M: the word oracle through
     degree 6 (a2_cartan_zeta3 has one there) and kernel_M through 2 top."""
-    cfg = load_shipped(name)
-    # complete through degree 6 at least, also where the budget is smaller
-    args = Namespace(max_degree=max(6, cfg.budgets["max_degree"]))
-    B, warnings = _finite_bialgebra(cfg, args)
+    B, rels, warnings = _finite_bialgebra(load_shipped(name), Namespace(max_degree=None))
     assert B is not None, warnings
-    rels = fk_relations(3) if cfg.kind == "fk" else _catalog_elements(cfg, B.V)[0]
-    minimal = B.rs.minimal
+    # complete through degree 6 at least, also where 2 top is smaller
+    minimal = rewrite_dims(B.V.rank, rels, max(6, 2 * B.top_degree))[1].minimal
     assert kernel_m_from_words(B.V, rels, 6) == {d: minimal[d] for d in range(2, 7)}
     dims = kernel_M(B)["dims"]
     assert dims == {d: minimal[d] for d in range(2, 2 * B.top_degree + 1)}
-
-
-@pytest.mark.parametrize("name", FINITE_CONFIGS)
-def test_resumed_completion_matches_fresh(name):
-    """from_nichols completes at the budget and, below 2 top, extends the same
-    system to 2 top; the result is the system completed from scratch."""
-    cfg = load_shipped(name)
-    B, warnings = _finite_bialgebra(cfg, Namespace(max_degree=None))
-    assert B is not None, warnings
-    budget, bound = cfg.budgets["max_degree"], 2 * B.top_degree
-    if name in ("a2_cartan_zeta3", "a2_super", "b2", "fk3"):
-        assert budget < bound  # the system was extended
-    bound = max(budget, bound)
-    rels = fk_relations(3) if cfg.kind == "fk" else _catalog_elements(cfg, B.V)[0]
-    dims, fresh = rewrite_dims(B.V.rank, rels, bound)
-    assert B.rs.max_degree == bound
-    assert B.rs.rules == fresh.rules
-    assert B.rs.minimal == fresh.minimal
-    assert B.rs.normal_word_counts() == dims
 
 
 def _finite(name):
     """The bialgebra of a shipped finite config at its budget, or of line(N)."""
     if name.startswith("line"):
         return line(int(name[4:]))[0]
-    B, warnings = _finite_bialgebra(load_shipped(name), Namespace(max_degree=None))
+    B, _, warnings = _finite_bialgebra(load_shipped(name), Namespace(max_degree=None))
     assert B is not None, warnings
     return B
 
