@@ -70,6 +70,12 @@ def commands(bicharacter_path, undefined_path, affine_path, mixed_path):
         out.append((f"cohomology-{cfg}", ["cohomology", "--config", cfg]))
     for cfg in COHOMOLOGY + ["a2_cartan_zeta3", "b2"]:
         out.append((f"epsilon-{cfg}", ["epsilon", "--config", cfg]))
+    # dim M and Hom(M, U) on the largest bialgebras: W18, and rank3_square,
+    # whose catalog route disagrees with M at degree 24 (exit 1)
+    out.append(("epsilon-rank3_super_a3-17",
+                ["epsilon", "--config", "rank3_super_a3", "--max-degree", "17"]))
+    out.append(("epsilon-rank3_square-32",
+                ["epsilon", "--config", "rank3_square", "--max-degree", "32"]))
     out.append(("cohomology-a2_cartan_zeta3-ell-1",
                 ["cohomology", "--config", "a2_cartan_zeta3", "--ell", "-1"]))
     # ell 0, where Z = B > 0 and the cocycle rank stops furthest short of its rows

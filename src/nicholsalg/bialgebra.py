@@ -22,8 +22,8 @@ morphisms for this structure.
 
 from itertools import product
 
-from .braided import braid_word_blocks, group_grading
-from .linalg import add_term, row_axpy
+from .braided import group_grading
+from .linalg import add_term, row_axpy, row_scale
 from .tensoralg import NicholsDegree
 
 
@@ -256,11 +256,22 @@ class GradedBialgebraData:
         return out
 
     def braid(self, i, j):
-        """c(e_i (x) e_j) = sum coeff e_k (x) e_i as {k: coeff} (module doc)."""
+        """c(e_i (x) e_j) = sum coeff e_k (x) e_i as {k: coeff} (module doc).
+        e_i's group degree acts on B by algebra automorphisms: on e_j's last
+        letter, folded into its action on e_j's prefix, and on a letter as
+        e_i's last letter does (V.braid_pair), then as e_i's prefix does."""
         hit = self._braid.get((i, j))
         if hit is None:
-            coeff, right, _ = braid_word_blocks(self.V, self.flat[i], self.flat[j])
-            hit = self.vec_of({right: coeff})
+            left, word = self.flat[i], self.flat[j]
+            if not left or not word:
+                hit = {j: 1}
+            elif len(word) == 1:
+                s, a = self.V.braid_pair(left[-1], word[0])
+                hit = row_scale(self.braid(self.index[left[:-1]], self.index[(a,)]), s)
+            else:
+                ((k, s),) = self.braid(i, self.index[word[-1:]]).items()
+                prefix = self.braid(i, self.index[word[:-1]])
+                hit = row_scale(self._times_letter(prefix, self.flat[k][0]), s)
             self._braid[i, j] = hit
         return hit
 
@@ -458,7 +469,7 @@ def attach_group_category(B, generators):
 
     generators: letter indices g whose group degrees generate the group; g
     acts on the basis as the braiding by x_g does, e_j -> c(x_g (x) e_j)
-    = g.e_j (x) x_g, which B.braid gives in normal form.
+    = g.e_j (x) x_g, which B.braid folds letter by letter in normal form.
     """
     grading = group_grading(B.V.group_degrees)
     labels = [grading.label(w) for w in B.flat]

@@ -385,20 +385,24 @@ def cmd_selfcheck(args):
     results = {}
     ok_all = True
 
-    # each shipped space is built once; build_fk_space checks the braid
-    # equation itself and raises RuntimeError where it fails
-    braid, spaces = {}, {}
+    # each space is built once: the four whose d∘d is checked below with
+    # their bialgebras. build_fk_space, which fk3's _finite_bialgebra calls,
+    # checks the braid equation itself and raises RuntimeError where it fails
+    squared = ("rank1_m1", "rank1_zeta3", "rank1_zeta4", "fk3")
+    braid, bialgebras = {}, {}
     for name in shipped_config_names():
         cfg = load_shipped(name)
-        if cfg.kind == "diagonal":
-            V = cfg.space()
-            ok = check_braid_equation(V)[0]
-        else:
-            try:
-                V, ok = build_fk_space(cfg.n), True
-            except RuntimeError:
-                V, ok = None, False
-        spaces[name] = cfg, V
+        ok = cfg.kind == "fk" or check_braid_equation(cfg.space())[0]
+        try:
+            if name in squared:
+                bialgebras[name], _, warn = _finite_bialgebra(cfg, args)
+                warnings += warn
+            elif cfg.kind == "fk":
+                build_fk_space(cfg.n)
+        except RuntimeError:
+            if cfg.kind != "fk":
+                raise
+            bialgebras[name], ok = None, False
         braid[name] = ok
         ok_all = ok_all and ok
     results["braid_equation"] = braid
@@ -407,13 +411,8 @@ def cmd_selfcheck(args):
     # h: B+ -> B+ (_coboundary_rank); -2 top..2 top holds every ell with a
     # (1, 1), (2, 1) or (1, 2) unknown, and h_entries counts the h checked
     square, h_entries = {}, {}
-    for name in ("rank1_m1", "rank1_zeta3", "rank1_zeta4", "fk3"):
-        cfg, V = spaces[name]
-        if cfg.kind == "fk":
-            B = fk_bialgebra(3, V=V)[0] if V is not None else None
-        else:
-            B, _, warn = _finite_bialgebra(cfg, args)
-            warnings += warn
+    for name in squared:
+        B = bialgebras[name]
         ok, count = B is not None, 0
         if ok:
             ells = range(-2 * B.top_degree, 2 * B.top_degree + 1)

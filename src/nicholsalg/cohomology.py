@@ -22,15 +22,13 @@ echelon stops at that rank: reaching it gives Z = B exactly, with the rest
 of the rows left unread; otherwise every row is eliminated, as a full rank
 would. One routine, _h2, does this for truncated_H2 (the face d) and for
 the augmentation-cocycle cohomology H2_eps (the face dh), which is compared
-with Hom(M, U) for M the kernel of multiplication on B+ (x)_B B+.
-kernel_M spans the relations W of the balanced tensor product from the
-letter-middle relations x.v (x) y - x (x) v.y alone: B is generated in
-degree 1, so for a basis word a'v the relation with middle a'v is the
-letter-middle one at (x.a', v, y) plus the one with middle a' at
-(x, a', v.y), and induction on the degree of the middle gives the rest.
+with Hom(M, U) for M = I / (T+ I + I T+) the minimal relations of the
+Nichols ideal I. kernel_M reads M off the rules that the layers of B
+already hold: the rules of degree d span I_d / I_(d-1) V, and M_d is that
+space modulo the letters times the rules of degree d-1.
 """
 
-from .linalg import Echelon, add_term, nullspace, row_axpy, sparse_rank
+from .linalg import Echelon, add_term, row_axpy, sparse_rank
 
 
 # -- cochain faces ----------------------------------------------------------
@@ -243,92 +241,79 @@ def epsilon_H2(B):
     return _h2(B, map_unknowns(B, 2, 0), map_unknowns(B, 1, 0), dh_apply)
 
 
+def _in_rules(rules, terms):
+    """Coordinates in the rules of a vector of R_d given by its (candidate,
+    coeff) terms: its entries at the dependent candidates (kernel_M)."""
+    row = {}
+    for j, c in terms:
+        if j in rules:
+            add_term(row, j, c)
+    return row
+
+
 def kernel_M(B):
-    """M = ker(B+ (x)_B B+ -> B+) degreewise, from structure constants.
+    """dim M_d of the minimal relations M = I / (T+ I + I T+) of the Nichols
+    ideal I (Anick, Trans. AMS 1986), read off the rules of the layers of B.
 
-    M_d = K_d / W_d: K_d is the kernel of multiplication on the degree-d
-    part of B+ (x) B+, one nullspace per label, and W_d is spanned by the
-    relations x.v (x) y - x (x) v.y with v a letter (a degree-1 basis
-    element). These span all of W_d, the relations with any positive middle
-    a, because B is generated in degree 1: e_a = e_a'.v for a basis word
-    a = a'v, and x.(a'v) (x) y - x (x) (a'v).y is the letter-middle relation
-    at (x.a', v, y) plus the relation with the shorter middle a' at
-    (x, a', v.y); induction on deg a.
+    Candidate j = k theta + a, e_k followed by the letter x_a, is a basis
+    vector of B_(d-1) (x) V = T_d / I_(d-1) V. If its word is not a basis
+    word, its rule e_j - nf[j] has 1 at j and 0 at every other such
+    candidate; these rules are a basis of R_d = I_d / I_(d-1) V. As
+    (T+ I + I T+)_d = V I_(d-1) + I_(d-1) V, M_d = R_d / L_d, with L_d
+    spanned by v.r = sum c mult(v, k) (x) x_a over the terms c (k, a) of a
+    rule r of degree d-1, v a letter.
 
-    Returns {"dims": {degree: dim}, "blocks": per-degree data}. Completing
-    the relations that present B through degree 2 top counts the same dims
-    from words alone, as RewriteSystem.minimal; cli.cmd_epsilon compares
-    the two.
+    Returns {"dims": {d: dim M_d}, "blocks": {d: {"rules", "L"}}} for d in
+    2..2 top; cli.cmd_epsilon compares the dims with RewriteSystem.minimal.
     """
-    letters = B.tuples_of_degree(1, 1)
-    dims = {}
-    blocks = {}
+    theta, flat, index = B.V.rank, B.flat, B.index
+    letters = [index[(v,)] for v in range(theta)]
+    rules = {}
+    for j, form in enumerate(B.nf):
+        word = flat[j // theta] + (j % theta,)
+        if word not in index:
+            rule = {index[flat[w][:-1]] * theta + flat[w][-1]: -c for w, c in form.items()}
+            rules.setdefault(len(word), {})[j] = {j: 1, **rule}
+    dims, blocks = {}, {}
     for d in range(2, 2 * B.top_degree + 1):
-        by_label = {}
-        for pair, (_, lab) in B.tuples(2, [st for st in B.tuple_states(2) if st[0] == d]):
-            by_label.setdefault(lab, []).append(pair)
-        if not by_label:
-            dims[d] = 0
-            continue
-        kvecs = []  # (vec over pairs, free pair, label id)
-        for lab, plist in by_label.items():
-            rows = {}
-            for (i, j) in plist:
-                for k, c in B.mult(i, j).items():
-                    rows.setdefault(k, {})[(i, j)] = c
-            for free, vec in nullspace(rows.values(), plist):
-                kvecs.append((vec, free, lab))
-        wrows = []
-        for x, y in B.tuples_of_degree(2, d - 1):
-            for (v,) in letters:
-                row = {}
-                for j, c in B.mult(x, v).items():
-                    add_term(row, (j, y), c)
-                for j, c in B.mult(v, y).items():
-                    add_term(row, (x, j), -c)
-                if row:
-                    wrows.append(row)
-        dims[d] = len(kvecs) - sparse_rank(wrows)
-        blocks[d] = {"K": kvecs, "W": wrows}
+        here = rules.get(d, {})
+        lrows = [
+            row
+            for r in rules.get(d - 1, {}).values()
+            for v in letters
+            if (row := _in_rules(here, (
+                (m * theta + key % theta, c * cm)
+                for key, c in r.items()
+                for m, cm in B.mult(v, key // theta).items()
+            )))
+        ]
+        dims[d] = len(here) - sparse_rank(lrows)
+        blocks[d] = {"rules": here, "L": lrows}
     return {"dims": dims, "blocks": blocks}
 
 
 def hom_M_dim(B, mdata):
-    """dim Hom(M, U) in the category, U the trivial module of unit label."""
-    cat = B.category
+    """dim Hom(M, U) in the category, U the trivial module of unit label: the
+    functionals on each R_d that vanish on L_d, on every rule whose label,
+    that of its candidate, is not the unit's, and, for group type, on
+    g.r - r for each action generator g, acting legwise on e_k (x) x_a."""
+    cat, theta = B.category, B.V.rank
+    letters = [B.index[(a,)] for a in range(theta)]
     total = 0
-    for d, blk in mdata["blocks"].items():
-        kvecs = blk["K"]
-        if not kvecs:
-            continue
-        free_index = {free: a for a, (vec, free, lab) in enumerate(kvecs)}
-
-        def coords(pair_vec):
-            """Coordinates in the K basis of a vector of K: its entries at
-            the free pairs, each basis vector having a 1 at its own."""
-            return {free_index[f]: c for f, c in pair_vec.items() if f in free_index}
-
-        action_rows = []
-        if cat and cat.action_gens:
-            for g in range(len(cat.action_gens)):
-                for a, (vec, free, lab) in enumerate(kvecs):
-                    img = {}
-                    for pair, c in vec.items():
-                        for pair2, cp in B.tensor_action(g, pair).items():
-                            add_term(img, pair2, c * cp)
-                    row = coords(img)
-                    add_term(row, a, -1)
-                    if row:
-                        action_rows.append(row)
-        rows = []
-        if cat:
-            for a, (vec, free, lab) in enumerate(kvecs):
-                if lab != cat.unit_id:
-                    rows.append({a: 1})
-        for w in blk["W"]:
-            row = coords(w)
-            if row:
+    for blk in mdata["blocks"].values():
+        rules, rows = blk["rules"], list(blk["L"])
+        for j, r in rules.items() if cat else ():
+            k, a = divmod(j, theta)
+            if cat.mul_ids(cat.label_ids[k], cat.label_ids[letters[a]]) != cat.unit_id:
+                rows.append({j: 1})
+            for gen in cat.action_gens or ():
+                row = _in_rules(rules, (
+                    (m * theta + B.flat[b][0], c * cm * cb)
+                    for key, c in r.items()
+                    for m, cm in gen[key // theta].items()
+                    for b, cb in gen[letters[key % theta]].items()
+                ))
+                add_term(row, j, -1)
                 rows.append(row)
-        rows.extend(action_rows)
-        total += len(kvecs) - sparse_rank(rows)
+        total += len(rules) - sparse_rank(rows)
     return total

@@ -102,9 +102,9 @@ def fk_dims_rewriting(n, max_degree):
     return dims
 
 
-def fk_bialgebra(n, max_degree=5, V=None):
-    """The Nichols algebra of V = build_fk_space(n), built here unless given,
-    as a bialgebra with its Sym(n) category, and fk_relations(n).
+def fk_bialgebra(n, max_degree=5):
+    """The Nichols algebra of V = build_fk_space(n) as a bialgebra with its
+    Sym(n) category, and fk_relations(n).
 
     The quadratic algebra is B(V) for n <= 5, so each of its relations
     vanishes in B; the command line checks that. The layers of B are cheap
@@ -112,9 +112,7 @@ def fk_bialgebra(n, max_degree=5, V=None):
     line lies in `cli._finite_bialgebra`, because the cohomology on the
     n = 4 bialgebra is far dearer.
     """
-    if V is None:
-        V = build_fk_space(n)
-    B = from_nichols(V, max_degree)
+    B = from_nichols(build_fk_space(n), max_degree)
     pairs = transpositions(n)
     # Sym(n) is generated by the adjacent transpositions (i, i+1)
     attach_group_category(B, [pairs.index((i, i + 1)) for i in range(1, n)])

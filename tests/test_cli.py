@@ -254,6 +254,20 @@ def test_selfcheck_reports_a_failed_fk_space(capsys, monkeypatch):
     assert all(ok for name, ok in results["braid_equation"].items() if name != "fk4")
 
 
+def test_selfcheck_reports_a_failed_fk3_space(capsys, monkeypatch):
+    """fk3's space is built with its bialgebra: a failed braid equation there
+    fails both its braid check and its d∘d check, and nothing else."""
+    check = fk.check_braid_equation
+    monkeypatch.setattr(fk, "check_braid_equation",
+                        lambda V: (False, (0, 1, 2)) if V.rank == 3 else check(V))
+    code, rep, _ = run_json(capsys, "selfcheck")
+    results = rep["results"]
+    assert code == 1 and not results["all_green"]
+    assert [n for n, ok in results["braid_equation"].items() if not ok] == ["fk3"]
+    assert [n for n, ok in results["total_differential_squares_to_zero"].items() if not ok] == ["fk3"]
+    assert results["d_squared_h_entries"]["fk3"] == 0
+
+
 def test_selfcheck_catches_one_corrupted_face_entry(capsys, monkeypatch):
     # fk3, basis index 11 its top-degree element: the inner Hochschild face
     # of the (1, 1) entry 11 -> 11 at the entry (1, 10) -> 11 gets a wrong

@@ -38,7 +38,7 @@ from cocycle_helpers import (
     solve_cocycles,
 )
 from cohomology_oracle import tuple_label
-from kernel_m_oracle import all_middle_rows, kernel_m_from_words
+from kernel_m_oracle import hom_M_dim_by_pairs, kernel_M_by_pairs, kernel_m_from_words
 
 
 def line(N):
@@ -320,39 +320,37 @@ def test_completion_counts_dim_M(name):
     assert dims == {d: minimal[d] for d in range(2, 2 * B.top_degree + 1)}
 
 
-def _finite(name):
-    """The bialgebra of a shipped finite config at its budget, or of line(N)."""
+def _finite(name, max_degree=None):
+    """The bialgebra of a shipped finite config, at its budget unless
+    max_degree is given, or of line(N)."""
     if name.startswith("line"):
         return line(int(name[4:]))[0]
-    B, _, warnings = _finite_bialgebra(load_shipped(name), Namespace(max_degree=None))
+    B, _, warnings = _finite_bialgebra(load_shipped(name), Namespace(max_degree=max_degree))
     assert B is not None, warnings
     return B
 
 
-@pytest.mark.parametrize("name", FINITE_CONFIGS)
-def test_letter_middle_relations_span_W(monkeypatch, name):
-    """kernel_M spans W_d from the relations with a letter in the middle,
-    never enumerating triples; they have the rank of the relations with
-    every positive middle, and each of those reduces to zero against them."""
-    B = _finite(name)
-    lengths = []
-    tuples_of_degree = B.tuples_of_degree
+@pytest.mark.parametrize(
+    "name, max_degree", [(name, None) for name in FINITE_CONFIGS] + [("rank3_super_a3", 17)]
+)
+def test_M_from_rules_matches_kernel_over_pairs(name, max_degree):
+    """dim M and Hom(M, U), read off the rules of the layers, equal those of
+    the kernel of multiplication on B+ (x)_B B+ over every pair of basis
+    elements. The label rows bring Hom to 0 on a2_super and b2, the action
+    rows to 1 on fk3."""
+    B = _finite(name, max_degree)
+    out, ref = kernel_M(B), kernel_M_by_pairs(B)
+    assert out["dims"] == ref["dims"]
+    assert hom_M_dim(B, out) == hom_M_dim_by_pairs(B, ref)
 
-    def spying(n, d):
-        lengths.append(n)
-        return tuples_of_degree(n, d)
 
-    with monkeypatch.context() as m:
-        m.setattr(B, "tuples_of_degree", spying)
-        blocks = kernel_M(B)["blocks"]
-    assert lengths and 3 not in lengths
-    for d in range(2, 2 * B.top_degree + 1):
-        ech = Echelon()
-        for row in blocks[d]["W"] if d in blocks else ():
-            ech.add(row)
-        every = all_middle_rows(B, d)
-        assert ech.rank == sparse_rank(every), d
-        assert all(ech.contains(row) for row in every), d
+def test_rank3_square_minimal_relations():
+    """rank3_square through 2 top: the relation of degree 24 is the one its
+    catalog lacks, and no minimal relation has the unit label."""
+    B = _finite("rank3_square", 32)
+    md = kernel_M(B)
+    assert {d: v for d, v in md["dims"].items() if v} == {2: 3, 3: 2, 4: 1, 24: 1}
+    assert hom_M_dim(B, md) == 0
 
 
 @pytest.mark.parametrize("name", ["a2_super", "fk3"])
