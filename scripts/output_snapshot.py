@@ -5,8 +5,10 @@ Each command runs as ``python -m nicholsalg <args> --json`` against the
 ``src/`` of the checkout this script lives in. Its stdout is written to
 ``<out>/<name>.json`` and every exit code to ``<out>/exit_codes.txt``; each
 command's exit code and wall seconds go to stderr only, so the files hold no
-timing. Two checkouts print identical outputs when their snapshots do not
-differ:
+timing. At the end stderr gets the count, sum and median of those wall
+seconds, over all commands and over the short ones, where interpreter start
+and module loading are most of the time. Two checkouts print identical
+outputs when their snapshots do not differ:
 
     python3 scripts/output_snapshot.py --out before/
     python3 scripts/output_snapshot.py --out after/    # in the other checkout
@@ -16,6 +18,7 @@ differ:
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -23,6 +26,7 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SHORT_S = 0.3  # a command under this many wall seconds is mostly start-up
 
 DIAGONAL = [
     "a2_cartan_zeta3", "a2_super", "b2",
@@ -134,7 +138,7 @@ def main(argv=None):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    codes = []
+    codes, walls = [], []
     with tempfile.TemporaryDirectory() as tmp:
         beta = Path(tmp) / "bicharacter.json"
         beta.write_text(json.dumps(BICHARACTER))
@@ -151,10 +155,16 @@ def main(argv=None):
                 env=env, capture_output=True, text=True,
             )
             wall = time.perf_counter() - start
+            walls.append(wall)
             (out / f"{name}.json").write_text(proc.stdout)
             codes.append(f"{name} {proc.returncode}\n")
             print(f"{name}: exit {proc.returncode} in {wall:.2f} s", file=sys.stderr)
     (out / "exit_codes.txt").write_text("".join(codes))
+    short = [w for w in walls if w < SHORT_S]
+    for what, ws in (("commands", walls), (f"commands under {SHORT_S} s", short)):
+        if ws:
+            print(f"{len(ws)} {what}: {sum(ws):.2f} s in all, median {statistics.median(ws):.3f} s",
+                  file=sys.stderr)
     return 0
 
 

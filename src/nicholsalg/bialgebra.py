@@ -454,7 +454,7 @@ def from_nichols(V, max_degree):
 
 def attach_diagonal_category(B, grading):
     """Label each basis word by its (group, character) degree under grading,
-    a realization (relations.realization).
+    a realization of B.V (braided.realization, or RunConfig.realization).
 
     For abelian gradings the group action is diagonal and fully captured by
     the character half of the label, so no action generators are stored.

@@ -9,7 +9,7 @@ basis vector and an explicit action table.
 The grading data the rest of the package reads lives here too: the
 bicharacter of a q-matrix on Z^theta, and Grading, the one fold of letter
 labels into the label of a word (the group degree of a group-type space,
-the (g, chi) pair of a realization in relations).
+the (g, chi) pair of a realization of a diagonal one).
 """
 
 from dataclasses import dataclass
@@ -118,6 +118,38 @@ def group_grading(group_degrees):
     """Words of a group-type space graded by the product of their letters'
     permutations (V.group_degrees)."""
     return Grading(group_degrees, compose_perm, tuple(range(len(group_degrees[0]))))
+
+
+def realization(V, order=0):
+    """The realization of a diagonal V: words graded by (g, chi) over
+    Z^theta / N Z^theta, N = order (Z^theta for order 0); requires
+    q_ij^N = 1 for all i, j. RunConfig.realization builds it from a config,
+    and the category labels and the rigidity criterion read it.
+
+    A group element is an exponent vector reduced mod N, a character its
+    value table on e_1, ..., e_theta. Letter i has g_i = e_i and chi_i with
+    chi_i(g_k) = q_ki; mul adds exponents and multiplies value tables.
+    """
+    theta = V.rank
+    if order:
+        for i in range(theta):
+            for j in range(theta):
+                if V.q(i, j) ** order != 1:
+                    raise ValueError(
+                        f"q[{i}][{j}]^{order} != 1: characters not defined on the quotient"
+                    )
+
+    def mul(a, b):
+        g = tuple(x + y for x, y in zip(a[0], b[0]))
+        return tuple(x % order for x in g) if order else g, tuple(x * y for x, y in zip(a[1], b[1]))
+
+    unit = ((0,) * theta, (1,) * theta)
+    # folded from the unit, so that e_i is reduced mod N; column i of q is chi_i
+    letters = [
+        mul(unit, (tuple(int(k == i) for k in range(theta)), col))
+        for i, col in enumerate(zip(*V.qmatrix))
+    ]
+    return Grading(letters, mul, unit)
 
 
 def build_group_type(basis, act, scal, group_degrees):

@@ -4,6 +4,11 @@ Subcommands dispatch into the library modules; configs are shipped names or
 JSON paths. Reports carry {command, config_echo, results, warnings} and are
 printed as text tables or JSON. Exit codes: 0 success, 2 for undecided or
 budget-limited partial results, 1 for errors.
+
+The compute modules are called through their module objects
+(weyl.enumerate_roots, ...), never bound by name here: each is loaded
+lazily (see the package __init__) and runs when a command first uses it,
+so importing cli runs only cli, configs, braided and cyclo.
 """
 
 import argparse
@@ -11,9 +16,8 @@ import functools
 import json
 import sys
 
-from .bialgebra import NotFinite, attach_diagonal_category, from_nichols
+from . import bialgebra, cohomology, fk, liealg, relations, rewriting, tensoralg, weyl
 from .braided import check_braid_equation
-from .cohomology import epsilon_H2, hom_M_dim, kernel_M, map_unknowns, truncated_H2
 from .configs import (
     ConfigError,
     load_shipped,
@@ -23,34 +27,14 @@ from .configs import (
     shipped_config_names,
 )
 from .cyclo import CycNumber, format_cyc, zeta
-from .fk import (
-    build_fk_space,
-    fk_bialgebra,
-    fk_dims_rewriting,
-    fk_rigidity,
-)
-from .liealg import (
-    AbelianBicharacter,
-    check_braided_lie,
-    color_pair,
-    color_triple,
-    enveloping_dims,
-    heisenberg_flip,
-    scheunert_cocycle,
-    sl2_flip,
-    superline,
-)
-from .relations import generate_relations, g_chi, rigidity_verdict
-from .rewriting import rewrite_dims
-from .tensoralg import nichols_dims
-from .weyl import diagram_summary, enumerate_roots
 
+# each reaches into liealg only when called
 LIE_EXAMPLES = {
-    "heisenberg": heisenberg_flip,
-    "superline": superline,
-    "color_pair": color_pair,
-    "sl2": sl2_flip,
-    "color_triple": lambda: color_triple(zeta(5)),
+    "heisenberg": lambda: liealg.heisenberg_flip(),
+    "superline": lambda: liealg.superline(),
+    "color_pair": lambda: liealg.color_pair(),
+    "sl2": lambda: liealg.sl2_flip(),
+    "color_triple": lambda: liealg.color_triple(zeta(5)),
 }
 
 
@@ -97,7 +81,7 @@ def _max_degree(args, default):
 
 def _root_data(cfg, V):
     """Root data of V within the config's Cartan and object caps."""
-    return enumerate_roots(
+    return weyl.enumerate_roots(
         V, cap=cfg.budgets["cartan_cap"], object_cap=cfg.budgets["object_cap"]
     )
 
@@ -111,7 +95,7 @@ def _catalog_elements(cfg, V):
         return None, ["root system not finite"]
     elems = []
     warnings = []
-    for inst in generate_relations(V, rs):
+    for inst in relations.generate_relations(V, rs):
         if inst.element is None:
             warnings.append(f"no explicit element for {inst.family} {inst.participants}")
         else:
@@ -123,7 +107,7 @@ def cmd_diagram(args):
     cfg = _diag_config(args)
     V = cfg.space()
     try:
-        diag, cmat, kinds = diagram_summary(V, cap=cfg.budgets["cartan_cap"])
+        diag, cmat, kinds = weyl.diagram_summary(V, cap=cfg.budgets["cartan_cap"])
     except ValueError as e:  # a Cartan integer undefined within the cap
         return 2, cfg, {}, [str(e)]
     results = {
@@ -157,10 +141,10 @@ def cmd_relations(args):
     rs = _root_data(cfg, V)
     if not rs.finite:
         return 2, cfg, {"finite": False}, ["root system not finite; no relation list"]
-    instances = generate_relations(V, rs)
+    instances = relations.generate_relations(V, rs)
     rows = []
     for inst in instances:
-        _, _, scalar = g_chi(real, inst)
+        _, _, scalar = relations.g_chi(real, inst)
         rows.append(
             {
                 "family": inst.family,
@@ -178,7 +162,7 @@ def cmd_rigidity(args):
     real = cfg.realization(V)
     rs = _root_data(cfg, V)
     try:
-        verdict, reports = rigidity_verdict(V, rs, real, pre_nichols=args.pre_nichols)
+        verdict, reports = relations.rigidity_verdict(V, rs, real, pre_nichols=args.pre_nichols)
     except ValueError as e:
         return 2, cfg, {"verdict": "NotDecided"}, [str(e)]
     failing = [
@@ -202,7 +186,7 @@ def cmd_rigidity(args):
 def cmd_nichols(args):
     cfg = _diag_config(args)
     V = cfg.space()
-    dims = nichols_dims(V, _max_degree(args, cfg.budgets["max_degree"]))
+    dims = tensoralg.nichols_dims(V, _max_degree(args, cfg.budgets["max_degree"]))
     return 0, cfg, {"dims": dims, "total": sum(dims)}, []
 
 
@@ -213,7 +197,7 @@ def cmd_rewrite(args):
     elems, warnings = _catalog_elements(cfg, V)
     if elems is None:
         return 2, cfg, {"finite": False}, warnings
-    dims, _ = rewrite_dims(V.rank, elems, max_degree)
+    dims, _ = rewriting.rewrite_dims(V.rank, elems, max_degree)
     return 0, cfg, {"dims": dims, "total": sum(dims)}, warnings
 
 
@@ -234,8 +218,8 @@ def _finite_bialgebra(cfg, args):
         if cfg.n != 3:
             return None, None, [f"bialgebra construction limited to n = 3, got {cfg.n}"]
         try:
-            B, rels = fk_bialgebra(3, max_degree)
-        except NotFinite as e:
+            B, rels = fk.fk_bialgebra(3, max_degree)
+        except bialgebra.NotFinite as e:
             return None, None, [f"budget: {e}"]
         warnings = []
     else:
@@ -244,10 +228,10 @@ def _finite_bialgebra(cfg, args):
         if rels is None:
             return None, None, warnings
         try:
-            B = from_nichols(V, max_degree)
-        except NotFinite as e:
+            B = bialgebra.from_nichols(V, max_degree)
+        except bialgebra.NotFinite as e:
             return None, None, warnings + [f"budget: {e}"]
-        attach_diagonal_category(B, cfg.realization(V))
+        bialgebra.attach_diagonal_category(B, cfg.realization(V))
     for rel in rels:
         if B.vec_of(rel):
             raise NotInIdeal(f"relation is not in the Nichols ideal: {rel}")
@@ -266,7 +250,7 @@ def cmd_cohomology(args):
     table = {}
     all_zero = True
     for ell in ells:
-        r = truncated_H2(B, ell)
+        r = cohomology.truncated_H2(B, ell)
         table[ell] = r
         if r["H"]:
             all_zero = False
@@ -283,12 +267,12 @@ def cmd_epsilon(args):
     B, rels, warnings = _finite_bialgebra(cfg, args)
     if B is None:
         return 2, cfg, {}, warnings
-    md = kernel_M(B)
+    md = cohomology.kernel_M(B)
     # the relations' own count of minimal relations, the second route to
     # dim M; completed through 2 * top, it covers every degree of md["dims"]
-    minimal = rewrite_dims(B.V.rank, rels, 2 * B.top_degree)[1].minimal
-    eh = epsilon_H2(B)
-    hm = hom_M_dim(B, md)
+    minimal = rewriting.rewrite_dims(B.V.rank, rels, 2 * B.top_degree)[1].minimal
+    eh = cohomology.epsilon_H2(B)
+    hm = cohomology.hom_M_dim(B, md)
     results = {
         "M_dims": {str(k): v for k, v in md["dims"].items()},
         "M_dims_word_route": {
@@ -310,7 +294,7 @@ def _twist_of_file(path):
     """scheunert_cocycle of a bicharacter file; one it cannot twist is a ConfigError."""
     values, orders, skew = parse_bicharacter(read_json(path))
     try:
-        return scheunert_cocycle(AbelianBicharacter(values, orders, skew=skew))
+        return liealg.scheunert_cocycle(liealg.AbelianBicharacter(values, orders, skew=skew))
     except ValueError as e:
         raise ConfigError(f"bicharacter: {e}") from e
 
@@ -327,7 +311,7 @@ def cmd_twist(args):
 
 def cmd_lie_check(args):
     L = LIE_EXAMPLES[args.example]()
-    rep = check_braided_lie(L)
+    rep = liealg.check_braided_lie(L)
     results = {
         axiom: {"ok": ok, "witness": str(w) if w else None}
         for axiom, (ok, w) in rep.items()
@@ -337,7 +321,7 @@ def cmd_lie_check(args):
 
 def cmd_pbw(args):
     L = LIE_EXAMPLES[args.example]()
-    r = enveloping_dims(L, _max_degree(args, 4))
+    r = liealg.enveloping_dims(L, _max_degree(args, 4))
     match = r["gr"] == r["nichols"]
     results = {
         "filtered": r["filtered"],
@@ -352,12 +336,12 @@ def cmd_fk(args):
     if args.n < 3:
         raise ConfigError(f"n: need n >= 3, got {args.n}")
     max_degree = _max_degree(args, 4 if args.n == 3 else 12)
-    V = build_fk_space(args.n)  # checks the braid equation, once per command
-    dims = fk_dims_rewriting(args.n, max_degree)
+    V = fk.build_fk_space(args.n)  # checks the braid equation, once per command
+    dims = fk.fk_dims_rewriting(args.n, max_degree)
     results = {"n": args.n, "dims": dims, "total": sum(dims)}
     warnings, wrong = [], []
     if args.symmetrizer:
-        sdims = nichols_dims(V, max_degree)
+        sdims = tensoralg.nichols_dims(V, max_degree)
         results["symmetrizer_dims"] = sdims
         results["routes_agree"] = sdims == dims
         apart = [d for d, (s, r) in enumerate(zip(sdims, dims)) if s != r]
@@ -370,7 +354,7 @@ def cmd_fk(args):
             warnings.append(f"dim routes disagree at degree {d}: {sdims[d]} from the "
                             f"symmetrizer, {dims[d]} from rewriting")
     if args.rigidity:
-        verdict, details = fk_rigidity(args.n)
+        verdict, details = fk.fk_rigidity(args.n)
         results["rigidity"] = verdict
         if details:
             results["rigidity_details"] = [str(d) for d in details]
@@ -398,7 +382,7 @@ def cmd_selfcheck(args):
                 bialgebras[name], _, warn = _finite_bialgebra(cfg, args)
                 warnings += warn
             elif cfg.kind == "fk":
-                build_fk_space(cfg.n)
+                fk.build_fk_space(cfg.n)
         except RuntimeError:
             if cfg.kind != "fk":
                 raise
@@ -418,10 +402,10 @@ def cmd_selfcheck(args):
             ells = range(-2 * B.top_degree, 2 * B.top_degree + 1)
             try:
                 for ell in ells:
-                    truncated_H2(B, ell)
+                    cohomology.truncated_H2(B, ell)
             except RuntimeError:
                 ok = False
-            count = sum(len(map_unknowns(B, 1, 1, ell)) for ell in ells)
+            count = sum(len(cohomology.map_unknowns(B, 1, 1, ell)) for ell in ells)
         square[name], h_entries[name] = ok, count
         ok_all = ok_all and ok
     results["total_differential_squares_to_zero"] = square

@@ -9,9 +9,8 @@ import json
 import os
 from dataclasses import dataclass
 
-from .braided import build_diagonal
+from .braided import build_diagonal, realization
 from .cyclo import parse_cyc, zeta
-from .relations import realization
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "configs")
 

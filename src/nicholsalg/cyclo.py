@@ -16,6 +16,7 @@ or Fraction it equals, and inverse() takes all three.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add, neg
 
 
 @lru_cache(maxsize=None)
@@ -170,18 +171,26 @@ class CycNumber:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        b = other if other.__class__ is CycNumber and other.n == self.n else self._pair(other)
-        if b is None:
-            return NotImplemented
-        if self.den == b.den:
-            return _canonical(self.n, [x + y for x, y in zip(self.num, b.num)], self.den)
-        da, db = self.den, b.den
-        return _canonical(self.n, [x * db + y * da for x, y in zip(self.num, b.num)], da * db)
+        n, den = self.n, self.den
+        if other.__class__ is CycNumber and other.n == n:
+            if den == 1 == other.den:  # a sum of integer numerators is canonical
+                return CycNumber(n, tuple(map(add, self.num, other.num)))
+            b = other
+        elif other.__class__ is int:  # gcd(den, num[0] + k den, ...) == gcd(den, *num)
+            return CycNumber(n, (self.num[0] + other * den,) + self.num[1:], den)
+        else:
+            b = self._pair(other)
+            if b is None:
+                return NotImplemented
+        if den == b.den:
+            return _canonical(n, [x + y for x, y in zip(self.num, b.num)], den)
+        db = b.den
+        return _canonical(n, [x * db + y * den for x, y in zip(self.num, b.num)], den * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNumber(self.n, tuple([-x for x in self.num]), self.den)
+        return CycNumber(self.n, tuple(map(neg, self.num)), self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -193,6 +202,8 @@ class CycNumber:
         """self * p/q for p/q in lowest terms, q > 0; a factor of exactly 1 returns self."""
         if p == q:
             return self
+        if q == 1 == self.den:
+            return CycNumber(self.n, tuple([x * p for x in self.num]))
         return _canonical(self.n, [x * p for x in self.num], self.den * q)
 
     def __mul__(self, other):

@@ -14,7 +14,7 @@ int, with Fraction only where a non-unit pivot forces it; linalg says how).
 
 from itertools import combinations
 
-from .bialgebra import attach_group_category, from_nichols
+from . import bialgebra
 from .braided import build_group_type, check_braid_equation, compose_perm, group_grading
 from .rewriting import rewrite_dims
 
@@ -112,10 +112,10 @@ def fk_bialgebra(n, max_degree=5):
     line lies in `cli._finite_bialgebra`, because the cohomology on the
     n = 4 bialgebra is far dearer.
     """
-    B = from_nichols(build_fk_space(n), max_degree)
+    B = bialgebra.from_nichols(build_fk_space(n), max_degree)
     pairs = transpositions(n)
     # Sym(n) is generated by the adjacent transpositions (i, i+1)
-    attach_group_category(B, [pairs.index((i, i + 1)) for i in range(1, n)])
+    bialgebra.attach_group_category(B, [pairs.index((i, i + 1)) for i in range(1, n)])
     return B, fk_relations(n)
 
 

@@ -8,17 +8,15 @@ exact guard on the q-matrix (and sometimes on the root set), and a builder of
 its tensor element from iterated braided commutators
 x_{i1...ik} = [x_{i1}, x_{i2...ik}]_c.
 
-A realization grades words by (group, character) pairs, as a
-braided.Grading; the pair (g_R, chi_R) of a relation is the label of its
-degree, and the rigidity criterion asks that no relation shares it with a
-generator.
+A realization (braided.realization) grades words by (group, character)
+pairs; the pair (g_R, chi_R) of a relation is the label of its degree, and
+the rigidity criterion asks that no relation shares it with a generator.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, groupby, permutations
 from typing import Optional
 
-from .braided import Grading
 from .cyclo import cyc_order, inverse
 from .linalg import row_axpy
 from .tensoralg import braided_commutator, concat, monomial, root_vector_word
@@ -26,7 +24,7 @@ from .tensoralg import braided_commutator, concat, monomial, root_vector_word
 ELEMENT_DEGREE_CAP = 12  # skip explicit word realizations above this degree
 
 
-# -- realizations ----------------------------------------------------------
+# -- characters ------------------------------------------------------------
 
 
 def char_value(chi, g):
@@ -36,36 +34,6 @@ def char_value(chi, g):
         if e:
             v = v * chi[k] ** e
     return v
-
-
-def realization(V, order=0):
-    """Words graded by (g, chi) over Z^theta / N Z^theta, N = order (Z^theta
-    for order 0); requires q_ij^N = 1 for all i, j.
-
-    A group element is an exponent vector reduced mod N, a character its
-    value table on e_1, ..., e_theta. Letter i has g_i = e_i and chi_i with
-    chi_i(g_k) = q_ki; mul adds exponents and multiplies value tables.
-    """
-    theta = V.rank
-    if order:
-        for i in range(theta):
-            for j in range(theta):
-                if V.q(i, j) ** order != 1:
-                    raise ValueError(
-                        f"q[{i}][{j}]^{order} != 1: characters not defined on the quotient"
-                    )
-
-    def mul(a, b):
-        g = tuple(x + y for x, y in zip(a[0], b[0]))
-        return tuple(x % order for x in g) if order else g, tuple(x * y for x, y in zip(a[1], b[1]))
-
-    unit = ((0,) * theta, (1,) * theta)
-    # folded from the unit, so that e_i is reduced mod N; column i of q is chi_i
-    letters = [
-        mul(unit, (tuple(int(k == i) for k in range(theta)), col))
-        for i, col in enumerate(zip(*V.qmatrix))
-    ]
-    return Grading(letters, mul, unit)
 
 
 # -- relation instances ----------------------------------------------------

@@ -3,7 +3,7 @@
 import json
 import time
 
-from nicholsalg.braided import build_diagonal
+from nicholsalg.braided import build_diagonal, realization
 from nicholsalg.cyclo import zeta
 from nicholsalg.tensoralg import monomial, nichols_dims
 from nicholsalg.weyl import enumerate_roots
@@ -11,7 +11,6 @@ from nicholsalg.relations import (
     check_prop_gchi,
     g_chi,
     generate_relations,
-    realization,
     rigidity_verdict,
 )
 from nicholsalg.bialgebra import attach_diagonal_category, from_nichols

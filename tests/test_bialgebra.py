@@ -5,7 +5,7 @@ from itertools import chain, product
 
 import pytest
 
-from nicholsalg.braided import bichar, braid_word_blocks, build_diagonal
+from nicholsalg.braided import bichar, braid_word_blocks, build_diagonal, realization
 from nicholsalg.cli import _catalog_elements, _finite_bialgebra
 from nicholsalg.configs import load_shipped, shipped_config_names
 from nicholsalg.cyclo import zeta
@@ -13,7 +13,6 @@ from nicholsalg.fk import build_fk_space, fk_bialgebra, fk_relations
 from nicholsalg.tensoralg import NicholsDegree, monomial
 from nicholsalg import bialgebra
 from nicholsalg.bialgebra import GradedBialgebraData, attach_diagonal_category, from_nichols
-from nicholsalg.relations import realization
 from nicholsalg.rewriting import rewrite_dims
 from nicholsalg.linalg import add_term, row_axpy, sparse_rank
 

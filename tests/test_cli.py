@@ -239,14 +239,14 @@ def test_selfcheck_checks_each_shipped_space_once(capsys, monkeypatch):
 
 
 def test_selfcheck_reports_a_failed_fk_space(capsys, monkeypatch):
-    build = cli.build_fk_space
+    build = fk.build_fk_space
 
     def failing(n):
         if n == 4:
             raise RuntimeError("braid equation fails at (0, 1, 2)")
         return build(n)
 
-    monkeypatch.setattr(cli, "build_fk_space", failing)
+    monkeypatch.setattr(fk, "build_fk_space", failing)
     code, rep, _ = run_json(capsys, "selfcheck")
     results = rep["results"]
     assert code == 1 and not results["all_green"]
@@ -418,7 +418,7 @@ def test_fk_routes_must_agree(capsys, monkeypatch, n, step, code):
         dims[3] += step
         return dims
 
-    monkeypatch.setattr(cli, "nichols_dims", off_at_degree_3)
+    monkeypatch.setattr(tensoralg, "nichols_dims", off_at_degree_3)
     got, rep, _ = run_json(capsys, "fk", "--n", str(n), "--max-degree", "4", "--symmetrizer")
     assert got == code and rep["results"]["routes_agree"] is False
     assert len(rep["warnings"]) == 1 and "degree 3" in rep["warnings"][0], rep["warnings"]

@@ -7,13 +7,12 @@ from itertools import product
 
 import pytest
 
-from nicholsalg.braided import build_diagonal
+from nicholsalg.braided import build_diagonal, realization
 from nicholsalg.cli import _finite_bialgebra
 from nicholsalg.configs import load_shipped
 from nicholsalg.cyclo import zeta
 from nicholsalg.tensoralg import monomial
 from nicholsalg.bialgebra import attach_diagonal_category, from_nichols
-from nicholsalg.relations import realization
 from nicholsalg.rewriting import rewrite_dims
 from nicholsalg.fk import fk_bialgebra
 from nicholsalg import cohomology

@@ -305,3 +305,24 @@ def test_rational_round_trip_keeps_value_and_hash(xa):
     assert y == x and (y.num, y.den) == (x.num, x.den)
     assert hash(y) == hash(x)
     assert_canonical(x / 3, n, [c / 3 for c in ref_reduce(n, p)])
+
+
+@given(elements(), st.integers(-9, 9))
+@settings(max_examples=60, deadline=None)
+def test_sum_fast_paths_keep_the_canonical_form(xa, k):
+    """An int joins the constant numerator, and a sum of two denominator-1
+    elements skips the gcd: both stay canonical, a cancelling sum is the
+    canonical zero, and the sum commutes with an int."""
+    n, p = xa
+    a = CycNumber.from_powers(n, dict(enumerate(p)))
+    own = ref_reduce(n, p)
+    shifted = [own[0] + k] + own[1:]
+    assert_canonical(a + k, n, shifted)
+    assert_canonical(k + a, n, shifted)
+    assert 1 + a == a + 1 and hash(1 + a) == hash(a + 1)
+    zero = [Fraction(0)] * len(own)
+    assert_canonical(a + (-a), n, zero)
+    assert_canonical(in_field(n, k) + (-k), n, zero)
+    whole = a * a.den  # denominator 1
+    assert_canonical(whole + (-whole), n, zero)
+    assert_canonical(whole + whole * k, n, [c * a.den * (1 + k) for c in own])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from nicholsalg.braided import build_diagonal
+from nicholsalg.braided import build_diagonal, realization
 from nicholsalg.configs import load_shipped, shipped_config_names
 from nicholsalg.cyclo import zeta
 from nicholsalg import relations
@@ -14,7 +14,6 @@ from nicholsalg.relations import (
     check_prop_gchi,
     g_chi,
     generate_relations,
-    realization,
     rigidity_verdict,
 )
 from nicholsalg.weyl import enumerate_roots
